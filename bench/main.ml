@@ -1228,7 +1228,7 @@ let float_arg flag s =
 let () =
   let tables_only = Array.exists (String.equal "--tables-only") Sys.argv in
   let jobs =
-    arg_value "--jobs" ~default:(Shard.recommended_jobs ()) (int_arg "--jobs")
+    arg_value "--jobs" ~default:(Analyzer.recommended_jobs ()) (int_arg "--jobs")
   in
   (* The jobsN benchmarks and the identity check need actual sharding. *)
   let jobs = max 2 jobs in

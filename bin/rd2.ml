@@ -26,10 +26,17 @@ let format_arg =
           "Trace format: text (one event per line) or bin (the compact \
            CRDW binary codec).")
 
-let load_trace format path =
+(* Stream a trace file's events into [f] without materializing it. *)
+let iter_trace format path ~f =
   match format with
-  | `Text -> Trace_text.parse_file path
-  | `Bin -> Bigwire.of_file path
+  | `Text -> (
+      try In_channel.with_open_text path (Trace_text.iter_channel ~f)
+      with Sys_error msg -> Error msg)
+  | `Bin -> Bigwire.iter_file path ~f
+
+let load_trace format path =
+  let trace = Trace.create () in
+  Result.map (fun () -> trace) (iter_trace format path ~f:(Trace.append trace))
 
 let addr_conv =
   Arg.conv
@@ -176,23 +183,6 @@ let check_cmd =
              memory location after one sequential happens-before pass). \
              Reports are identical to the sequential run.")
   in
-  let force_parallel =
-    Arg.(
-      value & flag
-      & info [ "force-parallel" ]
-          ~doc:
-            "Shard even below the parallel threshold (small traces \
-             otherwise fall back to the sequential path, where domain \
-             overhead would dominate).")
-  in
-  let parallel_threshold =
-    Arg.(
-      value & opt int Shard.default_parallel_threshold
-      & info [ "parallel-threshold" ] ~docv:"EVENTS"
-          ~doc:
-            "Minimum trace length for which --jobs > 1 actually shards; \
-             shorter traces run sequentially.")
-  in
   let stats_flag =
     Arg.(
       value & flag
@@ -211,67 +201,38 @@ let check_cmd =
              output is directly comparable to a race database.")
   in
   let run trace_file spec_file format mode direct fasttrack atomicity verbose
-      jobs force threshold stats fingerprints =
-    let dump_stats () = if stats then print_string (Crd_obs.dump ()) in
-    let dump_fingerprints races =
-      if fingerprints then
-        List.sort_uniq String.compare (List.map Report.fingerprint_hex races)
-        |> List.iter print_endline
-    in
+      jobs stats fingerprints =
     let ( let* ) r f = match r with Error e -> `Error (false, e) | Ok v -> f v in
     let* specs =
       match spec_file with
       | None -> Ok (Stdspecs.all ())
       | Some f -> Spec_parser.parse_file f
     in
-    let spec_for o =
-      let name = Obj_id.name o in
-      let base =
-        match String.index_opt name ':' with
-        | Some i -> String.sub name 0 i
-        | None -> name
-      in
-      List.find_opt (fun s -> String.equal (Spec.name s) base) specs
-    in
-    let* trace = load_trace format trace_file in
     let config =
       { Analyzer.rd2 = mode; direct; fasttrack; djit = false; atomicity }
     in
-    if jobs > 1 then begin
-      let* res = Shard.analyze ~jobs ~force ~threshold ~config ~spec_for trace in
-      Fmt.pr "%a@." Shard.pp_summary res;
-      if verbose then begin
-        List.iter (fun r -> Fmt.pr "%a@." Report.pp r) res.Shard.rd2_reports;
-        List.iter
-          (fun r -> Fmt.pr "%a@." Rw_report.pp r)
-          res.Shard.fasttrack_reports;
-        List.iter
-          (fun v -> Fmt.pr "%a@." Atomicity.pp_violation v)
-          res.Shard.atomicity_violations
-      end;
-      dump_fingerprints res.Shard.rd2_reports;
-      dump_stats ();
-      `Ok ()
-    end
-    else begin
-      let* an = Analyzer.create ~config ~spec_for () in
-      (try Analyzer.run_trace an trace
-       with Invalid_argument e -> failwith e);
-      Analyzer.publish_stats an;
-      Fmt.pr "%a@." Analyzer.pp_summary an;
-      if verbose then begin
-        List.iter (fun r -> Fmt.pr "%a@." Report.pp r) (Analyzer.rd2_races an);
-        List.iter
-          (fun r -> Fmt.pr "%a@." Rw_report.pp r)
-          (Analyzer.fasttrack_races an);
-        List.iter
-          (fun v -> Fmt.pr "%a@." Atomicity.pp_violation v)
-          (Analyzer.atomicity_violations an)
-      end;
-      dump_fingerprints (Analyzer.rd2_races an);
-      dump_stats ();
-      `Ok ()
-    end
+    let* an = Analyzer.create ~config ~jobs ~spec_for:(Stdspecs.spec_in specs) () in
+    let* res =
+      try
+        let streamed = iter_trace format trace_file ~f:(Analyzer.step an) in
+        let res = Analyzer.finish an in
+        Result.map (fun () -> res) streamed
+      with Invalid_argument e -> Error e
+    in
+    Fmt.pr "%a@." Analyzer.pp_result res;
+    if verbose then begin
+      List.iter (fun r -> Fmt.pr "%a@." Report.pp r) res.rd2_reports;
+      List.iter (fun r -> Fmt.pr "%a@." Rw_report.pp r) res.fasttrack_reports;
+      List.iter
+        (fun v -> Fmt.pr "%a@." Atomicity.pp_violation v)
+        res.atomicity_violations
+    end;
+    if fingerprints then
+      List.sort_uniq String.compare
+        (List.map Report.fingerprint_hex res.rd2_reports)
+      |> List.iter print_endline;
+    if stats then print_string (Crd_obs.dump ());
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "check" ~exits
@@ -279,8 +240,8 @@ let check_cmd =
     Term.(
       ret
         (const run $ trace_file $ spec_arg $ format_arg $ mode $ direct
-       $ fasttrack $ atomicity $ verbose $ jobs $ force_parallel
-       $ parallel_threshold $ stats_flag $ fingerprints_flag))
+       $ fasttrack $ atomicity $ verbose $ jobs $ stats_flag
+       $ fingerprints_flag))
 
 
 (* ------------------------------------------------------------------ *)
@@ -356,17 +317,11 @@ let predict_cmd =
       | None -> Ok (Stdspecs.all ())
       | Some f -> Spec_parser.parse_file f
     in
-    let spec_for o =
-      let name = Obj_id.name o in
-      let base =
-        match String.index_opt name ':' with
-        | Some i -> String.sub name 0 i
-        | None -> name
-      in
-      List.find_opt (fun s -> String.equal (Spec.name s) base) specs
-    in
     let* trace = load_trace format trace_file in
-    let* res = Predict.analyze ~jobs ~scan_limit ~max_attempts ~spec_for trace in
+    let* res =
+      Predict.analyze ~jobs ~scan_limit ~max_attempts
+        ~spec_for:(Stdspecs.spec_in specs) trace
+    in
     let distinct rs =
       List.length
         (List.sort_uniq Int64.compare (List.map Report.fingerprint rs))
@@ -667,14 +622,8 @@ let synth_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Shard the --check analysis over $(docv) domains.")
   in
-  let force_parallel =
-    Arg.(
-      value & flag
-      & info [ "force-parallel" ]
-          ~doc:"Shard the --check analysis even below the parallel threshold.")
-  in
   let run events threads objects skew mix sync_period key_space seed output
-      format check jobs force =
+      format check jobs =
     let config =
       {
         Synth.threads;
@@ -686,32 +635,36 @@ let synth_cmd =
         key_space;
       }
     in
-    match
-      (try Ok (Synth.generate ~seed config)
-       with Invalid_argument e -> Error e)
-    with
-    | Error e -> `Error (false, e)
-    | Ok trace ->
-        if check then begin
-          Fmt.epr "synth: %a@." Synth.pp_config config;
-          match
-            Shard.analyze_stdspecs ~jobs ~force
-              ~config:
-                {
-                  Analyzer.rd2 = `Constant;
-                  direct = false;
-                  fasttrack = true;
-                  djit = false;
-                  atomicity = false;
-                }
-              trace
-          with
-          | Error e -> `Error (false, e)
-          | Ok res ->
-              Fmt.pr "%a@." Shard.pp_summary res;
-              `Ok ()
-        end
-        else begin
+    if check then begin
+      Fmt.epr "synth: %a@." Synth.pp_config config;
+      let an =
+        Analyzer.with_stdspecs ~jobs
+          ~config:
+            {
+              Analyzer.rd2 = `Constant;
+              direct = false;
+              fasttrack = true;
+              djit = false;
+              atomicity = false;
+            }
+          ()
+      in
+      match
+        Synth.iter ~seed config ~f:(Analyzer.step an);
+        Analyzer.finish an
+      with
+      | res ->
+          Fmt.pr "%a@." Analyzer.pp_result res;
+          `Ok ()
+      | exception Invalid_argument e -> `Error (false, e)
+    end
+    else
+      match
+        (try Ok (Synth.generate ~seed config)
+         with Invalid_argument e -> Error e)
+      with
+      | Error e -> `Error (false, e)
+      | Ok trace -> (
           match format with
           | `Text ->
               let text = Trace_text.to_string trace in
@@ -730,8 +683,7 @@ let synth_cmd =
               | Some path -> (
                   match Wire.to_file path trace with
                   | Ok () -> `Ok ()
-                  | Error e -> `Error (false, e)))
-        end
+                  | Error e -> `Error (false, e))))
   in
   Cmd.v
     (Cmd.info "synth" ~exits
@@ -743,8 +695,7 @@ let synth_cmd =
     Term.(
       ret
         (const run $ events $ threads $ objects $ skew $ mix $ sync_period
-       $ key_space $ seed_arg $ output $ format_arg $ check $ jobs
-       $ force_parallel))
+       $ key_space $ seed_arg $ output $ format_arg $ check $ jobs))
 
 (* ------------------------------------------------------------------ *)
 (* explore                                                             *)
@@ -834,9 +785,8 @@ let table2_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "With $(docv) > 1, run the FASTTRACK and RD2 configurations as \
-             record-then-analyze over $(docv) domains instead of live \
-             analysis. Race counts are identical by construction.")
+            "Shard the FASTTRACK and RD2 analyses over $(docv) domains as \
+             the workloads run. Race counts are identical by construction.")
   in
   let dump =
     Arg.(
@@ -944,8 +894,8 @@ let serve_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "With $(docv) > 1, record each session and analyze it at \
-             end-of-stream over $(docv) domains (identical reports).")
+            "Shard each session's analysis over $(docv) domains as its \
+             events arrive (identical reports).")
   in
   let metrics =
     Arg.(

@@ -235,6 +235,19 @@ let of_spec ?(optimize = true) spec =
   | Error e -> Error e
   | Ok raw -> Ok (build ~optimize raw)
 
+let memo () =
+  let cache = Hashtbl.create 8 in
+  fun spec ->
+    let name = Spec.name spec in
+    match Hashtbl.find_opt cache name with
+    | Some r -> r
+    | None ->
+        let r =
+          Result.map_error (Printf.sprintf "spec %s: %s" name) (of_spec spec)
+        in
+        Hashtbl.add cache name r;
+        r
+
 (* ------------------------------------------------------------------ *)
 (* Runtime interface                                                   *)
 (* ------------------------------------------------------------------ *)

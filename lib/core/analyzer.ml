@@ -4,6 +4,8 @@ open Crd_spec
 open Crd_apoint
 open Crd_detector
 open Crd_fasttrack
+module Vclock = Crd_vclock.Vclock
+module Atomicity = Crd_atomicity.Atomicity
 
 type config = {
   rd2 : [ `Off | `Constant | `Linear ];
@@ -22,186 +24,570 @@ let default_config =
     atomicity = false;
   }
 
-type t = {
-  hb : Hb.t;
-  rd2 : Rd2.t option;
-  direct : Direct.t option;
-  fasttrack : Fasttrack.t option;
-  djit : Djit.t option;
-  atomicity : Crd_atomicity.Atomicity.t option;
-  pool : Crd_vclock.Vclock.Pool.t;
-  mutable events : int;
-  mutable published : bool;
+type result = {
+  events : int;
+  shards : int;
+  fell_back : bool;
+  rd2_reports : Report.t list;
+  rd2_stats : Rd2.stats option;
+  direct_reports : Report.t list;
+  direct_stats : Direct.stats option;
+  fasttrack_reports : Rw_report.t list;
+  fasttrack_stats : Fasttrack.stats option;
+  djit_reports : Rw_report.t list;
+  atomicity_violations : Atomicity.violation list;
 }
 
-let create ?(config = default_config) ~spec_for () =
-  (* Memoize one representation per specification (keyed by name). *)
-  let reprs : (string, Repr.t) Hashtbl.t = Hashtbl.create 8 in
-  let failure = ref None in
-  let repr_for o =
-    match spec_for o with
-    | None -> None
-    | Some spec -> (
-        match Hashtbl.find_opt reprs (Spec.name spec) with
-        | Some r -> Some r
-        | None -> (
-            match Repr.of_spec spec with
-            | Ok r ->
-                Hashtbl.add reprs (Spec.name spec) r;
-                Some r
-            | Error e ->
-                failure :=
-                  Some (Printf.sprintf "spec %s: %s" (Spec.name spec) e);
-                None))
-  in
-  (* Pre-translate nothing: specs are resolved per object on first use;
-     but surface immediate failures for the common single-spec case by
-     noticing them lazily in [step]. To keep the API simple we probe
-     nothing here and report translation failures by exception. *)
+let recommended_jobs () = min 8 (Domain.recommended_domain_count ())
+let default_parallel_threshold = 100_000
+
+(* Chunk size of the batched handoff: large enough that queue round
+   trips and mutex operations are amortized over thousands of events,
+   small enough that workers start draining while the sequential
+   happens-before pass is still producing. *)
+let chunk_events = 8_192
+
+(* Chunks a shard's handoff holds before the producer waits: with the
+   chunk being filled and the one being drained, in-flight memory per
+   shard is a constant, whatever the stream length. *)
+let handoff_chunks = 4
+
+(* ------------------------------------------------------------------ *)
+(* The detector bundle                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One detector set: the inline bundle of an unsharded run, or one per
+   shard worker. Each bundle owns its vector-clock pool: pools are
+   single-owner, and a bundle never leaves the domain that created it. *)
+type detectors = {
+  rd2 : Rd2.t option;
+  direct : Direct.t option;
+  ft : Fasttrack.t option;
+  djit : Djit.t option;
+  pool : Vclock.Pool.t;
+}
+
+let make_detectors (config : config) ~repr_for ~spec_for =
   let pool = Metrics.create_pool () in
-  let rd2 =
-    match config.rd2 with
-    | `Off -> None
-    | (`Constant | `Linear) as mode ->
-        Some
-          (Rd2.create ~mode ~pool
-             ~repr_for:(fun o ->
-               let r = repr_for o in
-               (match !failure with
-               | Some msg -> invalid_arg ("Analyzer: " ^ msg)
-               | None -> ());
-               r)
-             ())
-  in
-  let direct =
-    if config.direct then Some (Direct.create ~spec_for ()) else None
-  in
-  let atomicity =
-    if config.atomicity then
-      Some (Crd_atomicity.Atomicity.create ~repr_for ())
-    else None
-  in
-  Ok
-    {
-      hb = Hb.create ();
-      rd2;
-      direct;
-      fasttrack =
-        (if config.fasttrack then Some (Fasttrack.create ~pool ()) else None);
-      djit = (if config.djit then Some (Djit.create ()) else None);
-      atomicity;
-      pool;
-      events = 0;
-      published = false;
-    }
+  {
+    rd2 =
+      (match config.rd2 with
+      | `Off -> None
+      | (`Constant | `Linear) as mode ->
+          Some (Rd2.create ~mode ~pool ~repr_for ()));
+    direct = (if config.direct then Some (Direct.create ~spec_for ()) else None);
+    ft = (if config.fasttrack then Some (Fasttrack.create ~pool ()) else None);
+    djit = (if config.djit then Some (Djit.create ()) else None);
+    pool;
+  }
 
-let with_stdspecs ?config () =
-  let spec_for o =
-    let name = Obj_id.name o in
-    let base =
-      match String.index_opt name ':' with
-      | Some i -> String.sub name 0 i
-      | None -> name
-    in
-    Crd_stdspecs.Stdspecs.find base
-  in
-  match create ?config ~spec_for () with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Analyzer.with_stdspecs: " ^ e)
-
-let step t (e : Event.t) =
-  let index = t.events in
-  t.events <- index + 1;
-  Crd_obs.Counter.incr Metrics.events_total;
-  let vc = Hb.step t.hb e in
-  (match t.atomicity with
-  | Some a -> ignore (Crd_atomicity.Atomicity.step a ~index e)
-  | None -> ());
+(* The dispatch hot loop: no allocation of its own — everything it
+   touches (event, clock snapshot) was allocated by the producer. *)
+let dispatch d ~index (e : Event.t) vc =
   match e.op with
   | Event.Call action ->
-      (match t.rd2 with
-      | Some d -> ignore (Rd2.on_action d ~index e.tid action vc)
+      (match d.rd2 with
+      | Some det -> ignore (Rd2.on_action det ~index e.tid action vc)
       | None -> ());
-      (match t.direct with
-      | Some d -> ignore (Direct.on_action d ~index e.tid action vc)
+      (match d.direct with
+      | Some det -> ignore (Direct.on_action det ~index e.tid action vc)
       | None -> ())
   | Event.Read loc ->
-      (match t.fasttrack with
-      | Some d -> ignore (Fasttrack.on_read d ~index e.tid loc vc)
+      (match d.ft with
+      | Some det -> ignore (Fasttrack.on_read det ~index e.tid loc vc)
       | None -> ());
-      (match t.djit with
-      | Some d -> ignore (Djit.on_read d ~index e.tid loc vc)
+      (match d.djit with
+      | Some det -> ignore (Djit.on_read det ~index e.tid loc vc)
       | None -> ())
   | Event.Write loc ->
-      (match t.fasttrack with
-      | Some d -> ignore (Fasttrack.on_write d ~index e.tid loc vc)
+      (match d.ft with
+      | Some det -> ignore (Fasttrack.on_write det ~index e.tid loc vc)
       | None -> ());
-      (match t.djit with
-      | Some d -> ignore (Djit.on_write d ~index e.tid loc vc)
+      (match d.djit with
+      | Some det -> ignore (Djit.on_write det ~index e.tid loc vc)
       | None -> ())
   | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _
   | Event.Begin | Event.End ->
       ()
 
+(* A bundle's reports and counters. Taking them ends the bundle: its
+   pool goes back to the [mem_vcpool_bytes] accounting. *)
+type outputs = {
+  o_rd2 : Report.t list;
+  o_rd2_stats : Rd2.stats option;
+  o_direct : Report.t list;
+  o_direct_stats : Direct.stats option;
+  o_ft : Rw_report.t list;
+  o_ft_stats : Fasttrack.stats option;
+  o_djit : Rw_report.t list;
+}
+
+let outputs_of d =
+  Metrics.publish_pool d.pool;
+  {
+    o_rd2 = (match d.rd2 with Some det -> Rd2.races det | None -> []);
+    o_rd2_stats = Option.map Rd2.stats d.rd2;
+    o_direct = (match d.direct with Some det -> Direct.races det | None -> []);
+    o_direct_stats = Option.map Direct.stats d.direct;
+    o_ft = (match d.ft with Some det -> Fasttrack.races det | None -> []);
+    o_ft_stats = Option.map Fasttrack.stats d.ft;
+    o_djit = (match d.djit with Some det -> Djit.races det | None -> []);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Chunks and the bounded handoff                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A chunk is a fixed-capacity struct-of-arrays batch of clock-stamped
+   events: appending is three unsafe stores and a bump. Clock snapshots
+   are the stable [Hb] snapshots (copy-on-sync, never mutated after
+   creation), so sharing them with a worker is safe once the chunk is
+   published under the handoff mutex. *)
+type chunk = {
+  c_idx : int array;
+  c_ev : Event.t array;
+  c_vc : Vclock.t array;
+  mutable c_n : int;
+}
+
+let dummy_event = Event.begin_ Tid.main
+let dummy_vc = Vclock.bot ()
+
+let fresh_chunk () =
+  {
+    c_idx = Array.make chunk_events 0;
+    c_ev = Array.make chunk_events dummy_event;
+    c_vc = Array.make chunk_events dummy_vc;
+    c_n = 0;
+  }
+
+(* Appends; true when the chunk is now full. *)
+let add ch index e vc =
+  let i = ch.c_n in
+  Array.unsafe_set ch.c_idx i index;
+  Array.unsafe_set ch.c_ev i e;
+  Array.unsafe_set ch.c_vc i vc;
+  ch.c_n <- i + 1;
+  ch.c_n = chunk_events
+
+let iter_chunk ch f =
+  for i = 0 to ch.c_n - 1 do
+    f (Array.unsafe_get ch.c_idx i) (Array.unsafe_get ch.c_ev i)
+      (Array.unsafe_get ch.c_vc i)
+  done
+
+(* One single-producer single-consumer handoff per shard, holding at
+   most [handoff_chunks] chunks. With one party per side, at most one of
+   them waits at a time, so one condition serves both directions. A
+   worker that dies records its exception in [failed], which releases a
+   producer waiting on a full handoff. *)
+type handoff = {
+  mu : Mutex.t;
+  cond : Condition.t;
+  q : chunk Queue.t;
+  mutable closed : bool;
+  mutable failed : exn option;
+}
+
+let make_handoff () =
+  {
+    mu = Mutex.create ();
+    cond = Condition.create ();
+    q = Queue.create ();
+    closed = false;
+    failed = None;
+  }
+
+(* [Some exn] when the worker has died instead of taking the chunk. *)
+let push ?(bound = handoff_chunks) h ch =
+  Mutex.lock h.mu;
+  while h.failed = None && Queue.length h.q >= bound do
+    Condition.wait h.cond h.mu
+  done;
+  let failed = h.failed in
+  if failed = None then begin
+    Queue.push ch h.q;
+    Condition.signal h.cond
+  end;
+  Mutex.unlock h.mu;
+  failed
+
+let close h =
+  Mutex.protect h.mu (fun () ->
+      h.closed <- true;
+      Condition.signal h.cond)
+
+let pop h =
+  Mutex.lock h.mu;
+  while Queue.is_empty h.q && not h.closed do
+    Condition.wait h.cond h.mu
+  done;
+  let r = Queue.take_opt h.q in
+  Condition.signal h.cond;
+  Mutex.unlock h.mu;
+  r
+
+let fail h e =
+  Mutex.protect h.mu (fun () ->
+      h.failed <- Some e;
+      Queue.clear h.q;
+      Condition.signal h.cond)
+
+let worker config ~repr_for ~spec_for h () =
+  Crd_obs.time Metrics.shard_wall_seconds (fun () ->
+      let dets = make_detectors config ~repr_for ~spec_for in
+      let rec loop () =
+        match pop h with
+        | None -> ()
+        | Some ch ->
+            iter_chunk ch (fun index e vc -> dispatch dets ~index e vc);
+            Crd_obs.Counter.incr Metrics.shard_chunks_total;
+            loop ()
+      in
+      match loop () with
+      | () -> Ok (outputs_of dets)
+      | exception e ->
+          Metrics.publish_pool dets.pool;
+          fail h e;
+          Error e)
+
+(* ------------------------------------------------------------------ *)
+(* The engine                                                          *)
+(* ------------------------------------------------------------------ *)
+
+type shards = {
+  handoffs : handoff array;
+  workers : (outputs, exn) Stdlib.result Domain.t array;
+  fill : chunk array;
+}
+
+type mode =
+  | Inline of detectors  (** [jobs = 1]: detectors fed during the clock pass *)
+  | Buffering of chunk list
+      (** [jobs > 1], fewer than [threshold] events so far; the chunk
+          being filled first *)
+  | Sharded of shards
+  | Finished of result
+  | Failed of exn
+
+type t = {
+  config : config;
+  jobs : int;
+  threshold : int;
+  hb : Hb.t;
+  resolve : Obj_id.t -> Spec.t option * Repr.t option;
+  lookup : Obj_id.t -> Spec.t option * Repr.t option;
+  atomicity : Atomicity.t option;
+  mutable events : int;
+  mutable mode : mode;
+}
+
+(* Every worker is joined before the engine leaves [Sharded]: closing
+   the handoffs lets the live ones drain and exit, dead ones are already
+   gone. The first failure wins. *)
+let join_shards s =
+  Array.iter close s.handoffs;
+  let outs = Array.map Domain.join s.workers in
+  Array.fold_right
+    (fun r acc ->
+      match (r, acc) with
+      | Error e, _ -> Error e
+      | Ok o, Ok os -> Ok (o :: os)
+      | Ok _, (Error _ as err) -> err)
+    outs (Ok [])
+
+let abandon t e =
+  (match t.mode with
+  | Sharded s -> ignore (join_shards s)
+  | Inline d -> Metrics.publish_pool d.pool
+  | Buffering _ | Finished _ | Failed _ -> ());
+  t.mode <- Failed e;
+  raise e
+
+let route ?bound t s index (e : Event.t) vc =
+  let n = Array.length s.handoffs in
+  let shard =
+    match e.op with
+    | Event.Call action ->
+        (* Resolved here, in the producer, before any worker can ask. *)
+        ignore (t.resolve action.Action.obj);
+        abs (Obj_id.id action.Action.obj) mod n
+    | Event.Read loc | Event.Write loc -> abs (Mem_loc.hash loc) mod n
+    | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _
+    | Event.Begin | Event.End ->
+        0
+  in
+  if add s.fill.(shard) index e vc then begin
+    match push ?bound s.handoffs.(shard) s.fill.(shard) with
+    | None -> s.fill.(shard) <- fresh_chunk ()
+    | Some failure -> abandon t failure
+  end
+
+(* The stream reached the threshold: spawn the workers, then route what
+   was buffered, oldest first. The backlog is already in memory, so it
+   goes in without waiting on the bound: the producer gets back to the
+   stream while the workers catch up. *)
+let start_shards t buffered =
+  let lookup_spec o = fst (t.lookup o) and lookup_repr o = snd (t.lookup o) in
+  let handoffs = Array.init t.jobs (fun _ -> make_handoff ()) in
+  let s =
+    {
+      handoffs;
+      workers =
+        Array.map
+          (fun h ->
+            Domain.spawn
+              (worker t.config ~repr_for:lookup_repr ~spec_for:lookup_spec h))
+          handoffs;
+      fill = Array.init t.jobs (fun _ -> fresh_chunk ());
+    }
+  in
+  t.mode <- Sharded s;
+  List.iter
+    (fun ch ->
+      iter_chunk ch (fun index e vc -> route ~bound:max_int t s index e vc))
+    (List.rev buffered)
+
+let inline_detectors t =
+  make_detectors t.config
+    ~repr_for:(fun o -> snd (t.resolve o))
+    ~spec_for:(fun o -> fst (t.resolve o))
+
+let create ?(config = default_config) ?(jobs = 1)
+    ?(threshold = default_parallel_threshold) ~spec_for () =
+  (* The spec -> access-point memo: one entry per object, over one
+     translation per specification. Only the producer writes it; shard
+     workers read it under [mu], once per object they meet. Translation
+     is needed only by RD2 and the atomicity checker, and fails loudly. *)
+  let objs : (int, Spec.t option * Repr.t option) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let mu = Mutex.create () in
+  let translate = Repr.memo () in
+  let needs_repr = config.rd2 <> `Off || config.atomicity in
+  let resolve o =
+    let key = Obj_id.id o in
+    match Hashtbl.find_opt objs key with
+    | Some r -> r
+    | None ->
+        let spec = spec_for o in
+        let repr =
+          match spec with
+          | Some s when needs_repr -> (
+              match translate s with
+              | Ok r -> Some r
+              | Error e -> invalid_arg ("Analyzer: " ^ e))
+          | _ -> None
+        in
+        Mutex.protect mu (fun () -> Hashtbl.replace objs key (spec, repr));
+        (spec, repr)
+  in
+  let lookup o =
+    Mutex.protect mu (fun () ->
+        Option.value ~default:(None, None)
+          (Hashtbl.find_opt objs (Obj_id.id o)))
+  in
+  let t =
+    {
+      config;
+      jobs = max 1 jobs;
+      threshold;
+      hb = Hb.create ();
+      resolve;
+      lookup;
+      (* The atomicity checker is cross-object (one transactional graph),
+         so it cannot be sharded; it runs in the clock pass. *)
+      atomicity =
+        (if config.atomicity then
+           Some (Atomicity.create ~repr_for:(fun o -> snd (resolve o)) ())
+         else None);
+      events = 0;
+      mode = Buffering [];
+    }
+  in
+  (if t.jobs = 1 then t.mode <- Inline (inline_detectors t)
+   else if threshold <= 0 then start_shards t []
+   else t.mode <- Buffering [ fresh_chunk () ]);
+  Ok t
+
+let with_stdspecs ?config ?jobs () =
+  match create ?config ?jobs ~spec_for:Crd_stdspecs.Stdspecs.spec_for () with
+  | Ok t -> t
+  | Error e -> invalid_arg ("Analyzer.with_stdspecs: " ^ e)
+
+let step t (e : Event.t) =
+  (match t.mode with
+  | Finished _ -> invalid_arg "Analyzer.step: the analysis is finished"
+  | Failed exn -> raise exn
+  | Inline _ | Buffering _ | Sharded _ -> ());
+  let index = t.events in
+  t.events <- index + 1;
+  Crd_obs.Counter.incr Metrics.events_total;
+  try
+    let vc = Hb.step t.hb e in
+    (match t.atomicity with
+    | Some a -> ignore (Atomicity.step a ~index e)
+    | None -> ());
+    (match e.op with
+    | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _
+    | Event.Begin | Event.End ->
+        ()
+    | Event.Call _ | Event.Read _ | Event.Write _ -> (
+        match t.mode with
+        | Inline d -> dispatch d ~index e vc
+        | Sharded s -> route t s index e vc
+        | Buffering (ch :: _ as chunks) ->
+            if add ch index e vc then t.mode <- Buffering (fresh_chunk () :: chunks)
+        | Buffering [] | Finished _ | Failed _ -> assert false));
+    match t.mode with
+    | Buffering chunks when t.events >= t.threshold -> start_shards t chunks
+    | Inline _ | Buffering _ | Sharded _ | Finished _ | Failed _ -> ()
+  with exn -> abandon t exn
+
 let sink t e = step t e
 let run_trace t trace = Trace.iter_events trace ~f:(step t)
 let events t = t.events
 
-let rd2_races t = match t.rd2 with Some d -> Rd2.races d | None -> []
-let rd2_stats t = Option.map Rd2.stats t.rd2
-let direct_races t = match t.direct with Some d -> Direct.races d | None -> []
-let direct_stats t = Option.map Direct.stats t.direct
+(* Deterministic merge: each trace index lives in exactly one shard and
+   per-shard report lists are already in trace order, so a stable sort on
+   the index reproduces the sequential report list exactly. *)
+let merge_reports index_of = function
+  | [ one ] -> one
+  | per_shard ->
+      List.stable_sort
+        (fun a b -> Int.compare (index_of a) (index_of b))
+        (List.concat per_shard)
 
-let fasttrack_races t =
-  match t.fasttrack with Some d -> Fasttrack.races d | None -> []
+let sum_stats add = function
+  | [] -> None
+  | s0 :: rest -> Some (List.fold_left add s0 rest)
 
-let fasttrack_stats t = Option.map Fasttrack.stats t.fasttrack
-let djit_races t = match t.djit with Some d -> Djit.races d | None -> []
+let add_rd2 (a : Rd2.stats) (b : Rd2.stats) =
+  {
+    Rd2.actions = a.actions + b.actions;
+    lookups = a.lookups + b.lookups;
+    races = a.races + b.races;
+    same_epoch = a.same_epoch + b.same_epoch;
+    promotions = a.promotions + b.promotions;
+    deflations = a.deflations + b.deflations;
+  }
 
-let publish_stats t =
-  if not t.published then begin
-    t.published <- true;
-    Metrics.publish_pool t.pool;
-    match t.rd2 with
-    | Some d -> Metrics.publish_rd2 (Rd2.stats d)
-    | None -> ()
-  end
+let add_direct (a : Direct.stats) (b : Direct.stats) =
+  {
+    Direct.actions = a.actions + b.actions;
+    lookups = a.lookups + b.lookups;
+    races = a.races + b.races;
+  }
 
-let atomicity_violations t =
-  match t.atomicity with
-  | Some a -> Crd_atomicity.Atomicity.violations a
-  | None -> []
+let add_ft (a : Fasttrack.stats) (b : Fasttrack.stats) =
+  {
+    Fasttrack.reads = a.reads + b.reads;
+    writes = a.writes + b.writes;
+    same_epoch = a.same_epoch + b.same_epoch;
+    races = a.races + b.races;
+  }
 
-let pp_summary ppf t =
-  Fmt.pf ppf "@[<v>events: %d@," t.events;
-  (match t.rd2 with
-  | Some d ->
-      let races = Rd2.races d in
-      Fmt.pf ppf "rd2: %d races (%d distinct)@," (List.length races)
-        (Report.distinct races)
+let complete t ~shards ~fell_back outs =
+  let merge_span = Crd_obs.Span.start Metrics.shard_merge_seconds in
+  let report_index (r : Report.t) = r.Report.index
+  and rw_index (r : Rw_report.t) = r.Rw_report.index in
+  let r =
+    {
+      events = t.events;
+      shards;
+      fell_back;
+      rd2_reports = merge_reports report_index (List.map (fun o -> o.o_rd2) outs);
+      rd2_stats = sum_stats add_rd2 (List.filter_map (fun o -> o.o_rd2_stats) outs);
+      direct_reports =
+        merge_reports report_index (List.map (fun o -> o.o_direct) outs);
+      direct_stats =
+        sum_stats add_direct (List.filter_map (fun o -> o.o_direct_stats) outs);
+      fasttrack_reports = merge_reports rw_index (List.map (fun o -> o.o_ft) outs);
+      fasttrack_stats =
+        sum_stats add_ft (List.filter_map (fun o -> o.o_ft_stats) outs);
+      djit_reports = merge_reports rw_index (List.map (fun o -> o.o_djit) outs);
+      atomicity_violations =
+        (match t.atomicity with Some a -> Atomicity.violations a | None -> []);
+    }
+  in
+  Crd_obs.Span.finish merge_span;
+  Option.iter Metrics.publish_rd2 r.rd2_stats;
+  t.mode <- Finished r;
+  r
+
+let finish t =
+  match t.mode with
+  | Finished r -> r
+  | Failed e -> raise e
+  | Inline d -> complete t ~shards:1 ~fell_back:false [ outputs_of d ]
+  | Buffering chunks -> (
+      (* The stream ended below the threshold: run it inline. *)
+      Crd_obs.Counter.incr Metrics.shard_fallback_total;
+      let d = inline_detectors t in
+      t.mode <- Inline d;
+      match
+        List.iter
+          (fun ch -> iter_chunk ch (fun index e vc -> dispatch d ~index e vc))
+          (List.rev chunks)
+      with
+      | () -> complete t ~shards:1 ~fell_back:true [ outputs_of d ]
+      | exception e -> abandon t e)
+  | Sharded s -> (
+      let failed = ref None in
+      Array.iteri
+        (fun i ch -> if ch.c_n > 0 && !failed = None then failed := push s.handoffs.(i) ch)
+        s.fill;
+      match (!failed, join_shards s) with
+      | Some e, _ | None, Error e ->
+          t.mode <- Failed e;
+          raise e
+      | None, Ok outs -> complete t ~shards:t.jobs ~fell_back:false outs)
+
+let rd2_races t = (finish t).rd2_reports
+let rd2_stats t = (finish t).rd2_stats
+let direct_races t = (finish t).direct_reports
+let direct_stats t = (finish t).direct_stats
+let fasttrack_races t = (finish t).fasttrack_reports
+let fasttrack_stats t = (finish t).fasttrack_stats
+let djit_races t = (finish t).djit_reports
+let atomicity_violations t = (finish t).atomicity_violations
+
+let pp_result ppf (r : result) =
+  Fmt.pf ppf "@[<v>events: %d" r.events;
+  if r.shards > 1 || r.fell_back then
+    Fmt.pf ppf " (%d shard%s%s)" r.shards
+      (if r.shards = 1 then "" else "s")
+      (if r.fell_back then ", fell back to sequential" else "");
+  Fmt.pf ppf "@,";
+  (match r.rd2_stats with
+  | Some s ->
+      Fmt.pf ppf "rd2: %d races (%d distinct)@,"
+        (List.length r.rd2_reports)
+        (Report.distinct r.rd2_reports);
+      if s.Rd2.actions > 0 then
+        Fmt.pf ppf "rd2: %d/%d actions same-epoch (%.1f%%)@," s.Rd2.same_epoch
+          s.Rd2.actions
+          (100. *. float_of_int s.Rd2.same_epoch /. float_of_int s.Rd2.actions)
   | None -> ());
-  (match t.direct with
-  | Some d ->
-      let races = Direct.races d in
-      Fmt.pf ppf "direct: %d races (%d distinct)@," (List.length races)
-        (Report.distinct races)
+  (match r.direct_stats with
+  | Some _ ->
+      Fmt.pf ppf "direct: %d races (%d distinct)@,"
+        (List.length r.direct_reports)
+        (Report.distinct r.direct_reports)
   | None -> ());
-  (match t.fasttrack with
-  | Some d ->
-      let races = Fasttrack.races d in
+  (match r.fasttrack_stats with
+  | Some _ ->
       Fmt.pf ppf "fasttrack: %d races (%d distinct locations)@,"
-        (List.length races)
-        (Rw_report.distinct_locations races)
+        (List.length r.fasttrack_reports)
+        (Rw_report.distinct_locations r.fasttrack_reports)
   | None -> ());
-  (match t.djit with
-  | Some d ->
-      let races = Djit.races d in
-      Fmt.pf ppf "djit: %d races (%d distinct locations)@," (List.length races)
-        (Rw_report.distinct_locations races)
-  | None -> ());
-  (match t.atomicity with
-  | Some a ->
-      Fmt.pf ppf "atomicity: %d violation(s)@,"
-        (List.length (Crd_atomicity.Atomicity.violations a))
-  | None -> ());
+  if r.djit_reports <> [] then
+    Fmt.pf ppf "djit: %d races (%d distinct locations)@,"
+      (List.length r.djit_reports)
+      (Rw_report.distinct_locations r.djit_reports);
+  if r.atomicity_violations <> [] then
+    Fmt.pf ppf "atomicity: %d violation(s)@,"
+      (List.length r.atomicity_violations);
   Fmt.pf ppf "@]"
+
+let pp_summary ppf t = pp_result ppf (finish t)

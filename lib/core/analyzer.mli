@@ -1,7 +1,8 @@
-(** End-to-end dynamic analysis sessions.
+(** The streaming analysis engine.
 
-    An analyzer owns one happens-before engine (Table 1) and any
-    combination of attached detectors:
+    An analyzer owns one happens-before engine (Table 1), the
+    specification -> access point memo, the optional atomicity checker
+    and any combination of attached detectors:
 
     - {b rd2} — the commutativity race detector of Algorithm 1, fed by
       [Call] events (in constant-lookup or linear-scan mode);
@@ -9,8 +10,36 @@
     - {b fasttrack} / {b djit} — read-write detectors fed by
       [Read]/[Write] events.
 
-    Events can come from a recorded {!Crd_trace.Trace.t}, from a parsed
-    trace file, or live from {!Crd_runtime.Sched.run} via [sink]. *)
+    Events are pushed one at a time through {!step} — from a recorded
+    {!Crd_trace.Trace.t}, a decoder, a socket, or live from
+    {!Crd_runtime.Sched.run} via [sink] — and {!finish} produces the
+    result. Nothing is recorded: memory is bounded by the detectors'
+    state, not by the stream length.
+
+    {2 Sharding}
+
+    Every detector keys its state per object ({!Crd_detector.Rd2},
+    {!Crd_detector.Direct}) or per memory location
+    ({!Crd_fasttrack.Fasttrack}, {!Crd_fasttrack.Djit}), so with
+    [jobs > 1] the clock pass stamps each [Call]/[Read]/[Write] event
+    with its clock snapshot and routes it by object (calls hash on the
+    object identity, reads and writes on the location) into per-shard
+    batches of {!chunk_events} events. One detector bundle per shard,
+    each on its own OCaml 5 domain, drains them while the stream is
+    still arriving. A shard's handoff holds a fixed number of chunks;
+    the producer waits when it is full, so in-flight memory is constant
+    per shard.
+
+    The stream length is unknown, so the first [threshold] events are
+    buffered: a stream that ends below it runs inline instead (domain
+    spawn would dominate) and reports [fell_back]; one that reaches it
+    spawns the shards and routes the buffer, then every later event as
+    it arrives.
+
+    The merge is deterministic: each event lives in exactly one shard, so
+    sorting the per-shard reports by trace index reproduces the
+    sequential report list {e bit-identically}, and summed counters equal
+    the sequential ones — see DESIGN.md, "Shard-merge determinism". *)
 
 open Crd_base
 open Crd_trace
@@ -29,38 +58,82 @@ type config = {
 val default_config : config
 (** RD2 in constant mode and FastTrack on; direct and DJIT+ off. *)
 
+type result = {
+  events : int;  (** events stepped *)
+  shards : int;  (** shards actually used *)
+  fell_back : bool;
+      (** [jobs > 1] was requested but the stream ended below the
+          threshold, so it ran inline instead *)
+  rd2_reports : Report.t list;
+  rd2_stats : Rd2.stats option;
+  direct_reports : Report.t list;
+  direct_stats : Direct.stats option;
+  fasttrack_reports : Rw_report.t list;
+  fasttrack_stats : Fasttrack.stats option;
+  djit_reports : Rw_report.t list;
+  atomicity_violations : Crd_atomicity.Atomicity.violation list;
+}
+
+val default_parallel_threshold : int
+(** Events a stream must reach before [jobs > 1] actually shards
+    (100_000). *)
+
+val chunk_events : int
+(** Events per handoff chunk (8192). *)
+
+val recommended_jobs : unit -> int
+(** [Domain.recommended_domain_count], capped to 8. *)
+
 type t
 
 val create :
-  ?config:config -> spec_for:(Obj_id.t -> Spec.t option) -> unit -> (t, string) result
+  ?config:config ->
+  ?jobs:int ->
+  ?threshold:int ->
+  spec_for:(Obj_id.t -> Spec.t option) ->
+  unit ->
+  (t, string) Stdlib.result
 (** [spec_for] assigns a commutativity specification to each monitored
     object (objects mapping to [None] are ignored by the commutativity
-    detectors). Each distinct specification is translated to its access
-    point representation once; translation failures (non-ECL
-    specifications) surface here unless RD2 is [`Off]. *)
+    detectors). It is only ever called from the domain that calls
+    {!step}. Each distinct specification is translated to its access
+    point representation once; a translation failure (a non-ECL
+    specification) raises [Invalid_argument] from {!step} unless RD2
+    and atomicity are both off.
 
-val with_stdspecs : ?config:config -> unit -> t
+    [jobs] (default 1) is the shard count; [threshold] (default
+    {!default_parallel_threshold}) the stream length from which it
+    applies — [0] shards from the first event. *)
+
+val with_stdspecs : ?config:config -> ?jobs:int -> unit -> t
 (** An analyzer that resolves specifications by monitored-object naming
-    convention: an object named [<spec>:<anything>] or exactly [<spec>]
-    uses the built-in specification [<spec>] (e.g. ["dictionary:chunks"]).
-    @raise Invalid_argument if the built-in specifications fail to
-    translate (they do not). *)
+    convention ({!Crd_stdspecs.Stdspecs.spec_for}): an object named
+    [<spec>:<anything>] or exactly [<spec>] uses the built-in
+    specification [<spec>] (e.g. ["dictionary:chunks"]). *)
 
 val step : t -> Event.t -> unit
+(** Push the next event. Raises [Invalid_argument] on an event the
+    analysis cannot take (e.g. a call that does not match its object's
+    specification) — also when a shard worker met it; the engine is then
+    shut down and every later call re-raises. Raises [Invalid_argument]
+    after {!finish}. *)
+
 val sink : t -> Event.t -> unit
 (** Same as {!step}; shaped for [Sched.run ~sink]. *)
 
 val run_trace : t -> Trace.t -> unit
-val events : t -> int
-(** Events processed. *)
 
-val publish_stats : t -> unit
-(** Fold this analyzer's RD2 counters into the process-wide
-    {!Crd_obs.default} registry ([rd2_actions_total],
-    [rd2_same_epoch_total], [rd2_promotions_total], [rd2_races_total],
-    ...). Call once when the session is over; further calls are
-    no-ops, so totals are never double counted. Events are counted
-    into [analyzer_events_total] live by {!step} regardless. *)
+val events : t -> int
+(** Events stepped so far. *)
+
+val finish : t -> result
+(** End the stream: run a buffered stream inline or join the shard
+    workers, merge, and fold the RD2 counters into the process-wide
+    {!Crd_obs.default} registry ([rd2_actions_total], ...). Idempotent:
+    later calls return the same result (or re-raise the same failure)
+    without counting twice. *)
+
+(** {2 Accessors} — each calls {!finish}. *)
 
 val rd2_races : t -> Report.t list
 val rd2_stats : t -> Rd2.stats option
@@ -71,5 +144,9 @@ val fasttrack_stats : t -> Fasttrack.stats option
 val djit_races : t -> Rw_report.t list
 val atomicity_violations : t -> Crd_atomicity.Atomicity.violation list
 
+val pp_result : result Fmt.t
+(** A Table 2-style summary: events (and shards when [jobs > 1]), then
+    races total (distinct) per detector. *)
+
 val pp_summary : t Fmt.t
-(** A Table 2-style one-analyzer summary: races total (distinct). *)
+(** [pp_result] of {!finish}. *)

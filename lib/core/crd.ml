@@ -16,9 +16,10 @@
       {!Fasttrack}, {!Djit}, {!Rw_report} (read-write);
     - semantics and validation: {!Model}, {!Models}, {!Soundness};
     - the execution substrate: {!Sched}, {!Monitored};
-    - and the end-to-end {!Analyzer}, plus {!Shard}, its multi-domain
-      offline counterpart, and {!Predict}, the offline predictive pass
-      over sync-preserving reorderings. *)
+    - and the end-to-end {!Analyzer}, the one streaming engine (one
+      domain or sharded over several), {!Shard}, its whole-trace
+      wrapper, and {!Predict}, the offline predictive pass over
+      sync-preserving reorderings. *)
 
 module Value = Crd_base.Value
 module Tid = Crd_base.Tid

@@ -38,10 +38,6 @@ let publish_rd2 (s : Crd_detector.Rd2.stats) =
   Crd_obs.Counter.add rd2_deflations_total s.Crd_detector.Rd2.deflations;
   Crd_obs.Counter.add rd2_races_total s.Crd_detector.Rd2.races
 
-let shard_runs_total =
-  Crd_obs.counter ~help:"Sharded offline analyses completed"
-    "shard_runs_total"
-
 let shard_fallback_total =
   Crd_obs.counter
     ~help:"Parallel analyses that fell back to sequential below the \

@@ -1,7 +1,6 @@
 open Crd_base
 open Crd_vclock
 open Crd_trace
-open Crd_spec
 open Crd_apoint
 open Crd_detector
 
@@ -89,22 +88,15 @@ type prep = {
 let build ~spec_for trace =
   let n = Trace.length trace in
   let nthreads = max 1 (Trace.num_threads trace) in
-  let reprs : (string, Repr.t) Hashtbl.t = Hashtbl.create 8 in
+  let translate = Repr.memo () in
   let failure = ref None in
   let repr_for o =
-    match spec_for o with
+    match Option.map translate (spec_for o) with
     | None -> None
-    | Some spec -> (
-        match Hashtbl.find_opt reprs (Spec.name spec) with
-        | Some r -> Some r
-        | None -> (
-            match Repr.of_spec spec with
-            | Ok r ->
-                Hashtbl.add reprs (Spec.name spec) r;
-                Some r
-            | Error e ->
-                failure := Some (Printf.sprintf "spec %s: %s" (Spec.name spec) e);
-                None))
+    | Some (Ok r) -> Some r
+    | Some (Error e) ->
+        failure := Some e;
+        None
   in
   let hb = Hb.create () in
   let rd2 = Rd2.create ~mode:`Constant ~repr_for () in
@@ -573,17 +565,9 @@ let analyze ?(jobs = 1) ?(scan_limit = 64) ?(max_attempts = 8) ~spec_for trace
   | Failure m -> Error m
   | Invalid_argument m -> Error m
 
-let stdspec_for o =
-  let name = Obj_id.name o in
-  let base =
-    match String.index_opt name ':' with
-    | Some i -> String.sub name 0 i
-    | None -> name
-  in
-  Crd_stdspecs.Stdspecs.find base
-
 let analyze_stdspecs ?jobs ?scan_limit ?max_attempts trace =
-  analyze ?jobs ?scan_limit ?max_attempts ~spec_for:stdspec_for trace
+  analyze ?jobs ?scan_limit ?max_attempts
+    ~spec_for:Crd_stdspecs.Stdspecs.spec_for trace
 
 let racing_pairs ~spec_for trace =
   try

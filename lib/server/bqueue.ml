@@ -3,19 +3,16 @@
    (see Overload). Registry lookup is find-or-create by name, so other
    libraries reading the same gauge observe the same atomic. *)
 let mem_queue_bytes =
-  lazy
-    (Crd_obs.gauge
-       ~help:"Bytes of payload currently buffered in weighted Bqueues"
-       "mem_queue_bytes")
+  Crd_obs.gauge ~help:"Bytes of payload currently buffered in weighted Bqueues"
+    "mem_queue_bytes"
 
 (* Distribution of slice sizes handed over per push_slice/pop_batch —
    the observable for the batching satellite (a healthy overloaded
    server shows batches near the slice cap, not 1). *)
 let batch_hist =
-  lazy
-    (Crd_obs.histogram
-       ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512. |]
-       ~help:"Events per batched Bqueue handoff" "bqueue_batch_size")
+  Crd_obs.histogram
+    ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512. |]
+    ~help:"Events per batched Bqueue handoff" "bqueue_batch_size"
 
 type 'a t = {
   mu : Mutex.t;
@@ -47,12 +44,12 @@ let create ?fault ?weight ~capacity () =
 let charge t x =
   match t.weight with
   | None -> ()
-  | Some w -> Crd_obs.Gauge.add (Lazy.force mem_queue_bytes) (w x)
+  | Some w -> Crd_obs.Gauge.add mem_queue_bytes (w x)
 
 let release t x =
   match t.weight with
   | None -> ()
-  | Some w -> Crd_obs.Gauge.add (Lazy.force mem_queue_bytes) (-w x)
+  | Some w -> Crd_obs.Gauge.add mem_queue_bytes (-w x)
 
 let push_raw t x =
   Mutex.lock t.mu;
@@ -82,7 +79,7 @@ let push_slice t xs pos len =
   (match t.fault with
   | Some p -> if len > 0 then Crd_fault.inject p
   | None -> ());
-  if len > 0 then Crd_obs.Histogram.observe (Lazy.force batch_hist) (float_of_int len);
+  if len > 0 then Crd_obs.Histogram.observe batch_hist (float_of_int len);
   Mutex.lock t.mu;
   let i = ref pos in
   let stop = pos + len in
@@ -151,7 +148,7 @@ let pop_batch t ~max:limit =
     end
   in
   Mutex.unlock t.mu;
-  if n > 0 then Crd_obs.Histogram.observe (Lazy.force batch_hist) (float_of_int n);
+  if n > 0 then Crd_obs.Histogram.observe batch_hist (float_of_int n);
   batch
 
 let close t =

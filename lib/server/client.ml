@@ -3,11 +3,10 @@ open Crd
 (* Jitter source: deliberately not deterministic — concurrent retrying
    clients must spread out, so the seed mixes pid and wall clock. *)
 let rng =
-  lazy
-    (Random.State.make
-       [| Unix.getpid (); int_of_float (Unix.gettimeofday () *. 1e6) |])
+  Random.State.make
+    [| Unix.getpid (); int_of_float (Unix.gettimeofday () *. 1e6) |]
 
-let jittered d = d *. (0.5 +. Random.State.float (Lazy.force rng) 1.)
+let jittered d = d *. (0.5 +. Random.State.float rng 1.)
 
 let pp_host host = if String.contains host ':' then "[" ^ host ^ "]" else host
 

@@ -188,7 +188,14 @@ let read_to_eof fd =
   let b = Bytes.create 4096 in
   let eof = ref false in
   while not !eof do
-    let n = read_retry fd b 0 (Bytes.length b) in
-    if n = 0 then eof := true else Buffer.add_subbytes out b 0 n
+    match read_retry fd b 0 (Bytes.length b) with
+    | 0 -> eof := true
+    | n -> Buffer.add_subbytes out b 0 n
+    (* A peer that closes with our bytes still unread (a crashed worker
+       that replied ERR mid-stream) fails the read after its reply with
+       ECONNRESET: the reply is already here, so that ends it like EOF. *)
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _)
+      when Buffer.length out > 0 ->
+        eof := true
   done;
   Buffer.contents out

@@ -79,7 +79,7 @@ let default_config ~addr =
   {
     addr;
     metrics_addr = None;
-    workers = Shard.recommended_jobs ();
+    workers = Analyzer.recommended_jobs ();
     queue_capacity = 1024;
     idle_timeout = 30.;
     analyzer = default_analyzer;
@@ -431,25 +431,12 @@ let note_nonce t nonce =
 (* Specification sets                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The same object -> spec naming convention as `rd2 check`: an object
-   named <spec> or <spec>:<suffix> uses the specification <spec>. *)
-let base_name o =
-  let name = Crd_base.Obj_id.name o in
-  match String.index_opt name ':' with
-  | Some i -> String.sub name 0 i
-  | None -> name
-
-let std_spec_for o = Stdspecs.find (base_name o)
-
-let spec_for_of_list specs o =
-  let base = base_name o in
-  List.find_opt (fun s -> String.equal (Spec.name s) base) specs
-
+(* The same object -> spec naming convention as `rd2 check`. *)
 let resolve_spec_set cfg = function
-  | "" | "std" -> Ok std_spec_for
+  | "" | "std" -> Ok Stdspecs.spec_for
   | "custom" -> (
       match cfg.specs with
-      | Some specs -> Ok (spec_for_of_list specs)
+      | Some specs -> Ok (Stdspecs.spec_in specs)
       | None -> Error "server has no custom specification set loaded")
   | other -> Error (Printf.sprintf "unknown specification set %S" other)
 
@@ -485,7 +472,7 @@ let handoff_batch = 256
    Error items travel via [Bqueue.push_raw]: the [queue_push] fault must
    not be able to fault away its own error report. *)
 let read_loop ?journal ~resync conn q hw =
-  let dec = Crd_wire.Bigcodec.Decoder.create ~resync () in
+  let decoder = ref None in
   let buf = Bytes.create 65536 in
   let stop = ref false in
   (* The pending handoff slice. Slots are always overwritten before
@@ -511,12 +498,17 @@ let read_loop ?journal ~resync conn q hw =
     incr blen;
     if !blen >= handoff_batch then flush ()
   in
+  (* Everything after this point, decoder creation included, is
+     protected: the queue closes on every exit, or the analyzing worker
+     would wait on it forever. *)
   Fun.protect
     ~finally:(fun () ->
-      Crd_wire.Bigcodec.Decoder.release dec;
+      Option.iter Crd_wire.Bigcodec.Decoder.release !decoder;
       (match journal with Some j -> Journal.close j | None -> ());
       Bqueue.close q)
     (fun () ->
+      let dec = Crd_wire.Bigcodec.Decoder.create ~resync () in
+      decoder := Some dec;
       while not !stop do
         match
           if Crd_fault.fire fp_sock_read then
@@ -617,50 +609,39 @@ let drain_events ?beat q ~f =
    with Invalid_argument e -> result := Some (Error (Analysis, e)));
   Option.get !result
 
-(* The one analysis entry point both live sessions and journal recovery
-   go through, so a replayed session's report is byte-identical to the
-   one the dead server would have sent. [drain] feeds events into [f]
-   and reports where ingestion failed, if it did. *)
+(* The one analysis entry point live sessions, spill catch-up and
+   journal recovery all go through, so a replayed session's report is
+   byte-identical to the one the dead server would have sent. [drain]
+   feeds events into [f] and reports where ingestion failed, if it did.
+   Events stream straight into the engine under every [jobs]: nothing
+   is recorded. *)
 let analyze_with cfg spec_for ~drain =
-  let buf = Buffer.create 1024 in
-  let ppf = Fmt.with_buffer buf in
-  let fin () =
-    Fmt.flush ppf ();
-    Buffer.contents buf
-  in
-  let races_text rd2 ft viol =
-    List.iter (fun r -> Fmt.pf ppf "%a@." Report.pp r) rd2;
-    List.iter (fun r -> Fmt.pf ppf "%a@." Rw_report.pp r) ft;
-    List.iter (fun v -> Fmt.pf ppf "%a@." Atomicity.pp_violation v) viol
-  in
-  if cfg.jobs <= 1 then (
-    match Analyzer.create ~config:cfg.analyzer ~spec_for () with
-    | Error e -> Error (Analysis, e)
-    | Ok an -> (
-        match drain ~f:(Analyzer.step an) with
-        | Error e -> Error e
-        | Ok () ->
-            Analyzer.publish_stats an;
-            let rd2 = Analyzer.rd2_races an in
-            Fmt.pf ppf "OK@.%a@." Analyzer.pp_summary an;
-            races_text rd2 (Analyzer.fasttrack_races an)
-              (Analyzer.atomicity_violations an);
-            Ok (fin (), Analyzer.events an, rd2)))
-  else
-    let trace = Trace.create () in
-    match drain ~f:(Trace.append trace) with
-    | Error e -> Error e
-    | Ok () -> (
-        match
-          try Shard.analyze ~jobs:cfg.jobs ~config:cfg.analyzer ~spec_for trace
-          with Invalid_argument e -> Error e
-        with
-        | Error e -> Error (Analysis, e)
-        | Ok res ->
-            Fmt.pf ppf "OK@.%a@." Shard.pp_summary res;
-            races_text res.Shard.rd2_reports res.Shard.fasttrack_reports
-              res.Shard.atomicity_violations;
-            Ok (fin (), res.Shard.events, res.Shard.rd2_reports))
+  match Analyzer.create ~config:cfg.analyzer ~jobs:cfg.jobs ~spec_for () with
+  | Error e -> Error (Analysis, e)
+  | Ok an -> (
+      (* The engine is finished on every exit: that joins shard workers. *)
+      let finished () =
+        try Ok (Analyzer.finish an) with Invalid_argument e -> Error (Analysis, e)
+      in
+      let drained =
+        try drain ~f:(Analyzer.step an)
+        with e ->
+          (try ignore (finished ()) with _ -> ());
+          raise e
+      in
+      match (drained, finished ()) with
+      | Error e, _ | Ok (), Error e -> Error e
+      | Ok (), Ok res ->
+          let buf = Buffer.create 1024 in
+          let ppf = Fmt.with_buffer buf in
+          Fmt.pf ppf "OK@.%a@." Analyzer.pp_result res;
+          List.iter (fun r -> Fmt.pf ppf "%a@." Report.pp r) res.rd2_reports;
+          List.iter (fun r -> Fmt.pf ppf "%a@." Rw_report.pp r) res.fasttrack_reports;
+          List.iter
+            (fun v -> Fmt.pf ppf "%a@." Atomicity.pp_violation v)
+            res.atomicity_violations;
+          Fmt.flush ppf ();
+          Ok (Buffer.contents buf, res.events, res.rd2_reports))
 
 let analyze_session ?beat cfg spec_for q =
   analyze_with cfg spec_for ~drain:(fun ~f -> drain_events ?beat q ~f)
@@ -1187,8 +1168,8 @@ and supervisor_loop t =
 (* ------------------------------------------------------------------ *)
 
 (* Replay one committed spill segment: mmap the journal, run it through
-   the sharded chunk pipeline (never the online analyzer — catch-up must
-   not compete with live sessions for single-threaded throughput), and
+   the engine with at least two shards (so a long segment does not
+   compete with live sessions for single-threaded throughput), and
    publish under the session nonce, where the racedb's durable dedup
    makes a replay of an already-published segment a no-op. An
    unanalyzable segment gets an [ERR] report so it is not replayed

@@ -9,12 +9,15 @@
     client cannot grow server memory beyond the queue capacity
     (backpressure propagates through the kernel socket buffer).
 
-    With [jobs > 1] a session records its events and analyzes them at
-    end-of-stream with {!Crd.Shard.analyze} over [jobs] domains instead
-    of stepping the analyzer online; the reported races are identical
-    by the shard-merge determinism invariant. Malformed events (e.g. a
-    call that does not match its object's specification) produce a
-    clean [ERR] reply under every [jobs] setting.
+    Every session streams its events into one {!Crd.Analyzer} built
+    with [jobs]: with [jobs > 1] and a session of at least
+    {!Crd.Analyzer.default_parallel_threshold} events, the analysis
+    runs on [jobs] shard domains as the events arrive, through bounded
+    handoffs, so no session is ever recorded; the reported races are
+    identical by the shard-merge determinism invariant. Spill catch-up
+    and journal recovery go through the same path. Malformed events
+    (e.g. a call that does not match its object's specification)
+    produce a clean [ERR] reply under every [jobs] setting.
 
     The server publishes counters, gauges and duration histograms into
     the process-wide {!Crd_obs.default} registry
@@ -72,11 +75,13 @@ type config = {
   metrics_addr : addr option;
       (** where to expose the {!Crd_obs.default} registry; [None] (the
           default) disables the metrics listener *)
-  workers : int;  (** session-carrying domains (default {!Shard.recommended_jobs}) *)
+  workers : int;  (** session-carrying domains (default {!Analyzer.recommended_jobs}) *)
   queue_capacity : int;  (** per-connection event queue bound *)
   idle_timeout : float;  (** seconds without client bytes before a session is dropped; 0 disables *)
   analyzer : Analyzer.config;  (** detector set for every session *)
-  jobs : int;  (** > 1: record, then {!Shard.analyze} at end-of-stream *)
+  jobs : int;
+      (** shard domains per session analysis ({!Analyzer.create}'s
+          [jobs]); sessions below the threshold run inline *)
   specs : Spec.t list option;  (** the ["custom"] handshake spec set, if loaded *)
   shed_backlog : int;
       (** when [> 0] and all workers are busy with [shed_backlog]
@@ -128,7 +133,7 @@ type config = {
 }
 
 val default_config : addr:addr -> config
-(** RD2 (constant mode) only, [Shard.recommended_jobs ()] workers,
+(** RD2 (constant mode) only, [Analyzer.recommended_jobs ()] workers,
     queue capacity 1024, 30 s idle timeout, [jobs = 1], no metrics
     listener, no shedding, no journal, strict (non-resync) decoding. *)
 

@@ -138,3 +138,14 @@ let all () =
 
 let find name =
   List.find_opt (fun s -> String.equal (Spec.name s) name) (all ())
+
+let spec_in specs o =
+  let name = Crd_base.Obj_id.name o in
+  let base =
+    match String.index_opt name ':' with
+    | Some i -> String.sub name 0 i
+    | None -> name
+  in
+  List.find_opt (fun s -> String.equal (Spec.name s) base) specs
+
+let spec_for o = spec_in (all ()) o

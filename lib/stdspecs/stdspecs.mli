@@ -48,4 +48,12 @@ val bag : unit -> Spec.t
 
 val all : unit -> Spec.t list
 val find : string -> Spec.t option
-(** Look up a built-in specification by object name. *)
+(** Look up a built-in specification by name. *)
+
+val spec_in : Spec.t list -> Crd_base.Obj_id.t -> Spec.t option
+(** The object naming convention: an object named [<spec>] or
+    [<spec>:<suffix>] uses the specification named [<spec>] in the
+    list, if there is one. *)
+
+val spec_for : Crd_base.Obj_id.t -> Spec.t option
+(** {!spec_in} over the built-in specifications. *)

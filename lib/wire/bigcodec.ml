@@ -84,10 +84,8 @@ module Decoder = struct
      resync rollbacks keep their high-water charge, which errs toward
      shedding, never toward under-counting. *)
   let mem_intern_bytes =
-    lazy
-      (Crd_obs.gauge
-         ~help:"Approximate bytes held by live CRDW decoder state"
-         "mem_intern_bytes")
+    Crd_obs.gauge ~help:"Approximate bytes held by live CRDW decoder state"
+      "mem_intern_bytes"
 
   type state = Header | Frames | Finished | Failed of Codec.error
 
@@ -120,7 +118,7 @@ module Decoder = struct
   let charge t n =
     if not t.released then begin
       t.mem <- t.mem + n;
-      Crd_obs.Gauge.add (Lazy.force mem_intern_bytes) n
+      Crd_obs.Gauge.add mem_intern_bytes n
     end
 
   (* Give the decoder's whole charge back. Idempotent; called by the
@@ -129,7 +127,7 @@ module Decoder = struct
   let release t =
     if not t.released then begin
       t.released <- true;
-      Crd_obs.Gauge.add (Lazy.force mem_intern_bytes) (-t.mem);
+      Crd_obs.Gauge.add mem_intern_bytes (-t.mem);
       t.mem <- 0
     end
 

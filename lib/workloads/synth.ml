@@ -133,11 +133,10 @@ let make_sampler rng c =
         done;
         !lo
 
-let generate ?(seed = 42L) config =
+let iter ?(seed = 42L) config ~f =
   validate config;
   let c = config in
   let rng = Prng.make seed in
-  let trace = Trace.create () in
   (* Interned values: the hot loop reuses these instead of allocating a
      fresh [Value.Int] per event. *)
   let vals = Array.init (max 2 c.key_space) (fun k -> Value.Int k) in
@@ -282,7 +281,7 @@ let generate ?(seed = 42L) config =
   let nthreads = max 0 (min c.threads (c.events / 3)) in
   let tids = Array.init nthreads (fun i -> Tid.of_int (i + 1)) in
   for i = 0 to nthreads - 1 do
-    Trace.append trace (Event.fork Tid.main tids.(i))
+    f (Event.fork Tid.main tids.(i))
   done;
   let body = c.events - (2 * nthreads) in
   let pick_tid () =
@@ -297,9 +296,9 @@ let generate ?(seed = 42L) config =
          happens-before pass and orders contending critical sections. *)
       let i = sample () in
       let l = lock_of i in
-      Trace.append trace (Event.acquire tid l);
-      Trace.append trace (Event.call tid (action i));
-      Trace.append trace (Event.release tid l);
+      f (Event.acquire tid l);
+      f (Event.call tid (action i));
+      f (Event.release tid l);
       emitted := !emitted + 3
     end
     else begin
@@ -308,14 +307,18 @@ let generate ?(seed = 42L) config =
       let i = sample () in
       (if !emitted land 3 = 3 then
          let loc = locs.(i) in
-         Trace.append trace
+         f
            (if Prng.bool rng then Event.write tid loc else Event.read tid loc)
-       else Trace.append trace (Event.call tid (action i)));
+       else f (Event.call tid (action i)));
       incr emitted
     end
   done;
   for i = 0 to nthreads - 1 do
-    Trace.append trace (Event.join Tid.main tids.(i))
-  done;
-  assert (Trace.length trace = c.events);
+    f (Event.join Tid.main tids.(i))
+  done
+
+let generate ?seed config =
+  let trace = Trace.create () in
+  iter ?seed config ~f:(Trace.append trace);
+  assert (Trace.length trace = config.events);
   trace

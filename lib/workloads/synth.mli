@@ -11,7 +11,7 @@
     object, so arguments and returns are consistent with the stdspec
     semantics (the commutativity conditions are return-sensitive), and
     object names follow the [spec:suffix] convention understood by
-    {!Crd.Shard.analyze_stdspecs}. Generation is deterministic: equal
+    {!Crd_stdspecs.Stdspecs.spec_for}. Generation is deterministic: equal
     [seed] and config produce bit-identical traces. *)
 
 open Crd_trace
@@ -53,6 +53,9 @@ val mix_of_string : string -> ((string * int) list, string) result
 
 val mix_to_string : (string * int) list -> string
 val pp_config : config Fmt.t
+
+val iter : ?seed:int64 -> config -> f:(Event.t -> unit) -> unit
+(** The events {!generate} would record, streamed into [f]. *)
 
 val generate : ?seed:int64 -> config -> Trace.t
 (** [generate ~seed config] builds the trace: main forks the workers,

@@ -44,63 +44,32 @@ let config_of_mode = function
           atomicity = false;
         }
 
-let analyzer_of_mode mode =
+let analyzer_of_mode ?jobs mode =
   Option.map
-    (fun config -> Analyzer.with_stdspecs ~config ())
+    (fun config -> Analyzer.with_stdspecs ~config ?jobs ())
     (config_of_mode mode)
 
-(* Race reports of one timed run, however it was analyzed. *)
+(* Race reports of one timed run. *)
 type run_races = { ft_races : Rw_report.t list; rd2_races : Report.t list }
 
-let no_races = { ft_races = []; rd2_races = [] }
-
-let races_of_analyzer = function
-  | None -> no_races
-  | Some an ->
-      {
-        ft_races = Analyzer.fasttrack_races an;
-        rd2_races = Analyzer.rd2_races an;
-      }
-
 (* Each repetition gets a fresh analyzer (race counts must not accumulate
-   across repetitions); the wall time kept is the best of N and the
-   races returned are the last repetition's. *)
-let timed_live ~repeats mode f =
+   across repetitions) fed live by the workload, over [jobs] domains;
+   the timed region covers execution and analysis (the paper's qps do).
+   The wall time kept is the best of N and the races returned are the
+   last repetition's. *)
+let timed ~repeats ~jobs mode f =
   let best = ref infinity in
   let result = ref None in
   for _ = 1 to max 1 repeats do
-    let an = analyzer_of_mode mode in
+    let an = analyzer_of_mode ~jobs mode in
     let sink = match an with None -> fun _ -> () | Some a -> Analyzer.sink a in
     let t0 = Unix.gettimeofday () in
     let r = f sink in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some (r, races_of_analyzer an)
-  done;
-  let r, races = Option.get !result in
-  (r, races, !best)
-
-(* Offline sharded variant: each repetition records the trace and then
-   analyzes it with [jobs] domains; the timed region covers both (the
-   paper's qps include execution and analysis). *)
-let timed_offline ~repeats ~jobs mode f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to max 1 repeats do
-    let t0 = Unix.gettimeofday () in
-    let trace = Trace.create () in
-    let r = f (Trace.append trace) in
     let races =
-      match config_of_mode mode with
-      | None -> no_races
-      | Some config -> (
-          match Shard.analyze_stdspecs ~jobs ~config trace with
-          | Ok res ->
-              {
-                ft_races = res.Shard.fasttrack_reports;
-                rd2_races = res.Shard.rd2_reports;
-              }
-          | Error e -> invalid_arg ("Table2: " ^ e))
+      match an with
+      | None -> { ft_races = []; rd2_races = [] }
+      | Some a ->
+          { ft_races = Analyzer.fasttrack_races a; rd2_races = Analyzer.rd2_races a }
     in
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt;
@@ -108,10 +77,6 @@ let timed_offline ~repeats ~jobs mode f =
   done;
   let r, races = Option.get !result in
   (r, races, !best)
-
-let timed ~repeats ~jobs mode f =
-  if jobs <= 1 then timed_live ~repeats mode f
-  else timed_offline ~repeats ~jobs mode f
 
 let collect ?(seed = 1L) ?(scale = 1) ?(repeats = 1) ?(jobs = 1) () =
   let h2 =

@@ -34,11 +34,9 @@ type t = { h2 : h2_row list; cassandra : cassandra_row }
 val collect :
   ?seed:int64 -> ?scale:int -> ?repeats:int -> ?jobs:int -> unit -> t
 (** [repeats] re-runs each timed configuration and keeps the best time
-    (default 1). With [jobs > 1] the FASTTRACK and RD2 configurations
-    switch from live analysis to record-then-analyze with
-    {!Crd.Shard.analyze} over [jobs] domains; the timed region covers
-    recording plus analysis, and race counts are the (identical) merged
-    shard reports. *)
+    (default 1). The FASTTRACK and RD2 configurations feed a live
+    {!Crd.Analyzer} built with [jobs]; the timed region covers execution
+    plus analysis, and race counts are identical at every [jobs]. *)
 
 val print : t Fmt.t
 

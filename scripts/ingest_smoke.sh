@@ -12,7 +12,11 @@
 #   4. send once more under an io_eintr fault storm (every:7): the
 #      EINTR-retry wrappers in Proto must make the session
 #      indistinguishable from an undisturbed one;
-#   5. SIGTERM must drain the server cleanly.
+#   5. SIGTERM must drain the server cleanly;
+#   6. repeat 3-5 on a `--jobs 2` server: at the default 100k events
+#      the session reaches the sharding threshold exactly, so it streams
+#      into two shard workers under the same fault storm, and its race
+#      set must still match the offline one.
 #
 # Environment:
 #   EVENTS  synthetic trace size  (default 100000)
@@ -45,23 +49,25 @@ EXPECTED=$(wc -l < "$WORK/expected.races" | tr -d ' ')
 echo "ingest_smoke: events=$EVENTS expected_races=$EXPECTED"
 
 # --- server with the EINTR fault point armed --------------------------
-# every:7 fires on the 7th, 14th, ... io_eintr consultation — both
-# sends below run through a storm of injected EINTRs on every socket
-# read and write, exercising the retry loops, not just one hiccup.
-"$RD2" serve -a "unix:$SOCK" --workers 2 --journal "$WORK/journal" \
-  --faults "seed=42,io_eintr=every:7" \
-  > "$WORK/server.out" 2> "$WORK/server.err" &
-SERVER_PID=$!
-
-for _ in $(seq 1 100); do
-  [ -S "$SOCK" ] && break
-  kill -0 "$SERVER_PID" 2>/dev/null || {
-    echo "ingest_smoke: FAIL — server died on startup" >&2
-    cat "$WORK/server.err" >&2
-    exit 1
-  }
-  sleep 0.1
-done
+# every:7 fires on the 7th, 14th, ... io_eintr consultation — every send
+# below runs through a storm of injected EINTRs on every socket read and
+# write, exercising the retry loops, not just one hiccup.
+start_server() {
+  rm -f "$SOCK"
+  "$RD2" serve -a "unix:$SOCK" --journal "$WORK/journal" \
+    --faults "seed=42,io_eintr=every:7" "$@" \
+    > "$WORK/server.out" 2> "$WORK/server.err" &
+  SERVER_PID=$!
+  for _ in $(seq 1 100); do
+    [ -S "$SOCK" ] && return 0
+    kill -0 "$SERVER_PID" 2>/dev/null || {
+      echo "ingest_smoke: FAIL — server died on startup" >&2
+      cat "$WORK/server.err" >&2
+      exit 1
+    }
+    sleep 0.1
+  done
+}
 
 run_send() {
   nonce="$1"
@@ -80,27 +86,41 @@ run_send() {
   echo "ingest_smoke: $nonce OK ($EXPECTED races, identical to offline)"
 }
 
+# --- graceful shutdown ------------------------------------------------
+stop_server() {
+  kill -TERM "$SERVER_PID"
+  i=0
+  while kill -0 "$SERVER_PID" 2>/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+      echo "ingest_smoke: FAIL — server did not drain after SIGTERM" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  wait "$SERVER_PID" 2>/dev/null || {
+    status=$?
+    if [ "$status" -ne 0 ]; then
+      echo "ingest_smoke: FAIL — server exited $status after SIGTERM" >&2
+      cat "$WORK/server.err" >&2
+      exit 1
+    fi
+  }
+  SERVER_PID=""
+}
+
+start_server --workers 2
 run_send smoke-1
 run_send smoke-2
+stop_server
 
-# --- graceful shutdown ------------------------------------------------
-kill -TERM "$SERVER_PID"
-i=0
-while kill -0 "$SERVER_PID" 2>/dev/null; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "ingest_smoke: FAIL — server did not drain after SIGTERM" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-wait "$SERVER_PID" 2>/dev/null || {
-  status=$?
-  if [ "$status" -ne 0 ]; then
-    echo "ingest_smoke: FAIL — server exited $status after SIGTERM" >&2
-    cat "$WORK/server.err" >&2
-    exit 1
-  fi
-}
-SERVER_PID=""
+# --- the streamed sharded path -----------------------------------------
+start_server --workers 1 --jobs 2
+run_send smoke-j2
+if ! grep -q '^events: [0-9]* (2 shards)' "$WORK/reply.smoke-j2"; then
+  echo "ingest_smoke: FAIL — the --jobs 2 session did not shard" >&2
+  head -3 "$WORK/reply.smoke-j2" >&2
+  exit 1
+fi
+stop_server
 echo "ingest_smoke: PASS"

@@ -294,18 +294,26 @@ let spill_catchup_identity () =
           match metric_value (Crd_obs.dump ()) "overload_to_spill_total" with
           | Some v -> v > spill0
           | None -> false);
+      (* Each descriptor is closed exactly once: a second close could hit
+         a number the server has since reused (the catch-up drainer's
+         journal mapping, in this same process). *)
+      let open_fds = ref [ c1; c2; c3 ] in
+      let close fds =
+        List.iter
+          (fun fd ->
+            if List.mem fd !open_fds then begin
+              open_fds := List.filter (fun o -> o <> fd) !open_fds;
+              try Unix.close fd with Unix.Unix_error _ -> ()
+            end)
+          fds
+      in
       Fun.protect
-        ~finally:(fun () ->
-          List.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            [ c1; c2; c3 ])
+        ~finally:(fun () -> close [ c1; c2; c3 ])
         (fun () ->
           Proto.send_handshake c3 ~nonce:"spill1" ~spec:"std" ();
           (* release the worker; it burns through the two dead pins and
              then serves c3 on the spill path *)
-          List.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            [ c1; c2 ];
+          close [ c1; c2 ];
           Proto.write_all c3 (encode_trace trace);
           (match Proto.read_handshake_reply c3 with
           | Ok Proto.Accepted -> ()

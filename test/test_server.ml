@@ -565,6 +565,58 @@ let kill_quietly pid signal =
 let reap pid =
   try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
 
+(* The sharded server path on a session long enough to shard: the
+   120k-event synthetic trace crosses the 100k-event threshold, so the
+   session streams into two shard workers. Its race lines equal offline
+   `rd2 check`, and a malformed call past the threshold — met by a shard
+   worker, not the session's own domain — still comes back as a clean
+   ERR. *)
+let sharded_session () =
+  let trace =
+    W.Synth.generate ~seed:7L (W.Synth.default ~events:120_000)
+  in
+  let path = Filename.temp_file "crd-sharded" ".crdw" in
+  let out = path ^ ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; out ])
+    (fun () ->
+      (match Wire.to_file path trace with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+      let pid =
+        Unix.create_process rd2_exe
+          [| "rd2"; "check"; path; "--format"; "bin"; "-v" |]
+          Unix.stdin fd Unix.stderr
+      in
+      Unix.close fd;
+      (match reap pid with
+      | Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "rd2 check failed");
+      let expected =
+        reply_race_lines (In_channel.with_open_text out In_channel.input_all)
+      in
+      with_server
+        ~f_config:(fun c -> { c with Server.jobs = 2 })
+        (fun ~addr ~server:_ ->
+          let reply = send_exn ~addr trace in
+          Alcotest.(check bool) "sharded, not fallen back" true
+            (contains reply "(2 shards)");
+          Alcotest.(check (list string))
+            "jobs=2 sharded races = offline rd2 check" expected
+            (reply_race_lines reply);
+          let bad = Trace.create () in
+          Trace.iter_events trace ~f:(Trace.append bad);
+          Trace.iter_events (malformed_trace ()) ~f:(Trace.append bad);
+          match Client.send_trace ~addr bad with
+          | Ok reply -> Alcotest.failf "malformed trace accepted: %s" reply
+          | Error msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "clean shard-worker ERR (%s)" msg)
+                true
+                (contains msg "ERR Repr.eta"
+                && not (contains msg "Invalid_argument"))))
+
 (* The real thing: a server process is SIGKILLed inside the window
    where a session's journal is committed but its report unsent (held
    open by the report_send stall fault); a restart with the same
@@ -851,4 +903,6 @@ let suite =
         sigkill_crash_recovery;
       Alcotest.test_case "SIGTERM graceful drain" `Quick
         sigterm_graceful_drain;
+      Alcotest.test_case "sharded session = offline check" `Quick
+        sharded_session;
     ] )

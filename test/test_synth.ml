@@ -152,23 +152,11 @@ let fallback () =
    arena instead of changing results. *)
 let pool_exhaustion () =
   let trace = gen ~mix:all_specs_mix 20_000 in
-  let repr_cache : (string, Repr.t) Hashtbl.t = Hashtbl.create 8 in
+  let translate = Repr.memo () in
   let repr_for o =
-    let name = Obj_id.name o in
-    let base =
-      match String.index_opt name ':' with
-      | Some i -> String.sub name 0 i
-      | None -> name
-    in
-    match Stdspecs.find base with
-    | None -> None
-    | Some spec -> (
-        match Hashtbl.find_opt repr_cache (Spec.name spec) with
-        | Some r -> Some r
-        | None ->
-            let r = Result.get_ok (Repr.of_spec spec) in
-            Hashtbl.add repr_cache (Spec.name spec) r;
-            Some r)
+    Option.map
+      (fun spec -> Result.get_ok (translate spec))
+      (Stdspecs.spec_for o)
   in
   let run pool =
     let hb = Hb.create () in
@@ -194,6 +182,90 @@ let pool_exhaustion () =
   Alcotest.(check bool) "acquisitions happened" true
     (Vclock.Pool.acquired pool > Vclock.Pool.capacity pool)
 
+module Gen = QCheck2.Gen
+
+(* The streaming engine, fed one event at a time, against the whole-trace
+   sequential run. The threshold is drawn relative to the stream length
+   so that streams end below it (buffered, then run inline), exactly at
+   it, and above it (buffer routed to the shards, the rest streamed). *)
+let engine_matches_sequential =
+  let cases =
+    Gen.(
+      let* seed = int_range 1 1_000_000 in
+      let* events = int_range 1 20_000 in
+      let* uniform = bool in
+      let* jobs = oneofl [ 1; 2; 4 ] in
+      let* threshold =
+        oneof
+          [
+            int_range (events + 1) (events + 10_000);
+            return events;
+            int_range 0 (events - 1);
+          ]
+      in
+      return (seed, events, uniform, jobs, threshold))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:30 ~name:"engine == sequential at every jobs"
+       ~print:(fun (seed, events, uniform, jobs, threshold) ->
+         Printf.sprintf "seed=%d events=%d uniform=%b jobs=%d threshold=%d"
+           seed events uniform jobs threshold)
+       cases
+       (fun (seed, events, uniform, jobs, threshold) ->
+         let trace =
+           if uniform then
+             gen ~seed:(Int64.of_int seed) ~skew:Synth.Uniform
+               ~mix:all_specs_mix events
+           else gen ~seed:(Int64.of_int seed) events
+         in
+         let seq = analyze ~jobs:1 trace in
+         let an =
+           Result.get_ok
+             (Analyzer.create ~jobs ~threshold ~spec_for:Stdspecs.spec_for ())
+         in
+         Trace.iter_events trace ~f:(Analyzer.step an);
+         let r = Analyzer.finish an in
+         let fell_back = jobs > 1 && events < threshold in
+         r.Analyzer.rd2_reports = seq.Shard.rd2_reports
+         && r.Analyzer.fasttrack_reports = seq.Shard.fasttrack_reports
+         && r.Analyzer.rd2_stats = seq.Shard.rd2_stats
+         && r.Analyzer.fell_back = fell_back
+         && r.Analyzer.shards = (if fell_back then 1 else jobs)
+         && Analyzer.finish an == r))
+
+(* A call its specification cannot take, met by a shard worker after the
+   threshold: the worker dies, and the producer gets the error instead of
+   waiting forever on the dead worker's full handoff. Far more events
+   follow the bad one than the bounded handoffs can hold. *)
+let worker_failure_releases_producer () =
+  let an =
+    Result.get_ok
+      (Analyzer.create ~jobs:2 ~threshold:1_000 ~spec_for:Stdspecs.spec_for ())
+  in
+  let bad =
+    Event.call Tid.main
+      (Action.make
+         ~obj:(Obj_id.make ~name:"dictionary:bad" 1_000_000)
+         ~meth:"frobnicate" ~args:[ Value.Str "x" ] ())
+  in
+  let outcome =
+    try
+      Trace.iter_events (gen 5_000) ~f:(Analyzer.step an);
+      Analyzer.step an bad;
+      Trace.iter_events (gen ~seed:9L 200_000) ~f:(Analyzer.step an);
+      ignore (Analyzer.finish an);
+      None
+    with Invalid_argument e -> Some e
+  in
+  (match outcome with
+  | Some e ->
+      Alcotest.(check bool) (Printf.sprintf "worker error surfaced (%s)" e) true
+        (String.length e >= 8 && String.sub e 0 8 = "Repr.eta")
+  | None -> Alcotest.fail "malformed call accepted");
+  match Analyzer.finish an with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "finish after a failure must re-raise it"
+
 let suite =
   ( "synth",
     [
@@ -204,4 +276,7 @@ let suite =
         parallel_matches_sequential;
       Alcotest.test_case "sequential fallback" `Quick fallback;
       Alcotest.test_case "pool exhaustion" `Quick pool_exhaustion;
+      engine_matches_sequential;
+      Alcotest.test_case "worker failure releases the producer" `Quick
+        worker_failure_releases_producer;
     ] )
