@@ -38,6 +38,23 @@ let load_trace format path =
   let trace = Trace.create () in
   Result.map (fun () -> trace) (iter_trace format path ~f:(Trace.append trace))
 
+(* One line per race through [Report.add_line], written to stdout in
+   blocks. Whatever was printed before went through Format's "@.", which
+   flushes into the same channel, so the lines land after it. *)
+let print_races ?(prefix = "") races =
+  let block = 65536 in
+  let buf = Buffer.create block in
+  List.iter
+    (fun r ->
+      Buffer.add_string buf prefix;
+      Report.add_line buf r;
+      if Buffer.length buf >= block then begin
+        Buffer.output_buffer stdout buf;
+        Buffer.clear buf
+      end)
+    races;
+  Buffer.output_buffer stdout buf
+
 let addr_conv =
   Arg.conv
     ( (fun s ->
@@ -221,16 +238,14 @@ let check_cmd =
     in
     Fmt.pr "%a@." Analyzer.pp_result res;
     if verbose then begin
-      List.iter (fun r -> Fmt.pr "%a@." Report.pp r) res.rd2_reports;
+      print_races res.rd2_reports;
       List.iter (fun r -> Fmt.pr "%a@." Rw_report.pp r) res.fasttrack_reports;
       List.iter
         (fun v -> Fmt.pr "%a@." Atomicity.pp_violation v)
         res.atomicity_violations
     end;
     if fingerprints then
-      List.sort_uniq String.compare
-        (List.map Report.fingerprint_hex res.rd2_reports)
-      |> List.iter print_endline;
+      Array.iter (Printf.printf "%016Lx\n") res.rd2_distinct;
     if stats then print_string (Crd_obs.dump ());
     `Ok ()
   in
@@ -322,11 +337,7 @@ let predict_cmd =
       Predict.analyze ~jobs ~scan_limit ~max_attempts
         ~spec_for:(Stdspecs.spec_in specs) trace
     in
-    let distinct rs =
-      List.length
-        (List.sort_uniq Int64.compare (List.map Report.fingerprint rs))
-    in
-    let w = distinct res.Predict.witnessed in
+    let w = Report.distinct res.Predict.witnessed in
     Fmt.pr
       "events %d  calls %d  witnessed %d (%d distinct)  predicted +%d  \
        candidates %d  closures %d  capped %d@."
@@ -337,12 +348,8 @@ let predict_cmd =
       res.Predict.stats.Predict.candidates res.Predict.stats.Predict.closures
       res.Predict.stats.Predict.capped;
     if verbose then begin
-      List.iter
-        (fun r -> Fmt.pr "witnessed %a@." Report.pp r)
-        res.Predict.witnessed;
-      List.iter
-        (fun r -> Fmt.pr "predicted %a@." Report.pp r)
-        res.Predict.predicted
+      print_races ~prefix:"witnessed " res.Predict.witnessed;
+      print_races ~prefix:"predicted " res.Predict.predicted
     end;
     let* () =
       match racedb with
@@ -461,8 +468,7 @@ let simulate_cmd =
       `Error (false, Printf.sprintf "unknown workload %s" workload)
     else begin
       Fmt.pr "%a@." Analyzer.pp_summary an;
-      if verbose then
-        List.iter (fun r -> Fmt.pr "%a@." Report.pp r) (Analyzer.rd2_races an);
+      if verbose then print_races (Analyzer.rd2_races an);
       `Ok ()
     end
   in

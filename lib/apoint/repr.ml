@@ -307,6 +307,16 @@ let max_conflicts t =
 let shape_desc t id =
   if id < 0 || id >= Array.length t.descs then "?" else t.descs.(id)
 
+let point_desc t = function
+  | Point.Ds id -> shape_desc t id
+  | Point.Keyed (id, v) ->
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf (shape_desc t id);
+      Buffer.add_char buf '[';
+      Value.to_buffer buf v;
+      Buffer.add_char buf ']';
+      Buffer.contents buf
+
 let pp ppf t =
   Fmt.pf ppf "@[<v>access point representation for %s (%d shapes, max \
               conflicts %d)@,"

@@ -41,14 +41,28 @@ let is_nil = function Nil -> true | _ -> false
 let lt a b = compare a b < 0
 let le a b = compare a b <= 0
 
-let pp ppf = function
-  | Nil -> Fmt.string ppf "nil"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Str s -> Fmt.pf ppf "%S" s
-  | Ref r -> Fmt.pf ppf "@@%d" r
+(* The one rendering of a value, written straight into a buffer: race
+   lines are built from it on the per-race path, where a Format
+   round trip per value would dominate. [Str] is OCaml string-literal
+   syntax, as [Printf]'s [%S] renders it, so [parse] inverts it. *)
+let to_buffer buf = function
+  | Nil -> Buffer.add_string buf "nil"
+  | Bool b -> Buffer.add_string buf (Bool.to_string b)
+  | Int i -> Buffer.add_string buf (Int.to_string i)
+  | Str s ->
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (String.escaped s);
+      Buffer.add_char buf '"'
+  | Ref r ->
+      Buffer.add_char buf '@';
+      Buffer.add_string buf (Int.to_string r)
 
-let to_string v = Fmt.str "%a" pp v
+let to_string v =
+  let buf = Buffer.create 16 in
+  to_buffer buf v;
+  Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let parse s =
   let n = String.length s in

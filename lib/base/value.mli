@@ -27,6 +27,11 @@ val is_nil : t -> bool
 val lt : t -> t -> bool
 
 val le : t -> t -> bool
+val to_buffer : Buffer.t -> t -> unit
+(** Append the rendering of a value: [nil], [true], [42], ["a.com"]
+    (OCaml string-literal syntax) or [@7]. {!to_string} and {!pp} are
+    the same text. *)
+
 val pp : t Fmt.t
 val to_string : t -> string
 

@@ -29,6 +29,7 @@ type result = {
   shards : int;
   fell_back : bool;
   rd2_reports : Report.t list;
+  rd2_distinct : int64 array;
   rd2_stats : Rd2.stats option;
   direct_reports : Report.t list;
   direct_stats : Direct.stats option;
@@ -489,28 +490,33 @@ let add_ft (a : Fasttrack.stats) (b : Fasttrack.stats) =
 
 let complete t ~shards ~fell_back outs =
   let merge_span = Crd_obs.Span.start Metrics.shard_merge_seconds in
+  let merge index_of f = merge_reports index_of (List.map f outs) in
   let report_index (r : Report.t) = r.Report.index
   and rw_index (r : Rw_report.t) = r.Rw_report.index in
+  let rd2_reports = merge report_index (fun o -> o.o_rd2)
+  and direct_reports = merge report_index (fun o -> o.o_direct)
+  and fasttrack_reports = merge rw_index (fun o -> o.o_ft)
+  and djit_reports = merge rw_index (fun o -> o.o_djit) in
+  Crd_obs.Span.finish merge_span;
   let r =
     {
       events = t.events;
       shards;
       fell_back;
-      rd2_reports = merge_reports report_index (List.map (fun o -> o.o_rd2) outs);
+      rd2_reports;
+      rd2_distinct = Report.distinct_fingerprints rd2_reports;
       rd2_stats = sum_stats add_rd2 (List.filter_map (fun o -> o.o_rd2_stats) outs);
-      direct_reports =
-        merge_reports report_index (List.map (fun o -> o.o_direct) outs);
+      direct_reports;
       direct_stats =
         sum_stats add_direct (List.filter_map (fun o -> o.o_direct_stats) outs);
-      fasttrack_reports = merge_reports rw_index (List.map (fun o -> o.o_ft) outs);
+      fasttrack_reports;
       fasttrack_stats =
         sum_stats add_ft (List.filter_map (fun o -> o.o_ft_stats) outs);
-      djit_reports = merge_reports rw_index (List.map (fun o -> o.o_djit) outs);
+      djit_reports;
       atomicity_violations =
         (match t.atomicity with Some a -> Atomicity.violations a | None -> []);
     }
   in
-  Crd_obs.Span.finish merge_span;
   Option.iter Metrics.publish_rd2 r.rd2_stats;
   t.mode <- Finished r;
   r
@@ -563,7 +569,7 @@ let pp_result ppf (r : result) =
   | Some s ->
       Fmt.pf ppf "rd2: %d races (%d distinct)@,"
         (List.length r.rd2_reports)
-        (Report.distinct r.rd2_reports);
+        (Array.length r.rd2_distinct);
       if s.Rd2.actions > 0 then
         Fmt.pf ppf "rd2: %d/%d actions same-epoch (%.1f%%)@," s.Rd2.same_epoch
           s.Rd2.actions

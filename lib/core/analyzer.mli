@@ -65,6 +65,11 @@ type result = {
       (** [jobs > 1] was requested but the stream ended below the
           threshold, so it ran inline instead *)
   rd2_reports : Report.t list;
+  rd2_distinct : int64 array;
+      (** the distinct fingerprints of [rd2_reports]
+          ({!Report.distinct_fingerprints}), computed once here: the
+          summary, the server's [STATS] line and [rd2 check
+          --fingerprints] all read it *)
   rd2_stats : Rd2.stats option;
   direct_reports : Report.t list;
   direct_stats : Direct.stats option;

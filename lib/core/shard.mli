@@ -11,6 +11,7 @@ type result = Analyzer.result = {
   shards : int;
   fell_back : bool;
   rd2_reports : Crd_detector.Report.t list;
+  rd2_distinct : int64 array;
   rd2_stats : Crd_detector.Rd2.stats option;
   direct_reports : Crd_detector.Report.t list;
   direct_stats : Crd_detector.Direct.stats option;

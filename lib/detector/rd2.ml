@@ -120,12 +120,6 @@ let entry_leq entry vc =
   | Some c -> Vclock.leq c vc
 
 let report t ~index ~tid ~(action : Action.t) ~repr ~pt ~pt' ~(entry : entry) =
-  let desc p =
-    match (p : Point.t) with
-    | Point.Ds id -> Repr.shape_desc repr id
-    | Point.Keyed (id, v) ->
-        Printf.sprintf "%s[%s]" (Repr.shape_desc repr id) (Value.to_string v)
-  in
   t.stats.races <- t.stats.races + 1;
   let r =
     {
@@ -133,8 +127,8 @@ let report t ~index ~tid ~(action : Action.t) ~repr ~pt ~pt' ~(entry : entry) =
       obj = action.Action.obj;
       tid;
       action;
-      point = desc pt;
-      conflicting = desc pt';
+      point = Repr.point_desc repr pt;
+      conflicting = Repr.point_desc repr pt';
       prior = Some (entry.last_tid, entry.last_action);
     }
   in

@@ -392,12 +392,6 @@ let is_race prep d f =
 
 (* --- reports -------------------------------------------------------- *)
 
-let desc repr (p : Point.t) =
-  match p with
-  | Point.Ds id -> Repr.shape_desc repr id
-  | Point.Keyed (id, v) ->
-      Printf.sprintf "%s[%s]" (Repr.shape_desc repr id) (Value.to_string v)
-
 let mk_report prep ~d ~f ~pt_f ~pt_d =
   let repr = (Hashtbl.find prep.objs prep.call_obj.(f)).repr in
   let af = Option.get prep.call_action.(f) in
@@ -407,8 +401,8 @@ let mk_report prep ~d ~f ~pt_f ~pt_d =
     obj = af.Action.obj;
     tid = Tid.of_int prep.tid_arr.(f);
     action = af;
-    point = desc repr pt_f;
-    conflicting = desc repr pt_d;
+    point = Repr.point_desc repr pt_f;
+    conflicting = Repr.point_desc repr pt_d;
     prior = Some (Tid.of_int prep.tid_arr.(d), ad);
   }
 

@@ -12,12 +12,37 @@ let equal a b =
   && List.equal Value.equal a.args b.args
   && List.equal Value.equal a.rets b.rets
 
-let pp ppf t =
-  let pp_vals = Fmt.(list ~sep:(any ", ") Value.pp) in
-  Fmt.pf ppf "%a.%s(%a)" Obj_id.pp t.obj t.meth pp_vals t.args;
+let add_values buf = function
+  | [] -> ()
+  | v :: vs ->
+      Value.to_buffer buf v;
+      List.iter
+        (fun v ->
+          Buffer.add_string buf ", ";
+          Value.to_buffer buf v)
+        vs
+
+(* [o.m(a, b)], then [/r] for one return or [/(r1, r2)] for several. *)
+let to_buffer buf t =
+  Buffer.add_string buf (Obj_id.name t.obj);
+  Buffer.add_char buf '.';
+  Buffer.add_string buf t.meth;
+  Buffer.add_char buf '(';
+  add_values buf t.args;
+  Buffer.add_char buf ')';
   match t.rets with
   | [] -> ()
-  | [ r ] -> Fmt.pf ppf "/%a" Value.pp r
-  | rs -> Fmt.pf ppf "/(%a)" pp_vals rs
+  | [ r ] ->
+      Buffer.add_char buf '/';
+      Value.to_buffer buf r
+  | rs ->
+      Buffer.add_string buf "/(";
+      add_values buf rs;
+      Buffer.add_char buf ')'
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let buf = Buffer.create 64 in
+  to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

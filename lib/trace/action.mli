@@ -19,5 +19,11 @@ val arity : t -> int
 (** [List.length (slots t)]. *)
 
 val equal : t -> t -> bool
+val to_buffer : Buffer.t -> t -> unit
+(** Append [o.m(u~)/v~]: [obj.meth(a, b)], then [/r] for a single
+    return or [/(r1, r2)] for several (nothing for none), values as
+    {!Crd_base.Value.to_buffer} renders them. {!to_string} and {!pp} are
+    the same text. *)
+
 val pp : t Fmt.t
 val to_string : t -> string

@@ -18,6 +18,23 @@ let value : Value.t Gen.t =
       Gen.map (fun i -> Value.Ref i) (Gen.int_range 0 3);
     ]
 
+(* The whole value domain, for printer tests: any int, negative ones
+   too, and strings of arbitrary bytes, biased towards the bytes that
+   need escaping. *)
+let byte : char Gen.t =
+  Gen.oneof
+    [ Gen.char; Gen.oneofl [ '"'; '\\'; '\n'; '\t'; '\000'; '\x7f'; '\x80'; '\xff' ] ]
+
+let any_value : Value.t Gen.t =
+  Gen.oneof
+    [
+      Gen.return Value.Nil;
+      Gen.map (fun b -> Value.Bool b) Gen.bool;
+      Gen.map (fun i -> Value.Int i) Gen.int;
+      Gen.map (fun s -> Value.Str s) (Gen.string_size ~gen:byte (Gen.int_range 0 12));
+      Gen.map (fun i -> Value.Ref i) Gen.int;
+    ]
+
 let small_value : Value.t Gen.t =
   (* A deliberately tiny domain so collisions (equal slots) are common. *)
   Gen.oneofl [ Value.Nil; Value.Int 0; Value.Int 1; Value.Int 2 ]

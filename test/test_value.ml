@@ -4,6 +4,21 @@ module Gen = QCheck2.Gen
 let qcheck ?(count = 500) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+(* The Format-based printer the direct writer replaced, kept as the
+   oracle the writer must match byte for byte. *)
+let oracle_pp ppf = function
+  | Value.Nil -> Fmt.string ppf "nil"
+  | Value.Bool b -> Fmt.bool ppf b
+  | Value.Int i -> Fmt.int ppf i
+  | Value.Str s -> Fmt.pf ppf "%S" s
+  | Value.Ref r -> Fmt.pf ppf "@@%d" r
+
+let buffered to_buffer x =
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "<";
+  to_buffer buf x;
+  Buffer.contents buf
+
 let check_roundtrip () =
   List.iter
     (fun v ->
@@ -59,6 +74,17 @@ let suite =
       qcheck "equal values hash equally"
         (Gen.pair Generators.value Generators.value) (fun (a, b) ->
           (not (Value.equal a b)) || Value.hash a = Value.hash b);
+      qcheck "to_string, pp and to_buffer match the Format oracle"
+        Generators.any_value (fun v ->
+          let want = Fmt.str "%a" oracle_pp v in
+          String.equal (Value.to_string v) want
+          && String.equal (Fmt.str "%a" Value.pp v) want
+          && String.equal (buffered Value.to_buffer v) ("<" ^ want));
+      qcheck "print/parse roundtrip over the whole domain" Generators.any_value
+        (fun v ->
+          match Value.parse (Value.to_string v) with
+          | Ok v' -> Value.equal v v'
+          | Error _ -> false);
       qcheck "print/parse roundtrip" Generators.value (fun v ->
           match Value.parse (Value.to_string v) with
           | Ok v' -> Value.equal v v'
