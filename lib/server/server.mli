@@ -96,8 +96,9 @@ type config = {
   racedb : string option;
       (** directory of a {!Crd_racedb.Db} race database; every
           session's verdict (live or journal-replayed) is published to
-          it through a bounded non-blocking queue drained by a single
-          publisher thread ([racedb_published_total],
+          it through a one-batch queue drained by a single publisher
+          thread — a session that finds the queue full waits for the
+          publisher ([racedb_published_total],
           [racedb_dropped_total], [racedb_publish_errors_total]).
           [None] (the default) disables publication. *)
   peers : addr list;
