@@ -14,6 +14,8 @@ type t = {
   (* is_keyed.(id): shape generates Keyed points (vs Ds points). *)
   is_keyed : bool array;
   descs : string array;
+  arity : int array;  (* arity.(m): length of method m's args @ rets *)
+  max_points : int;  (* 1 + the largest arity: eta's size bound *)
 }
 
 let spec t = t.raw.Translate.spec
@@ -228,7 +230,16 @@ let build ~optimize (raw : Translate.t) =
                 | Some i -> final_of i
                 | None -> -1)))
   in
-  { raw; dispatch; conflict_ids; is_keyed; descs = final_descs }
+  let arity = Array.map Signature.arity methods in
+  {
+    raw;
+    dispatch;
+    conflict_ids;
+    is_keyed;
+    descs = final_descs;
+    arity;
+    max_points = 1 + Array.fold_left max 0 arity;
+  }
 
 let of_spec ?(optimize = true) spec =
   match Translate.of_spec spec with
@@ -252,38 +263,72 @@ let memo () =
 (* Runtime interface                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let action_info t (a : Action.t) =
-  match Translate.method_index t.raw a.meth with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Repr.eta: method %s not in spec %s" a.meth
-           (Spec.name (spec t)))
-  | Some m ->
-      let slots = Array.of_list (Action.slots a) in
-      let expected = Signature.arity t.raw.Translate.methods.(m) in
-      if Array.length slots <> expected then
-        invalid_arg
-          (Printf.sprintf "Repr.eta: action %s has arity %d, expected %d"
-             (Action.to_string a) (Array.length slots) expected);
-      (m, slots)
+let method_of t (a : Action.t) =
+  let m = Translate.method_index t.raw a.meth in
+  if m < 0 then
+    invalid_arg
+      (Printf.sprintf "Repr.eta: method %s not in spec %s" a.meth
+         (Spec.name (spec t)));
+  let arity = List.length a.args + List.length a.rets in
+  let expected = t.arity.(m) in
+  if arity <> expected then
+    invalid_arg
+      (Printf.sprintf "Repr.eta: action %s has arity %d, expected %d"
+         (Action.to_string a) arity expected);
+  m
+
+(* Whether point (id, v) is among the first [j + 1] written points. *)
+let rec written shapes values id v j =
+  j >= 0
+  && ((shapes.(j) = id && Value.equal values.(j) v)
+     || written shapes values id v (j - 1))
+
+(* Append the slot points of [vs] (slot numbers from [slot]) after the
+   [n] points written so far; return the new count. *)
+let rec add_slots kinds beta shapes values n slot = function
+  | [] -> n
+  | v :: vs ->
+      let id = kinds.(1 + slot).(beta) in
+      let n =
+        if id >= 0 && not (written shapes values id v (n - 1)) then begin
+          shapes.(n) <- id;
+          values.(n) <- v;
+          n + 1
+        end
+        else n
+      in
+      add_slots kinds beta shapes values n (slot + 1) vs
+
+let eta_into t (a : Action.t) ~shapes ~values =
+  let m = method_of t a in
+  let beta = Translate.beta_of t.raw m a.args a.rets in
+  let kinds = t.dispatch.(m) in
+  let ds = kinds.(0).(beta) in
+  let n =
+    if ds >= 0 then begin
+      shapes.(0) <- ds;
+      values.(0) <- Value.Nil;
+      1
+    end
+    else 0
+  in
+  let n = add_slots kinds beta shapes values n 0 a.args in
+  add_slots kinds beta shapes values n (List.length a.args) a.rets
+
+let max_points t = t.max_points
+let conflict_ids t id = t.conflict_ids.(id)
+let is_keyed t id = t.is_keyed.(id)
 
 let eta t a =
-  let m, slots = action_info t a in
-  let beta = Translate.beta_of t.raw m slots in
-  let kinds = t.dispatch.(m) in
-  let points = ref [] in
-  let add p = if not (List.exists (Point.equal p) !points) then points := p :: !points in
-  let ds = kinds.(0).(beta) in
-  if ds >= 0 then add (Point.Ds ds);
-  for i = 0 to Array.length slots - 1 do
-    let id = kinds.(1 + i).(beta) in
-    if id >= 0 then add (Point.Keyed (id, slots.(i)))
-  done;
-  List.rev !points
+  let shapes = Array.make t.max_points 0 in
+  let values = Array.make t.max_points Value.Nil in
+  let n = eta_into t a ~shapes ~values in
+  List.init n (fun i ->
+      let id = shapes.(i) in
+      if t.is_keyed.(id) then Point.Keyed (id, values.(i)) else Point.Ds id)
 
 let conflicts t pt =
-  let id = Point.shape pt in
-  let neighbors = t.conflict_ids.(id) in
+  let neighbors = t.conflict_ids.(Point.shape pt) in
   match pt with
   | Point.Ds _ -> Array.to_list (Array.map (fun j -> Point.Ds j) neighbors)
   | Point.Keyed (_, v) ->

@@ -9,6 +9,7 @@
     behind the detector's O(1) per-invocation cost (Theorem 6.6,
     Section 5.4). *)
 
+open Crd_base
 open Crd_trace
 open Crd_spec
 
@@ -27,14 +28,38 @@ val memo : unit -> Spec.t -> (t, string) result
 
 val spec : t -> Spec.t
 
-val eta : t -> Action.t -> Point.t list
-(** The access points touched by an action, deduplicated.
+val eta_into :
+  t -> Action.t -> shapes:int array -> values:Value.t array -> int
+(** The compiled [eta_o]: write the access points touched by an action,
+    deduplicated, into [shapes] (shape ids) and [values] (the witnessed
+    value of a keyed point, [Value.Nil] for a ds point) and return their
+    number. Points come in {!eta}'s order: the ds point first, then the
+    slot points in slot order. The beta bits are evaluated straight off
+    the action's [args] and [rets], so the call allocates nothing. Both
+    arrays must hold at least {!max_points} elements.
     @raise Invalid_argument if the action's method or arity does not
     match the specification. *)
 
+val max_points : t -> int
+(** An upper bound on the number of points of one action: one ds point
+    plus one per slot of the widest method. *)
+
+val eta : t -> Action.t -> Point.t list
+(** {!eta_into} as a list of points.
+    @raise Invalid_argument as {!eta_into}. *)
+
+val conflict_ids : t -> int -> int array
+(** [Co] at shape level: the ids of the shapes conflicting with a shape,
+    in increasing order. A ds shape conflicts only with ds shapes and a
+    keyed shape only with keyed shapes, at an equal value. The array is
+    shared: do not mutate it. *)
+
+val is_keyed : t -> int -> bool
+(** Whether a shape's points are keyed ({!Point.Keyed}) rather than ds. *)
+
 val conflicts : t -> Point.t -> Point.t list
-(** [Co pt] — every point that conflicts with [pt]. Bounded by
-    [max_conflicts t]. *)
+(** [Co pt] — every point that conflicts with [pt]: {!conflict_ids} of
+    its shape, at its value. Bounded by [max_conflicts t]. *)
 
 val conflict : t -> Point.t -> Point.t -> bool
 (** Pairwise conflict test (used by the linear-scan ablation mode). *)

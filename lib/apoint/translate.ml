@@ -28,14 +28,12 @@ type t = {
 
 let max_atoms = 14
 
-let method_index t m =
-  let n = Array.length t.methods in
-  let rec go i =
-    if i >= n then None
-    else if String.equal t.methods.(i).Signature.meth m then Some i
-    else go (i + 1)
-  in
-  go 0
+let rec find_method methods m i =
+  if i >= Array.length methods then -1
+  else if String.equal methods.(i).Signature.meth m then i
+  else find_method methods m (i + 1)
+
+let method_index t m = find_method t.methods m 0
 
 (* ------------------------------------------------------------------ *)
 (* Collecting B(Phi, m)                                               *)
@@ -80,14 +78,27 @@ let atom_index t m (a : Atom.t) =
   in
   go 0
 
-let beta_of t m slots =
+(* Slot [i] of [args @ rets], read without building the list. *)
+let rec slot_value args rets i =
+  match args with
+  | v :: args -> if i = 0 then v else slot_value args rets (i - 1)
+  | [] -> List.nth rets i
+
+let term_value args rets = function
+  | Atom.Var (v : Atom.var) -> slot_value args rets v.slot
+  | Atom.Const c -> c
+
+let beta_of t m args rets =
   let arr = t.atoms.(m) in
   let beta = ref 0 in
-  Array.iteri
-    (fun k a ->
-      if Atom.eval a (fun (v : Atom.var) -> slots.(v.slot)) then
-        beta := !beta lor (1 lsl k))
-    arr;
+  for k = 0 to Array.length arr - 1 do
+    let a = arr.(k) in
+    if
+      Atom.pred_holds a.Atom.pred
+        (term_value args rets a.Atom.lhs)
+        (term_value args rets a.Atom.rhs)
+    then beta := !beta lor (1 lsl k)
+  done;
   !beta
 
 let beta_pp t m ppf beta =

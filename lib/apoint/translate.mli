@@ -40,9 +40,14 @@ val of_spec : Spec.t -> (t, string) result
 
 val max_atoms : int
 
-val method_index : t -> string -> int option
-val beta_of : t -> int -> Value.t array -> int
-(** [beta_of t m slots] evaluates B(Phi, m) on an action's slot tuple. *)
+val method_index : t -> string -> int
+(** The index of a method in [methods], or [-1] when the specification
+    has no such method. *)
+
+val beta_of : t -> int -> Value.t list -> Value.t list -> int
+(** [beta_of t m args rets] evaluates B(Phi, m) on an action's slot tuple
+    [args @ rets], reading the slots straight off the two lists: it
+    allocates nothing. The tuple must have method [m]'s arity. *)
 
 val beta_pp : t -> int -> int Fmt.t
 (** [beta_pp t m] prints a beta mask of method [m] as atom valuations. *)

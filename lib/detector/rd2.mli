@@ -15,8 +15,12 @@
     enumerates the bounded set [Co pt] and hashes into the active table —
     O(1) per point for ECL-translated representations; [`Linear] scans
     the whole active set and tests conflicts pairwise — the cost an
-    unrestricted representation would force. Both report identical races;
-    the ablation benchmark compares their cost.
+    unrestricted representation would force. Both report the same races
+    at every event; the ablation benchmark compares their cost. Within
+    one event, [`Linear] gives its races in the order of its scan (ds
+    entries, then each keyed shape's table), which may differ from the
+    order before the per-shape entry tables; the per-event multiset is
+    unchanged, and Theorem 5.1's test compares event indices only.
 
     The per-point clock is {e epoch-adaptive} (FastTrack-style): while
     every toucher of a point is totally ordered it is a scalar epoch
@@ -69,7 +73,9 @@ val on_action :
 (** Process one action event with its happens-before clock. The clock is
     only read (never retained), so a live [Hb.raw_clock] is acceptable
     only if no later [step] happens before the next call; prefer
-    [Hb.snapshot]. Returns the races closed by this event. *)
+    [Hb.snapshot]. Returns the races closed by this event. Once an
+    object's points are active, a call that reports no race allocates
+    nothing. *)
 
 val release_object : t -> Obj_id.t -> unit
 (** Drop all auxiliary state of a dead object — the reclamation

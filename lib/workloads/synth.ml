@@ -228,7 +228,7 @@ let iter ?(seed = 42L) config ~f =
         if Prng.int rng 5 < 4 then begin
           let d = 1 + Prng.int rng 4 in
           s.n <- s.n + d;
-          Action.make ~obj ~meth:"add" ~args:[ vals.(d) ] ()
+          Action.make ~obj ~meth:"add" ~args:[ vint d ] ()
         end
         else Action.make ~obj ~meth:"read" ~rets:[ vint s.n ] ()
     | Register s ->

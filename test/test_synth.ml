@@ -266,6 +266,29 @@ let worker_failure_releases_producer () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "finish after a failure must re-raise it"
 
+(* Key spaces below five: a counter [add]'s delta (1..4) can exceed the
+   interned key values, and used to index past them. Generation and
+   analysis must succeed, with every delta the integer it was drawn as. *)
+let small_key_spaces =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:30 ~name:"key spaces 1..6 generate and check"
+       QCheck2.Gen.(pair (int_range 1 6) (map Int64.of_int nat))
+       (fun (key_space, seed) ->
+         let c = { (Synth.default ~events:2_000) with Synth.key_space; objects = 64 } in
+         let trace = Synth.generate ~seed c in
+         let deltas_ok = ref true in
+         Trace.iter trace ~f:(fun _ (e : Event.t) ->
+             match e.op with
+             | Event.Call { Action.obj; meth = "add"; args; _ }
+               when String.starts_with ~prefix:"counter" (Obj_id.name obj) -> (
+                 match args with
+                 | [ Value.Int d ] when d >= 1 && d <= 4 -> ()
+                 | _ -> deltas_ok := false)
+             | _ -> ());
+         let res = analyze trace in
+         !deltas_ok
+         && match res.Shard.rd2_stats with Some s -> s.Rd2.actions > 0 | None -> false))
+
 let suite =
   ( "synth",
     [
@@ -277,6 +300,7 @@ let suite =
       Alcotest.test_case "sequential fallback" `Quick fallback;
       Alcotest.test_case "pool exhaustion" `Quick pool_exhaustion;
       engine_matches_sequential;
+      small_key_spaces;
       Alcotest.test_case "worker failure releases the producer" `Quick
         worker_failure_releases_producer;
     ] )

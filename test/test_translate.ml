@@ -193,13 +193,85 @@ let non_ecl_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected non-ECL translation failure"
 
+(* The messages reach clients verbatim as a session's [ERR] reply. *)
 let eta_validates_actions () =
   (match Repr.eta dict_repr (act "pop" [] []) with
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "unknown method"
+        "Repr.eta: method pop not in spec dictionary" msg
   | _ -> Alcotest.fail "expected Invalid_argument for unknown method");
   match Repr.eta dict_repr (act "put" [ i 1 ] []) with
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "bad arity"
+        "Repr.eta: action o.put(1) has arity 1, expected 3" msg
   | _ -> Alcotest.fail "expected Invalid_argument for bad arity"
+
+(* The compiled beta reads the slots off [args] and [rets]; it must
+   agree with evaluating every atom on the [args @ rets] tuple. *)
+let compiled_beta =
+  let gen =
+    let open Gen in
+    let* spec = Generators.spec in
+    let* a = Generators.action_for_spec ~obj spec in
+    return (spec, a)
+  in
+  qcheck ~count:200 "compiled beta = atoms evaluated on args @ rets" gen
+    (fun (spec, (a : Action.t)) ->
+      match Translate.of_spec spec with
+      | Error _ -> QCheck2.assume_fail ()
+      | Ok raw ->
+          let m = Translate.method_index raw a.Action.meth in
+          let slots = Array.of_list (Action.slots a) in
+          let want = ref 0 in
+          Array.iteri
+            (fun k atom ->
+              if Atom.eval atom (fun (v : Atom.var) -> slots.(v.slot)) then
+                want := !want lor (1 lsl k))
+            raw.Translate.atoms.(m);
+          Translate.beta_of raw m a.Action.args a.Action.rets = !want)
+
+(* eta never repeats a point, even when two slots share a shape and a
+   value; [eta_into] writes the same points in the same order. *)
+let eta_deduplicates =
+  let pair_spec =
+    Result.get_ok
+      (Spec_parser.parse_one
+         "object pair { method link(a, b); \
+          commutes link(a1, b1) <> link(a2, b2) \
+          when a1 != a2 && a1 != b2 && b1 != a2 && b1 != b2; }")
+  in
+  let pair_repr = Result.get_ok (Repr.of_spec pair_spec) in
+  let gen =
+    let open Gen in
+    let* spec = oneof [ return pair_spec; Generators.spec ] in
+    let* a = Generators.action_for_spec ~obj spec in
+    return (spec, a)
+  in
+  let link x y = List.length (Repr.eta pair_repr (act "link" [ x; y ] [])) in
+  [
+    Alcotest.test_case "eta dedups slots of one shape" `Quick (fun () ->
+        Alcotest.(check int) "link(1, 2)" 2 (link (i 1) (i 2));
+        Alcotest.(check int) "link(1, 1)" 1 (link (i 1) (i 1)));
+    qcheck ~count:200 "eta has no duplicates and matches eta_into" gen
+      (fun (spec, a) ->
+        match Repr.of_spec spec with
+        | Error _ -> QCheck2.assume_fail ()
+        | Ok repr ->
+            let pts = Repr.eta repr a in
+            let shapes = Array.make (Repr.max_points repr) (-1) in
+            let values = Array.make (Repr.max_points repr) Value.Nil in
+            let n = Repr.eta_into repr a ~shapes ~values in
+            List.length (List.sort_uniq Point.compare pts) = List.length pts
+            && n = List.length pts
+            && List.for_all2
+                 (fun pt i ->
+                   Point.shape pt = shapes.(i)
+                   &&
+                   match pt with
+                   | Point.Keyed (_, v) -> Value.equal v values.(i)
+                   | Point.Ds _ -> true)
+                 pts (List.init n Fun.id));
+  ]
 
 let suite =
   ( "translate",
@@ -218,4 +290,6 @@ let suite =
       optimize_preserves;
       bounded_conflicts;
       conflicts_vs_conflict;
-    ] )
+      compiled_beta;
+    ]
+    @ eta_deduplicates )
