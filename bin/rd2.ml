@@ -856,12 +856,6 @@ let serve_cmd =
             "Session-carrying domains (default: one per recommended \
              analysis job).")
   in
-  let queue =
-    Arg.(
-      value & opt int 1024
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Per-connection event queue bound (backpressure threshold).")
-  in
   let idle =
     Arg.(
       value & opt float 30.
@@ -1053,11 +1047,11 @@ let serve_cmd =
       value & opt float 0.
       & info [ "stall-timeout" ] ~docv:"SECONDS"
           ~doc:
-            "Watchdog: recycle a worker making no per-batch progress for \
+            "Watchdog: recycle a worker making no read progress for \
              $(docv) seconds; its session gets a retryable ERR. Should \
              exceed $(b,--idle-timeout). 0 disables (the default).")
   in
-  let run addr workers queue idle spec_file direct fasttrack atomicity jobs
+  let run addr workers idle spec_file direct fasttrack atomicity jobs
       metrics log_level faults journal backlog retry_after resync racedb peers
       sync_interval memory_budget spill_watermark stall_timeout =
     Crd_obs.Log.set_level log_level;
@@ -1078,7 +1072,6 @@ let serve_cmd =
         default with
         Crd_server.Server.workers =
           (if workers > 0 then workers else default.Crd_server.Server.workers);
-        queue_capacity = queue;
         idle_timeout = idle;
         analyzer =
           { default.Crd_server.Server.analyzer with direct; fasttrack; atomicity };
@@ -1124,7 +1117,7 @@ let serve_cmd =
           drain gracefully.")
     Term.(
       ret
-        (const run $ addr_arg $ workers $ queue $ idle $ spec_arg $ direct
+        (const run $ addr_arg $ workers $ idle $ spec_arg $ direct
        $ fasttrack $ atomicity $ jobs $ metrics $ log_level $ faults
        $ journal $ backlog $ retry_after $ resync $ racedb $ peers
        $ sync_interval $ memory_budget $ spill_watermark $ stall_timeout))

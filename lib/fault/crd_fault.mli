@@ -35,7 +35,7 @@
               | 'off'
     v}
 
-    Example: [seed=42,sock_read=p:0.01,worker_body=nth:3,queue_push=once].
+    Example: [seed=42,sock_read=p:0.01,worker_body=nth:3,journal_append=once].
     Unknown point names are accepted (the point may be registered by a
     library loaded later); misspelled names simply never fire. *)
 

@@ -168,7 +168,7 @@ let send_file ~addr ?spec ?retries ?backoff ?timeout ?nonce ~format path =
             In_channel.with_open_text path (fun ic ->
                 Trace_text.iter_channel ic ~f:push)
         | `Bin ->
-            (* mmap + zero-copy decode; unmappable inputs (pipes) fall
-               back to the channel path inside [iter_file]. *)
+            (* mmap + zero-copy decode; unmappable inputs (pipes) are
+               streamed by [iter_file] through the same decoder. *)
             Bigwire.iter_file path ~f:push
       with Sys_error msg -> Error msg)

@@ -61,4 +61,4 @@ val send_file :
   (string, string) result
 (** Stream a trace file without materializing it: text files line by
     line ({!Trace_text.iter_channel}), binary files frame by frame
-    ({!Wire.iter_channel}). The file is reopened on every attempt. *)
+    ({!Bigwire.iter_file}). The file is reopened on every attempt. *)

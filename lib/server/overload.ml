@@ -5,15 +5,16 @@
      Spill  -> sessions are acked and streamed straight to the fsync'd
                journal at decoder speed; a catch-up drainer replays the
                committed segments later (server.ml);
-     Shed   -> BUSY retry-after, reserved for memory-budget exhaustion.
+     Shed   -> BUSY retry-after: memory-budget exhaustion, or the
+               operator's explicit backlog bound.
 
    The signals are deliberately cheap: the accept backlog (how many
    admitted sessions no worker has picked up), worker occupancy, and
-   the process-wide memory accounting gauges maintained by Bqueue
-   ([mem_queue_bytes]), Bigcodec ([mem_intern_bytes]) and Metrics
-   ([mem_vcpool_bytes]). The registry's find-or-create semantics make
-   those three names the cross-library contract — reading them here
-   observes the same atomics the producers update. *)
+   the process-wide memory accounting gauges maintained by Bigcodec
+   ([mem_intern_bytes]) and Metrics ([mem_vcpool_bytes]). The
+   registry's find-or-create semantics make those two names the
+   cross-library contract — reading them here observes the same
+   atomics the producers update. *)
 
 type tier = Normal | Spill | Shed
 
@@ -26,13 +27,15 @@ let tier_rank = function Normal -> 0 | Spill -> 1 | Shed -> 2
 
 type limits = {
   memory_budget : int;
+  shed_backlog : int;
   spill_watermark : int;
   stall_timeout : float;
 }
 
 (* All zero: every degradation feature off — byte-for-byte the
    pre-ladder server behaviour. *)
-let no_limits = { memory_budget = 0; spill_watermark = 0; stall_timeout = 0. }
+let no_limits =
+  { memory_budget = 0; shed_backlog = 0; spill_watermark = 0; stall_timeout = 0. }
 
 (* ------------------------------------------------------------------ *)
 (* Metrics and fault points                                            *)
@@ -94,15 +97,12 @@ let fp_stall = Crd_fault.point "worker_stall"
 (* Memory accounting                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The three producer-side gauges, resolved by name (find-or-create is
+(* The two producer-side gauges, resolved by name (find-or-create is
    idempotent, so load order between libraries does not matter). *)
-let g_queue = Crd_obs.gauge "mem_queue_bytes"
 let g_intern = Crd_obs.gauge "mem_intern_bytes"
 let g_vcpool = Crd_obs.gauge "mem_vcpool_bytes"
 
-let mem_used () =
-  Crd_obs.Gauge.get g_queue + Crd_obs.Gauge.get g_intern
-  + Crd_obs.Gauge.get g_vcpool
+let mem_used () = Crd_obs.Gauge.get g_intern + Crd_obs.Gauge.get g_vcpool
 
 (* ------------------------------------------------------------------ *)
 (* Controller                                                          *)
@@ -129,15 +129,20 @@ let transition_counter = function
 
 (* Tier choice from one snapshot of the load signals.
 
-   Shed is entered only on memory-budget exhaustion (the acceptance
-   contract: queueing pressure alone must degrade to spill, never to
-   dropped evidence). Spill is entered when every worker is busy and
-   the admitted-but-unclaimed backlog has reached the watermark, and —
+   Shed is entered on memory-budget exhaustion, or — only when the
+   operator set [shed_backlog] — when every worker is busy and that
+   many admitted sessions are already waiting. Without that explicit
+   bound, queueing pressure degrades to spill, never to dropped
+   evidence. Spill is entered when every worker is busy and the
+   admitted-but-unclaimed backlog has reached the watermark, and —
    hysteresis — is left only once the backlog has drained to half the
    watermark with a free worker, so the ladder does not flap around
    the threshold. *)
 let decide limits cur ~pending ~active ~workers ~mem =
   if limits.memory_budget > 0 && mem >= limits.memory_budget then Shed
+  else if
+    limits.shed_backlog > 0 && active >= workers && pending >= limits.shed_backlog
+  then Shed
   else if limits.spill_watermark <= 0 then Normal
   else
     match cur with

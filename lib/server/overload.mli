@@ -9,16 +9,16 @@
       segments through the sharded chunk pipeline and publishes to the
       racedb under the same session nonce, so race sets stay identical
       to what the online path would have produced;
-    - {b shed}: [BUSY retry-after], reserved for memory-budget
-      exhaustion — queue pressure alone degrades to spill, never to
-      dropped evidence.
+    - {b shed}: [BUSY retry-after], on memory-budget exhaustion or,
+      when the operator set {!field-shed_backlog}, on a full accept
+      backlog — without that explicit bound, queue pressure degrades
+      to spill, never to dropped evidence.
 
-    The memory signal sums three process-wide gauges maintained by the
-    producers themselves: [mem_queue_bytes] ({!Bqueue} payload
-    weights), [mem_intern_bytes] (live {!Crd_wire.Bigcodec} decoder
-    state) and [mem_vcpool_bytes] (vector-clock arenas). All figures
-    are deliberate approximations: the budget is a degradation
-    threshold, not an allocator. *)
+    The memory signal sums two process-wide gauges maintained by the
+    producers themselves: [mem_intern_bytes] (live
+    {!Crd_wire.Bigcodec} decoder state) and [mem_vcpool_bytes]
+    (vector-clock arenas). Both are deliberate approximations: the
+    budget is a degradation threshold, not an allocator. *)
 
 type tier = Normal | Spill | Shed
 
@@ -30,6 +30,9 @@ type limits = {
   memory_budget : int;
       (** accounted-memory bytes that trip the shed tier; [0] = no
           budget (never shed on memory) *)
+  shed_backlog : int;
+      (** admitted-but-unclaimed sessions that trip the shed tier when
+          every worker is busy; [0] = never shed on backlog *)
   spill_watermark : int;
       (** admitted-but-unclaimed sessions that trip the spill tier
           when every worker is busy; [0] = spilling disabled *)
@@ -53,13 +56,14 @@ val tier : t -> tier
 val evaluate : t -> pending:int -> active:int -> workers:int -> tier
 (** Re-derive the tier from a snapshot of the load signals ([pending]
     admitted-unclaimed sessions, [active] sessions held by workers)
-    plus {!mem_used}. Transitions update the [overload_tier] gauge and
+    plus {!mem_used}: the one admission decision, which the accept
+    loop acts on as is. Transitions update the [overload_tier] gauge and
     the [overload_to_*_total] counters. Spill exit has hysteresis
     (backlog below half the watermark with a free worker), so the
     ladder does not flap around the threshold. *)
 
 val mem_used : unit -> int
-(** Sum of the three accounting gauges, in bytes. *)
+(** Sum of the two accounting gauges, in bytes. *)
 
 val note_spilled : bytes:int -> unit
 (** A session was acked via the spill path with [bytes] of committed

@@ -49,7 +49,6 @@ type config = {
   addr : addr;
   metrics_addr : addr option;
   workers : int;
-  queue_capacity : int;
   idle_timeout : float;
   analyzer : Analyzer.config;
   jobs : int;
@@ -80,7 +79,6 @@ let default_config ~addr =
     addr;
     metrics_addr = None;
     workers = Analyzer.recommended_jobs ();
-    queue_capacity = 1024;
     idle_timeout = 30.;
     analyzer = default_analyzer;
     jobs = 1;
@@ -149,10 +147,6 @@ let m_conn_queue_hw =
   Crd_obs.gauge ~help:"High-water of the accepted-connection queue"
     "server_conn_queue_depth_hw"
 
-let m_session_queue_hw =
-  Crd_obs.gauge ~help:"High-water of per-session event queues"
-    "server_session_queue_depth_hw"
-
 let m_handshake_seconds =
   Crd_obs.histogram ~help:"Handshake phase duration" "server_handshake_seconds"
 
@@ -196,12 +190,11 @@ let m_racedb_queue_hw =
     "racedb_queue_depth_hw"
 
 (* Chaos injection points threaded through the ingestion pipeline; see
-   Crd_fault. queue_push lives in each session's Bqueue, decode_frame
-   in Crd_wire.Codec, journal_append in Journal. *)
+   Crd_fault. decode_frame lives in Crd_wire.Codec, journal_append in
+   Journal. *)
 let fp_sock_read = Crd_fault.point "sock_read"
 let fp_sock_write = Crd_fault.point "sock_write"
 let fp_worker_body = Crd_fault.point "worker_body"
-let fp_queue_push = Crd_fault.point "queue_push"
 
 (* [report_send] is a stall, not an error: a fired hit parks the worker
    between journal commit and reply, holding the kill window open for
@@ -256,8 +249,7 @@ let sink_publish sink ~nonce ~spec reports =
     let spec = if spec = "" then "std" else spec in
     let records = List.map (fun r -> Crd_racedb.Record.make ~ts ~spec r) reports in
     let n = List.length records in
-    (* Non-faultable: a fault here would lose a verdict, not test one. *)
-    if Bqueue.push_raw sink.queue (nonce, records) then begin
+    if Bqueue.push sink.queue (nonce, records) then begin
       Crd_obs.Counter.add m_racedb_published n;
       Crd_obs.Gauge.set_max m_racedb_queue_hw (Bqueue.length sink.queue)
     end
@@ -441,72 +433,39 @@ let resolve_spec_set cfg = function
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type item = Ev of Crd_trace.Event.t | Bad of err_kind * string
+(* The one socket-ingest loop, run on the worker by both tiers: read
+   into one reusable buffer, append the slice to the journal, decode it
+   in place and hand each event to [f]. There is no reader thread and
+   no per-session queue: while [f] works nobody reads, so a fast client
+   blocks on the kernel socket buffer (and, under [jobs > 1], the
+   engine's bounded shard handoffs) instead of growing server memory.
+   [beat] hears each read's event count — the worker's progress
+   heartbeat for the stall watchdog.
 
-(* The rough per-item byte cost charged into [mem_queue_bytes]: an
-   [Event.t] is a small record plus an op constructor and its payload
-   boxes. A constant keeps the weight function allocation-free. *)
-let item_weight = function
-  | Ev _ -> 128
-  | Bad (_, msg) -> 64 + String.length msg
-
-(* Events per Bqueue handoff slice. One mutex round per slice instead
-   of per event — the cheapest analyzer-throughput win the ROADMAP
-   names, observable in the [bqueue_batch_size] histogram. *)
-let handoff_batch = 256
-
-(* Socket-reader: decode incoming bytes and push events into the
-   session's bounded queue, [handoff_batch] events per push. Runs in
-   its own thread so that a full queue blocks this reader (and,
-   transitively, the client) rather than growing server memory. [hw]
-   tracks the queue's high-water mark.
-
-   With a journal attached, every raw byte is appended before it is
-   decoded, and the journal is committed the moment the decoder sees
-   the end-of-stream frame — before analysis, so a server killed while
-   analyzing (or stalled before the reply) leaves a replayable journal.
-
-   Error items travel via [Bqueue.push_raw]: the [queue_push] fault must
-   not be able to fault away its own error report. *)
-let read_loop ?journal ~resync conn q hw =
-  let decoder = ref None in
+   The end-of-stream frame, not EOF, ends ingestion (the client keeps
+   the socket open to read its report), and commits the journal on the
+   spot: before the caller finishes the analysis or replies, so a
+   server killed while analyzing (or stalled before the reply) leaves a
+   replayable journal. *)
+let ingest ?journal ~beat ~resync conn ~f =
+  let module D = Crd_wire.Bigcodec.Decoder in
+  let dec = D.create ~resync () in
   let buf = Bytes.create 65536 in
-  let stop = ref false in
-  (* The pending handoff slice. Slots are always overwritten before
-     [blen] reaches them; the placeholder is never observed. *)
-  let batch = Array.make handoff_batch (Bad (Io, "uninitialized")) in
-  let blen = ref 0 in
-  let flush () =
-    if !blen > 0 then begin
-      let n = Bqueue.push_slice q batch 0 !blen in
-      if n < !blen then stop := true;
-      blen := 0
-    end
+  let events = ref 0 in
+  let f e =
+    incr events;
+    f e
   in
-  let bad kind msg =
-    (* Events decoded before the failure still count: deliver them
-       ahead of the error item so the analyzer's totals are exact. *)
-    (try flush () with Crd_fault.Injected _ -> blen := 0);
-    ignore (Bqueue.push_raw q (Bad (kind, msg)));
-    stop := true
+  let result = ref None in
+  let fail kind msg = result := Some (Error (kind, msg)) in
+  let decode_error e = fail Decode (Crd_wire.Codec.error_to_string e) in
+  let journal_error fn e =
+    fail Io (Printf.sprintf "journal %s: %s" fn (Unix.error_message e))
   in
-  let push_ev e =
-    batch.(!blen) <- Ev e;
-    incr blen;
-    if !blen >= handoff_batch then flush ()
-  in
-  (* Everything after this point, decoder creation included, is
-     protected: the queue closes on every exit, or the analyzing worker
-     would wait on it forever. *)
   Fun.protect
-    ~finally:(fun () ->
-      Option.iter Crd_wire.Bigcodec.Decoder.release !decoder;
-      (match journal with Some j -> Journal.close j | None -> ());
-      Bqueue.close q)
+    ~finally:(fun () -> D.release dec)
     (fun () ->
-      let dec = Crd_wire.Bigcodec.Decoder.create ~resync () in
-      decoder := Some dec;
-      while not !stop do
+      while !result = None do
         match
           if Crd_fault.fire fp_sock_read then
             raise
@@ -514,107 +473,46 @@ let read_loop ?journal ~resync conn q hw =
           Proto.read_retry conn buf 0 (Bytes.length buf)
         with
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            bad Timeout "idle timeout: no client bytes"
+            fail Timeout "idle timeout: no client bytes"
         | exception Unix.Unix_error (e, _, arg) ->
-            bad Io
+            fail Io
               (if arg = "" then Unix.error_message e
                else Unix.error_message e ^ " (" ^ arg ^ ")")
         | 0 ->
-            (match Crd_wire.Bigcodec.Decoder.finish dec with
-            | Ok () -> ()
-            | Error e -> bad Decode (Crd_wire.Codec.error_to_string e));
-            stop := true
+            (* EOF before the end-of-stream frame. *)
+            decode_error Crd_wire.Codec.Truncated
         | n -> (
-            (* Journal and decoder consume the same read slice in place:
-               no [Bytes.sub_string] copies on the hot ingest path. *)
-            (match journal with
-            | Some j -> (
-                try Journal.append_bytes j ~len:n buf
-                with
-                | Crd_fault.Injected p ->
-                    bad Io (Printf.sprintf "injected fault: %s" p)
-                | Unix.Unix_error (e, fn, _) ->
-                    bad Io
-                      (Printf.sprintf "journal %s: %s" fn (Unix.error_message e)))
-            | None -> ());
-            if not !stop then
-              match
-                (* Events go from the decoder into the handoff slice and
-                   from there into the queue in batches: no per-read
-                   event list and no per-event lock on the hot path. *)
-                try
-                  let r =
-                    Crd_wire.Bigcodec.Decoder.feed_bytes_iter dec ~len:n buf
-                      ~f:push_ev
-                  in
-                  flush ();
-                  r
-                with Crd_fault.Injected p ->
-                  bad Io (Printf.sprintf "injected fault: %s" p);
-                  Ok ()
-              with
-              | Error e -> bad Decode (Crd_wire.Codec.error_to_string e)
-              | Ok () ->
-                  let depth = Bqueue.length q in
-                  if depth > !hw then begin
-                    hw := depth;
-                    Crd_obs.Gauge.set_max m_session_queue_hw depth
-                  end;
-                  (* The end-of-stream frame, not EOF, ends ingestion:
-                     the client keeps the socket open to read its
-                     report. *)
-                  if Crd_wire.Bigcodec.Decoder.finished dec && not !stop
-                  then begin
-                    (match journal with
-                    | Some j -> (
-                        try Journal.commit j
-                        with Unix.Unix_error (e, fn, _) ->
-                          bad Io
-                            (Printf.sprintf "journal %s: %s" fn
-                               (Unix.error_message e)))
-                    | None -> ());
-                    stop := true
-                  end)
-      done)
-
-(* The one guarded drain both analysis paths share: a malformed event
-   surfaces as Invalid_argument from the analyzers (e.g. [Repr.eta] on a
-   wrong-arity call), and must become a clean [ERR] line for the client,
-   never a generic exception dump — under any [jobs] setting.
-
-   Items arrive a [pop_batch] slice at a time (matching the reader's
-   batched handoff); [beat], when given, hears each batch size — it is
-   the worker's progress heartbeat for the stall watchdog. *)
-let drain_events ?beat q ~f =
-  let result = ref None in
-  (try
-     while !result = None do
-       let slice = Bqueue.pop_batch q ~max:handoff_batch in
-       let n = Array.length slice in
-       if n = 0 then result := Some (Ok ())
-       else begin
-         (match beat with Some b -> b n | None -> ());
-         let i = ref 0 in
-         while !result = None && !i < n do
-           (match slice.(!i) with
-           | Ev e -> f e
-           | Bad (kind, msg) -> result := Some (Error (kind, msg)));
-           incr i
-         done
-       end
-     done
-   with Invalid_argument e -> result := Some (Error (Analysis, e)));
-  Option.get !result
+            match
+              Option.iter (fun j -> Journal.append_bytes j ~len:n buf) journal
+            with
+            | exception Crd_fault.Injected p -> fail Io ("injected fault: " ^ p)
+            | exception Unix.Unix_error (e, fn, _) -> journal_error fn e
+            | () -> (
+                let before = !events in
+                match D.feed_bytes_iter dec ~len:n buf ~f with
+                | Error e -> decode_error e
+                | Ok () -> (
+                    beat (!events - before);
+                    if D.finished dec then
+                      match Option.iter Journal.commit journal with
+                      | () -> result := Some (Ok ())
+                      | exception Unix.Unix_error (e, fn, _) ->
+                          journal_error fn e)))
+      done;
+      Option.get !result)
 
 (* The one analysis entry point live sessions, spill catch-up and
    journal recovery all go through, so a replayed session's report is
    byte-identical to the one the dead server would have sent. [drain]
    feeds events into [f] and reports where ingestion failed, if it did.
    Events stream straight into the engine under every [jobs]: nothing
-   is recorded. The reply is left in a buffer for the caller to finish
-   (a live session appends its STATS line) and copy out once; race
-   lines go into it through [Report.add_line], the writer [rd2 check -v]
-   prints with, so the per-race path does no Format work. *)
+   is recorded. A malformed event surfaces as Invalid_argument from the
+   engine (e.g. [Repr.eta] on a wrong-arity call) and becomes a clean
+   [ERR] line, never an exception dump. The reply is left in a buffer
+   for the caller to finish (a live session appends its STATS line) and
+   copy out once; race lines go into it through [Report.add_line], the
+   writer [rd2 check -v] prints with, so the per-race path does no
+   Format work. *)
 let analyze_with cfg spec_for ~drain =
   match Analyzer.create ~config:cfg.analyzer ~jobs:cfg.jobs ~spec_for () with
   | Error e -> Error (Analysis, e)
@@ -624,10 +522,11 @@ let analyze_with cfg spec_for ~drain =
         try Ok (Analyzer.finish an) with Invalid_argument e -> Error (Analysis, e)
       in
       let drained =
-        try drain ~f:(Analyzer.step an)
-        with e ->
-          (try ignore (finished ()) with _ -> ());
-          raise e
+        try drain ~f:(Analyzer.step an) with
+        | Invalid_argument e -> Error (Analysis, e)
+        | e ->
+            (try ignore (finished ()) with _ -> ());
+            raise e
       in
       match (drained, finished ()) with
       | Error e, _ | Ok (), Error e -> Error e
@@ -644,26 +543,14 @@ let analyze_with cfg spec_for ~drain =
             res.atomicity_violations;
           Ok (buf, res))
 
-let analyze_session ?beat cfg spec_for q =
-  analyze_with cfg spec_for ~drain:(fun ~f -> drain_events ?beat q ~f)
-
 (* Recovery drain: replay a committed journal's mapped bytes through
    the same decoder configuration a live session would use. The
    bigstring typically aliases the journal file ([Journal.map_committed]),
    so replay never loads the trace into the OCaml heap. *)
 let drain_of_big big ~resync ~f =
-  let dec = Crd_wire.Bigcodec.Decoder.create ~resync () in
-  Fun.protect
-    ~finally:(fun () -> Crd_wire.Bigcodec.Decoder.release dec)
-    (fun () ->
-      try
-        match Crd_wire.Bigcodec.Decoder.feed_iter dec big ~f with
-        | Error e -> Error (Decode, Crd_wire.Codec.error_to_string e)
-        | Ok () -> (
-            match Crd_wire.Bigcodec.Decoder.finish dec with
-            | Ok () -> Ok ()
-            | Error e -> Error (Decode, Crd_wire.Codec.error_to_string e))
-      with Invalid_argument e -> Error (Analysis, e))
+  match Crd_wire.Bigcodec.iter_bigstring ~resync big ~f with
+  | Ok () -> Ok ()
+  | Error e -> Error (Decode, Crd_wire.Codec.error_to_string e)
 
 (* The one-line operator probe: everything an "is it keeping up?" glance
    needs, answered straight off the session listener. *)
@@ -679,69 +566,9 @@ let health_line t =
     (Overload.mem_used ()) t.cfg.memory_budget st.stalls st.sessions st.spilled
     st.caught_up st.events st.races
 
-(* Spill-tier ingestion: stream the session's bytes straight to the
-   fsync'd journal at decoder speed, counting events but analyzing
-   nothing — the catch-up drainer owns the deferred analysis. Returns
-   the event count once the end-of-stream frame commits the journal. *)
-let spill_ingest conn j ~resync =
-  let dec = Crd_wire.Bigcodec.Decoder.create ~resync () in
-  let buf = Bytes.create 65536 in
-  let events = ref 0 in
-  let result = ref None in
-  let fail kind msg = result := Some (Error (kind, msg)) in
-  Fun.protect
-    ~finally:(fun () -> Crd_wire.Bigcodec.Decoder.release dec)
-    (fun () ->
-      while !result = None do
-        match
-          if Crd_fault.fire fp_sock_read then
-            raise
-              (Unix.Unix_error (Unix.EIO, "read", "injected fault: sock_read"));
-          Proto.read_retry conn buf 0 (Bytes.length buf)
-        with
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            fail Timeout "idle timeout: no client bytes"
-        | exception Unix.Unix_error (e, _, arg) ->
-            fail Io
-              (if arg = "" then Unix.error_message e
-               else Unix.error_message e ^ " (" ^ arg ^ ")")
-        | 0 -> (
-            match Crd_wire.Bigcodec.Decoder.finish dec with
-            | Ok () -> fail Decode "connection closed before end-of-stream"
-            | Error e -> fail Decode (Crd_wire.Codec.error_to_string e))
-        | n -> (
-            match
-              try
-                Journal.append_bytes j ~len:n buf;
-                Ok ()
-              with
-              | Crd_fault.Injected p ->
-                  Error (Printf.sprintf "injected fault: %s" p)
-              | Unix.Unix_error (e, fn, _) ->
-                  Error
-                    (Printf.sprintf "journal %s: %s" fn (Unix.error_message e))
-            with
-            | Error msg -> fail Io msg
-            | Ok () -> (
-                match
-                  Crd_wire.Bigcodec.Decoder.feed_bytes_iter dec ~len:n buf
-                    ~f:(fun _ -> incr events)
-                with
-                | Error e -> fail Decode (Crd_wire.Codec.error_to_string e)
-                | Ok () ->
-                    if Crd_wire.Bigcodec.Decoder.finished dec then (
-                      match Journal.commit j with
-                      | () -> result := Some (Ok !events)
-                      | exception Unix.Unix_error (e, fn, _) ->
-                          fail Io
-                            (Printf.sprintf "journal %s: %s" fn
-                               (Unix.error_message e)))))
-      done;
-      Option.get !result)
-
 (* [tier] is the admission-time verdict from the accept loop; [hb] is
-   this worker slot's heartbeat, stamped as event batches drain so the
-   watchdog can tell "slow" from "stuck". *)
+   this worker slot's heartbeat, stamped on every read so the watchdog
+   can tell "slow" from "stuck". *)
 let session t hb tier conn =
   let cfg = t.cfg in
   Crd_obs.Gauge.incr m_active;
@@ -780,16 +607,14 @@ let session t hb tier conn =
         Crd_fault.inject fp_sock_write;
         Proto.write_all conn s
       in
-      let finish ?journal ~nonce ~spec outcome hw =
+      let finish ?journal ~nonce ~spec outcome =
         (match outcome with
         | Ok (buf, (res : Analyzer.result)) ->
             let events = res.events and reports = res.rd2_reports in
             let races = List.length reports in
-            Printf.bprintf buf
-              "STATS events=%d races=%d distinct=%d queue_hw=%d wall_s=%.6f\n"
+            Printf.bprintf buf "STATS events=%d races=%d distinct=%d wall_s=%.6f\n"
               events races
               (Array.length res.rd2_distinct)
-              hw
               (Crd_obs.Span.elapsed_s span);
             (* The reply's only copy: a large session's reply is tens of
                megabytes. *)
@@ -910,6 +735,8 @@ let session t hb tier conn =
                   Crd_obs.Span.finish hs;
                   reject Io msg
               | Ok journal -> (
+                  Fun.protect ~finally:(fun () -> Option.iter Journal.close journal)
+                  @@ fun () ->
                   (try Proto.send_accept conn with Unix.Unix_error _ -> ());
                   Crd_obs.Span.finish hs;
                   (* Simulated session-body bug: raises past this
@@ -922,6 +749,11 @@ let session t hb tier conn =
                      into the same crash handling. *)
                   if Crd_fault.fire Overload.fp_stall then
                     Overload.stall_until_cancelled hb;
+                  let beat = Overload.Heartbeat.beat hb in
+                  let guarded f =
+                    Crd_obs.time m_analyze_seconds (fun () ->
+                        try f () with e -> Error (Analysis, Printexc.to_string e))
+                  in
                   match (tier, journal) with
                   | Overload.Spill, Some j -> (
                       (* Spill tier: journal at decoder speed, ack, and
@@ -931,19 +763,18 @@ let session t hb tier conn =
                          committed-unreported, exactly what restart
                          recovery replays. *)
                       let jn = Journal.nonce j in
+                      let events = ref 0 in
                       match
-                        Crd_obs.time m_analyze_seconds (fun () ->
-                            try spill_ingest conn j ~resync:cfg.resync
-                            with e -> Error (Analysis, Printexc.to_string e))
+                        guarded (fun () ->
+                            ingest ~journal:j ~beat ~resync:cfg.resync conn
+                              ~f:(fun _ -> incr events))
                       with
-                      | Ok events ->
-                          let bytes = Journal.size j in
-                          Journal.close j;
+                      | Ok () ->
+                          let events = !events and bytes = Journal.size j in
                           record_spilled t ~events;
                           Overload.note_spilled ~bytes;
                           ignore
-                            (Bqueue.push_raw t.catchup
-                               (jn, Crd_obs.now_s (), bytes));
+                            (Bqueue.push t.catchup (jn, Crd_obs.now_s (), bytes));
                           Crd_obs.Log.info "session_spilled"
                             [
                               ("nonce", jn);
@@ -954,65 +785,33 @@ let session t hb tier conn =
                             Printf.sprintf
                               "OK\n\
                                spilled: analysis deferred to catch-up\n\
-                               STATS events=%d races=0 distinct=0 \
-                               queue_hw=0 spilled=1 wall_s=%.6f\n"
+                               STATS events=%d races=0 distinct=0 spilled=1 \
+                               wall_s=%.6f\n"
                               events
                               (Crd_obs.Span.elapsed_s span)
                           in
                           (try write_reply reply
                            with Unix.Unix_error _ | Crd_fault.Injected _ -> ());
                           close_conn ()
-                      | Error (kind, msg) ->
-                          Journal.close j;
-                          Crd_obs.Counter.incr (err_counter kind);
-                          Crd_obs.Log.warn "session_error"
-                            [ ("kind", err_kind_label kind); ("err", msg) ];
-                          (try write_reply ("ERR " ^ msg ^ "\n")
-                           with Unix.Unix_error _ | Crd_fault.Injected _ -> ());
-                          record t ~events:0 ~races:0 ~error:true;
-                          close_conn ())
+                      | Error e -> finish ~nonce ~spec:spec_name (Error e))
                   | _ ->
-                      let q =
-                        Bqueue.create ~fault:fp_queue_push ~weight:item_weight
-                          ~capacity:cfg.queue_capacity ()
-                      in
-                      let hw = ref 0 in
-                      let reader =
-                        Thread.create
-                          (fun () ->
-                            read_loop ?journal ~resync:cfg.resync conn q hw)
-                          ()
-                      in
                       let outcome =
-                        Crd_obs.time m_analyze_seconds (fun () ->
-                            try
-                              analyze_session
-                                ~beat:(Overload.Heartbeat.beat hb)
-                                cfg spec_for q
-                            with e -> Error (Analysis, Printexc.to_string e))
-                      in
-                      (* On an analysis-side abort the reader may still be
-                         blocked pushing: closing the queue releases it.
-                         The discard returns any undrained items' bytes to
-                         the memory accounting. *)
-                      Bqueue.close q;
-                      Thread.join reader;
-                      ignore (Bqueue.discard q);
-                      let journal_dest =
-                        match (cfg.journal, journal) with
-                        | Some dir, Some j -> Some (dir, Journal.nonce j)
-                        | _ -> None
+                        guarded (fun () ->
+                            analyze_with cfg spec_for
+                              ~drain:
+                                (ingest ?journal ~beat ~resync:cfg.resync conn))
                       in
                       (* Publish under the journal nonce when there is one:
                          that is the name a post-crash replay will present,
                          so the dedup matches replay against live. *)
-                      let publish_nonce =
-                        match journal_dest with
-                        | Some (_, jn) -> jn
-                        | None -> nonce
+                      let journal_dest, publish_nonce =
+                        match (cfg.journal, journal) with
+                        | Some dir, Some j ->
+                            (Some (dir, Journal.nonce j), Journal.nonce j)
+                        | _ -> (None, nonce)
                       in
                       finish ?journal:journal_dest ~nonce:publish_nonce
-                        ~spec:spec_name outcome !hw)))))
+                        ~spec:spec_name outcome)))))
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop and worker pool                                         *)
@@ -1085,15 +884,7 @@ let accept_loop t =
                   Overload.evaluate t.overload ~pending ~active
                     ~workers:t.cfg.workers
                 in
-                (* Legacy bound: [--shed-backlog] sheds on queue depth
-                   alone, ladder or no ladder. The ladder itself sheds
-                   only on memory-budget exhaustion. *)
-                let legacy_shed =
-                  t.cfg.shed_backlog > 0
-                  && active >= t.cfg.workers
-                  && pending >= t.cfg.shed_backlog
-                in
-                if tier = Overload.Shed || legacy_shed then begin
+                if tier = Overload.Shed then begin
                   record_busy t;
                   Crd_obs.Log.warn "session_shed"
                     [
@@ -1154,7 +945,7 @@ let rec spawn_worker t idx =
     Some
       (Domain.spawn (fun () ->
            try worker_loop t idx
-           with _ -> ignore (Bqueue.push_raw t.deaths idx)))
+           with _ -> ignore (Bqueue.push t.deaths idx)))
 
 and supervisor_loop t =
   match Bqueue.pop t.deaths with
@@ -1171,55 +962,67 @@ and supervisor_loop t =
 (* Spill catch-up and the stall watchdog                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Replay one committed spill segment: mmap the journal, run it through
-   the engine with at least two shards (so a long segment does not
-   compete with live sessions for single-threaded throughput), and
-   publish under the session nonce, where the racedb's durable dedup
-   makes a replay of an already-published segment a no-op. An
-   unanalyzable segment gets an [ERR] report so it is not replayed
-   forever — here or by restart recovery. *)
+(* Replay one committed journal — a spill segment or a session a
+   killed process left unreported: mmap it, run it through
+   [analyze_with] (the path its live session would have taken), publish
+   under the session nonce, where the racedb's durable dedup makes a
+   replay of an already-published session a no-op, and leave the report
+   in [<nonce>.report]. An unanalyzable journal gets an [ERR] report so
+   it is not replayed forever, here or by the next restart. *)
+let replay_journal t ~jobs ~dir nonce =
+  let outcome =
+    match Journal.map_committed ~dir ~nonce with
+    | Error msg -> Error (Io, msg)
+    | Ok (big, spec_name) -> (
+        match resolve_spec_set t.cfg spec_name with
+        | Error msg -> Error (Spec, msg)
+        | Ok spec_for -> (
+            match
+              try
+                analyze_with { t.cfg with jobs } spec_for
+                  ~drain:(drain_of_big big ~resync:t.cfg.resync)
+              with e -> Error (Analysis, Printexc.to_string e)
+            with
+            | Error _ as e -> e
+            | Ok (buf, res) ->
+                (match t.racedb with
+                | Some sink ->
+                    sink_publish sink ~nonce ~spec:spec_name res.rd2_reports
+                | None -> ());
+                Ok (Buffer.contents buf, res)))
+  in
+  let text =
+    match outcome with
+    | Ok (text, _) -> text
+    | Error (kind, msg) ->
+        Crd_obs.Counter.incr (err_counter kind);
+        "ERR " ^ msg ^ "\n"
+  in
+  (try Journal.write_report ~dir ~nonce text
+   with Unix.Unix_error _ | Sys_error _ ->
+     Crd_obs.Log.warn "journal_report_unwritable" [ ("nonce", nonce) ]);
+  Result.map snd outcome
+
+(* A spill segment replays with at least two shards, so a long segment
+   does not compete with live sessions for single-threaded throughput. *)
 let catchup_one t dir (nonce, committed_at, bytes) =
   Fun.protect
     ~finally:(fun () ->
       Overload.note_caught_up ~bytes
         ~lag_s:(Float.max 0. (Crd_obs.now_s () -. committed_at)))
     (fun () ->
-      let fail kind msg =
-        Crd_obs.Counter.incr (err_counter kind);
-        Crd_obs.Log.err "catchup_failed" [ ("nonce", nonce); ("err", msg) ];
-        try Journal.write_report ~dir ~nonce ("ERR " ^ msg ^ "\n")
-        with Unix.Unix_error _ | Sys_error _ -> ()
-      in
-      match Journal.map_committed ~dir ~nonce with
-      | Error msg -> fail Io msg
-      | Ok (big, spec_name) -> (
-          match resolve_spec_set t.cfg spec_name with
-          | Error msg -> fail Spec msg
-          | Ok spec_for -> (
-              let cfg = { t.cfg with jobs = max t.cfg.jobs 2 } in
-              match
-                try
-                  analyze_with cfg spec_for
-                    ~drain:(drain_of_big big ~resync:t.cfg.resync)
-                with e -> Error (Analysis, Printexc.to_string e)
-              with
-              | Error (kind, msg) -> fail kind msg
-              | Ok (buf, res) ->
-                  let events = res.events and reports = res.rd2_reports in
-                  record_catchup t ~races:(List.length reports);
-                  (match t.racedb with
-                  | Some sink -> sink_publish sink ~nonce ~spec:spec_name reports
-                  | None -> ());
-                  (try Journal.write_report ~dir ~nonce (Buffer.contents buf)
-                   with Unix.Unix_error _ | Sys_error _ ->
-                     Crd_obs.Log.warn "catchup_report_unwritable"
-                       [ ("nonce", nonce) ]);
-                  Crd_obs.Log.info "catchup_done"
-                    [
-                      ("nonce", nonce);
-                      ("events", string_of_int events);
-                      ("races", string_of_int (List.length reports));
-                    ])))
+      match replay_journal t ~jobs:(max t.cfg.jobs 2) ~dir nonce with
+      | Error (_, msg) ->
+          Crd_obs.Log.err "catchup_failed" [ ("nonce", nonce); ("err", msg) ]
+      | Ok res ->
+          let races = List.length res.rd2_reports in
+          record_catchup t ~races;
+          Crd_obs.Log.info "catchup_done"
+            [
+              ("nonce", nonce);
+              ("events", string_of_int res.events);
+              ("races", string_of_int races);
+            ])
 
 let catchup_loop t dir =
   let continue = ref true in
@@ -1310,58 +1113,25 @@ let metrics_loop t mfd =
 (* ------------------------------------------------------------------ *)
 
 (* Replay committed-but-unreported journals left behind by a killed
-   process. Each one runs through [analyze_with] — the same path its
-   live session would have taken — and its report lands in
-   [<nonce>.report], where the client-facing tooling can find it. *)
+   process, each counted as a recovered session. *)
 let recover_journals t =
   match t.cfg.journal with
   | None -> ()
   | Some dir ->
       List.iter
         (fun nonce ->
-          let fail msg =
-            Crd_obs.Log.err "journal_recovery_failed"
-              [ ("nonce", nonce); ("err", msg) ]
-          in
-          match Journal.map_committed ~dir ~nonce with
-          | Error msg -> fail msg
-          | Ok (big, spec_name) -> (
-              match resolve_spec_set t.cfg spec_name with
-              | Error msg -> fail msg
-              | Ok spec_for ->
-                  let outcome =
-                    try
-                      analyze_with t.cfg spec_for
-                        ~drain:(drain_of_big big ~resync:t.cfg.resync)
-                    with e -> Error (Analysis, Printexc.to_string e)
-                  in
-                  let text =
-                    match outcome with
-                    | Ok (buf, res) ->
-                        let reports = res.rd2_reports in
-                        record t ~events:res.events ~races:(List.length reports)
-                          ~error:false;
-                        (* Publish under the session's journal nonce:
-                           if the dead process already published before
-                           the kill, [Db.publish] sees the nonce in its
-                           durable published set and drops the replay —
-                           counts never inflate. *)
-                        (match t.racedb with
-                        | Some sink ->
-                            sink_publish sink ~nonce ~spec:spec_name reports
-                        | None -> ());
-                        Buffer.contents buf
-                    | Error (kind, msg) ->
-                        Crd_obs.Counter.incr (err_counter kind);
-                        record t ~events:0 ~races:0 ~error:true;
-                        "ERR " ^ msg ^ "\n"
-                  in
-                  (try Journal.write_report ~dir ~nonce text
-                   with Unix.Unix_error _ | Sys_error _ ->
-                     fail "cannot write recovered report");
-                  record_recovered t;
-                  ignore (note_nonce t nonce);
-                  Crd_obs.Log.info "journal_recovered" [ ("nonce", nonce) ]))
+          (match replay_journal t ~jobs:t.cfg.jobs ~dir nonce with
+          | Ok res ->
+              record t ~events:res.events
+                ~races:(List.length res.rd2_reports)
+                ~error:false
+          | Error (_, msg) ->
+              record t ~events:0 ~races:0 ~error:true;
+              Crd_obs.Log.err "journal_recovery_failed"
+                [ ("nonce", nonce); ("err", msg) ]);
+          record_recovered t;
+          ignore (note_nonce t nonce);
+          Crd_obs.Log.info "journal_recovered" [ ("nonce", nonce) ])
         (Journal.committed_unreported ~dir)
 
 (* Is something actually answering on this unix socket? Stale socket
@@ -1571,6 +1341,7 @@ let start cfg =
                 Overload.create
                   {
                     Overload.memory_budget = cfg.memory_budget;
+                    shed_backlog = cfg.shed_backlog;
                     spill_watermark = cfg.spill_watermark;
                     stall_timeout = cfg.stall_timeout;
                   };

@@ -4,10 +4,13 @@
     the client handshakes (choosing the specification set), streams a
     {!Crd_wire.Codec} event stream, and receives the session's race
     report back. Sessions are multiplexed over a fixed pool of OCaml 5
-    domains; within a session, a socket-reader thread decodes events
-    into a bounded {!Bqueue} drained by the analyzing worker, so a fast
-    client cannot grow server memory beyond the queue capacity
-    (backpressure propagates through the kernel socket buffer).
+    domains. The worker that holds a session reads its socket itself —
+    one reusable 64 KiB buffer, appended to the journal and decoded in
+    place, each event stepped into the engine as it is decoded — so
+    there is no reader thread and no per-session queue. While the
+    worker analyzes, nobody reads: a fast client blocks on the kernel
+    socket buffer instead of growing server memory. The spill tier
+    reads through the same loop and only counts the events.
 
     Every session streams its events into one {!Crd.Analyzer} built
     with [jobs]: with [jobs > 1] and a session of at least
@@ -41,7 +44,8 @@
     - {e shedding} — with {!config.shed_backlog}[ > 0], connections
       arriving while every worker is busy and the backlog is full get
       an immediate [BUSY retry-after] reply instead of queueing without
-      bound ([server_busy_total]).
+      bound ([server_busy_total]). The bound is one of the
+      {!Overload} limits, so admission is one decision.
     - {e journaling} — with {!config.journal}[ = Some dir], each
       session's raw CRDW bytes are appended to [dir/<nonce>.crdj] and
       fsync-committed at end-of-stream; {!start} replays
@@ -57,7 +61,7 @@
       summary.
     - {e stall watchdog} — with {!config.stall_timeout}[ > 0.], a
       supervisor-side watchdog recycles any worker that stops making
-      per-batch progress, sending its client a retryable [ERR]. *)
+      per-read progress, sending its client a retryable [ERR]. *)
 
 open Crd
 
@@ -76,7 +80,6 @@ type config = {
       (** where to expose the {!Crd_obs.default} registry; [None] (the
           default) disables the metrics listener *)
   workers : int;  (** session-carrying domains (default {!Analyzer.recommended_jobs}) *)
-  queue_capacity : int;  (** per-connection event queue bound *)
   idle_timeout : float;  (** seconds without client bytes before a session is dropped; 0 disables *)
   analyzer : Analyzer.config;  (** detector set for every session *)
   jobs : int;
@@ -86,7 +89,8 @@ type config = {
   shed_backlog : int;
       (** when [> 0] and all workers are busy with [shed_backlog]
           connections already pending, new connections are shed with a
-          [BUSY] reply; [0] (the default) never sheds *)
+          [BUSY] reply ({!Overload.limits}[.shed_backlog]); [0] (the
+          default) never sheds on backlog *)
   retry_after_ms : int;  (** the retry hint sent with [BUSY] (default 200) *)
   journal : string option;
       (** directory for crash-safe session journals; [None] disables *)
@@ -114,9 +118,10 @@ type config = {
       (** target seconds for one full round over {!field-peers}
           (default 30); each peer's tick is jittered in [0.5x, 1.5x] *)
   memory_budget : int;
-      (** accounted-memory bytes ([mem_queue_bytes] + [mem_intern_bytes]
-          + [mem_vcpool_bytes]) past which admission sheds with [BUSY];
-          [0] (the default) never sheds on memory. See {!Overload}. *)
+      (** accounted-memory bytes ([mem_intern_bytes] +
+          [mem_vcpool_bytes]: live decoder state and vector-clock
+          arenas) past which admission sheds with [BUSY]; [0] (the
+          default) never sheds on memory. See {!Overload}. *)
   spill_watermark : int;
       (** admitted-but-unclaimed sessions that flip admission to the
           {e spill} tier while every worker is busy: new sessions are
@@ -126,7 +131,7 @@ type config = {
           nonce so race sets match the online path exactly. Requires
           {!field-journal}; [0] (the default) disables spilling. *)
   stall_timeout : float;
-      (** seconds without per-worker progress before the watchdog
+      (** seconds without a read by the session's worker before the watchdog
           writes a retryable [ERR] to the wedged session, shuts its
           socket down and recycles the worker through the respawn path
           ([server_stalls_total]). Should exceed {!field-idle_timeout}.
@@ -135,7 +140,7 @@ type config = {
 
 val default_config : addr:addr -> config
 (** RD2 (constant mode) only, [Analyzer.recommended_jobs ()] workers,
-    queue capacity 1024, 30 s idle timeout, [jobs = 1], no metrics
+    30 s idle timeout, [jobs = 1], no metrics
     listener, no shedding, no journal, strict (non-resync) decoding. *)
 
 type stats = {

@@ -41,31 +41,39 @@ let bigstring_to_string (b : bigstring) off len =
   done;
   Bytes.unsafe_to_string out
 
-(* Read-only mmap of a whole file. Must stay total: a file that cannot
+(* Read-only mmap of an open file. Must stay total: a file that cannot
    be mapped (a pipe, an exotic filesystem) is an [Error], and the
-   callers fall back to streaming reads. *)
-let map_file path =
+   callers fall back to streaming reads. Only a regular file maps: a
+   pipe's [st_size] is 0, which would otherwise read as an empty file. *)
+let map_fd path fd =
+  let module L = Unix.LargeFile in
+  match L.fstat fd with
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+  | { L.st_kind = Unix.S_REG; st_size = 0L; _ } -> Ok (create_bigstring 0)
+  | { L.st_kind = Unix.S_REG; st_size = size; _ }
+    when size > Int64.of_int max_int ->
+      Error (Printf.sprintf "%s: too large to map" path)
+  | { L.st_kind = Unix.S_REG; st_size = size; _ } -> (
+      match
+        Unix.map_file fd Bigarray.char Bigarray.c_layout false
+          [| Int64.to_int size |]
+      with
+      | exception Unix.Unix_error (e, _, _) ->
+          Error (Printf.sprintf "%s: mmap: %s" path (Unix.error_message e))
+      | genarray -> Ok (Bigarray.array1_of_genarray genarray))
+  | _ -> Error (Printf.sprintf "%s: not a regular file" path)
+
+let with_file path k =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
   | fd ->
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size with
-          | exception Unix.Unix_error (e, _, _) ->
-              Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-          | 0L -> Ok (create_bigstring 0)
-          | size when size > Int64.of_int max_int ->
-              Error (Printf.sprintf "%s: too large to map" path)
-          | size -> (
-              match
-                Unix.map_file fd Bigarray.char Bigarray.c_layout false
-                  [| Int64.to_int size |]
-              with
-              | exception Unix.Unix_error (e, _, _) ->
-                  Error (Printf.sprintf "%s: mmap: %s" path (Unix.error_message e))
-              | genarray -> Ok (Bigarray.array1_of_genarray genarray)))
+        (fun () -> k fd)
+
+let map_file path = with_file path (map_fd path)
 
 (* ------------------------------------------------------------------ *)
 (* Decoder                                                             *)
@@ -737,19 +745,42 @@ let decode_string ?resync s =
       Decoder.feed_bytes_iter dec (Bytes.unsafe_of_string s) ~f)
     ?resync ()
 
-(* mmap the file and decode in place; files that refuse to map (pipes,
-   special filesystems) stream through the legacy channel path instead,
-   so every caller keeps working on every input. *)
+(* Stream an unmappable file through the same decoder over one
+   reusable buffer, to EOF — so [?resync] and the result are exactly
+   those of [iter_bigstring] on the same bytes. *)
+let iter_fd ?resync fd ~f =
+  let dec = Decoder.create ?resync () in
+  let buf = Bytes.create 65536 in
+  let rec read () =
+    try Unix.read fd buf 0 (Bytes.length buf)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> read ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Decoder.release dec)
+    (fun () ->
+      let rec go () =
+        match read () with
+        | 0 -> Decoder.finish dec
+        | n -> (
+            match Decoder.feed_bytes_iter dec ~len:n buf ~f with
+            | Error e -> Error e
+            | Ok () -> go ())
+      in
+      go ())
+
+(* mmap a regular file and decode in place; anything else (a pipe, a
+   FIFO) streams from the same descriptor. The file is opened once:
+   reopening a FIFO would find its writer gone. *)
 let iter_file ?resync path ~f =
-  match map_file path with
-  | Ok b -> Result.map_error Codec.error_to_string (iter_bigstring ?resync b ~f)
-  | Error _ -> (
-      match
-        In_channel.with_open_bin path (fun ic -> Codec.iter_channel ic ~f)
-      with
-      | Ok () -> Ok ()
-      | Error e -> Error (Codec.error_to_string e)
-      | exception Sys_error msg -> Error msg)
+  with_file path (fun fd ->
+      match map_fd path fd with
+      | Ok b ->
+          Result.map_error Codec.error_to_string (iter_bigstring ?resync b ~f)
+      | Error _ -> (
+          match iter_fd ?resync fd ~f with
+          | r -> Result.map_error Codec.error_to_string r
+          | exception Unix.Unix_error (e, _, _) ->
+              Error (Printf.sprintf "%s: %s" path (Unix.error_message e))))
 
 let of_file ?resync path =
   let trace = Trace.create () in

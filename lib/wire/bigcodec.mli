@@ -30,10 +30,10 @@ val bigstring_to_string : bigstring -> int -> int -> string
 (** [bigstring_to_string b off len] copies the slice out. *)
 
 val map_file : string -> (bigstring, string) result
-(** Read-only [Unix.map_file] of a whole file ([Error _] for files that
-    cannot be mapped — pipes, oversized, unreadable). An empty file maps
-    to an empty bigstring without touching [mmap]. The mapping is
-    released when the bigstring is collected. *)
+(** Read-only [Unix.map_file] of a whole regular file ([Error _] for
+    files that cannot be mapped — pipes, oversized, unreadable). An
+    empty file maps to an empty bigstring without touching [mmap]. The
+    mapping is released when the bigstring is collected. *)
 
 module Decoder : sig
   type t
@@ -106,7 +106,9 @@ val iter_bigstring :
 
 val iter_file :
   ?resync:bool -> string -> f:(Event.t -> unit) -> (unit, string) result
-(** mmap + decode in place; falls back to the streaming channel path for
-    files that refuse to map, so pipes and special files keep working. *)
+(** mmap + decode in place; a file that is not regular or refuses to
+    map (a pipe, a FIFO) streams through {!Decoder.feed_bytes_iter} over
+    one reusable buffer instead, with the same [?resync] and the same
+    result as {!iter_bigstring} on the same bytes. *)
 
 val of_file : ?resync:bool -> string -> (Trace.t, string) result

@@ -654,30 +654,3 @@ let to_file path trace =
   match Out_channel.with_open_bin path (fun oc -> write_channel oc trace) with
   | () -> Ok ()
   | exception Sys_error msg -> Error msg
-
-let iter_channel ic ~f =
-  let dec = Decoder.create () in
-  let bytes = Bytes.create 65536 in
-  let rec go () =
-    let n = Stdlib.input ic bytes 0 (Bytes.length bytes) in
-    if n = 0 then Decoder.finish dec
-    else
-      match Decoder.feed dec (Bytes.sub_string bytes 0 n) with
-      | Error e -> Error e
-      | Ok events ->
-          List.iter f events;
-          if Decoder.finished dec then Decoder.finish dec else go ()
-  in
-  go ()
-
-let of_channel ic =
-  let trace = Trace.create () in
-  match iter_channel ic ~f:(Trace.append trace) with
-  | Ok () -> Ok trace
-  | Error e -> Error e
-
-let of_file path =
-  match In_channel.with_open_bin path of_channel with
-  | Ok t -> Ok t
-  | Error e -> Error (error_to_string e)
-  | exception Sys_error msg -> Error msg

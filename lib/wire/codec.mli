@@ -129,13 +129,6 @@ val decode_string : ?resync:bool -> string -> (Trace.t, error) result
 val write_channel : out_channel -> Trace.t -> unit
 val to_file : string -> Trace.t -> (unit, string) result
 
-val iter_channel : in_channel -> f:(Event.t -> unit) -> (unit, error) result
-(** Stream-decode a channel with a fixed 64 KiB read buffer, calling
-    [f] on each event as soon as its frame is complete. *)
-
-val of_channel : in_channel -> (Trace.t, error) result
-val of_file : string -> (Trace.t, string) result
-
 (** {1 Wire helpers} (shared with the server handshake) *)
 
 val add_varint : Buffer.t -> int -> unit

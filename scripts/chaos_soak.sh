@@ -61,7 +61,7 @@ echo "chaos_soak: seed=$SEED duration=${DURATION}s clients=$CLIENTS" \
 # the soak while a 10-retry client still converges. No --resync: a
 # corrupted frame must fail (and be retried) loudly, not be skipped.
 FAULTS="seed=$SEED,sock_read=p:0.01,sock_write=p:0.02,decode_frame=p:0.01"
-FAULTS="$FAULTS,worker_body=p:0.03,queue_push=p:0.0005,journal_append=p:0.002"
+FAULTS="$FAULTS,worker_body=p:0.03,journal_append=p:0.002"
 
 "$RD2" serve -a "unix:$SOCK" --workers 2 --backlog 16 \
   --journal "$WORK/journal" --faults "$FAULTS" \

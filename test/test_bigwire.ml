@@ -257,6 +257,68 @@ let mapped_file_roundtrip () =
             "of_file = original" true
             (Trace.to_list t' = Trace.to_list t))
 
+(* A FIFO cannot be mapped, so [iter_file] streams it through the same
+   decoder: with [~resync:true], a stream carrying a corrupt frame must
+   yield exactly the events (and result) of [iter_bigstring
+   ~resync:true] on the same bytes. The stream is several pipe buffers
+   long, so the reader sees many partial reads. *)
+let fifo_resync_agrees () =
+  let t = Trace.create () in
+  let sample = Test_wire.sample_trace () in
+  for _ = 1 to 2000 do
+    Trace.iter_events sample ~f:(Trace.append t)
+  done;
+  let bin = Wire.encode_trace ~chunk_bytes:64 t in
+  let cut = Test_wire.first_frame_boundary bin in
+  let corrupted =
+    String.sub bin 0 cut ^ "\x01\x01\x01\x01"
+    ^ String.sub bin cut (String.length bin - cut)
+  in
+  let collect iter =
+    let events = ref [] in
+    let r = iter ~f:(fun e -> events := e :: !events) in
+    (r, List.rev !events)
+  in
+  let big = Big.bigstring_of_string corrupted in
+  (match Big.iter_bigstring big ~f:ignore with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "corruption not detected without resync");
+  let expected_r, expected =
+    collect (fun ~f ->
+        Result.map_error Wire.error_to_string
+          (Big.iter_bigstring ~resync:true big ~f))
+  in
+  Alcotest.(check int) "resync recovers every event" (Trace.length t)
+    (List.length expected);
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "crd-bigwire-fifo-%d" (Unix.getpid ()))
+  in
+  Unix.mkfifo path 0o600;
+  (* A reader that gives up early must fail this test, not kill it. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let writer =
+        Thread.create
+          (fun () ->
+            let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                try
+                  ignore
+                    (Unix.write_substring fd corrupted 0 (String.length corrupted))
+                with Unix.Unix_error (Unix.EPIPE, _, _) -> ()))
+          ()
+      in
+      let got_r, got = collect (Big.iter_file ~resync:true path) in
+      Thread.join writer;
+      Alcotest.(check (result unit string)) "same result" expected_r got_r;
+      Alcotest.(check bool) "same events" true (got = expected))
+
 let suite =
   ( "bigwire",
     [
@@ -269,6 +331,8 @@ let suite =
       Alcotest.test_case "intern pool materializes once" `Quick
         intern_materializes_once;
       Alcotest.test_case "mmap'd file round trip" `Quick mapped_file_roundtrip;
+      Alcotest.test_case "FIFO resync = iter_bigstring" `Quick
+        fifo_resync_agrees;
       Alcotest.test_case "streaming iter agrees" `Quick streaming_iter_agrees;
       Alcotest.test_case "consumer exception propagates" `Quick
         consumer_exception_propagates;

@@ -1,6 +1,7 @@
-(* Unit tests for the bounded blocking queue underpinning session
-   backpressure: FIFO order, the capacity bound actually blocking
-   producers, and close waking everyone with the documented returns. *)
+(* Unit tests for the bounded blocking queue the server hands
+   connections, racedb batches and spill segments through: FIFO order,
+   the capacity bound actually blocking producers, and close waking
+   everyone with the documented returns. *)
 
 module Bqueue = Crd_server.Bqueue
 
@@ -83,27 +84,6 @@ let close_wakes_blocked () =
   Thread.join consumer;
   Alcotest.(check (option int)) "blocked pop returns None" None !blocked_pop
 
-(* The optional fault point makes push fail deterministically — the
-   hook the server's chaos tests hang queue corruption on — while
-   push_raw stays fault-free for delivering error items. *)
-let fault_injection () =
-  match Crd_fault.configure "qp_test=nth:2" with
-  | Error e -> Alcotest.failf "configure: %s" e
-  | Ok () ->
-      Fun.protect ~finally:Crd_fault.reset (fun () ->
-          let q =
-            Bqueue.create ~fault:(Crd_fault.point "qp_test") ~capacity:4 ()
-          in
-          assert (Bqueue.push q 1);
-          (match Bqueue.push q 2 with
-          | _ -> Alcotest.fail "second push did not fault"
-          | exception Crd_fault.Injected "qp_test" -> ());
-          Alcotest.(check bool) "push_raw bypasses the fault" true
-            (Bqueue.push_raw q 2);
-          Alcotest.(check int) "faulted element was not enqueued" 2
-            (Bqueue.length q);
-          Alcotest.(check bool) "later pushes recover" true (Bqueue.push q 3))
-
 let suite =
   ( "bqueue",
     [
@@ -114,5 +94,4 @@ let suite =
         producer_blocks_at_capacity;
       Alcotest.test_case "close wakes blocked threads" `Quick
         close_wakes_blocked;
-      Alcotest.test_case "fault point injects on push" `Quick fault_injection;
     ] )

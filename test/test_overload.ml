@@ -1,7 +1,6 @@
 (* The degradation ladder end to end: tier decisions, spill admission
    with catch-up race-set identity, shedding only on memory-budget
-   exhaustion, the stall watchdog, batched queue handoff, and the sync
-   exchange deadline. *)
+   exhaustion, the stall watchdog, and the sync exchange deadline. *)
 
 open Crd
 module Server = Crd_server.Server
@@ -9,7 +8,6 @@ module Client = Crd_server.Client
 module Proto = Crd_server.Proto
 module Journal = Crd_server.Journal
 module Overload = Crd_server.Overload
-module Bqueue = Crd_server.Bqueue
 module W = Crd_workloads
 
 let sock_counter = ref 0
@@ -124,6 +122,9 @@ let metric_value dump name =
          | _ -> None)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Nothing charges [mem_queue_bytes] since sessions stopped queueing
+   events; the spill test still checks it is back at its baseline. *)
 let g_queue = Crd_obs.gauge "mem_queue_bytes"
 let g_intern = Crd_obs.gauge "mem_intern_bytes"
 
@@ -133,18 +134,21 @@ let g_intern = Crd_obs.gauge "mem_intern_bytes"
 
 (* The ladder as a pure decision table: spill needs both busy workers
    and a backlog at the watermark, hysteresis holds spill until the
-   backlog has really drained, and only the memory budget sheds. *)
+   backlog has really drained, and only the memory budget — or an
+   explicit backlog bound — sheds. *)
 let tier_ladder () =
   let base = Overload.mem_used () in
-  let ov =
+  let ladder ?(shed_backlog = 0) () =
     Overload.create
       {
         Overload.memory_budget = base + 4096;
+        shed_backlog;
         spill_watermark = 4;
         stall_timeout = 0.;
       }
   in
-  let check msg expect ~pending ~active =
+  let ov = ladder () in
+  let check ?(ov = ov) msg expect ~pending ~active =
     Alcotest.(check string)
       msg
       (Overload.tier_name expect)
@@ -164,50 +168,27 @@ let tier_ladder () =
     ~pending:1 ~active:1;
   let charge = 8192 in
   Fun.protect
-    ~finally:(fun () -> Crd_obs.Gauge.add g_queue (-charge))
+    ~finally:(fun () -> Crd_obs.Gauge.add g_intern (-charge))
     (fun () ->
-      Crd_obs.Gauge.add g_queue charge;
+      Crd_obs.Gauge.add g_intern charge;
       check "memory budget exhaustion sheds" Overload.Shed ~pending:0 ~active:0);
-  check "released memory recovers" Overload.Normal ~pending:0 ~active:0
-
-(* ------------------------------------------------------------------ *)
-(* Batched queue handoff                                               *)
-(* ------------------------------------------------------------------ *)
-
-let bqueue_batching () =
-  let base = Crd_obs.Gauge.get g_queue in
-  let q = Bqueue.create ~weight:String.length ~capacity:32 () in
-  let items = Array.init 20 (fun i -> Printf.sprintf "item-%02d" i) in
-  let weight = Array.fold_left (fun a s -> a + String.length s) 0 items in
-  Alcotest.(check int)
-    "push_slice admits the whole slice" 20
-    (Bqueue.push_slice q items 0 20);
-  Alcotest.(check int)
-    "slice weight accounted" (base + weight)
-    (Crd_obs.Gauge.get g_queue);
-  let b1 = Bqueue.pop_batch q ~max:8 in
-  Alcotest.(check (array string))
-    "first batch in order" (Array.sub items 0 8) b1;
-  let b2 = Bqueue.pop_batch q ~max:100 in
-  Alcotest.(check (array string))
-    "second batch drains the rest" (Array.sub items 8 12) b2;
-  Alcotest.(check int)
-    "drained weight released" base
-    (Crd_obs.Gauge.get g_queue);
-  Alcotest.(check bool)
-    "batch sizes observed" true
-    (contains (Crd_obs.dump ()) "bqueue_batch_size");
-  (* error path: a queue abandoned with items still in it must return
-     their accounted bytes *)
-  Alcotest.(check int) "refill" 5 (Bqueue.push_slice q items 0 5);
-  Alcotest.(check int) "discard count" 5 (Bqueue.discard q);
-  Alcotest.(check int)
-    "discard releases weight" base
-    (Crd_obs.Gauge.get g_queue);
-  Bqueue.close q;
-  Alcotest.(check (array string))
-    "closed and drained pops empty" [||]
-    (Bqueue.pop_batch q ~max:8)
+  check "released memory recovers" Overload.Normal ~pending:0 ~active:0;
+  (* The backlog bound ([--backlog]) sheds ahead of spilling, but only
+     while every worker is busy. *)
+  let ov = ladder ~shed_backlog:6 () in
+  check ~ov "backlog below the bound spills" Overload.Spill ~pending:5 ~active:2;
+  check ~ov "full backlog with busy workers sheds" Overload.Shed ~pending:6
+    ~active:2;
+  check ~ov "full backlog with a free worker does not shed" Overload.Spill
+    ~pending:6 ~active:1;
+  check ~ov "drained backlog recovers" Overload.Normal ~pending:0 ~active:0;
+  let ov = Overload.create { Overload.no_limits with shed_backlog = 1 } in
+  check ~ov "backlog bound without a ladder: free worker admits"
+    Overload.Normal ~pending:3 ~active:1;
+  check ~ov "backlog bound without a ladder: sheds" Overload.Shed ~pending:1
+    ~active:2;
+  check ~ov "backlog bound without a ladder: recovers" Overload.Normal
+    ~pending:0 ~active:2
 
 (* ------------------------------------------------------------------ *)
 (* HEALTH probe                                                        *)
@@ -378,9 +359,9 @@ let shed_on_memory_budget () =
     (fun ~addr ~server ->
       let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
       Fun.protect
-        ~finally:(fun () -> Crd_obs.Gauge.add g_queue (-charge))
+        ~finally:(fun () -> Crd_obs.Gauge.add g_intern (-charge))
         (fun () ->
-          Crd_obs.Gauge.add g_queue charge;
+          Crd_obs.Gauge.add g_intern charge;
           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           Fun.protect
             ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -502,7 +483,6 @@ let overcapacity_bounded () =
       {
         c with
         Server.workers = 1;
-        queue_capacity = 64;
         spill_watermark = 1;
         journal = Some jdir;
       })
@@ -551,7 +531,6 @@ let suite =
   ( "overload",
     [
       Alcotest.test_case "tier ladder decisions" `Quick tier_ladder;
-      Alcotest.test_case "bqueue slice batching" `Quick bqueue_batching;
       Alcotest.test_case "HEALTH probe" `Quick health_probe;
       Alcotest.test_case "spill admission, catch-up identity" `Quick
         spill_catchup_identity;

@@ -90,19 +90,6 @@ let races_match_offline_sharded () =
       Alcotest.(check (list string))
         "jobs=2 server races = offline races" expected (reply_race_lines reply))
 
-(* A queue bound far below the trace length forces the backpressure
-   path (reader blocks, client write stalls on the socket buffer); the
-   session must still complete with identical results. *)
-let tiny_queue () =
-  let trace = snitch_trace () in
-  let expected = offline_race_lines trace in
-  with_server
-    ~f_config:(fun c -> { c with Server.queue_capacity = 4; workers = 1 })
-    (fun ~addr ~server:_ ->
-      let reply = send_exn ~addr trace in
-      Alcotest.(check (list string))
-        "queue=4 races = offline races" expected (reply_race_lines reply))
-
 let concurrent_clients () =
   let trace = snitch_trace () in
   let expected = offline_race_lines trace in
@@ -258,7 +245,6 @@ let metrics_endpoint () =
           "server_races_total";
           "server_errors_decode_total";
           "server_conn_queue_depth_hw";
-          "server_session_queue_depth_hw";
           "server_session_seconds_bucket{le=";
           "server_handshake_seconds_sum";
           "server_analyze_seconds_count";
@@ -865,13 +851,136 @@ let racedb_replay_no_double_count () =
             (e.Crd_racedb.Entry.fingerprint, Crd_racedb.Entry.count e))
           es))
 
+(* The worker's ingest loop has two exits besides end-of-stream, on
+   both tiers: a client that closes before the end-of-stream frame gets
+   a Decode ERR, and one that goes silent gets the idle-timeout ERR.
+   Neither may leave anything behind on the lone worker: the next
+   session on it reports exactly the offline races — live on the normal
+   tier, in the catch-up report on the spill tier. *)
+let ingest_exits () =
+  let trace = snitch_trace () in
+  let expected = offline_race_lines trace in
+  let bytes = encode_trace trace in
+  let partial = String.sub bytes 0 (String.length bytes / 2) in
+  let dir = fresh_dir "crd-exits" in
+  let counter name =
+    Option.value ~default:0 (metric_value (Crd_obs.dump ()) name)
+  in
+  with_server
+    ~f_config:(fun c ->
+      {
+        c with
+        Server.workers = 1;
+        idle_timeout = 1.5;
+        spill_watermark = 1;
+        journal = Some dir;
+      })
+    (fun ~addr ~server ->
+      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
+      let conn () =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        fd
+      in
+      (* Handshake and send [data]; [close_early] then half-closes, so
+         the server sees EOF mid-stream while we still read the reply. *)
+      let start ?(close_early = false) nonce data =
+        let fd = conn () in
+        Proto.send_handshake fd ~nonce ~spec:"std" ();
+        Proto.write_all fd data;
+        if close_early then Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        fd
+      in
+      let reply_of fd =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            (match Proto.read_handshake_reply fd with
+            | Ok Proto.Accepted -> ()
+            | Ok _ | Error _ -> Alcotest.fail "handshake not accepted");
+            Proto.read_to_eof fd)
+      in
+      let expect_err what reply needle =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: ERR %s (%s)" what needle reply)
+          true
+          (String.starts_with ~prefix:"ERR " reply && contains reply needle)
+      in
+      let decode0 = counter "server_errors_decode_total" in
+      let timeout0 = counter "server_errors_timeout_total" in
+      (* Normal tier. *)
+      expect_err "normal, closed early"
+        (reply_of (start ~close_early:true "n-trunc" partial))
+        "truncated";
+      Alcotest.(check (list string))
+        "normal: next session = offline races" expected
+        (reply_race_lines (send_exn ~addr trace));
+      expect_err "normal, silent"
+        (reply_of (start "n-idle" partial))
+        "idle timeout";
+      Alcotest.(check (list string))
+        "normal: next session = offline races after a timeout" expected
+        (reply_race_lines (send_exn ~addr trace));
+      (* Spill tier: c1 pins the worker and c2 waits, so every later
+         connection is admitted while the worker is busy — c3 trips the
+         watermark and the hysteresis holds the spill tier for the rest.
+         Each failing spill session is followed by a good one, whose
+         catch-up report must carry the offline races. *)
+      let spill0 = counter "overload_to_spill_total" in
+      let accepted0 = counter "server_accepted_total" in
+      (* The last session may still be closing: only once it is gone
+         does an active session mean the worker holds c1. *)
+      poll "previous sessions never finished" (fun () ->
+          counter "server_sessions_active" = 0);
+      let c1 = conn () in
+      poll "worker never picked up the pin" (fun () ->
+          counter "server_sessions_active" >= 1);
+      let c2 = conn () in
+      let c3 = start ~close_early:true "s-trunc" partial in
+      poll "c3 never admitted on the spill tier" (fun () ->
+          counter "overload_to_spill_total" > spill0);
+      let c4 = start "s-good1" bytes in
+      let c5 = start "s-idle" partial in
+      let c6 = start "s-good2" bytes in
+      poll "not every connection admitted" (fun () ->
+          counter "server_accepted_total" >= accepted0 + 6);
+      Alcotest.(check int) "admission still on the spill tier" 1
+        (counter "overload_tier");
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ c1; c2 ];
+      expect_err "spill, closed early" (reply_of c3) "truncated";
+      let spilled what fd =
+        let reply = reply_of fd in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: spill ack (%s)" what reply)
+          true
+          (contains reply "spilled=1")
+      in
+      spilled "spill, after a Decode ERR" c4;
+      expect_err "spill, silent" (reply_of c5) "idle timeout";
+      spilled "spill, after a timeout" c6;
+      poll "catch-up never drained both segments" (fun () ->
+          (Server.stats server).Server.caught_up >= 2);
+      Alcotest.(check int) "two decode ERRs" (decode0 + 2)
+        (counter "server_errors_decode_total");
+      Alcotest.(check int) "two idle timeouts" (timeout0 + 2)
+        (counter "server_errors_timeout_total");
+      Alcotest.(check int)
+        "two spilled sessions" 2 (Server.stats server).Server.spilled);
+  List.iter
+    (fun nonce ->
+      Alcotest.(check (list string))
+        (nonce ^ ": catch-up races = offline races") expected
+        (reply_race_lines (read_file (Filename.concat dir (nonce ^ ".report")))))
+    [ "s-good1"; "s-good2" ]
+
 let suite =
   ( "server",
     [
       Alcotest.test_case "races = offline check" `Quick races_match_offline;
       Alcotest.test_case "races = offline (jobs=2)" `Quick
         races_match_offline_sharded;
-      Alcotest.test_case "backpressure (queue=4)" `Quick tiny_queue;
       Alcotest.test_case "concurrent clients" `Quick concurrent_clients;
       Alcotest.test_case "unknown spec rejected" `Quick unknown_spec_rejected;
       Alcotest.test_case "malformed event ERR (jobs=1)" `Quick
@@ -905,4 +1014,6 @@ let suite =
         sigterm_graceful_drain;
       Alcotest.test_case "sharded session = offline check" `Quick
         sharded_session;
+      Alcotest.test_case "ingest exits, both tiers"
+        `Quick ingest_exits;
     ] )
