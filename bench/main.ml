@@ -631,13 +631,15 @@ let sustained_overload ?(clients = 4) ~events () =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Race database: ingest throughput and query latency                  *)
+(* Race database: publish throughput and query latency                 *)
 (* ------------------------------------------------------------------ *)
 
 type racedb_record = {
-  rb_reports : int;
-  rb_ingest_ns : float;  (** full lifecycle: open, append all, close *)
-  rb_ingest_plain_ns : float;  (** same with [~rollups:false] *)
+  rb_sessions : int;
+  rb_reports : int;  (** records over all sessions *)
+  rb_distinct_per_session : float;  (** mean distinct fingerprints *)
+  rb_publish_ns : float;  (** full lifecycle: open, publish all, close *)
+  rb_publish_plain_ns : float;  (** same with [~rollups:false] *)
   rb_query_ns : float;  (** cold [Db.load] + [select ~top:10] *)
   rb_distinct : int;
 }
@@ -650,19 +652,33 @@ let rec rm_rf p =
   | _ -> Unix.unlink p
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-let racedb_bench ?(reports = 2000) ?(repeats = 3) () =
-  let races =
-    let an = Analyzer.with_stdspecs () in
-    Trace.iter_events (record_snitch ()) ~f:(Analyzer.sink an);
-    Array.of_list (Analyzer.rd2_races an)
+(* Times what the server's publisher does: one [Db.publish] per session
+   batch. A batch holds the races of one synthetic 20k-event session
+   (the crdbench serve-small-sessions input shape: thousands of races,
+   a fifth as many distinct fingerprints), all stamped with the
+   session's one ts. *)
+let racedb_bench ?(sessions = 4) ?(events = 20_000) ?(repeats = 3) () =
+  let batches =
+    List.init sessions (fun i ->
+        let an = Analyzer.with_stdspecs () in
+        Trace.iter_events
+          (W.Synth.generate ~seed:(Int64.of_int (7 + i)) (W.Synth.default ~events))
+          ~f:(Analyzer.sink an);
+        let ts = 1.7e9 +. float_of_int i in
+        ( Printf.sprintf "session-%d" i,
+          List.map
+            (fun r -> Crd_racedb.Record.make ~ts ~spec:"std" r)
+            (Analyzer.rd2_races an) ))
   in
-  if Array.length races = 0 then failwith "racedb benchmark: snitch found no races";
-  let records =
-    Array.init reports (fun i ->
-        Crd_racedb.Record.make
-          ~ts:(float_of_int i /. 50.)
-          ~spec:"std"
-          races.(i mod Array.length races))
+  let reports = List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 batches in
+  if reports = 0 then failwith "racedb benchmark: the sessions found no races";
+  let distinct =
+    List.fold_left
+      (fun acc (_, rs) ->
+        acc
+        + List.length
+            (List.sort_uniq Int64.compare (List.map Crd_racedb.Record.fingerprint rs)))
+      0 batches
   in
   let dir_counter = ref 0 in
   let fresh_dir () =
@@ -671,7 +687,7 @@ let racedb_bench ?(reports = 2000) ?(repeats = 3) () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "crd-bench-racedb-%d-%d" (Unix.getpid ()) !dir_counter)
   in
-  (* every timed run ingests into a brand-new store; the previous one
+  (* every timed run publishes into a brand-new store; the previous one
      is removed first so only the last survives for the query phase *)
   let ingest ~rollups =
     let last = ref None in
@@ -683,13 +699,15 @@ let racedb_bench ?(reports = 2000) ?(repeats = 3) () =
           match Crd_racedb.Db.open_db ~rollups dir with
           | Error e -> failwith ("racedb benchmark: " ^ e)
           | Ok db ->
-              Array.iter (Crd_racedb.Db.append db) records;
+              List.iter
+                (fun (nonce, rs) -> ignore (Crd_racedb.Db.publish db ~nonce rs : bool))
+                batches;
               Crd_racedb.Db.close db)
     in
     (ns, Option.get !last)
   in
-  let rb_ingest_ns, dir = ingest ~rollups:true in
-  let rb_ingest_plain_ns, plain_dir = ingest ~rollups:false in
+  let rb_publish_ns, dir = ingest ~rollups:true in
+  let rb_publish_plain_ns, plain_dir = ingest ~rollups:false in
   rm_rf plain_dir;
   let rb_distinct = ref 0 in
   let rb_query_ns =
@@ -703,9 +721,11 @@ let racedb_bench ?(reports = 2000) ?(repeats = 3) () =
   in
   rm_rf dir;
   {
+    rb_sessions = sessions;
     rb_reports = reports;
-    rb_ingest_ns;
-    rb_ingest_plain_ns;
+    rb_distinct_per_session = float_of_int distinct /. float_of_int sessions;
+    rb_publish_ns;
+    rb_publish_plain_ns;
     rb_query_ns;
     rb_distinct = !rb_distinct;
   }
@@ -1150,14 +1170,18 @@ let write_json ~path ~jobs ~benchmarks ~traces ~synth ~codec ~server
     predict;
   pr "%s  },\n" (if predict = [] then "" else "\n");
   pr "  \"racedb\": {\n";
+  pr "    \"sessions\": %d,\n" racedb.rb_sessions;
   pr "    \"reports\": %d,\n" racedb.rb_reports;
-  pr "    \"ingest_ns\": %.0f,\n" racedb.rb_ingest_ns;
-  pr "    \"ingest_reports_s\": %.0f,\n" (per_s racedb.rb_reports racedb.rb_ingest_ns);
-  pr "    \"ingest_plain_ns\": %.0f,\n" racedb.rb_ingest_plain_ns;
-  pr "    \"ingest_plain_reports_s\": %.0f,\n"
-    (per_s racedb.rb_reports racedb.rb_ingest_plain_ns);
+  pr "    \"distinct_per_session\": %.0f,\n" racedb.rb_distinct_per_session;
+  pr "    \"publish_ns\": %.0f,\n" racedb.rb_publish_ns;
+  pr "    \"publish_ms_per_session\": %.2f,\n"
+    (racedb.rb_publish_ns /. 1e6 /. float_of_int racedb.rb_sessions);
+  pr "    \"publish_reports_s\": %.0f,\n" (per_s racedb.rb_reports racedb.rb_publish_ns);
+  pr "    \"publish_plain_ns\": %.0f,\n" racedb.rb_publish_plain_ns;
+  pr "    \"publish_plain_reports_s\": %.0f,\n"
+    (per_s racedb.rb_reports racedb.rb_publish_plain_ns);
   pr "    \"rollup_overhead\": %.3f,\n"
-    (racedb.rb_ingest_ns /. racedb.rb_ingest_plain_ns);
+    (racedb.rb_publish_ns /. racedb.rb_publish_plain_ns);
   pr "    \"query_top_ns\": %.0f,\n" racedb.rb_query_ns;
   pr "    \"query_top_entries\": %d\n" racedb.rb_distinct;
   pr "  }\n}\n";
@@ -1350,15 +1374,18 @@ let () =
   let predict = predict_records ~max_events:synth_max_events () in
   print_predict_table predict;
   let racedb = racedb_bench () in
-  Fmt.pr "@.## Race database (racedb_ingest / query_top)@.@.";
-  Fmt.pr "%d reports ingested in %.2f ms (%.0f reports/s with rollups)@."
-    racedb.rb_reports
-    (racedb.rb_ingest_ns /. 1e6)
-    (per_s racedb.rb_reports racedb.rb_ingest_ns);
+  Fmt.pr "@.## Race database (racedb_publish / query_top)@.@.";
+  Fmt.pr
+    "%d sessions (%d reports, %.0f distinct a session) published in %.2f ms \
+     (%.2f ms a session, %.0f reports/s with rollups)@."
+    racedb.rb_sessions racedb.rb_reports racedb.rb_distinct_per_session
+    (racedb.rb_publish_ns /. 1e6)
+    (racedb.rb_publish_ns /. 1e6 /. float_of_int racedb.rb_sessions)
+    (per_s racedb.rb_reports racedb.rb_publish_ns);
   Fmt.pr "without rollups: %.2f ms (%.0f reports/s, %.2fx rollup overhead)@."
-    (racedb.rb_ingest_plain_ns /. 1e6)
-    (per_s racedb.rb_reports racedb.rb_ingest_plain_ns)
-    (racedb.rb_ingest_ns /. racedb.rb_ingest_plain_ns);
+    (racedb.rb_publish_plain_ns /. 1e6)
+    (per_s racedb.rb_reports racedb.rb_publish_plain_ns)
+    (racedb.rb_publish_ns /. racedb.rb_publish_plain_ns);
   Fmt.pr "query --top 10 (cold load): %.2f ms (%d entries)@."
     (racedb.rb_query_ns /. 1e6)
     racedb.rb_distinct;

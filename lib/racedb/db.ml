@@ -39,6 +39,10 @@ let m_deduped =
   Crd_obs.counter ~help:"Session publications skipped as already published"
     "racedb_publish_dedup_total"
 
+let m_publish_errors =
+  Crd_obs.counter ~help:"Racedb publications that failed or were refused"
+    "racedb_publish_errors_total"
+
 let h_append =
   Crd_obs.histogram ~help:"Racedb append latency" "racedb_append_seconds"
 
@@ -91,26 +95,50 @@ let unlink_quiet path = try Unix.unlink path with Unix.Unix_error _ -> ()
 
 (* --- crc32 (IEEE, as in zip/png) ----------------------------------- *)
 
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+(* Slicing-by-8: table k advances a byte through k further zero bytes,
+   so eight input bytes cost eight lookups and no loop-carried shift
+   chain. Table 0 is the classic bytewise table; the result is
+   bit-identical to the bytewise loop, which still handles the tail. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
 
 let crc32 s off len =
+  let t i = Array.unsafe_get crc_tables i in
+  let u32 i = Int32.to_int (String.get_int32_le s i) land 0xffffffff in
   let c = ref 0xffffffff in
-  for i = off to off + len - 1 do
-    c := crc_table.((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
-        lxor (!c lsr 8)
+  let i = ref off in
+  let fin = off + len in
+  while !i + 8 <= fin do
+    let one = !c lxor u32 !i and two = u32 (!i + 4) in
+    c :=
+      t ((7 * 256) + (one land 0xff))
+      lxor t ((6 * 256) + ((one lsr 8) land 0xff))
+      lxor t ((5 * 256) + ((one lsr 16) land 0xff))
+      lxor t ((4 * 256) + (one lsr 24))
+      lxor t ((3 * 256) + (two land 0xff))
+      lxor t ((2 * 256) + ((two lsr 8) land 0xff))
+      lxor t (256 + ((two lsr 16) land 0xff))
+      lxor t (two lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to fin - 1 do
+    c := t ((!c lxor Char.code (String.unsafe_get s j)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xffffffff
-
-let add_u32le b v =
-  for i = 0 to 3 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
 
 let get_u32le s pos =
   let v = ref 0 in
@@ -212,26 +240,30 @@ let vv_absorb vvtbl ver =
 let vv_of_tbl vvtbl =
   Vv.of_list (Hashtbl.fold (fun n v acc -> (n, v) :: acc) vvtbl [])
 
-(* Fold one locally-observed record: bump our G-counter component and
-   stamp the entry with the next local sequence number. Replay at open
-   re-walks segments in write order, so the same records always get the
-   same sequence numbers back. *)
-let fold_record ~rollups ~node ~vvtbl tbl (r : Record.t) =
-  let seq = vv_next vvtbl node in
-  let fp = Record.fingerprint r in
+(* Fold [count] locally-observed records that share [r]'s fingerprint
+   [fp], timestamp and provenance, [r] being the first of them: add
+   [count] to our G-counter component and stamp the entry with [seq],
+   the local sequence number of the last of them. Folding a group is
+   the same as folding its records one by one: counts and rings add
+   (a ring slot keeps its newest bucket and that bucket's sum, whatever
+   the order), [ver] only grows, and a record of the same timestamp
+   never displaces the sample. Replay at open re-walks segments in
+   write order, so the same records always get the same sequence
+   numbers back. *)
+let fold_group ~rollups ~node tbl ~fp ~seq ~count (r : Record.t) =
   match Hashtbl.find_opt tbl fp with
   | None ->
       let minutes, hours, days = fresh_rings () in
       if rollups then begin
-        Rollup.add minutes r.ts;
-        Rollup.add hours r.ts;
-        Rollup.add days r.ts
+        Rollup.add ~count minutes r.ts;
+        Rollup.add ~count hours r.ts;
+        Rollup.add ~count days r.ts
       end;
       Hashtbl.add tbl fp
         (ref
            {
              Entry.fingerprint = fp;
-             counts = Vv.set Vv.empty node 1;
+             counts = Vv.set Vv.empty node count;
              ver = Vv.set Vv.empty node seq;
              first_seen = r.ts;
              last_seen = r.ts;
@@ -244,20 +276,45 @@ let fold_record ~rollups ~node ~vvtbl tbl (r : Record.t) =
   | Some cell ->
       let e = !cell in
       if rollups then begin
-        Rollup.add e.Entry.minutes r.ts;
-        Rollup.add e.Entry.hours r.ts;
-        Rollup.add e.Entry.days r.ts
+        Rollup.add ~count e.Entry.minutes r.ts;
+        Rollup.add ~count e.Entry.hours r.ts;
+        Rollup.add ~count e.Entry.days r.ts
       end;
       cell :=
         {
           e with
-          Entry.counts = Vv.bump e.Entry.counts node;
-          ver = Vv.set e.Entry.ver node seq;
+          Entry.counts = Vv.set e.Entry.counts node (Vv.get e.Entry.counts node + count);
+          ver = Vv.set e.Entry.ver node (max seq (Vv.get e.Entry.ver node));
           first_seen = min e.Entry.first_seen r.ts;
           last_seen = max e.Entry.last_seen r.ts;
           sample = (if r.ts < e.Entry.first_seen then r else e.Entry.sample);
           provenance = Provenance.join e.Entry.provenance r.provenance;
         }
+
+let fold_record ~rollups ~node ~vvtbl tbl (r : Record.t) =
+  let seq = vv_next vvtbl node in
+  fold_group ~rollups ~node tbl ~fp:(Record.fingerprint r) ~seq ~count:1 r
+
+(* One group of a counted chunk: [count] records like [first], the
+   last of them at offset [last] in the chunk. *)
+type group = {
+  fp : int64;
+  first : Record.t;
+  mutable count : int;
+  mutable last : int;
+}
+
+(* Fold a chunk of [n] records given as its groups: the same store as
+   folding the [n] records in order (see [fold_group]); our version
+   component then covers the whole chunk. *)
+let fold_chunk ~rollups ~node ~vvtbl tbl ~n groups =
+  let base = match Hashtbl.find_opt vvtbl node with Some v -> v | None -> 0 in
+  List.iter
+    (fun g ->
+      fold_group ~rollups ~node tbl ~fp:g.fp ~seq:(base + g.last + 1)
+        ~count:g.count g.first)
+    groups;
+  Hashtbl.replace vvtbl node (base + n)
 
 (* Fold a replicated entry (an index row or a merged-entry frame):
    a pure lattice join, idempotent under replay. *)
@@ -278,50 +335,54 @@ let sort_entries es =
 (* --- framing ------------------------------------------------------- *)
 
 (* Frame payloads are tagged:
-     'R' record            one locally-observed record
-     'B' session batch     nonce + all records of one session, atomic
+     'R' record            one locally-observed record ([append])
+     'C' counted chunk     nonce + one chunk of a published session as
+                           groups of equal records, atomic — what
+                           [publish] writes today
+     'B' session batch     nonce + every record of one chunk, atomic
+                           (read-only legacy)
      'M' merged entry      post-merge snapshot of a replicated entry (v2,
                            read-only legacy)
      'G' merge batch       all v2 entries changed by one [merge] (read-only
                            legacy, pre-provenance)
      'H' merge batch       all v3 (provenance-aware) entries changed by one
                            [merge], atomic — what [merge] writes today
-   A batch ('B', 'G' or 'H') is a single checksummed frame so session
-   publication and replica merges are all-or-nothing: a torn tail can
-   never leave half a session behind the published-nonce marker it
-   carries, nor a prefix of a merge behind a version vector that
-   claims the whole delta. Untagged frames are pre-replication (v1)
+   A batch ('C', 'B', 'G' or 'H') is a single checksummed frame so
+   session publication and replica merges are all-or-nothing: a torn
+   tail can never leave half a session behind the published-nonce
+   marker it carries, nor a prefix of a merge behind a version vector
+   that claims the whole delta. Inside a payload every length and count
+   is bounded by the payload alone, so whatever a writer fits in a frame
+   reads back; writers refuse frames over [max_frame_bytes], and
+   [publish] session nonces over 64 bytes, which leaves [max_nonce_bytes]
+   room for the "#i" chunk suffix. Untagged frames are pre-replication (v1)
    segments: a bare record payload, accepted for upgrade. *)
 
 let max_frame_bytes = 1 lsl 28
 let batch_chunk_records = 4096
+let max_nonce_bytes = Vv.node_max_bytes + 8
 
-let frame_of_payload payload =
-  let b = Buffer.create (String.length payload + 8) in
-  Codec.add_varint b (String.length payload);
-  Buffer.add_string b payload;
-  add_u32le b (crc32 payload 0 (String.length payload));
-  Buffer.contents b
+(* Copy [b] once into [prefix ^ contents ^ crc32_le(contents from
+   [crc_from])]: one copy and one checksum pass over the bytes. *)
+let seal ?(prefix = "") ~crc_from b =
+  let p = String.length prefix and n = Buffer.length b in
+  let out = Bytes.create (p + n + 4) in
+  Bytes.blit_string prefix 0 out 0 p;
+  Buffer.blit b 0 out p n;
+  let crc = crc32 (Bytes.unsafe_to_string out) (p + crc_from) (n - crc_from) in
+  Bytes.set_int32_le out (p + n) (Int32.of_int crc);
+  Bytes.unsafe_to_string out
+
+let frame_of_buffer b =
+  let h = Buffer.create 5 in
+  Codec.add_varint h (Buffer.length b);
+  seal ~prefix:(Buffer.contents h) ~crc_from:0 b
 
 let frame_record r =
   let b = Buffer.create 256 in
   Buffer.add_char b 'R';
-  Buffer.add_string b (Record.encode r);
-  frame_of_payload (Buffer.contents b)
-
-let frame_batch ~nonce records =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b 'B';
-  Codec.add_varint b (String.length nonce);
-  Buffer.add_string b nonce;
-  Codec.add_varint b (List.length records);
-  List.iter
-    (fun r ->
-      let p = Record.encode r in
-      Codec.add_varint b (String.length p);
-      Buffer.add_string b p)
-    records;
-  frame_of_payload (Buffer.contents b)
+  Record.add_to_buffer b r;
+  frame_of_buffer b
 
 (* 'M' single-entry and 'G' batch frames are only ever read these days
    (segments written before provenance); see [scan_segment]. *)
@@ -330,12 +391,88 @@ let frame_merge_batch es =
   Buffer.add_char b 'H';
   Codec.add_varint b (List.length es);
   List.iter (Entry.encode b) es;
-  frame_of_payload (Buffer.contents b)
+  frame_of_buffer b
+
+exception Frame_too_large
+
+(* 'C' varint(|nonce|) nonce varint(n) (varint(count) varint(last) record)*
+   — one chunk of [n] records as groups, each [count] records equal to
+   its first one in fingerprint, timestamp and provenance, the last of
+   them at offset [last] of the chunk. Written into the reused buffer
+   [b]; raises [Frame_too_large] as soon as the payload outgrows a
+   frame. *)
+let add_counted_chunk b ~nonce ~n groups =
+  Buffer.clear b;
+  Buffer.add_char b 'C';
+  Codec.add_varint b (String.length nonce);
+  Buffer.add_string b nonce;
+  Codec.add_varint b n;
+  List.iter
+    (fun g ->
+      Codec.add_varint b g.count;
+      Codec.add_varint b g.last;
+      Record.add_to_buffer b g.first;
+      if Buffer.length b > max_frame_bytes then raise Frame_too_large)
+    groups
+
+(* Group a chunk by (fingerprint, ts, provenance), in order of first
+   occurrence. [by_fp] maps a fingerprint to its groups: a session
+   stamps one ts, so a fingerprint has one or two of them. *)
+let group_chunk records =
+  let by_fp = Hashtbl.create 1024 in
+  let groups = ref [] in
+  List.iteri
+    (fun i (r : Record.t) ->
+      let fp = Record.fingerprint r in
+      let gs = Option.value (Hashtbl.find_opt by_fp fp) ~default:[] in
+      let same g =
+        Int64.bits_of_float g.first.Record.ts = Int64.bits_of_float r.ts
+        && Provenance.equal g.first.Record.provenance r.provenance
+      in
+      match List.find_opt same gs with
+      | Some g ->
+          g.count <- g.count + 1;
+          g.last <- i
+      | None ->
+          let g = { fp; first = r; count = 1; last = i } in
+          Hashtbl.replace by_fp fp (g :: gs);
+          groups := g :: !groups)
+    records;
+  List.rev !groups
+
+let get_nonce payload pos =
+  let n, pos = Codec.get_varint payload pos in
+  if n < 0 || n > max_nonce_bytes || pos + n > String.length payload then
+    failwith "batch: bad nonce";
+  (String.sub payload pos n, pos + n)
+
+let decode_counted payload =
+  (* payload.[0] = 'C' already consumed by the dispatcher *)
+  let nonce, pos = get_nonce payload 1 in
+  let n, pos = Codec.get_varint payload pos in
+  if n < 1 then failwith "chunk: bad record count";
+  let rec go acc seen pos =
+    if seen = n then begin
+      if pos <> String.length payload then failwith "chunk: trailing bytes";
+      (nonce, n, List.rev acc)
+    end
+    else
+      let count, pos = Codec.get_varint payload pos in
+      if count < 1 || count > n - seen then failwith "chunk: bad group count";
+      let last, pos = Codec.get_varint payload pos in
+      if last < 0 || last >= n then failwith "chunk: bad offset";
+      let first, pos = Record.decode_at payload pos in
+      go ({ fp = Record.fingerprint first; first; count; last } :: acc)
+        (seen + count) pos
+  in
+  go [] 0 pos
 
 let decode_merge_batch ~entry_decode payload =
   (* the tag at payload.[0] was already consumed by the dispatcher *)
   let n, pos = Codec.get_varint payload 1 in
-  if n < 0 || n > 1 lsl 24 then failwith "merge batch: bad entry count";
+  (* an entry takes more than 8 bytes: the payload bounds the count *)
+  if n < 0 || n > String.length payload / 8 then
+    failwith "merge batch: bad entry count";
   let rec go acc n pos =
     if n = 0 then List.rev acc
     else
@@ -346,28 +483,25 @@ let decode_merge_batch ~entry_decode payload =
 
 let decode_batch payload =
   (* payload.[0] = 'B' already consumed by the dispatcher *)
-  let n, pos = Codec.get_varint payload 1 in
-  if n < 0 || n > Vv.node_max_bytes + 8 || pos + n > String.length payload then
-    failwith "batch: bad nonce";
-  let nonce = String.sub payload pos n in
-  let k, pos = Codec.get_varint payload (pos + n) in
-  if k < 0 || k > max_frame_bytes then failwith "batch: bad record count";
+  let nonce, pos = get_nonce payload 1 in
+  let k, pos = Codec.get_varint payload pos in
+  if k < 0 || k > String.length payload then failwith "batch: bad record count";
   let rec go acc k pos =
     if k = 0 then (nonce, List.rev acc)
     else
       let n, pos = Codec.get_varint payload pos in
-      if n <= 0 || n > Record.max_bytes || pos + n > String.length payload then
+      if n <= 0 || pos + n > String.length payload then
         failwith "batch: bad record";
-      match Record.decode (String.sub payload pos n) with
-      | Error e -> failwith ("batch: " ^ e)
-      | Ok r -> go (r :: acc) (k - 1) (pos + n)
+      match Record.decode_at payload pos with
+      | r, fin when fin = pos + n -> go (r :: acc) (k - 1) fin
+      | _ -> failwith "batch: bad record"
   in
   go [] k pos
 
 (* Scan a segment image: deliver every complete, checksummed, decodable
    frame; stop at the first damage. Returns the clean prefix length and
    how many delivered records lay beyond [committed]. *)
-let scan_segment ~committed bytes ~record ~batch ~entry =
+let scan_segment ~committed bytes ~record ~batch ~counted ~entry =
   let len = String.length bytes in
   let pos = ref 0 in
   let valid_end = ref 0 in
@@ -391,10 +525,19 @@ let scan_segment ~committed bytes ~record ~batch ~entry =
                   match Record.decode (String.sub payload 1 (n - 1)) with
                   | Error _ -> None
                   | Ok r -> Some (fun () -> record r; 1))
+              | 'C' -> (
+                  match decode_counted payload with
+                  | exception Failure _ -> None
+                  | nonce, k, gs ->
+                      Some (fun () -> batch ~nonce (fun () -> counted ~n:k gs); k))
               | 'B' -> (
                   match decode_batch payload with
                   | exception Failure _ -> None
-                  | nonce, rs -> Some (fun () -> batch ~nonce rs; List.length rs))
+                  | nonce, rs ->
+                      Some
+                        (fun () ->
+                          batch ~nonce (fun () -> List.iter record rs);
+                          List.length rs))
               | 'M' -> (
                   match Entry.decode_v2 payload 1 with
                   | exception Failure _ -> None
@@ -459,27 +602,28 @@ let decode_index_v1 ~node s =
   (folded_up_to, [], go [] 1 n pos)
 
 let encode_index ~folded_up_to ~published es =
-  let body = Buffer.create 4096 in
-  Codec.add_varint body folded_up_to;
-  Codec.add_varint body (List.length published);
+  (* presized for three rings and a sample an entry, so the buffer
+     seldom regrows; [seal] then copies it once *)
+  let b =
+    Buffer.create
+      (64 + (640 * List.length es) + (Vv.node_max_bytes * List.length published))
+  in
+  Buffer.add_string b index_magic;
+  Buffer.add_char b (Char.chr index_version);
+  Codec.add_varint b folded_up_to;
+  Codec.add_varint b (List.length published);
   List.iter
     (fun nonce ->
-      Codec.add_varint body (String.length nonce);
-      Buffer.add_string body nonce)
+      Codec.add_varint b (String.length nonce);
+      Buffer.add_string b nonce)
     (List.sort String.compare published);
-  Codec.add_varint body (List.length es);
+  Codec.add_varint b (List.length es);
   List.iter
-    (fun e -> Entry.encode body e)
+    (fun e -> Entry.encode b e)
     (List.sort
        (fun a b -> Int64.compare a.Entry.fingerprint b.Entry.fingerprint)
        es);
-  let body = Buffer.contents body in
-  let b = Buffer.create (String.length body + 16) in
-  Buffer.add_string b index_magic;
-  Buffer.add_char b (Char.chr index_version);
-  Buffer.add_string b body;
-  add_u32le b (crc32 body 0 (String.length body));
-  Buffer.contents b
+  seal ~crc_from:(String.length index_magic + 1) b
 
 let decode_index ~node s =
   let len = String.length s in
@@ -503,18 +647,18 @@ let decode_index ~node s =
       match
         let folded_up_to, pos = Codec.get_varint s 5 in
         let np, pos = Codec.get_varint s pos in
-        if np < 0 || np > 1 lsl 24 then failwith "index: bad nonce count";
+        if np < 0 || np > len then failwith "index: bad nonce count";
         let rec nonces acc np pos =
           if np = 0 then (List.rev acc, pos)
           else
             let n, pos = Codec.get_varint s pos in
-            if n < 0 || n > Vv.node_max_bytes + 8 || pos + n > String.length s
-            then failwith "index: bad nonce";
+            if n < 0 || n > max_nonce_bytes || pos + n > len then
+              failwith "index: bad nonce";
             nonces (String.sub s pos n :: acc) (np - 1) (pos + n)
         in
         let published, pos = nonces [] np pos in
         let n, pos = Codec.get_varint s pos in
-        if n < 0 || n > 1 lsl 24 then failwith "index: bad entry count";
+        if n < 0 || n > len / 8 then failwith "index: bad entry count";
         let rec go acc n pos =
           if n = 0 then List.rev acc
           else
@@ -539,6 +683,7 @@ type t = {
   tbl : (int64, Entry.t ref) Hashtbl.t;
   vvtbl : (string, int) Hashtbl.t;
   published : (string, unit) Hashtbl.t;
+  frame : Buffer.t;  (* [publish] scratch, one chunk's payload *)
   mutable active_id : int;
   mutable fd : Unix.file_descr;
   mutable active_bytes : int;
@@ -581,13 +726,14 @@ let scan_store ~repair ~node dir =
           List.iter (fold_entry ~vvtbl tbl) es));
   if repair then unlink_quiet (index_path dir ^ ".tmp");
   let record = fold_record ~rollups:true ~node ~vvtbl tbl in
-  let batch ~nonce rs =
-    if nonce <> "" && Hashtbl.mem published nonce then ()
-    else begin
-      List.iter record rs;
-      if nonce <> "" then Hashtbl.replace published nonce ()
+  let batch ~nonce fold =
+    if nonce = "" then fold ()
+    else if not (Hashtbl.mem published nonce) then begin
+      fold ();
+      Hashtbl.replace published nonce ()
     end
   in
+  let counted = fold_chunk ~rollups:true ~node ~vvtbl tbl in
   let entry = fold_entry ~vvtbl tbl in
   let live = ref [] in
   List.iter
@@ -606,7 +752,7 @@ let scan_store ~repair ~node dir =
         | Some bytes ->
             let committed = min (read_marker dir id) (String.length bytes) in
             let valid_end, salv =
-              scan_segment ~committed bytes ~record ~batch ~entry
+              scan_segment ~committed bytes ~record ~batch ~counted ~entry
             in
             salvaged := !salvaged + salv;
             if valid_end < String.length bytes then begin
@@ -708,6 +854,7 @@ let open_db ?(segment_bytes = 1 lsl 20) ?(sync_every = 64) ?(auto_compact = 8)
             tbl;
             vvtbl;
             published;
+            frame = Buffer.create 65536;
             active_id;
             fd;
             active_bytes = 0;
@@ -820,6 +967,8 @@ let append t r =
   if t.closed then invalid_arg "Crd_racedb.Db.append: closed";
   Crd_fault.inject fp_append;
   let frame = frame_record r in
+  if String.length frame > max_frame_bytes then
+    failwith "racedb append: record exceeds the frame limit";
   fold_record ~rollups:t.rollups ~node:t.node ~vvtbl:t.vvtbl t.tbl r;
   append_frame_locked t frame ~records:1
 
@@ -845,29 +994,44 @@ let chunk_nonces nonce records =
   in
   chunks [] 0 records
 
+(* Each chunk is grouped, encoded into the reused [t.frame] buffer and
+   sealed with one copy, folded group by group, then written as one
+   'C' frame: the cost grows with the chunk's distinct races, not its
+   records. *)
 let publish t ~nonce records =
+  if String.length nonce > Vv.node_max_bytes then
+    invalid_arg "Crd_racedb.Db.publish: nonce too long";
   if records = [] then true
   else
     Crd_obs.time h_append @@ fun () ->
     locked t @@ fun () ->
     if t.closed then invalid_arg "Crd_racedb.Db.publish: closed";
     Crd_fault.inject fp_append;
-    let wrote = ref false in
+    let fresh = ref false in
     List.iter
       (fun (cn, chunk) ->
         if cn <> "" && Hashtbl.mem t.published cn then
           Crd_obs.Counter.incr m_deduped
         else begin
-          let frame = frame_batch ~nonce:cn chunk in
-          List.iter
-            (fold_record ~rollups:t.rollups ~node:t.node ~vvtbl:t.vvtbl t.tbl)
-            chunk;
-          if cn <> "" then Hashtbl.replace t.published cn ();
-          append_frame_locked t frame ~records:(List.length chunk);
-          wrote := true
+          fresh := true;
+          let n = List.length chunk in
+          let groups = group_chunk chunk in
+          match add_counted_chunk t.frame ~nonce:cn ~n groups with
+          | exception Frame_too_large ->
+              (* nothing folded or written, the nonce stays unpublished *)
+              Buffer.reset t.frame;
+              Crd_obs.Counter.incr m_publish_errors;
+              Crd_obs.Log.warn "racedb_chunk_refused"
+                [ ("nonce", cn); ("records", string_of_int n) ]
+          | () ->
+              let frame = frame_of_buffer t.frame in
+              fold_chunk ~rollups:t.rollups ~node:t.node ~vvtbl:t.vvtbl t.tbl ~n
+                groups;
+              if cn <> "" then Hashtbl.replace t.published cn ();
+              append_frame_locked t frame ~records:n
         end)
       (chunk_nonces nonce records);
-    !wrote
+    !fresh
 
 let published t nonce = locked t @@ fun () -> Hashtbl.mem t.published nonce
 

@@ -13,11 +13,21 @@
     DIR/index.crdx           compacted dedup index (atomic rename)
     frame   ::= varint(len) payload{len} crc32_le(payload)
     payload ::= 'R' record                      one local record
-              | 'B' nonce record*               one session, atomic
+              | 'C' nonce n group*              one session chunk, atomic
+              | 'B' nonce record*               one session chunk (legacy)
               | 'M' entry_v2                    merged replicated entry (legacy)
               | 'G' entry_v2*                   one whole merge, atomic (legacy)
               | 'H' entry*                      one whole merge, atomic
+    group   ::= varint(count) varint(last) record
     v}
+
+    A ['C'] chunk of [n] records stores each distinct (fingerprint, ts,
+    provenance) once, with how many records it stands for and the chunk
+    offset of the last of them; replay folds it exactly as it would the
+    [n] records. Lengths inside a payload are bounded only by the
+    payload, and writers refuse frames over 256 MiB, so every frame
+    written reads back. An older binary does not know ['C'] and would
+    truncate a segment at the first one: the format upgrade is one way.
 
     Older stores are read transparently: a v1 [index.crdx] (plain
     counts, no vectors) is migrated onto this node's G-counter and
@@ -91,6 +101,8 @@ val node_id : t -> string
 val append : t -> Record.t -> unit
 (** Frame, checksum and append one record, and fold it into the index
     attributed to this node.
+    @raise Failure if the record's frame would exceed 256 MiB (nothing
+    is written).
     @raise Crd_fault.Injected when the [racedb_append] point fires
     (nothing is written).
     @raise Unix.Unix_error on I/O failure. *)
@@ -100,8 +112,15 @@ val publish : t -> nonce:string -> Record.t list -> bool
     session [nonce]. Returns [false] (writing nothing) when the nonce
     was already published — the dedup that makes journal replay after
     a crash count-safe. An empty [nonce] disables dedup; an empty
-    record list is a no-op. Oversized sessions split into chunks with
-    derived nonces ([nonce#1], ...), deduped chunk by chunk.
+    record list is a no-op. Sessions split into chunks of 4,096 records
+    with derived nonces ([nonce#1], ...), deduped chunk by chunk. Each
+    chunk is one counted frame: its cost grows with the chunk's
+    distinct (fingerprint, ts, provenance) groups, and the store ends
+    up exactly as if every record had been folded in order. A chunk
+    whose frame would exceed 256 MiB is refused — nothing of it is
+    written or folded, its nonce stays unpublished — and counted in
+    [racedb_publish_errors_total].
+    @raise Invalid_argument if [nonce] is longer than 64 bytes.
     @raise Crd_fault.Injected / Unix.Unix_error as {!append}. *)
 
 val published : t -> string -> bool

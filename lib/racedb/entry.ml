@@ -103,6 +103,16 @@ let encode b (e : t) =
     | Provenance.Witnessed -> '\x00'
     | Provenance.Predicted -> '\x01')
 
+(* The sample is length-prefixed; the enclosing (checksummed) string
+   is its only bound. *)
+let get_sample s pos =
+  let n, pos = Codec.get_varint s pos in
+  if n < 0 || pos + n > String.length s then failwith "entry: bad sample";
+  match Record.decode_at s pos with
+  | r, fin when fin = pos + n -> (r, n, pos)
+  | _ -> failwith "entry: bad sample"
+  | exception Failure e -> failwith ("entry: " ^ e)
+
 let decode_body s pos =
   let fingerprint = get_i64le s pos in
   let pos = pos + 8 in
@@ -114,14 +124,7 @@ let decode_body s pos =
   let minutes, pos = Rollup.decode s pos in
   let hours, pos = Rollup.decode s pos in
   let days, pos = Rollup.decode s pos in
-  let n, pos = Codec.get_varint s pos in
-  if n < 0 || n > Record.max_bytes || pos + n > String.length s then
-    failwith "entry: bad sample";
-  let sample =
-    match Record.decode (String.sub s pos n) with
-    | Ok r -> r
-    | Error e -> failwith ("entry: " ^ e)
-  in
+  let sample, n, pos = get_sample s pos in
   ( { fingerprint;
       counts;
       ver;
@@ -165,14 +168,7 @@ let decode_v1 ~node ~seq s pos =
   let minutes, pos = Rollup.decode s pos in
   let hours, pos = Rollup.decode s pos in
   let days, pos = Rollup.decode s pos in
-  let n, pos = Codec.get_varint s pos in
-  if n < 0 || n > Record.max_bytes || pos + n > String.length s then
-    failwith "entry: bad sample";
-  let sample =
-    match Record.decode (String.sub s pos n) with
-    | Ok r -> r
-    | Error e -> failwith ("entry: " ^ e)
-  in
+  let sample, n, pos = get_sample s pos in
   ( {
       fingerprint;
       counts = Vv.set Vv.empty node count;

@@ -10,10 +10,6 @@ type t = {
   provenance : Provenance.t;
 }
 
-(* Sanity bound for segment-frame scanning: no sane record payload
-   approaches this, so a larger length varint means tail corruption. *)
-let max_bytes = 1 lsl 20
-
 let make ?(ts = 0.) ?(provenance = Provenance.Witnessed) ~spec report =
   { ts; spec; report; provenance }
 let fingerprint t = Report.fingerprint t.report
@@ -87,8 +83,7 @@ let add_action b (a : Action.t) =
   add_values b a.args;
   add_values b a.rets
 
-let encode t =
-  let b = Buffer.create 128 in
+let add_to_buffer b t =
   add_i64 b (Int64.bits_of_float t.ts);
   add_str b t.spec;
   let r = t.report in
@@ -110,7 +105,11 @@ let encode t =
   | Some (tid, a) ->
       Buffer.add_char b (Char.chr (1 lor prov_bit));
       Codec.add_varint b (Tid.to_int tid);
-      add_action b a);
+      add_action b a)
+
+let encode t =
+  let b = Buffer.create 128 in
+  add_to_buffer b t;
   Buffer.contents b
 
 let get_str s pos =
@@ -147,7 +146,9 @@ let get_value s pos =
 
 let get_values s pos =
   let n, pos = Codec.get_varint s pos in
-  if n < 0 || n > 1 lsl 16 then failwith "record: bad value count";
+  (* every value takes at least one byte: the enclosing string bounds
+     the count, as it bounds every length *)
+  if n < 0 || n > String.length s - pos then failwith "record: bad value count";
   let rec go acc n pos =
     if n = 0 then (List.rev acc, pos)
     else
@@ -168,31 +169,29 @@ let get_action s pos =
   let rets, pos = get_values s pos in
   (Action.make ~obj ~meth ~args ~rets (), pos)
 
-let decode s =
-  match
-    let bits, pos = get_i64 s 0 in
-    let spec, pos = get_str s pos in
-    let index, pos = Codec.get_varint s pos in
-    let obj, pos = get_obj s pos in
-    let tid, pos = Codec.get_varint s pos in
-    let action, pos = get_action s pos in
-    let point, pos = get_str s pos in
-    let conflicting, pos = get_str s pos in
-    if pos >= String.length s then failwith "record: truncated";
-    let tag = Char.code s.[pos] in
-    if tag > 3 then failwith "record: bad prior tag";
-    let provenance =
-      if tag land 2 = 0 then Provenance.Witnessed else Provenance.Predicted
-    in
-    let prior, pos =
-      if tag land 1 = 0 then (None, pos + 1)
-      else
-        let ptid, pos = Codec.get_varint s (pos + 1) in
-        let pa, pos = get_action s pos in
-        (Some (Tid.of_int ptid, pa), pos)
-    in
-    if pos <> String.length s then failwith "record: trailing bytes";
-    {
+let decode_at s pos =
+  let bits, pos = get_i64 s pos in
+  let spec, pos = get_str s pos in
+  let index, pos = Codec.get_varint s pos in
+  let obj, pos = get_obj s pos in
+  let tid, pos = Codec.get_varint s pos in
+  let action, pos = get_action s pos in
+  let point, pos = get_str s pos in
+  let conflicting, pos = get_str s pos in
+  if pos >= String.length s then failwith "record: truncated";
+  let tag = Char.code s.[pos] in
+  if tag > 3 then failwith "record: bad prior tag";
+  let provenance =
+    if tag land 2 = 0 then Provenance.Witnessed else Provenance.Predicted
+  in
+  let prior, pos =
+    if tag land 1 = 0 then (None, pos + 1)
+    else
+      let ptid, pos = Codec.get_varint s (pos + 1) in
+      let pa, pos = get_action s pos in
+      (Some (Tid.of_int ptid, pa), pos)
+  in
+  ( {
       ts = Int64.float_of_bits bits;
       spec;
       provenance;
@@ -206,7 +205,11 @@ let decode s =
           conflicting;
           prior;
         };
-    }
-  with
-  | r -> Ok r
+    },
+    pos )
+
+let decode s =
+  match decode_at s 0 with
+  | r, pos when pos = String.length s -> Ok r
+  | _ -> Error "record: trailing bytes"
   | exception Failure m -> Error m

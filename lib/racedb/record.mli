@@ -18,10 +18,6 @@ type t = {
           to the pre-provenance format *)
 }
 
-val max_bytes : int
-(** Upper bound on a sane encoded record; frames claiming more are
-    treated as corruption by the segment scanner. *)
-
 val make : ?ts:float -> ?provenance:Provenance.t -> spec:string -> Report.t -> t
 (** [provenance] defaults to {!Provenance.Witnessed}. *)
 
@@ -32,10 +28,21 @@ val equal : t -> t -> bool
 (** Structural equality, object {e names} included (object ids compare
     by id only elsewhere; the wire form must reproduce names too). *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the binary form to a buffer, with no intermediate string. *)
+
 val encode : t -> string
 (** Unframed payload; the segment store adds length and checksum. *)
 
 val decode : string -> (t, string) result
-(** Inverse of {!encode}; rejects trailing bytes. *)
+(** Inverse of {!encode}; rejects trailing bytes. Every length and
+    count is bounded by the string alone: whatever {!encode} wrote
+    decodes, however large. *)
+
+val decode_at : string -> int -> t * int
+(** [decode_at s pos] decodes the record starting at [pos] (the form is
+    self-delimiting) and returns the next offset. Nothing is read past
+    the end of [s].
+    @raise Failure on malformed input. *)
 
 val pp : t Fmt.t

@@ -97,15 +97,19 @@ let to_list t =
   |> List.map (fun (b, c) -> (float_of_int (b * t.res), c))
 
 (* Wire form: res, slots, then (bucket+1, count) per slot — the +1 keeps
-   empty slots (-1) in varint range. *)
+   empty slots (-1) in varint range. Most slots are empty and most
+   counts small, so one-byte varints skip the general loop. *)
+let add_varint b v =
+  if v land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr v)
+  else Crd_wire.Codec.add_varint b v
+
 let encode b t =
-  Crd_wire.Codec.add_varint b t.res;
-  Crd_wire.Codec.add_varint b (Array.length t.buckets);
-  Array.iteri
-    (fun slot bucket ->
-      Crd_wire.Codec.add_varint b (bucket + 1);
-      Crd_wire.Codec.add_varint b t.counts.(slot))
-    t.buckets
+  add_varint b t.res;
+  add_varint b (Array.length t.buckets);
+  for slot = 0 to Array.length t.buckets - 1 do
+    add_varint b (t.buckets.(slot) + 1);
+    add_varint b t.counts.(slot)
+  done
 
 let decode s pos =
   let res, pos = Crd_wire.Codec.get_varint s pos in

@@ -181,9 +181,9 @@ let m_racedb_dropped =
   Crd_obs.counter ~help:"Race reports dropped at a closed racedb queue"
     "racedb_dropped_total"
 
-let m_racedb_errors =
-  Crd_obs.counter ~help:"Racedb appends that failed (fault or I/O)"
-    "racedb_publish_errors_total"
+(* Registered, with its help text, by [Crd_racedb.Db], which also counts
+   the chunks it refuses. *)
+let m_racedb_errors = Crd_obs.counter "racedb_publish_errors_total"
 
 let m_racedb_queue_hw =
   Crd_obs.gauge ~help:"High-water of the racedb publish queue"
@@ -227,14 +227,16 @@ let err_counter =
 
 (* The race-database sink decouples sessions from storage: workers hand
    whole session batches to one publisher thread, which owns every
-   [Db.publish]. The queue holds one batch besides the one being
-   published — a batch holds every report of its session, megabytes for
-   a racy one — so a session that finds it full waits: sessions
-   that outrun the disk slow down instead of growing the heap. Only a
-   closed queue (shutdown, or a dead publisher) drops and counts. A
-   batch carries its session nonce so the db can deduplicate: a journal
-   replay of an already-published session is a no-op instead of an
-   inflated count. *)
+   [Db.publish]. A publish costs per distinct race of the session, not
+   per race (the db writes each chunk as one counted frame), so the
+   publisher normally keeps up. The queue holds one batch besides the
+   one being published — a batch holds every report of its session,
+   megabytes for a racy one — so a session that finds it full waits:
+   sessions that outrun the disk slow down instead of growing the heap.
+   Only a closed queue (shutdown, or a dead publisher) drops and counts.
+   A batch carries its session nonce so the db can deduplicate: a
+   journal replay of an already-published session is a no-op instead of
+   an inflated count. *)
 type sink = {
   db : Crd_racedb.Db.t;
   queue : (string * Crd_racedb.Record.t list) Bqueue.t;

@@ -44,7 +44,8 @@ let fp_merge = Crd_fault.point "sync_merge"
 (* Sync frames are small by construction — the sender flushes a delta
    batch at [delta_batch] entries or [delta_soft_bytes], whichever
    comes first, so one frame never much exceeds the soft limit plus a
-   single entry (itself bounded by Record.max_bytes + fixed rings).
+   single entry (fixed rings plus one sample record; an entry whose
+   sample alone outgrows this limit cannot be replicated).
    16 MiB leaves an order of magnitude of slack while refusing the
    gigabyte length prefixes a hostile peer could otherwise make us
    allocate. *)

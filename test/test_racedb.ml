@@ -37,6 +37,9 @@ let fresh_dir () =
   if Sys.file_exists d then rm d;
   d
 
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
 (* --- report / record generators ------------------------------------ *)
 
 let value_gen =
@@ -275,6 +278,89 @@ let locking () =
   let db = Result.get_ok (Db.open_db dir) in
   Db.close db
 
+(* --- published batches ------------------------------------------- *)
+
+let only_segment dir =
+  match
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".log")
+  with
+  | [ s ] -> Filename.concat dir s
+  | l -> Alcotest.failf "expected one segment, got %d" (List.length l)
+
+let count_of es fp =
+  match List.find_opt (fun (e : Entry.t) -> e.Entry.fingerprint = fp) es with
+  | Some e -> Entry.count e
+  | None -> 0
+
+(* Session [i] publishes three records only it has ("u<i>", two of them
+   under a second ts, one predicted) and two shared ones, so its
+   presence and completeness read off the counts. *)
+let session_records i =
+  let u = Printf.sprintf "u%d" i in
+  let ts = float_of_int (100 * (i + 1)) in
+  [
+    mk_record ~key:u ts;
+    mk_record ~key:"shared" ts;
+    Record.make ~ts:(ts +. 1.) ~provenance:Crd_racedb.Provenance.Predicted
+      ~spec:"std" (mk_report ~key:u ());
+    mk_record ~key:"shared" ts;
+    mk_record ~key:u (ts +. 1.);
+  ]
+
+let unique_fp i = Record.fingerprint (mk_record ~key:(Printf.sprintf "u%d" i) 0.)
+let shared_fp = Record.fingerprint (mk_record ~key:"shared" 0.)
+
+(* Each published chunk is one frame: cut the segment at every byte
+   offset and every session must be either whole, with its nonce
+   published, or absent without it. *)
+let torn_tail_published () =
+  let dir = fresh_dir () in
+  let db = Result.get_ok (Db.open_db ~auto_compact:0 dir) in
+  let sessions = 3 in
+  let ends =
+    List.init sessions (fun i ->
+        Alcotest.(check bool)
+          "fresh session publishes" true
+          (Db.publish db ~nonce:(Printf.sprintf "n%d" i) (session_records i));
+        (Unix.stat (only_segment dir)).Unix.st_size)
+  in
+  Db.close db;
+  let seg = only_segment dir in
+  let marker = Filename.chop_suffix seg ".log" ^ ".ok" in
+  let bytes = In_channel.with_open_bin seg In_channel.input_all in
+  Alcotest.(check int) "last session ends the file" (String.length bytes)
+    (List.nth ends (sessions - 1));
+  for cut = 0 to String.length bytes - 1 do
+    write_file seg (String.sub bytes 0 cut);
+    write_file marker "0\n";
+    let present = List.map (fun e -> e <= cut) ends in
+    let whole = List.length (List.filter Fun.id present) in
+    let where = Printf.sprintf "cut %d" cut in
+    let es = (Result.get_ok (Db.load dir)).Db.v_entries in
+    List.iteri
+      (fun i p ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: session %d whole or absent" where i)
+          (if p then 3 else 0)
+          (count_of es (unique_fp i)))
+      present;
+    Alcotest.(check int) (where ^ ": shared count") (2 * whole)
+      (count_of es shared_fp);
+    (* a repairing open agrees, nonce by nonce *)
+    let db = Result.get_ok (Db.open_db dir) in
+    List.iteri
+      (fun i p ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: nonce %d published iff whole" where i)
+          p
+          (Db.published db (Printf.sprintf "n%d" i)))
+      present;
+    Alcotest.(check int) (where ^ ": repaired total") (5 * whole)
+      (Db.stats db).Db.total;
+    Db.close db
+  done
+
 (* Crash the tail at every byte offset of the last record: open must
    succeed, keep every earlier record, and account the torn bytes. *)
 let torn_tail_every_offset () =
@@ -284,14 +370,7 @@ let torn_tail_every_offset () =
   Db.append db (mk_record ~key:"b" 2.);
   Db.append db (mk_record ~key:"c" 3.);
   Db.close db;
-  let seg =
-    match
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".log")
-    with
-    | [ s ] -> Filename.concat dir s
-    | l -> Alcotest.failf "expected one segment, got %d" (List.length l)
-  in
+  let seg = only_segment dir in
   let marker = Filename.chop_suffix seg ".log" ^ ".ok" in
   let bytes = In_channel.with_open_bin seg In_channel.input_all in
   (* the last frame starts where a scan of the first two ends *)
@@ -337,7 +416,8 @@ let torn_tail_every_offset () =
   Db.close db;
   let st = (Result.get_ok (Db.load dir)).Db.v_stats in
   Alcotest.(check int) "store heals and grows" 3 st.Db.total;
-  Alcotest.(check int) "no damage after repair" 0 st.Db.truncated_bytes
+  Alcotest.(check int) "no damage after repair" 0 st.Db.truncated_bytes;
+  torn_tail_published ()
 
 let compaction () =
   let dir = fresh_dir () in
@@ -410,6 +490,40 @@ let crash_copy_recovers_everything () =
   let st = (Result.get_ok (Db.load crash)).Db.v_stats in
   Alcotest.(check int) "every append survives the kill" 25 st.Db.total;
   Alcotest.(check int) "all past the marker" 25 st.Db.salvaged;
+  Db.close db;
+  (* the server's path: sessions published as counted chunks, one of
+     them long enough to split into two chunks *)
+  let dir = fresh_dir () in
+  let crash = fresh_dir () in
+  let db = Result.get_ok (Db.open_db ~sync_every:100_000 ~auto_compact:0 dir) in
+  let long =
+    List.init 5000 (fun i -> mk_record ~key:(string_of_int (i mod 7)) 50.)
+  in
+  let sessions = List.init 3 session_records in
+  List.iteri
+    (fun i rs -> ignore (Db.publish db ~nonce:(Printf.sprintf "n%d" i) rs))
+    sessions;
+  ignore (Db.publish db ~nonce:"long" long);
+  let live = Db.entries db in
+  Unix.mkdir crash 0o755;
+  Array.iter
+    (fun f ->
+      if f <> "lock" then
+        write_file (Filename.concat crash f)
+          (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+    (Sys.readdir dir);
+  Db.close db;
+  let st = (Result.get_ok (Db.load crash)).Db.v_stats in
+  Alcotest.(check int) "every published record survives the kill" 5015
+    st.Db.total;
+  Alcotest.(check int) "published records past the marker" 5015 st.Db.salvaged;
+  let db = Result.get_ok (Db.open_db crash) in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) ("nonce " ^ n ^ " survives") true (Db.published db n))
+    [ "n0"; "n1"; "n2"; "long"; "long#1" ];
+  Alcotest.(check bool) "the recovered store equals the live one" true
+    (List.equal Entry.equal live (Db.entries db));
   Db.close db
 
 let select_filters () =
@@ -503,9 +617,6 @@ let v1_index ~folded_up_to entries =
   add_u32le b (crc32 body);
   Buffer.contents b
 
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
 let v1_store_migrates () =
   let dir = fresh_dir () in
   Unix.mkdir dir 0o755;
@@ -524,13 +635,7 @@ let v1_store_migrates () =
   Alcotest.(check int) "load: total" 4 v.Db.v_stats.Db.total;
   (* writable open attributes history to the freshly minted node id,
      identically on every open until compaction rewrites the index *)
-  let count_of db fp =
-    match
-      List.find_opt (fun (e : Entry.t) -> e.Entry.fingerprint = fp) (Db.entries db)
-    with
-    | Some e -> Entry.count e
-    | None -> 0
-  in
+  let count_of db fp = count_of (Db.entries db) fp in
   let db = Result.get_ok (Db.open_db dir) in
   let node = Db.node_id db in
   Alcotest.(check bool) "node id minted" true (node <> "");
@@ -551,6 +656,226 @@ let v1_store_migrates () =
   let v = Result.get_ok (Db.load dir) in
   Alcotest.(check int) "post-compaction total" 5 v.Db.v_stats.Db.total;
   Alcotest.(check string) "view sees the node" node v.Db.v_node
+
+
+(* --- counted chunks = the per-record fold ---------------------------- *)
+
+(* Byte-for-byte the legacy 'B' session-batch frames the previous
+   publisher wrote: one frame per 4,096-record chunk, holding the chunk
+   nonce and every record. *)
+let b_frame ~nonce records =
+  let p = Buffer.create 256 in
+  Buffer.add_char p 'B';
+  Crd_wire.Codec.add_varint p (String.length nonce);
+  Buffer.add_string p nonce;
+  Crd_wire.Codec.add_varint p (List.length records);
+  List.iter
+    (fun r ->
+      let s = Record.encode r in
+      Crd_wire.Codec.add_varint p (String.length s);
+      Buffer.add_string p s)
+    records;
+  let payload = Buffer.contents p in
+  let b = Buffer.create (String.length payload + 8) in
+  Crd_wire.Codec.add_varint b (String.length payload);
+  Buffer.add_string b payload;
+  add_u32le b (crc32 payload);
+  Buffer.contents b
+
+let b_frames ~nonce records =
+  let rec go i acc = function
+    | [] -> String.concat "" (List.rev acc)
+    | rs ->
+        let chunk = List.filteri (fun j _ -> j < 4096) rs in
+        let rest = List.filteri (fun j _ -> j >= 4096) rs in
+        let cn =
+          if nonce = "" || i = 0 then nonce else Printf.sprintf "%s#%d" nonce i
+        in
+        go (i + 1) (b_frame ~nonce:cn chunk :: acc) rest
+  in
+  go 0 [] records
+
+(* A store directory whose node id is fixed, so two stores built from
+   the same records compare entry for entry. *)
+let node_dir () =
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  write_file (Filename.concat dir "node") "n1\n";
+  dir
+
+let write_segment dir id bytes =
+  write_file (Filename.concat dir (Printf.sprintf "seg-%08d.log" id)) bytes;
+  write_file
+    (Filename.concat dir (Printf.sprintf "seg-%08d.ok" id))
+    (Printf.sprintf "%d\n" (String.length bytes))
+
+(* The reference: every batch written as legacy 'B' frames and folded
+   record by record when the store opens. *)
+let legacy_store batches =
+  let dir = node_dir () in
+  write_segment dir 1
+    (String.concat "" (List.map (fun (nonce, rs) -> b_frames ~nonce rs) batches));
+  Result.get_ok (Db.open_db dir)
+
+let same_store what expect db =
+  let a = Db.entries expect and b = Db.entries db in
+  if List.length a <> List.length b then
+    QCheck2.Test.fail_reportf "%s: %d entries, expected %d" what (List.length b)
+      (List.length a);
+  List.iter2
+    (fun x y ->
+      if not (Entry.equal x y) then
+        QCheck2.Test.fail_reportf "%s: entry %a, expected %a" what Entry.pp y
+          Entry.pp x)
+    a b;
+  if not (Crd_racedb.Vv.equal (Db.version expect) (Db.version db)) then
+    QCheck2.Test.fail_reportf "%s: version %a, expected %a" what Crd_racedb.Vv.pp
+      (Db.version db) Crd_racedb.Vv.pp (Db.version expect)
+
+(* Few fingerprints, each with several encodings (index and thread
+   vary, so the sample election shows); timestamps equal, out of order
+   and colliding in a ring (3,600 s apart share a minutes slot, 172,800 s
+   an hours slot, 2,592,000 s a days slot); both provenances. *)
+let batch_record_gen =
+  let open Gen in
+  let* key = oneofl [ "a"; "b"; "c" ] in
+  let* meth = oneofl [ "put"; "get" ] in
+  let* index = int_bound 3 in
+  let* tid = int_bound 2 in
+  let* ts =
+    oneofl [ 10.; 10.; 20.; 5.; 3610.; 7210.; 172_810.; 2_592_010.; 1e9 ]
+  in
+  let* predicted = bool in
+  let r = mk_report ~key ~meth () in
+  Gen.return
+    (Record.make ~ts
+       ~provenance:
+         (if predicted then Crd_racedb.Provenance.Predicted
+          else Crd_racedb.Provenance.Witnessed)
+       ~spec:"std"
+       { r with Report.index; tid = Tid.of_int tid })
+
+let batches_gen =
+  let open Gen in
+  list_size (int_range 1 4)
+    (pair (oneofl [ ""; "s1"; "s2" ]) (list_size (int_range 1 40) batch_record_gen))
+
+let pp_batches =
+  QCheck2.Print.list (fun (n, rs) -> Printf.sprintf "%S:%d" n (List.length rs))
+
+let publish_all db batches =
+  List.iter (fun (nonce, rs) -> ignore (Db.publish db ~nonce rs : bool)) batches
+
+let counted_fold_tests =
+  [
+    QCheck2.Test.make ~count:40 ~name:"publish = per-record 'B' fold"
+      ~print:pp_batches batches_gen (fun batches ->
+        let expect = legacy_store batches in
+        (* all counted: live, after reopen, after compact + reopen *)
+        let dir = node_dir () in
+        let db = Result.get_ok (Db.open_db dir) in
+        publish_all db batches;
+        same_store "live" expect db;
+        Db.close db;
+        let db = Result.get_ok (Db.open_db dir) in
+        same_store "reopened" expect db;
+        ignore (Db.compact db);
+        Db.close db;
+        let db = Result.get_ok (Db.open_db dir) in
+        same_store "compacted" expect db;
+        Db.close db;
+        (* mixed: the first batch as a legacy 'B' segment, the rest
+           published on top of it *)
+        let dir = node_dir () in
+        (match batches with
+        | [] -> ()
+        | (nonce, rs) :: rest ->
+            write_segment dir 1 (b_frames ~nonce rs);
+            let db = Result.get_ok (Db.open_db dir) in
+            publish_all db rest;
+            same_store "mixed live" expect db;
+            Db.close db;
+            let db = Result.get_ok (Db.open_db dir) in
+            same_store "mixed reopened" expect db;
+            Db.close db);
+        Db.close expect;
+        true)
+    |> QCheck_alcotest.to_alcotest;
+    Alcotest.test_case "publish = per-record 'B' fold, multi-chunk" `Quick
+      (fun () ->
+        (* 9,000 records: three chunks with derived nonces, groups that
+           span chunks, and a re-publish the dedup must drop *)
+        let rs =
+          List.init 9000 (fun i ->
+              Record.make
+                ~ts:(float_of_int (i mod 3 * 3600))
+                ~spec:"std"
+                { (mk_report ~key:(string_of_int (i mod 11)) ()) with
+                  Report.index = i })
+        in
+        let batches = [ ("big", rs); ("", List.filteri (fun i _ -> i < 10) rs); ("big", rs) ] in
+        let expect = legacy_store batches in
+        let dir = node_dir () in
+        let db = Result.get_ok (Db.open_db dir) in
+        Alcotest.(check bool) "first publish writes" true (Db.publish db ~nonce:"big" rs);
+        ignore (Db.publish db ~nonce:"" (List.filteri (fun i _ -> i < 10) rs));
+        Alcotest.(check bool) "re-publish is deduped" false (Db.publish db ~nonce:"big" rs);
+        same_store "live" expect db;
+        Db.close db;
+        let db = Result.get_ok (Db.open_db dir) in
+        same_store "reopened" expect db;
+        List.iter
+          (fun n -> Alcotest.(check bool) ("chunk nonce " ^ n) true (Db.published db n))
+          [ "big"; "big#1"; "big#2" ];
+        Db.close db;
+        Db.close expect);
+  ]
+
+(* --- records larger than the old 1 MiB sanity bound ----------------- *)
+
+let big_records () =
+  let big = String.make (2 lsl 20) 'v' in
+  List.init 12 (fun i ->
+      let r = mk_report ~key:(string_of_int (i mod 11)) () in
+      let r =
+        if i = 3 then
+          { r with Report.action = { r.Report.action with Action.args = [ Value.Str "3"; Value.Str big ] } }
+        else r
+      in
+      Record.make ~ts:(float_of_int i) ~spec:"std" r)
+
+let large_record_reopen () =
+  let dir = fresh_dir () in
+  let db = Result.get_ok (Db.open_db dir) in
+  Alcotest.(check bool) "published" true (Db.publish db ~nonce:"big" (big_records ()));
+  let live = Db.entries db in
+  Alcotest.(check int) "live entries" 11 (List.length live);
+  Db.close db;
+  let db = Result.get_ok (Db.open_db dir) in
+  Alcotest.(check bool) "reopen keeps the nonce" true (Db.published db "big");
+  Alcotest.(check bool) "reopen keeps every entry" true
+    (List.equal Entry.equal live (Db.entries db));
+  Db.close db
+
+let large_record_compact_reopen () =
+  let dir = fresh_dir () in
+  let db = Result.get_ok (Db.open_db dir) in
+  ignore (Db.publish db ~nonce:"big" (big_records ()));
+  let live = Db.entries db in
+  (match Db.compact db with
+  | Ok n -> Alcotest.(check int) "compacted entries" 11 n
+  | Error e -> Alcotest.failf "compact: %s" e);
+  Db.close db;
+  (match Db.open_db dir with
+  | Error e -> Alcotest.failf "open after compaction: %s" e
+  | Ok db ->
+      Alcotest.(check bool) "the index keeps every entry" true
+        (List.equal Entry.equal live (Db.entries db));
+      Alcotest.(check bool) "the index keeps the nonce" true (Db.published db "big");
+      Db.close db);
+  match Db.load dir with
+  | Error e -> Alcotest.failf "load after compaction: %s" e
+  | Ok v -> Alcotest.(check int) "load total" 12 v.Db.v_stats.Db.total
 
 let suite =
   ( "racedb",
@@ -576,4 +901,9 @@ let suite =
         Alcotest.test_case "db: select filters" `Quick select_filters;
         Alcotest.test_case "db: v1 store migrates on open" `Quick
           v1_store_migrates;
-      ] )
+        Alcotest.test_case "db: record over 1 MiB survives reopen" `Quick
+          large_record_reopen;
+        Alcotest.test_case "db: record over 1 MiB survives compact+reopen"
+          `Quick large_record_compact_reopen;
+      ]
+    @ counted_fold_tests )
