@@ -91,14 +91,7 @@ let replay mode trace () =
       let an = Analyzer.with_stdspecs ~config:rd2_config () in
       Analyzer.run_trace an trace
 
-(* The sharded offline counterpart of the rd2 replay. [force] because
-   benchmark traces must actually shard, whatever their size. *)
-let replay_sharded jobs trace () =
-  match Shard.analyze_stdspecs ~jobs ~force:true ~config:rd2_config trace with
-  | Ok res -> ignore res.Shard.rd2_reports
-  | Error e -> failwith e
-
-let table2_tests ~jobs () =
+let table2_tests () =
   List.concat_map
     (fun (name, trace) ->
       List.map
@@ -106,13 +99,37 @@ let table2_tests ~jobs () =
           Test.make
             ~name:(Printf.sprintf "%s/%s" name (mode_name mode))
             (Staged.stage (replay mode trace)))
-        [ Uninstrumented; Fasttrack_mode; Rd2_mode ]
-      @ [
-          Test.make
-            ~name:(Printf.sprintf "%s/rd2-jobs%d" name jobs)
-            (Staged.stage (replay_sharded jobs trace));
-        ])
+        [ Uninstrumented; Fasttrack_mode; Rd2_mode ])
     (Lazy.force table2_traces)
+
+(* ------------------------------------------------------------------ *)
+(* The happens-before pass alone                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A lock-heavy 64-thread trace (sync period 2: most events sit in
+   acquire/call/release triples, so segments are one or two events
+   long), decoded once. [hb/step] is the snapshot-taking pass the sharded
+   analysis uses, [hb/advance] the live-clock pass of the inline one. *)
+let hb_events =
+  lazy
+    (let trace =
+       W.Synth.generate ~seed:7L
+         { (W.Synth.default ~events:20_000) with threads = 64; sync_period = 2 }
+     in
+     Array.init (Trace.length trace) (Trace.get trace))
+
+let hb_pass pass () =
+  let events = Lazy.force hb_events in
+  let hb = Hb.create () in
+  for i = 0 to Array.length events - 1 do
+    ignore (pass hb (Array.unsafe_get events i))
+  done
+
+let hb_tests () =
+  [
+    Test.make ~name:"hb/step" (Staged.stage (hb_pass Hb.step));
+    Test.make ~name:"hb/advance" (Staged.stage (hb_pass Hb.advance));
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig 4 ablation: conflict checks per action                          *)
@@ -928,9 +945,7 @@ let speedup_regression_tolerance = 0.7
 (* Refuses to compare across schema versions; otherwise prints the
    per-benchmark delta of this run against the previous file, and fails
    when a synth parallel speedup or a codec big-decode speedup regressed
-   below tolerance. Only [synth/*] keys feed the parallel gate: the
-   table2 rd2-jobsN benchmark rows force sharding onto traces far too
-   small to win, so their ratios are noise, not signal. *)
+   below tolerance. Only [synth/*] keys feed the parallel gate. *)
 let compare_results ~prev_path ~benchmarks ~synth ~codec ~overload ~predict =
   match load_results prev_path with
   | Error e -> Error ("--compare: " ^ e)
@@ -1039,9 +1054,8 @@ let write_json ~path ~jobs ~benchmarks ~traces ~synth ~codec ~server
       pr "      \"rd2_races\": %d,\n" t.tr_rd2_races;
       pr "      \"rd2_ns\": %.0f,\n" t.tr_rd2_ns;
       pr "      \"events_per_sec\": %.0f,\n" (per_s t.tr_events t.tr_rd2_ns);
-      (* The jobs2 identity check (and the rd2-jobsN benchmark rows over
-         these traces) force sharding onto traces far below the parallel
-         threshold: correctness signal, not a speedup claim. *)
+      (* The jobs2 identity check forces sharding onto traces far below
+         the parallel threshold: correctness signal, not a speedup claim. *)
       pr "      \"forced_parallel\": true,\n";
       pr "      \"sharded_reports_identical\": %b\n" t.tr_identical;
       pr "    }")
@@ -1254,7 +1268,7 @@ let () =
   let jobs =
     arg_value "--jobs" ~default:(Analyzer.recommended_jobs ()) (int_arg "--jobs")
   in
-  (* The jobsN benchmarks and the identity check need actual sharding. *)
+  (* The identity checks need actual sharding. *)
   let jobs = max 2 jobs in
   let out = arg_value "--out" ~default:"BENCH_results.json" Fun.id in
   let quota = arg_value "--quota" ~default:0.25 (float_arg "--quota") in
@@ -1293,13 +1307,6 @@ let () =
   Fmt.pr "%a@." W.Table2.print t;
   print_fig4_table ();
   print_fig7_table ();
-  let benchmarks =
-    if tables_only then []
-    else begin
-      Fmt.pr "@.";
-      print_bench_results ~quota (table2_tests ~jobs () @ ablation_tests ())
-    end
-  in
   let traces = trace_records ~jobs in
   Fmt.pr "@.## RD2 hot path per trace@.@.";
   Fmt.pr "%-44s %10s %14s %16s %12s %10s@." "trace" "actions" "lookups/act"
@@ -1389,6 +1396,18 @@ let () =
   Fmt.pr "query --top 10 (cold load): %.2f ms (%d entries)@."
     (racedb.rb_query_ns /. 1e6)
     racedb.rb_distinct;
+  (* Last: bechamel compacts the heap before every sample, and after
+     thousands of [Gc.compact]s OCaml 5.1's major GC falls behind a
+     fast-allocating pass — run first, the predictive and synth sections
+     grew the heap past 3.5 GB on a 7 GB host. *)
+  let benchmarks =
+    if tables_only then []
+    else begin
+      Fmt.pr "@.";
+      print_bench_results ~quota
+        (table2_tests () @ hb_tests () @ ablation_tests ())
+    end
+  in
   write_json ~path:out ~jobs ~benchmarks ~traces ~synth ~codec ~server
     ~server_journal ~server_ingest ~overload ~predict ~racedb;
   Fmt.pr "@.results written to %s (jobs=%d)@." out jobs;

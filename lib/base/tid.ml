@@ -1,7 +1,10 @@
 type t = int
 
+let max_id = 0xFFFF
+
 let of_int i =
   if i < 0 then invalid_arg "Tid.of_int: negative thread id";
+  if i > max_id then invalid_arg "Tid.of_int: thread id above Tid.max_id";
   i
 
 let to_int t = t

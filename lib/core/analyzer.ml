@@ -82,8 +82,9 @@ let make_detectors (config : config) ~repr_for ~spec_for =
     pool;
   }
 
-(* The dispatch hot loop: no allocation of its own — everything it
-   touches (event, clock snapshot) was allocated by the producer. *)
+(* The dispatch hot loop: no allocation of its own. [vc] is only read
+   during the call (the live [Hb] clock inline, a chunk's snapshot on a
+   shard). *)
 let dispatch d ~index (e : Event.t) vc =
   match e.op with
   | Event.Call action ->
@@ -425,7 +426,14 @@ let step t (e : Event.t) =
   t.events <- index + 1;
   Crd_obs.Counter.incr Metrics.events_total;
   try
-    let vc = Hb.step t.hb e in
+    (* Inline detectors only read the clock during the call, so they get
+       the live one; chunks hold clocks across steps, so they get the
+       segment's stable snapshot. *)
+    let vc =
+      match t.mode with
+      | Inline _ -> Hb.advance t.hb e
+      | Buffering _ | Sharded _ | Finished _ | Failed _ -> Hb.step t.hb e
+    in
     (match t.atomicity with
     | Some a -> ignore (Atomicity.step a ~index e)
     | None -> ());

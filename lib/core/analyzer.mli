@@ -16,6 +16,10 @@
     result. Nothing is recorded: memory is bounded by the detectors'
     state, not by the stream length.
 
+    With [jobs = 1] the detectors run inside the clock pass and are
+    given the happens-before engine's live clock ({!Crd_trace.Hb.advance}),
+    which they only read: the pass copies no clock per event.
+
     {2 Sharding}
 
     Every detector keys its state per object ({!Crd_detector.Rd2},

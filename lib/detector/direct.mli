@@ -25,6 +25,10 @@ val create : spec_for:(Obj_id.t -> Spec.t option) -> unit -> t
 
 val on_action :
   t -> index:int -> Tid.t -> Action.t -> Vclock.t -> Report.t list
+(** Check one action against the recorded history of its object, then
+    record it. The history keeps its own copy of the clock, never the
+    clock passed in, so the live clock of {!Crd_trace.Hb.advance} is
+    acceptable. *)
 
 val release_object : t -> Obj_id.t -> unit
 val stats : t -> stats

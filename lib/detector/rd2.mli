@@ -71,11 +71,11 @@ val create :
 val on_action :
   t -> index:int -> Tid.t -> Action.t -> Vclock.t -> Report.t list
 (** Process one action event with its happens-before clock. The clock is
-    only read (never retained), so a live [Hb.raw_clock] is acceptable
-    only if no later [step] happens before the next call; prefer
-    [Hb.snapshot]. Returns the races closed by this event. Once an
-    object's points are active, a call that reports no race allocates
-    nothing. *)
+    only read during the call, never retained (promoted entries copy the
+    components they need into clocks of their own), so the live clock of
+    {!Crd_trace.Hb.advance} is acceptable. Returns the races closed by
+    this event. Once an object's points are active, a call that reports
+    no race allocates nothing. *)
 
 val release_object : t -> Obj_id.t -> unit
 (** Drop all auxiliary state of a dead object — the reclamation

@@ -9,6 +9,10 @@ type t
 
 val create : unit -> t
 
+(** [on_read] and [on_write] only read the clock they are given, never
+    retain it (each location keeps clocks of its own), so the live clock
+    of {!Crd_trace.Hb.advance} is acceptable. *)
+
 val on_read :
   t -> index:int -> Tid.t -> Mem_loc.t -> Vclock.t -> Rw_report.t option
 

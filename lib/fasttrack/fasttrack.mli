@@ -31,7 +31,10 @@ val on_read :
   t -> index:int -> Tid.t -> Mem_loc.t -> Vclock.t -> Rw_report.t option
 (** [on_read t ~index tid loc clock] processes a read with the thread's
     current clock; reports a write-read race if the last write is not
-    ordered before it. *)
+    ordered before it. The clock is only read during the call, never
+    retained (the detector keeps epochs and clocks of its own), so the
+    live clock of {!Crd_trace.Hb.advance} is acceptable; the same holds
+    for {!on_write}. *)
 
 val on_write :
   t -> index:int -> Tid.t -> Mem_loc.t -> Vclock.t -> Rw_report.t list

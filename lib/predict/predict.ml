@@ -146,7 +146,7 @@ let build ~spec_for trace =
   in
   Trace.iter trace ~f:(fun i (e : Event.t) ->
       let tid = Tid.to_int e.tid in
-      let vc = Hb.step hb e in
+      let vc = Hb.advance hb e in
       tid_arr.(i) <- tid;
       pos_arr.(i) <- thread_len.(tid);
       thread_len.(tid) <- thread_len.(tid) + 1;

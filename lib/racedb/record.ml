@@ -169,12 +169,17 @@ let get_action s pos =
   let rets, pos = get_values s pos in
   (Action.make ~obj ~meth ~args ~rets (), pos)
 
+let get_tid s pos =
+  let v, pos = Codec.get_varint s pos in
+  if v < 0 || v > Tid.max_id then failwith "record: bad thread id";
+  (Tid.of_int v, pos)
+
 let decode_at s pos =
   let bits, pos = get_i64 s pos in
   let spec, pos = get_str s pos in
   let index, pos = Codec.get_varint s pos in
   let obj, pos = get_obj s pos in
-  let tid, pos = Codec.get_varint s pos in
+  let tid, pos = get_tid s pos in
   let action, pos = get_action s pos in
   let point, pos = get_str s pos in
   let conflicting, pos = get_str s pos in
@@ -187,9 +192,9 @@ let decode_at s pos =
   let prior, pos =
     if tag land 1 = 0 then (None, pos + 1)
     else
-      let ptid, pos = Codec.get_varint s (pos + 1) in
+      let ptid, pos = get_tid s (pos + 1) in
       let pa, pos = get_action s pos in
-      (Some (Tid.of_int ptid, pa), pos)
+      (Some (ptid, pa), pos)
   in
   ( {
       ts = Int64.float_of_bits bits;
@@ -199,7 +204,7 @@ let decode_at s pos =
         {
           Report.index;
           obj;
-          tid = Tid.of_int tid;
+          tid;
           action;
           point;
           conflicting;

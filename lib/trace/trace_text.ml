@@ -191,7 +191,9 @@ let parse_tid = function
     when String.length s >= 2
          && s.[0] = 'T'
          && String.for_all is_digit (String.sub s 1 (String.length s - 1)) ->
-      Tid.of_int (int_of_string (String.sub s 1 (String.length s - 1)))
+      (match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
+      | Some i when i <= Tid.max_id -> Tid.of_int i
+      | _ -> err "thread id %s above the maximum T%d" s Tid.max_id)
   | _ -> err "expected a thread id (T<n>)"
 
 let value_of_token = function

@@ -404,6 +404,8 @@ module Decoder = struct
   let r_tid r =
     let v = r_varint r in
     if v < 0 then corrupt "negative thread id";
+    if v > Tid.max_id then
+      corrupt "thread id %d above the maximum %d" v Tid.max_id;
     Tid.of_int v
 
   let r_value t r =

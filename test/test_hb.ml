@@ -163,6 +163,134 @@ let clocks_match_reference =
            clocks;
          !ok))
 
+(* Random event streams over a few threads (plus one far tid) and
+   sparse lock ids, with no well-formedness imposed: threads act without
+   being forked and after being joined, locks are re-acquired, released
+   by other threads or never released. *)
+let gen_wild_events =
+  let open QCheck2.Gen in
+  let tid = map Tid.of_int (frequency [ (12, int_range 0 5); (1, pure 300) ]) in
+  let lock =
+    map
+      (fun id -> Lock_id.make id)
+      (oneofl [ 0; 1; 7; 4096; 1_000_003; -3; max_int ])
+  in
+  let loc = Mem_loc.Global "x" in
+  let op =
+    frequency
+      [
+        (3, map (fun k -> Event.Call (put (string_of_int k))) (int_range 0 3));
+        (2, pure (Event.Read loc));
+        (2, pure (Event.Write loc));
+        (2, map (fun u -> Event.Fork u) tid);
+        (2, map (fun u -> Event.Join u) tid);
+        (3, map (fun l -> Event.Acquire l) lock);
+        (3, map (fun l -> Event.Release l) lock);
+        (1, pure Event.Begin);
+        (1, pure Event.End);
+      ]
+  in
+  list_size (int_range 0 120) (map2 (fun tid op -> { Event.tid; op }) tid op)
+
+(* [Hb.step]'s snapshots and [Hb.advance]'s live clock both equal the
+   oracle's clock on every [Call]/[Read]/[Write], and the snapshots stay
+   equal to it after the rest of the stream has run. *)
+let live_and_snapshot_match_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"step/advance = oracle Hb"
+       ~print:(fun es ->
+         String.concat "\n"
+           (List.map (fun e -> Fmt.str "%a" Event.pp e) es))
+       gen_wild_events
+       (fun events ->
+         let oracle = Hb_oracle.create () in
+         let stepped = Hb.create () and live = Hb.create () in
+         let kept = ref [] in
+         List.for_all
+           (fun (e : Event.t) ->
+             let expected = Hb_oracle.step oracle e in
+             let snap = Hb.step stepped e in
+             let cur = Hb.advance live e in
+             match e.op with
+             | Event.Call _ | Event.Read _ | Event.Write _ ->
+                 kept := (snap, Vclock.copy expected) :: !kept;
+                 Vclock.equal snap expected && Vclock.equal cur expected
+             | _ -> true)
+           events
+         && List.for_all (fun (snap, expected) -> Vclock.equal snap expected) !kept))
+
+let synth_64t ~events =
+  Crd_workloads.Synth.generate ~seed:7L
+    {
+      (Crd_workloads.Synth.default ~events) with
+      threads = 64;
+      sync_period = 2;
+      skew = Crd_workloads.Synth.Uniform;
+    }
+
+(* The inline analysis reads the live clock, the sharded one the
+   snapshots: on a 64-thread trace where most events sit in one- or
+   two-event segments, both report exactly the races of detectors fed by
+   the oracle engine. *)
+let jobs_agree_on_64_threads () =
+  let trace = synth_64t ~events:30_000 in
+  let config =
+    { Analyzer.rd2 = `Constant; direct = false; fasttrack = true; djit = false; atomicity = false }
+  in
+  let run jobs =
+    let an =
+      Result.get_ok
+        (Analyzer.create ~config ~jobs ~threshold:0
+           ~spec_for:Stdspecs.spec_for ())
+    in
+    Analyzer.run_trace an trace;
+    (Analyzer.rd2_races an, Analyzer.fasttrack_races an)
+  in
+  let oracle =
+    let hb = Hb_oracle.create () in
+    let rd2 =
+      Rd2.create
+        ~repr_for:(fun o ->
+          Option.map (fun s -> Result.get_ok (Repr.of_spec s)) (Stdspecs.spec_for o))
+        ()
+    and ft = Fasttrack.create () in
+    Trace.iter trace ~f:(fun index (e : Event.t) ->
+        let vc = Hb_oracle.step hb e in
+        match e.op with
+        | Event.Call a -> ignore (Rd2.on_action rd2 ~index e.tid a vc)
+        | Event.Read loc -> ignore (Fasttrack.on_read ft ~index e.tid loc vc)
+        | Event.Write loc -> ignore (Fasttrack.on_write ft ~index e.tid loc vc)
+        | _ -> ());
+    (Rd2.races rd2, Fasttrack.races ft)
+  in
+  let rd2_1, ft_1 = run 1 and rd2_2, ft_2 = run 2 in
+  Alcotest.(check bool) "some rd2 races" true (rd2_1 <> []);
+  Alcotest.(check bool) "some fasttrack races" true (ft_1 <> []);
+  Alcotest.(check bool) "rd2 jobs=1 = oracle" true (rd2_1 = fst oracle);
+  Alcotest.(check bool) "fasttrack jobs=1 = oracle" true (ft_1 = snd oracle);
+  Alcotest.(check bool) "rd2 jobs=2 = jobs=1" true (rd2_2 = rd2_1);
+  Alcotest.(check bool) "fasttrack jobs=2 = jobs=1" true (ft_2 = ft_1)
+
+(* Once every thread and lock has been seen and the clocks have reached
+   their width, [Hb.advance] allocates nothing. *)
+let advance_allocation_free () =
+  let trace = synth_64t ~events:20_000 in
+  let events = Array.init (Trace.length trace) (Trace.get trace) in
+  let hb = Hb.create () in
+  let run () =
+    for i = 0 to Array.length events - 1 do
+      ignore (Hb.advance hb (Array.unsafe_get events i))
+    done
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  let per_event = words /. float_of_int (Array.length events) in
+  if per_event > 0. then
+    Alcotest.failf "Hb.advance allocates %.3f minor words per event (%.0f total)"
+      per_event words
+
 let suite =
   ( "hb",
     [
@@ -178,4 +306,8 @@ let suite =
       Alcotest.test_case "snapshot stability" `Quick snapshot_stability;
       Alcotest.test_case "snapshot shared in segment" `Quick
         snapshot_shared_within_segment;
+      live_and_snapshot_match_oracle;
+      Alcotest.test_case "jobs 1/2 agree on 64 threads" `Quick
+        jobs_agree_on_64_threads;
+      Alcotest.test_case "advance allocation-free" `Quick advance_allocation_free;
     ] )

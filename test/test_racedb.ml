@@ -877,6 +877,46 @@ let large_record_compact_reopen () =
   | Error e -> Alcotest.failf "load after compaction: %s" e
   | Ok v -> Alcotest.(check int) "load total" 12 v.Db.v_stats.Db.total
 
+(* A stored thread id outside [0, Tid.max_id] is corruption: [decode]
+   returns an error, the way it does for every other malformed field,
+   instead of letting [Tid.of_int]'s [Invalid_argument] escape. *)
+let record_tid_out_of_range () =
+  let report =
+    { (mk_report ~prior_meth:"get" ()) with Report.tid = Tid.of_int Tid.max_id }
+  in
+  let report =
+    { report with
+      Report.prior = Option.map (fun (_, a) -> (Tid.of_int Tid.max_id, a)) report.Report.prior }
+  in
+  let s = Record.encode (Record.make ~ts:0. ~spec:"std" report) in
+  let max_tid = "\xff\xff\x03" in
+  let find_from i =
+    let rec go i =
+      if String.sub s i 3 = max_tid then i else go (i + 1)
+    in
+    go i
+  in
+  let first = find_from 0 in
+  let second = find_from (first + 3) in
+  let splice at field =
+    String.sub s 0 at ^ field ^ String.sub s (at + 3) (String.length s - at - 3)
+  in
+  (match Record.decode s with
+  | Ok r -> Alcotest.(check int) "T65535 round-trips" Tid.max_id (Tid.to_int r.Record.report.Report.tid)
+  | Error e -> Alcotest.failf "T65535 rejected: %s" e);
+  let above = "\xff\xff\x04" and negative = String.make 8 '\xff' ^ "\x7f" in
+  List.iter
+    (fun (what, s) ->
+      match Record.decode s with
+      | Error e -> Alcotest.(check string) what "record: bad thread id" e
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [
+      ("tid above max_id", splice first above);
+      ("negative tid", splice first negative);
+      ("prior tid above max_id", splice second above);
+    ]
+
 let suite =
   ( "racedb",
     [
@@ -906,4 +946,8 @@ let suite =
         Alcotest.test_case "db: record over 1 MiB survives compact+reopen"
           `Quick large_record_compact_reopen;
       ]
-    @ counted_fold_tests )
+    @ counted_fold_tests
+    @ [
+        Alcotest.test_case "record: thread id out of range" `Quick
+          record_tid_out_of_range;
+      ] )

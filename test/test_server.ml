@@ -975,6 +975,65 @@ let ingest_exits () =
         (reply_race_lines (read_file (Filename.concat dir (nonce ^ ".report")))))
     [ "s-good1"; "s-good2" ]
 
+(* A thread id above [Tid.max_id] is refused where it enters: offline
+   [rd2 check] exits with the decoder's error on both trace formats, and
+   a live session gets a Decode ERR, after which the server still serves
+   the next session. Before the bound, the text case alone made [rd2
+   check] allocate a clock gigabytes wide. *)
+let far_tid_refused () =
+  let dir = fresh_dir "crd-far-tid" in
+  let check format data =
+    let path = Filename.concat dir ("t." ^ format) in
+    Out_channel.with_open_bin path (fun oc -> output_string oc data);
+    let err_path = Filename.concat dir "stderr" in
+    let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process rd2_exe
+        [| "rd2"; "check"; "--format"; format; path |]
+        Unix.stdin null err
+    in
+    Unix.close err;
+    Unix.close null;
+    let status = reap pid in
+    let msg = read_file err_path in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: failing exit" format)
+      true
+      (status <> Unix.WEXITED 0);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: decoder error (%s)" format msg)
+      true
+      (contains msg "thread id" && contains msg "above the maximum"
+      && not (contains msg "exception"))
+  in
+  check "text" Test_wire.far_tid_text;
+  check "bin" Test_wire.far_tid_stream;
+  with_server (fun ~addr ~server ->
+      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let reply =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX path);
+            Proto.send_handshake fd ~nonce:"far-tid" ~spec:"std" ();
+            Proto.write_all fd Test_wire.far_tid_stream;
+            (match Proto.read_handshake_reply fd with
+            | Ok Proto.Accepted -> ()
+            | Ok _ | Error _ -> Alcotest.fail "handshake not accepted");
+            Proto.read_to_eof fd)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "session: Decode ERR (%s)" reply)
+        true
+        (String.starts_with ~prefix:"ERR " reply
+        && contains reply "above the maximum");
+      ignore (send_exn ~addr (snitch_trace ()));
+      let st = Server.stats server in
+      Alcotest.(check int) "two completed sessions" 2 st.Server.sessions;
+      Alcotest.(check int) "one error session" 1 st.Server.errors)
+
 let suite =
   ( "server",
     [
@@ -1016,4 +1075,6 @@ let suite =
         sharded_session;
       Alcotest.test_case "ingest exits, both tiers"
         `Quick ingest_exits;
+      Alcotest.test_case "thread id above Tid.max_id refused" `Quick
+        far_tid_refused;
     ] )

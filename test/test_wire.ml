@@ -258,6 +258,63 @@ let decode_frame_fault_resync () =
   | Error e -> Alcotest.failf "unexpected resync failure: %a" Wire.pp_error e);
   Alcotest.(check bool) "deterministic under a fixed seed" true (a = run ())
 
+(* A thread id above [Tid.max_id]: [T0 fork T<tid>] as one CRDW frame and
+   as a text line. Every array indexed by tid (a vector clock, the
+   happens-before thread table) would be that wide, so every decoder
+   refuses it with a typed error before any event reaches the analysis. *)
+let far_tid = 400_000_000
+
+let far_tid_stream =
+  let payload = Buffer.create 16 in
+  Buffer.add_char payload (Char.chr Wire.tag_fork);
+  Wire.add_varint payload 0;
+  Wire.add_varint payload far_tid;
+  let b = Buffer.create 32 in
+  Buffer.add_string b Wire.magic;
+  Buffer.add_char b (Char.chr Wire.version);
+  Wire.add_varint b (Buffer.length payload);
+  Buffer.add_buffer b payload;
+  Wire.add_varint b 0;
+  Buffer.contents b
+
+let far_tid_text =
+  Printf.sprintf "T0 fork T%d\nT%d call \"dictionary:o\".put(\"a\", 1) / nil\n"
+    far_tid far_tid
+
+let tid_bound () =
+  Alcotest.(check int) "max_id" 65_535 Tid.max_id;
+  Alcotest.(check int) "max_id accepted" Tid.max_id (Tid.to_int (Tid.of_int Tid.max_id));
+  Alcotest.check_raises "above max_id"
+    (Invalid_argument "Tid.of_int: thread id above Tid.max_id") (fun () ->
+      ignore (Tid.of_int (Tid.max_id + 1)));
+  let corrupt what = function
+    | Error (Wire.Corrupt msg) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s" what msg)
+          true
+          (String.starts_with ~prefix:"thread id 400000000 above" msg)
+    | Error e -> Alcotest.failf "%s: unexpected %a" what Wire.pp_error e
+    | Ok _ -> Alcotest.failf "%s: far thread id accepted" what
+  in
+  corrupt "codec" (Wire.decode_string far_tid_stream);
+  corrupt "bigcodec" (Bigwire.decode_string far_tid_stream);
+  (* A varint that is a valid int but not a valid tid, at the bound. *)
+  let at_bound =
+    String.concat ""
+      [ Wire.magic; String.make 1 (Char.chr Wire.version); "\x05\x13\x00\xff\xff\x03"; "\x00" ]
+  in
+  (match Bigwire.decode_string at_bound with
+  | Ok t -> Alcotest.(check int) "T65535 decodes" 1 (Trace.length t)
+  | Error e -> Alcotest.failf "T65535 rejected: %a" Wire.pp_error e);
+  (match Trace_text.parse far_tid_text with
+  | Error msg ->
+      Alcotest.(check string) "text" "line 1: thread id T400000000 above the maximum T65535" msg
+  | Ok _ -> Alcotest.fail "text: far thread id accepted");
+  (* Too many digits for an int: an error too, not an escaped Failure. *)
+  match Trace_text.parse "T0 fork T99999999999999999999999\n" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "text: overflowing thread id accepted"
+
 let suite =
   ( "wire",
     [
@@ -333,4 +390,5 @@ let suite =
           let s = Bytes.to_string b in
           decode_chunked ~resync:true ~chunk:(String.length s) s
           = decode_chunked ~resync:true ~chunk:1 s);
+      Alcotest.test_case "thread ids above Tid.max_id" `Quick tid_bound;
     ] )
