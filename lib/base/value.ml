@@ -5,7 +5,11 @@ type t =
   | Str of string
   | Ref of int
 
+(* Physically equal values — the decoder's shared small ints, a value
+   compared against itself — settle without a match. *)
 let equal a b =
+  a == b
+  ||
   match (a, b) with
   | Nil, Nil -> true
   | Bool a, Bool b -> a = b

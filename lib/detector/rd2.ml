@@ -28,7 +28,9 @@ type stats = {
    meaningful while [evc = None]) so the common slide — another ordered
    touch — is two stores and no allocation. [desc] is the point as race
    reports describe it, rendered on the entry's first race and shared by
-   every later one. *)
+   every later one. A keyed entry carries its key ([shape], [value]) and
+   the [next] link of its object's bucket chain; a ds entry's [value] is
+   [Nil] and its [next] unused. *)
 type entry = {
   mutable ep_tid : Tid.t;
   mutable ep_clock : int;
@@ -36,22 +38,16 @@ type entry = {
   mutable last_tid : Tid.t;
   mutable last_action : Action.t;
   mutable desc : string;  (* [""] until the first race on the entry *)
+  shape : int;
+  value : Value.t;
+  mutable next : entry;  (* [absent] ends a chain *)
 }
-
-(* [Value.hash] builds a tuple per call; the structural hash of the value
-   itself agrees with [Value.equal] just as well and allocates nothing. *)
-module VTbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash : t -> int = Hashtbl.hash
-end)
 
 module ObjTbl = Hashtbl.Make (Int)
 
-(* The missing entry and the missing keyed table. Both are shared by
-   every detector and never written: a slot holding one is empty. *)
-let absent =
+(* The missing entry, shared by every detector and never written: a slot
+   or a chain link holding it is empty. *)
+let rec absent =
   {
     ep_tid = Tid.main;
     ep_clock = 0;
@@ -59,14 +55,20 @@ let absent =
     last_tid = Tid.main;
     last_action = Action.make ~obj:(Obj_id.make (-1)) ~meth:"" ();
     desc = "";
+    shape = -1;
+    value = Value.Nil;
+    next = absent;
   }
 
-let no_table : entry VTbl.t = VTbl.create 1
+(* The bucket array of an object that has no keyed entry yet: one empty
+   chain, so a probe needs no special case. Shared, never written. *)
+let no_buckets = [| absent |]
 
-(* The active points of an object, by shape id: a ds shape has at most
-   one entry, a keyed shape one per witnessed value. Looking a point up
-   is an array read, plus one hash probe for a keyed point, and builds
-   no [Point.t].
+(* The active points of an object: a ds shape has at most one entry, in
+   [ds] by shape id; a keyed shape one per witnessed value, chained by
+   hash in [buckets] (a power of two long, doubled when [nkeyed] reaches
+   its length). Looking a point up is an array read, plus a short chain
+   walk for a keyed point, and builds no [Point.t].
 
    Cache of the last race-free invocation on an object: if the same
    thread re-invokes the same access points at an unchanged own-component
@@ -79,7 +81,8 @@ let no_table : entry VTbl.t = VTbl.create 1
 type obj_state = {
   repr : Repr.t;
   ds : entry array;  (* by shape id; [absent] when inactive *)
-  keyed : entry VTbl.t array;  (* by shape id; [no_table] until touched *)
+  mutable buckets : entry array;  (* keyed entries; [no_buckets] until one *)
+  mutable nkeyed : int;
   mutable stamp : int;  (* bumped whenever an entry's clock meta changes *)
   mutable lo_valid : bool;
   mutable lo_tid : Tid.t;
@@ -90,13 +93,22 @@ type obj_state = {
   lo_values : Value.t array;
 }
 
-(* [shapes]/[values] hold the current action's points, written by
+(* An object's slot in the detector: never seen, seen and not monitored
+   ([repr_for] gave [None]), or its state. *)
+type slot = Unseen | Unmonitored | Seen of obj_state
+
+(* Object ids in [[0, dense_limit)] index [dense] (the bound of
+   [Bigcodec]'s dense reference table: real encoders count up from
+   zero); any other id, negative ones included, lives in [spill].
+
+   [shapes]/[values] hold the current action's points, written by
    [Repr.eta_into]. This scratch lives in the detector, one per domain:
    the [Repr.t] is shared read-only by every shard. *)
 type t = {
   mode : mode;
   repr_for : Obj_id.t -> Repr.t option;
-  objects : obj_state option ObjTbl.t;
+  mutable dense : slot array;
+  spill : slot ObjTbl.t;
   pool : Vclock.Pool.t option;  (* component-clock arena (single-owner) *)
   stats : stats;
   mutable reports : Report.t list;  (* newest first *)
@@ -104,11 +116,14 @@ type t = {
   mutable values : Value.t array;
 }
 
+let dense_limit = 1 lsl 16
+
 let create ?(mode = `Constant) ?pool ~repr_for () =
   {
     mode;
     repr_for;
-    objects = ObjTbl.create 64;
+    dense = Array.make 64 Unseen;
+    spill = ObjTbl.create 8;
     pool;
     stats =
       {
@@ -124,53 +139,117 @@ let create ?(mode = `Constant) ?pool ~repr_for () =
     values = [||];
   }
 
-let obj_state t (o : Obj_id.t) =
-  let key = Obj_id.id o in
-  match ObjTbl.find t.objects key with
-  | st -> st
-  | exception Not_found ->
-      let st =
-        match t.repr_for o with
-        | None -> None
-        | Some repr ->
-            let n = Repr.max_points repr in
-            if Array.length t.shapes < n then begin
-              t.shapes <- Array.make n 0;
-              t.values <- Array.make n Value.Nil
-            end;
-            let nshapes = Repr.num_shapes repr in
-            Some
-              {
-                repr;
-                ds = Array.make nshapes absent;
-                keyed = Array.make nshapes no_table;
-                stamp = 0;
-                lo_valid = false;
-                lo_tid = Tid.main;
-                lo_clock = 0;
-                lo_stamp = 0;
-                lo_n = 0;
-                lo_shapes = Array.make n 0;
-                lo_values = Array.make n Value.Nil;
-              }
-      in
-      ObjTbl.add t.objects key st;
-      st
+let is_dense id = id >= 0 && id < dense_limit
 
-let release_object t o = ObjTbl.remove t.objects (Obj_id.id o)
+let slot t id =
+  if is_dense id then
+    if id < Array.length t.dense then Array.unsafe_get t.dense id else Unseen
+  else match ObjTbl.find t.spill id with s -> s | exception Not_found -> Unseen
+
+let set_slot t id s =
+  if is_dense id then begin
+    let n = Array.length t.dense in
+    if id >= n then begin
+      let grown = Array.make (min dense_limit (max (id + 1) (2 * n))) Unseen in
+      Array.blit t.dense 0 grown 0 n;
+      t.dense <- grown
+    end;
+    t.dense.(id) <- s
+  end
+  else ObjTbl.replace t.spill id s
+
+let new_slot t (o : Obj_id.t) =
+  let s =
+    match t.repr_for o with
+    | None -> Unmonitored
+    | Some repr ->
+        let n = Repr.max_points repr in
+        if Array.length t.shapes < n then begin
+          t.shapes <- Array.make n 0;
+          t.values <- Array.make n Value.Nil
+        end;
+        Seen
+          {
+            repr;
+            ds = Array.make (Repr.num_shapes repr) absent;
+            buckets = no_buckets;
+            nkeyed = 0;
+            stamp = 0;
+            lo_valid = false;
+            lo_tid = Tid.main;
+            lo_clock = 0;
+            lo_stamp = 0;
+            lo_n = 0;
+            lo_shapes = Array.make n 0;
+            lo_values = Array.make n Value.Nil;
+          }
+  in
+  set_slot t (Obj_id.id o) s;
+  s
+
+let release_object t o =
+  let id = Obj_id.id o in
+  if is_dense id then (if id < Array.length t.dense then t.dense.(id) <- Unseen)
+  else ObjTbl.remove t.spill id
 
 let active_points t o =
-  match ObjTbl.find_opt t.objects (Obj_id.id o) with
-  | Some (Some st) ->
+  match slot t (Obj_id.id o) with
+  | Seen st ->
       Array.fold_left (fun n e -> if e == absent then n else n + 1) 0 st.ds
-      + Array.fold_left (fun n tbl -> n + VTbl.length tbl) 0 st.keyed
-  | _ -> 0
+      + st.nkeyed
+  | Unseen | Unmonitored -> 0
+
+(* The bucket of keyed point (id, v) in a table of [mask + 1] buckets. The
+   hash agrees with [Value.equal] (equal values hash alike: the value
+   itself for an immediate, the string hash for [Str]) and allocates
+   nothing; the odd multiplier sends consecutive integer keys of one
+   shape to distinct buckets, apart from those of its neighbour shapes. *)
+let bucket mask id (v : Value.t) =
+  let h =
+    match v with
+    | Int i | Ref i -> i
+    | Str s -> Hashtbl.hash s
+    | Bool b -> Bool.to_int b
+    | Nil -> 0
+  in
+  ((h * 65599) + id) land mask
+
+let rec chain_find e id v =
+  if e == absent || (e.shape = id && Value.equal e.value v) then e
+  else chain_find e.next id v
 
 (* The entry of point (id, v), or [absent]. *)
 let find st ~keyed id v =
   if keyed then
-    match VTbl.find st.keyed.(id) v with e -> e | exception Not_found -> absent
+    let b = st.buckets in
+    chain_find (Array.unsafe_get b (bucket (Array.length b - 1) id v)) id v
   else st.ds.(id)
+
+let link b e =
+  let i = bucket (Array.length b - 1) e.shape e.value in
+  e.next <- b.(i);
+  b.(i) <- e
+
+(* Link a fresh keyed entry into its chain, first replacing [no_buckets]
+   or doubling the bucket array once the entry count reaches its
+   length. *)
+let add_keyed st e =
+  let old = st.buckets in
+  if old == no_buckets then st.buckets <- Array.make 8 absent
+  else if st.nkeyed >= Array.length old then begin
+    let b = Array.make (2 * Array.length old) absent in
+    let rec move e =
+      if e != absent then begin
+        let next = e.next in
+        link b e;
+        move next
+      end
+    in
+    Array.iter move old;
+    st.buckets <- b
+  end;
+  link st.buckets e;
+  st.nkeyed <- st.nkeyed + 1
 
 (* [entry_leq entry vc] iff every past toucher of the entry happens-before
    the action carrying [vc] — equivalent to the full-VC join test of
@@ -218,9 +297,9 @@ let rec same_points st shapes values i =
      && Value.equal st.lo_values.(i) values.(i)
      && same_points st shapes values (i - 1)
 
-(* Phase 1, [`Linear]: scan every active entry of the object and test
-   each against the action's [i]th point pairwise; return [found] with
-   the races added. *)
+(* Phase 1, [`Linear]: scan every active entry of the object — the ds
+   array, then each bucket chain — and test each against the action's
+   [i]th point pairwise; return [found] with the races added. *)
 let scan_linear t st ~index ~tid ~action vc i found =
   let found = ref found in
   let id = t.shapes.(i) and v = t.values.(i) in
@@ -234,16 +313,21 @@ let scan_linear t st ~index ~tid ~action vc i found =
   Array.iteri
     (fun id' e -> if e != absent then check ~keyed:false id' true e)
     st.ds;
-  Array.iteri
-    (fun id' tbl ->
-      VTbl.iter (fun v' e -> check ~keyed:true id' (Value.equal v v') e) tbl)
-    st.keyed;
+  let rec chain e =
+    if e != absent then begin
+      check ~keyed:true e.shape (Value.equal v e.value) e;
+      chain e.next
+    end
+  in
+  Array.iter chain st.buckets;
   !found
 
 let on_action t ~index tid (action : Action.t) vc =
-  match obj_state t action.Action.obj with
-  | None -> []
-  | Some st ->
+  let obj = action.Action.obj in
+  let s = match slot t (Obj_id.id obj) with Unseen -> new_slot t obj | s -> s in
+  match s with
+  | Unseen | Unmonitored -> []
+  | Seen st ->
       t.stats.actions <- t.stats.actions + 1;
       let repr = st.repr and shapes = t.shapes and values = t.values in
       let n = Repr.eta_into repr action ~shapes ~values in
@@ -335,13 +419,12 @@ let on_action t ~index tid (action : Action.t) vc =
               last_tid = tid;
               last_action = action;
               desc = "";
+              shape = id;
+              value = (if keyed then v else Value.Nil);
+              next = absent;
             }
           in
-          if keyed then begin
-            if st.keyed.(id) == no_table then st.keyed.(id) <- VTbl.create 8;
-            VTbl.add st.keyed.(id) v entry
-          end
-          else st.ds.(id) <- entry;
+          if keyed then add_keyed st entry else st.ds.(id) <- entry;
           st.stamp <- st.stamp + 1
         end
       done;

@@ -18,8 +18,8 @@
     unrestricted representation would force. Both report the same races
     at every event; the ablation benchmark compares their cost. Within
     one event, [`Linear] gives its races in the order of its scan (ds
-    entries, then each keyed shape's table), which may differ from the
-    order before the per-shape entry tables; the per-event multiset is
+    entries, then the keyed entries chain by chain), which may differ
+    from the order of a [Point.Tbl] scan; the per-event multiset is
     unchanged, and Theorem 5.1's test compares event indices only.
 
     The per-point clock is {e epoch-adaptive} (FastTrack-style): while

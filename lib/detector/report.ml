@@ -97,18 +97,21 @@ let fingerprint t =
 
 let fingerprint_hex t = Printf.sprintf "%016Lx" (fingerprint t)
 
+module Fps = Hashtbl.Make (Int64)
+
+(* Deduplicate in a hash set first, then sort only the distinct values:
+   a hot point's thousands of races share a handful of fingerprints. *)
 let distinct_fingerprints reports =
-  let fps = Array.make (List.length reports) 0L in
-  List.iteri (fun i r -> fps.(i) <- fingerprint r) reports;
-  Array.sort Int64.unsigned_compare fps;
+  let seen = Fps.create 1024 in
+  List.iter (fun r -> Fps.replace seen (fingerprint r) ()) reports;
+  let fps = Array.make (Fps.length seen) 0L in
   let n = ref 0 in
-  Array.iter
-    (fun fp ->
-      if !n = 0 || not (Int64.equal fps.(!n - 1) fp) then begin
-        fps.(!n) <- fp;
-        incr n
-      end)
-    fps;
-  Array.sub fps 0 !n
+  Fps.iter
+    (fun fp () ->
+      fps.(!n) <- fp;
+      incr n)
+    seen;
+  Array.sort Int64.unsigned_compare fps;
+  fps
 
 let distinct reports = Array.length (distinct_fingerprints reports)

@@ -18,7 +18,11 @@ open Crd_trace
    - the push-based entry points ([feed_iter], [iter_bigstring],
      [iter_file]) hand each event to the consumer as it is parsed, with
      no intermediate list: in a streaming consumer the events die in the
-     minor heap instead of being promoted twice. *)
+     minor heap instead of being promoted twice;
+   - an [Int] in [[0, 1024)] decodes to a box shared by every decoder,
+     built by the first [Decoder.create] (not at start-up), so the
+     common small argument allocates nothing and [Value.equal] settles
+     it by identity. *)
 
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -97,6 +101,29 @@ module Decoder = struct
 
   type state = Header | Frames | Finished | Failed of Codec.error
 
+  (* The shared [Int] boxes: [small_ints.(i) = Int i] for [0 <= i <
+     small_int_limit], empty until the first [create]. Two domains
+     creating their first decoders at once may each build a table; both
+     are equal and either may win, so no lock is needed (and [Lazy] would
+     raise [Undefined] in the loser). *)
+  let small_int_limit = 1024
+  let small_ints : Value.t array Atomic.t = Atomic.make [||]
+
+  let shared_small_ints () =
+    let ints = Atomic.get small_ints in
+    if Array.length ints = small_int_limit then ints
+    else begin
+      (* Not [Array.init]: its first element is a young box, and
+         [Array.make] of a major-heap length with a young value runs a
+         minor collection first (~0.25 ms in a fresh process). *)
+      let ints = Array.make small_int_limit Value.Nil in
+      for i = 0 to small_int_limit - 1 do
+        ints.(i) <- Value.Int i
+      done;
+      Atomic.set small_ints ints;
+      ints
+    end
+
   (* Ids above this bound (from a hand-crafted stream — real encoders
      count up from zero) spill to a hashtable instead of growing the
      dense array without limit. *)
@@ -121,6 +148,7 @@ module Decoder = struct
     mutable locks_spill : (int, Lock_id.t) Hashtbl.t;
     mutable mem : int;  (* bytes charged to [mem_intern_bytes] *)
     mutable released : bool;
+    ints : Value.t array;  (* [shared_small_ints] *)
   }
 
   let charge t n =
@@ -158,6 +186,7 @@ module Decoder = struct
         locks_spill = Hashtbl.create 8;
         mem = 0;
         released = false;
+        ints = shared_small_ints ();
       }
     in
     charge t (65536 + (8 * (64 + 64 + 16)));
@@ -347,16 +376,25 @@ module Decoder = struct
     if tag = Codec.val_nil then Value.Nil
     else if tag = Codec.val_false then Value.Bool false
     else if tag = Codec.val_true then Value.Bool true
-    else if tag = Codec.val_int then Value.Int (r_zigzag c)
+    else if tag = Codec.val_int then
+      let i = r_zigzag c in
+      if i >= 0 && i < small_int_limit then Array.unsafe_get t.ints i
+      else Value.Int i
     else if tag = Codec.val_str then Value.Str (r_str_ref t c)
     else if tag = Codec.val_ref then Value.Ref (r_zigzag c)
     else corrupt "unknown value tag 0x%02x" tag
+
+  let[@tail_mod_cons] rec r_value_list t c n =
+    if n = 0 then []
+    else
+      let v = r_value t c in
+      v :: r_value_list t c (n - 1)
 
   let r_values t c =
     let n = r_varint c in
     if n < 0 || n > c.rlimit - c.rpos then
       corrupt "value list longer than its frame";
-    List.init n (fun _ -> r_value t c)
+    r_value_list t c n
 
   let r_loc t c =
     let tag = r_byte c in
@@ -393,7 +431,9 @@ module Decoder = struct
             let meth = r_str_ref t c in
             let args = r_values t c in
             let rets = r_values t c in
-            Event.Call (Action.make ~obj ~meth ~args ~rets ())
+            (* The record itself: [Action.make]'s optional arguments
+               would box both lists. *)
+            Event.Call { Action.obj; meth; args; rets }
           end
           else if tag = Codec.tag_read then Event.Read (r_loc t c)
           else if tag = Codec.tag_write then Event.Write (r_loc t c)

@@ -268,13 +268,13 @@ let stats_monotone =
       stats.Direct.lookups = n * (n - 1) / 2)
 
 (* ------------------------------------------------------------------ *)
-(* The per-shape entry tables against the Point.Tbl detector            *)
+(* The flat entry tables against the Point.Tbl detector                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The detector before the compiled eta and the per-shape entry tables,
    kept verbatim as the oracle: one [Point.Tbl] of entries per object,
    points from [Repr.eta], candidates from [Repr.conflicts], a fresh
-   description per race. *)
+   description per race ([release_object] added since). *)
 module Point_tbl_rd2 = struct
   type entry = {
     mutable ep_tid : Tid.t;
@@ -335,6 +335,8 @@ module Point_tbl_rd2 = struct
         in
         Hashtbl.add t.objects key st;
         st
+
+  let release_object t o = Hashtbl.remove t.objects (Obj_id.id o)
 
   let entry_leq entry vc =
     match entry.evc with
@@ -544,26 +546,127 @@ let report_fields (r : Report.t) =
 let stats_fields (s : Rd2.stats) =
   (s.Rd2.actions, s.Rd2.lookups, s.Rd2.same_epoch, s.Rd2.promotions, s.Rd2.deflations, s.Rd2.races)
 
-(* Runs the detector and the oracle side by side; [same_event] compares
-   the races each closes at one event. *)
-let against_oracle ~mode ~pool ~same_event trace =
+(* One step of an oracle run: an event, or the release of an object's
+   state (in both detectors). *)
+type step = Ev of Event.t | Drop of Obj_id.t
+
+(* Runs the detector and the oracle side by side over [steps];
+   [same_event] compares the races each closes at one event, and
+   [observe] sees the detector after every call. *)
+let against_oracle_steps ?(observe = fun _ _ -> ()) ~mode ~pool ~same_event steps =
   let hb = Hb.create () in
   let pool = if pool then Some (Vclock.Pool.create ()) else None in
   let d = Rd2.create ~mode ?pool ~repr_for:mixed_repr_for () in
   let o = Point_tbl_rd2.create ~mode ~repr_for:mixed_repr_for in
   let ok = ref true in
-  Trace.iter trace ~f:(fun index (e : Event.t) ->
-      let vc = Hb.step hb e in
-      match e.op with
-      | Event.Call a ->
-          let got = List.map report_fields (Rd2.on_action d ~index e.tid a vc) in
-          let want = List.map report_fields (Point_tbl_rd2.on_action o ~index e.tid a vc) in
-          if not (same_event got want) then ok := false
-      | _ -> ());
+  List.iteri
+    (fun index step ->
+      match step with
+      | Drop obj ->
+          Rd2.release_object d obj;
+          Point_tbl_rd2.release_object o obj
+      | Ev (e : Event.t) -> (
+          let vc = Hb.step hb e in
+          match e.op with
+          | Event.Call a ->
+              let got = List.map report_fields (Rd2.on_action d ~index e.tid a vc) in
+              let want = List.map report_fields (Point_tbl_rd2.on_action o ~index e.tid a vc) in
+              if not (same_event got want) then ok := false;
+              observe d a
+          | _ -> ()))
+    steps;
   (d, o, !ok && stats_fields (Rd2.stats d) = stats_fields o.Point_tbl_rd2.stats)
+
+let against_oracle ~mode ~pool ~same_event trace =
+  against_oracle_steps ~mode ~pool ~same_event (List.map (fun e -> Ev e) (Trace.to_list trace))
+
+(* Object ids of the wide generator: the dense table's ends, ids just
+   past it, far above it and negative ones, which live in its spill. *)
+let wide_ids = [| 0; 3; 65_535; 65_536; 1 lsl 40; -1; -65_537 |]
+
+let dense_id id = id >= 0 && id < 65_536
+
+(* Random steps over the same specifications, widened where the mixed
+   generator is narrow: the objects take the ids of [wide_ids] (plus an
+   unmonitored one in each table), half the calls go to two hot objects,
+   one dense and one spilled, so their keyed points pile up, and slot
+   values come from a wide domain — integers around 0 and past 1023,
+   negative ones, strings, and references numerically equal to integers
+   — mixed with a narrow one that keeps races coming. One step in forty
+   releases an object's state, which later calls touch again. *)
+let wide_steps ~len : step list Gen.t =
+  let open Gen in
+  let* seed = int_range 0 0x3FFFFFF in
+  return
+    (let prng = Prng.make (Int64.of_int seed) in
+     let steps = ref [] in
+     let add st = steps := st :: !steps in
+     let threads = 4 in
+     for i = 1 to threads - 1 do
+       add (Ev (Event.fork Tid.main (Tid.of_int i)))
+     done;
+     let objs =
+       Array.mapi
+         (fun i id ->
+           let spec = List.nth mixed_specs (i mod List.length mixed_specs) in
+           (Obj_id.make ~name:(Printf.sprintf "%s:w%d" (Spec.name spec) i) id, Some spec))
+         wide_ids
+     in
+     let objs =
+       Array.append objs
+         [| (Obj_id.make ~name:"ghost:a" 7, None); (Obj_id.make ~name:"ghost:b" (-7), None) |]
+     in
+     (* [objs.(0)] is a dense dictionary, [objs.(5)] a spilled one. *)
+     let hot = [| 0; 5 |] in
+     let narrow = [| Value.Nil; Value.Bool true; Value.Int 0; Value.Int 1023; Value.Ref 0; Value.Str "k" |] in
+     let wide () =
+       match Prng.int prng 4 with
+       | 0 -> Value.Int (Prng.int prng 2100)
+       | 1 -> Value.Int (-1 - Prng.int prng 50)
+       | 2 -> Value.Ref (Prng.int prng 1100)
+       | _ -> Value.Str (Printf.sprintf "s%d" (Prng.int prng 200))
+     in
+     let pick _ = if Prng.int prng 10 < 3 then narrow.(Prng.int prng (Array.length narrow)) else wide () in
+     let last = Array.make threads None in
+     let lock = Lock_id.make 0 in
+     let holder = ref None in
+     for _ = 1 to len do
+       let t = Prng.int prng threads in
+       let tid = Tid.of_int t in
+       match (Prng.int prng 40, last.(t), !holder) with
+       | 0, _, _ -> add (Drop (fst objs.(Prng.int prng (Array.length objs))))
+       | (1 | 2 | 3 | 4), Some a, _ -> add (Ev (Event.call tid a))
+       | (5 | 6 | 7), _, None ->
+           holder := Some tid;
+           add (Ev (Event.acquire tid lock))
+       | (5 | 6 | 7), _, Some owner when Tid.equal owner tid ->
+           holder := None;
+           add (Ev (Event.release tid lock))
+       | _ ->
+           let obj, spec =
+             if Prng.bool prng then objs.(hot.(Prng.int prng 2))
+             else objs.(Prng.int prng (Array.length objs))
+           in
+           let spec = Option.value spec ~default:(List.hd mixed_specs) in
+           let methods = Spec.methods spec in
+           let sg = List.nth methods (Prng.int prng (List.length methods)) in
+           let a =
+             Action.make ~obj ~meth:sg.Signature.meth ~args:(List.map pick sg.Signature.args)
+               ~rets:(List.map pick sg.Signature.rets) ()
+           in
+           last.(t) <- Some a;
+           add (Ev (Event.call tid a))
+     done;
+     Option.iter (fun tid -> add (Ev (Event.release tid lock))) !holder;
+     for i = 1 to threads - 1 do
+       add (Ev (Event.join Tid.main (Tid.of_int i)))
+     done;
+     List.rev !steps)
 
 let oracle_properties =
   let gen = Gen.pair (mixed_trace ~len:80) Gen.bool in
+  let wide = Gen.pair (wide_steps ~len:300) Gen.bool in
+  let multiset got want = List.sort compare got = List.sort compare want in
   [
     qcheck ~count:400 "Rd2 = Point.Tbl oracle: reports and stats (constant)" gen
       (fun (trace, pool) ->
@@ -573,17 +676,24 @@ let oracle_properties =
            = List.map report_fields (List.rev o.Point_tbl_rd2.reports));
     qcheck ~count:400 "Rd2 = Point.Tbl oracle: races per event as a multiset (linear)" gen
       (fun (trace, pool) ->
-        let _, _, ok =
-          against_oracle ~mode:`Linear ~pool
-            ~same_event:(fun got want -> List.sort compare got = List.sort compare want)
-            trace
-        in
+        let _, _, ok = against_oracle ~mode:`Linear ~pool ~same_event:multiset trace in
+        ok);
+    qcheck ~count:200 "wide oracle (constant): ids, values, release" wide
+      (fun (steps, pool) ->
+        let d, o, ok = against_oracle_steps ~mode:`Constant ~pool ~same_event:( = ) steps in
+        ok
+        && List.map report_fields (Rd2.races d)
+           = List.map report_fields (List.rev o.Point_tbl_rd2.reports));
+    qcheck ~count:200 "wide oracle (linear): ids, values, release" wide
+      (fun (steps, pool) ->
+        let _, _, ok = against_oracle_steps ~mode:`Linear ~pool ~same_event:multiset steps in
         ok);
   ]
 
-(* The oracle generator reaches what it is meant to: every
+(* The oracle generators reach what they are meant to: every
    specification, a deduplicated [link], same-epoch hits, promotions,
-   deflations and races. *)
+   deflations and races; bucket doubling, the spill table and release
+   then re-touch. *)
 let oracle_generator_coverage () =
   let traces =
     Gen.generate ~rand:(Random.State.make [| 14 |]) ~n:100 (mixed_trace ~len:80)
@@ -614,7 +724,37 @@ let oracle_generator_coverage () =
   List.iter2
     (fun what n -> Alcotest.(check bool) what true (n > 0))
     [ "same-epoch hits"; "promotions"; "deflations"; "races" ]
-    !totals
+    !totals;
+  (* The wide generator: keyed entries past 32 on one object (its bucket
+     array, 8 long at first, doubled at least twice), live state for a
+     spilled id, and an object touched again after its release. *)
+  let wide = Gen.generate ~rand:(Random.State.make [| 18 |]) ~n:50 (wide_steps ~len:300) in
+  let doubled = ref false and spilled = ref false and retouched = ref false in
+  List.iter
+    (fun steps ->
+      let dropped = Hashtbl.create 8 in
+      List.iter
+        (function
+          | Drop o -> Hashtbl.replace dropped (Obj_id.id o) ()
+          | Ev { Event.op = Event.Call a; _ }
+            when Hashtbl.mem dropped (Obj_id.id a.Action.obj)
+                 && Option.is_some (mixed_repr_for a.Action.obj) ->
+              retouched := true
+          | Ev _ -> ())
+        steps;
+      let observe d (a : Action.t) =
+        let o = a.Action.obj in
+        let n = Rd2.active_points d o in
+        Option.iter
+          (fun repr -> if n > 32 + Repr.num_shapes repr then doubled := true)
+          (mixed_repr_for o);
+        if n > 0 && not (dense_id (Obj_id.id o)) then spilled := true
+      in
+      ignore (against_oracle_steps ~observe ~mode:`Constant ~pool:false ~same_event:( = ) steps))
+    wide;
+  Alcotest.(check bool) "bucket array doubled twice" true !doubled;
+  Alcotest.(check bool) "spilled object ids" true !spilled;
+  Alcotest.(check bool) "touched again after release" true !retouched
 
 (* Minor-heap words one [Rd2.on_action] allocates, on average, in a
    steady state: one dictionary, keys 0..3, two threads taking turns
