@@ -45,6 +45,23 @@ let is_nil = function Nil -> true | _ -> false
 let lt a b = compare a b < 0
 let le a b = compare a b <= 0
 
+(* Decimal digits of [n >= 0], most significant first: the recursion
+   is at most 19 deep and allocates nothing, where [Int.to_string]
+   formats through [caml_format_int] into a fresh string. No scratch
+   [Bytes] is shared, so domains may write concurrently. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* [min_int] has no positive negation; it is rare enough to format. *)
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (Int.to_string n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
 (* The one rendering of a value, written straight into a buffer: race
    lines are built from it on the per-race path, where a Format
    round trip per value would dominate. [Str] is OCaml string-literal
@@ -52,14 +69,14 @@ let le a b = compare a b <= 0
 let to_buffer buf = function
   | Nil -> Buffer.add_string buf "nil"
   | Bool b -> Buffer.add_string buf (Bool.to_string b)
-  | Int i -> Buffer.add_string buf (Int.to_string i)
+  | Int i -> add_int buf i
   | Str s ->
       Buffer.add_char buf '"';
       Buffer.add_string buf (String.escaped s);
       Buffer.add_char buf '"'
   | Ref r ->
       Buffer.add_char buf '@';
-      Buffer.add_string buf (Int.to_string r)
+      add_int buf r
 
 let to_string v =
   let buf = Buffer.create 16 in

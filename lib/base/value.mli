@@ -27,6 +27,11 @@ val is_nil : t -> bool
 val lt : t -> t -> bool
 
 val le : t -> t -> bool
+val add_int : Buffer.t -> int -> unit
+(** Append the decimal rendering of an integer, as [Int.to_string]
+    gives it, without allocating. Safe to call from several domains at
+    once (on distinct buffers). *)
+
 val to_buffer : Buffer.t -> t -> unit
 (** Append the rendering of a value: [nil], [true], [42], ["a.com"]
     (OCaml string-literal syntax) or [@7]. {!to_string} and {!pp} are

@@ -458,14 +458,19 @@ let run_trace t trace = Trace.iter_events trace ~f:(step t)
 let events t = t.events
 
 (* Deterministic merge: each trace index lives in exactly one shard and
-   per-shard report lists are already in trace order, so a stable sort on
-   the index reproduces the sequential report list exactly. *)
-let merge_reports index_of = function
-  | [ one ] -> one
-  | per_shard ->
-      List.stable_sort
-        (fun a b -> Int.compare (index_of a) (index_of b))
-        (List.concat per_shard)
+   per-shard report lists are already in trace order, so merging the
+   lists pairwise on the index reproduces the sequential report list
+   exactly, in one linear pass per shard and no sort. On equal indices
+   the earlier list goes first, as a stable sort would order them. *)
+let merge_reports index_of per_shard =
+  let rec merge2 acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: a', y :: b' ->
+        if index_of y < index_of x then merge2 (y :: acc) a b'
+        else merge2 (x :: acc) a' b
+  in
+  List.fold_left (merge2 []) [] per_shard
 
 let sum_stats add = function
   | [] -> None

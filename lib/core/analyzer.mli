@@ -40,9 +40,10 @@
     spawns the shards and routes the buffer, then every later event as
     it arrives.
 
-    The merge is deterministic: each event lives in exactly one shard, so
-    sorting the per-shard reports by trace index reproduces the
-    sequential report list {e bit-identically}, and summed counters equal
+    The merge is deterministic: each event lives in exactly one shard and
+    each shard's reports are in trace order, so merging the per-shard
+    lists by trace index in one linear pass reproduces the sequential
+    report list {e bit-identically}, and summed counters equal
     the sequential ones — see DESIGN.md, "Shard-merge determinism". *)
 
 open Crd_base

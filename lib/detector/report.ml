@@ -13,12 +13,13 @@ type t = {
 
 (* The one rendering of a race, written straight into a buffer: every
    race line (rd2 check -v, session replies, journal [.report] files)
-   goes through here, with no Format work per race. *)
+   goes through here, with no Format work and no allocation per race
+   (integers through [Value.add_int]). *)
 let to_buffer buf t =
   Buffer.add_string buf "commutativity race at event ";
-  Buffer.add_string buf (Int.to_string t.index);
+  Value.add_int buf t.index;
   Buffer.add_string buf ": T";
-  Buffer.add_string buf (Int.to_string (Tid.to_int t.tid));
+  Value.add_int buf (Tid.to_int t.tid);
   Buffer.add_string buf ": ";
   Action.to_buffer buf t.action;
   Buffer.add_string buf " [";
@@ -30,7 +31,7 @@ let to_buffer buf t =
   | None -> ()
   | Some (tid, a) ->
       Buffer.add_string buf " last touched by T";
-      Buffer.add_string buf (Int.to_string (Tid.to_int tid));
+      Value.add_int buf (Tid.to_int tid);
       Buffer.add_string buf ": ";
       Action.to_buffer buf a
 

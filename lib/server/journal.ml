@@ -28,6 +28,7 @@ let fp_mmap = Crd_fault.point "journal_mmap"
 let data_path dir nonce = Filename.concat dir (nonce ^ ".crdj")
 let commit_path dir nonce = Filename.concat dir (nonce ^ ".commit")
 let report_path dir nonce = Filename.concat dir (nonce ^ ".report")
+let report_tmp_path dir nonce = report_path dir nonce ^ ".tmp"
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -87,7 +88,12 @@ let start ~dir ~nonce ~spec =
      unlink keeps the old inode alive until the mapping drops. *)
   List.iter
     (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
-    [ commit_path dir nonce; report_path dir nonce; data_path dir nonce ];
+    [
+      commit_path dir nonce;
+      report_path dir nonce;
+      report_tmp_path dir nonce;
+      data_path dir nonce;
+    ];
   let fd =
     Unix.openfile (data_path dir nonce)
       [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
@@ -122,8 +128,58 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
+(* A [.report] is streamed into its [.tmp] block by block as the reply
+   goes out, and renamed into place only once the whole reply was
+   written: a reader sees a complete report or none. *)
+module Report_file = struct
+  type t = {
+    dir : string;
+    path : string;
+    tmp : string;
+    fd : Unix.file_descr;
+    mutable closed : bool;
+  }
+
+  let start ~dir ~nonce =
+    let tmp = report_tmp_path dir nonce in
+    let fd =
+      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    in
+    { dir; path = report_path dir nonce; tmp; fd; closed = false }
+
+  let add t b off len = Proto.write_sub t.fd b off len
+
+  let close t =
+    if not t.closed then begin
+      t.closed <- true;
+      Unix.close t.fd
+    end
+
+  let commit t =
+    Unix.fsync t.fd;
+    close t;
+    Unix.rename t.tmp t.path;
+    fsync_dir t.dir
+
+  let abort t =
+    (try close t with Unix.Unix_error _ -> ());
+    try Unix.unlink t.tmp with Unix.Unix_error _ -> ()
+
+  let write ~dir ~nonce f =
+    let t = start ~dir ~nonce in
+    match
+      f (add t);
+      commit t
+    with
+    | () -> ()
+    | exception e ->
+        abort t;
+        raise e
+end
+
 let write_report ~dir ~nonce text =
-  write_file_atomic ~dir (report_path dir nonce) text
+  Report_file.write ~dir ~nonce (fun add ->
+      add (Bytes.unsafe_of_string text) 0 (String.length text))
 
 (* --- recovery --------------------------------------------------- *)
 

@@ -5,8 +5,9 @@
     end marker is decoded, the data file is fsync'd and a commit marker
     [DIR/<nonce>.commit] (holding the committed byte count) is written
     atomically — data before marker, so a marker always describes
-    durable bytes. Once the session's report has been delivered,
-    [DIR/<nonce>.report] records it.
+    durable bytes. The session's reply is teed block by block into
+    [DIR/<nonce>.report.tmp] as it is delivered, and renamed to
+    [DIR/<nonce>.report] once the whole reply went out.
 
     The lifecycle therefore reads directly off the filesystem:
     - [.crdj] only: the session never finished streaming — nothing to
@@ -25,8 +26,9 @@ type t
 
 val start : dir:string -> nonce:string -> spec:string -> t
 (** Create [DIR] as needed and open a fresh journal, truncating any
-    previous run of the same nonce and removing its stale [.commit] /
-    [.report] — a retry restarts the logical session from frame 0.
+    previous run of the same nonce and removing its stale [.commit],
+    [.report] and [.report.tmp] — a retry restarts the logical session
+    from frame 0.
     [spec] (the handshake's spec-set name) is recorded in the commit
     marker so recovery replays the same analysis. *)
 
@@ -48,8 +50,35 @@ val commit : t -> unit
 val close : t -> unit
 (** Close the data fd (idempotent). Does not commit. *)
 
+(** A [.report] written block by block as its reply is delivered: the
+    bytes go to [DIR/<nonce>.report.tmp], which {!commit} fsyncs and
+    renames to [DIR/<nonce>.report] — completing the lifecycle — and
+    {!abort} unlinks, leaving the session committed-unreported. *)
+module Report_file : sig
+  type t
+
+  val start : dir:string -> nonce:string -> t
+  (** Open (truncating) [DIR/<nonce>.report.tmp]. *)
+
+  val add : t -> Bytes.t -> int -> int -> unit
+  (** [add t b off len] appends [b.[off..off+len)]. *)
+
+  val commit : t -> unit
+  (** fsync and close the tmp file, then atomically rename it into place. *)
+
+  val abort : t -> unit
+  (** Close and unlink the tmp file. Never raises; idempotent. *)
+
+  val write :
+    dir:string -> nonce:string -> ((Bytes.t -> int -> int -> unit) -> unit) -> unit
+  (** [write ~dir ~nonce f] runs [f add] between {!start} and {!commit};
+      if anything raises, the tmp file is {!abort}ed and the exception
+      re-raised. *)
+end
+
 val write_report : dir:string -> nonce:string -> string -> unit
-(** Atomically record the delivered report, completing the lifecycle. *)
+(** Atomically record a whole report text (an [ERR] line) through
+    {!Report_file}, completing the lifecycle. *)
 
 val committed_unreported : dir:string -> string list
 (** Nonces with a commit marker but no report, sorted — the sessions a

@@ -510,11 +510,8 @@ let ingest ?journal ~beat ~resync conn ~f =
    Events stream straight into the engine under every [jobs]: nothing
    is recorded. A malformed event surfaces as Invalid_argument from the
    engine (e.g. [Repr.eta] on a wrong-arity call) and becomes a clean
-   [ERR] line, never an exception dump. The reply is left in a buffer
-   for the caller to finish (a live session appends its STATS line) and
-   copy out once; race lines go into it through [Report.add_line], the
-   writer [rd2 check -v] prints with, so the per-race path does no
-   Format work. *)
+   [ERR] line, never an exception dump. The reply is rendered later,
+   by [render_reply]. *)
 let analyze_with cfg spec_for ~drain =
   match Analyzer.create ~config:cfg.analyzer ~jobs:cfg.jobs ~spec_for () with
   | Error e -> Error (Analysis, e)
@@ -532,18 +529,51 @@ let analyze_with cfg spec_for ~drain =
       in
       match (drained, finished ()) with
       | Error e, _ | Ok (), Error e -> Error e
-      | Ok (), Ok res ->
-          let buf = Buffer.create 1024 in
-          let ppf = Fmt.with_buffer buf in
-          (* Each "@." flushes [ppf] into [buf], so direct appends
-             between Format calls land in order. *)
-          Fmt.pf ppf "OK@.%a@." Analyzer.pp_result res;
-          List.iter (Report.add_line buf) res.rd2_reports;
-          List.iter (fun r -> Fmt.pf ppf "%a@." Rw_report.pp r) res.fasttrack_reports;
-          List.iter
-            (fun v -> Fmt.pf ppf "%a@." Atomicity.pp_violation v)
-            res.atomicity_violations;
-          Ok (buf, res))
+      | Ok (), Ok res -> Ok res)
+
+let reply_block = 65536
+
+(* The one reply renderer: [OK], the summary, the RD2 lines, the
+   FastTrack and atomicity lines, then [closing]. Everything is written
+   into one reused block buffer, handed to [emit] (through a reused
+   scratch copy) whenever it reaches [reply_block] bytes, so no reply
+   is ever held whole. Race lines go in through [Report.add_line], the
+   writer [rd2 check -v] prints with, so the per-race path does no
+   Format work. *)
+let render_reply (res : Analyzer.result) ~closing ~emit =
+  let buf = Buffer.create reply_block in
+  let scratch = ref Bytes.empty in
+  let flush () =
+    let n = Buffer.length buf in
+    if n > 0 then begin
+      if Bytes.length !scratch < n then scratch := Bytes.create n;
+      Buffer.blit buf 0 !scratch 0 n;
+      Buffer.clear buf;
+      emit !scratch 0 n
+    end
+  in
+  let full () = if Buffer.length buf >= reply_block then flush () in
+  (* Each "@." flushes [ppf] into [buf] before the size test, so direct
+     appends between Format calls land in order. *)
+  let ppf = Fmt.with_buffer buf in
+  Fmt.pf ppf "OK@.%a@." Analyzer.pp_result res;
+  List.iter
+    (fun r ->
+      Report.add_line buf r;
+      full ())
+    res.rd2_reports;
+  List.iter
+    (fun r ->
+      Fmt.pf ppf "%a@." Rw_report.pp r;
+      full ())
+    res.fasttrack_reports;
+  List.iter
+    (fun v ->
+      Fmt.pf ppf "%a@." Atomicity.pp_violation v;
+      full ())
+    res.atomicity_violations;
+  Buffer.add_string buf closing;
+  flush ()
 
 (* Recovery drain: replay a committed journal's mapped bytes through
    the same decoder configuration a live session would use. The
@@ -603,27 +633,67 @@ let session t hb tier conn =
         record t ~events:0 ~races:0 ~error:true;
         close_conn ()
       in
-      (* Every reply byte goes through the sock_write fault point; a
-         fired hit loses the reply exactly as a dead link would. *)
+      (* Every reply consults the sock_write fault point once, before
+         its first byte; a fired hit loses the reply exactly as a dead
+         link would. *)
       let write_reply s =
         Crd_fault.inject fp_sock_write;
         Proto.write_all conn s
       in
+      (* Stream the reply to the socket block by block, teeing each
+         block into the journal's [.report.tmp] when there is one. The
+         [.report] appears only once every block was delivered; a lost
+         reply unlinks the tmp and leaves the session
+         committed-unreported for recovery. A journal write error only
+         drops the tee: the client still gets its reply. *)
+      let stream_reply ?journal res ~closing =
+        match Crd_fault.inject fp_sock_write with
+        | exception Crd_fault.Injected _ -> ()
+        | () -> (
+            let tee =
+              ref
+                (match journal with
+                | None -> None
+                | Some (dir, nonce) -> (
+                    try Some (Journal.Report_file.start ~dir ~nonce)
+                    with Unix.Unix_error _ -> None))
+            in
+            let emit b off len =
+              Proto.write_sub conn b off len;
+              match !tee with
+              | None -> ()
+              | Some r -> (
+                  try Journal.Report_file.add r b off len
+                  with Unix.Unix_error _ ->
+                    Journal.Report_file.abort r;
+                    tee := None)
+            in
+            match render_reply res ~closing ~emit with
+            | () ->
+                Option.iter
+                  (fun r ->
+                    try Journal.Report_file.commit r
+                    with Unix.Unix_error _ -> Journal.Report_file.abort r)
+                  !tee
+            | exception Unix.Unix_error _ -> Option.iter Journal.Report_file.abort !tee
+            | exception e ->
+                Option.iter Journal.Report_file.abort !tee;
+                raise e)
+      in
       let finish ?journal ~nonce ~spec outcome =
         (match outcome with
-        | Ok (buf, (res : Analyzer.result)) ->
+        | Ok (res : Analyzer.result) ->
             let events = res.events and reports = res.rd2_reports in
             let races = List.length reports in
-            Printf.bprintf buf "STATS events=%d races=%d distinct=%d wall_s=%.6f\n"
-              events races
-              (Array.length res.rd2_distinct)
-              (Crd_obs.Span.elapsed_s span);
-            (* The reply's only copy: a large session's reply is tens of
-               megabytes. *)
-            let reply = Buffer.contents buf in
+            let closing =
+              Printf.sprintf "STATS events=%d races=%d distinct=%d wall_s=%.6f\n"
+                events races
+                (Array.length res.rd2_distinct)
+                (Crd_obs.Span.elapsed_s span)
+            in
             (* The verdict is final here: publish it to the race
-               database before the (faultable) reply write, so a lost
-               reply still leaves the race durably counted. *)
+               database before the (faultable) reply, so a lost reply
+               still leaves the race durably counted. *)
             (match t.racedb with
             | Some sink -> sink_publish sink ~nonce ~spec reports
             | None -> ());
@@ -636,17 +706,7 @@ let session t hb tier conn =
                 Unix.sleepf 3600.
               done
             end;
-            let delivered =
-              try
-                write_reply reply;
-                true
-              with Unix.Unix_error _ | Crd_fault.Injected _ -> false
-            in
-            (match journal with
-            | Some (dir, nonce) when delivered -> (
-                try Journal.write_report ~dir ~nonce reply
-                with Unix.Unix_error _ | Sys_error _ -> ())
-            | _ -> ());
+            stream_reply ?journal res ~closing;
             record t ~events ~races ~error:false;
             Crd_obs.Log.info "session_ok"
               [
@@ -986,24 +1046,28 @@ let replay_journal t ~jobs ~dir nonce =
               with e -> Error (Analysis, Printexc.to_string e)
             with
             | Error _ as e -> e
-            | Ok (buf, res) ->
+            | Ok res as ok ->
                 (match t.racedb with
                 | Some sink ->
                     sink_publish sink ~nonce ~spec:spec_name res.rd2_reports
                 | None -> ());
-                Ok (Buffer.contents buf, res)))
+                ok))
   in
-  let text =
+  (* The report a live session would have delivered, streamed to the
+     [.report] writer in the same blocks (with no closing line). *)
+  let write () =
     match outcome with
-    | Ok (text, _) -> text
+    | Ok res ->
+        Journal.Report_file.write ~dir ~nonce (fun add ->
+            render_reply res ~closing:"" ~emit:add)
     | Error (kind, msg) ->
         Crd_obs.Counter.incr (err_counter kind);
-        "ERR " ^ msg ^ "\n"
+        Journal.write_report ~dir ~nonce ("ERR " ^ msg ^ "\n")
   in
-  (try Journal.write_report ~dir ~nonce text
+  (try write ()
    with Unix.Unix_error _ | Sys_error _ ->
      Crd_obs.Log.warn "journal_report_unwritable" [ ("nonce", nonce) ]);
-  Result.map snd outcome
+  outcome
 
 (* A spill segment replays with at least two shards, so a long segment
    does not compete with live sessions for single-threaded throughput. *)

@@ -3,8 +3,8 @@
     Every accepted connection is an independent {e online} RD2 session:
     the client handshakes (choosing the specification set), streams a
     {!Crd_wire.Codec} event stream, and receives the session's race
-    report back. Sessions are multiplexed over a fixed pool of OCaml 5
-    domains. The worker that holds a session reads its socket itself —
+    report back, streamed in 64 KiB blocks ({!render_reply}). Sessions
+    are multiplexed over a fixed pool of OCaml 5 domains. The worker that holds a session reads its socket itself —
     one reusable 64 KiB buffer, appended to the journal and decoded in
     place, each event stepped into the engine as it is decoded — so
     there is no reader thread and no per-session queue. While the
@@ -201,6 +201,23 @@ val connect : addr -> Unix.file_descr
 (** Open a client connection to [addr] (used by [rd2 sync] and the
     anti-entropy loop). Raises [Unix.Unix_error] or [Failure] on
     connect/resolve errors. *)
+
+val reply_block : int
+(** The reply block size, 64 KiB. *)
+
+val render_reply :
+  Analyzer.result ->
+  closing:string ->
+  emit:(Bytes.t -> int -> int -> unit) ->
+  unit
+(** Render a session reply — [OK], the {!Analyzer.pp_result} summary,
+    the RD2 race lines ({!Report.add_line}), the FastTrack and
+    atomicity lines, then [closing] — in blocks: [emit b off len]
+    receives [b.[off..off+len)] each time the reused block buffer
+    reaches {!reply_block} bytes (so a block holds at most one line
+    past it), and once more for the rest. [b] is only valid during the
+    call. Live sessions emit to the socket (teeing into the journal's
+    [.report.tmp]), recovery and catch-up to the [.report] writer. *)
 
 val inject_accept_error : t -> Unix.error -> unit
 (** Test instrumentation: the next time the accept loop wakes up for a

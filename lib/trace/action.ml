@@ -12,15 +12,20 @@ let equal a b =
   && List.equal Value.equal a.args b.args
   && List.equal Value.equal a.rets b.rets
 
+(* A plain recursion rather than [List.iter] over a closure: the race
+   writer calls this twice per race and allocates nothing on the way. *)
+let rec add_rest buf = function
+  | [] -> ()
+  | v :: vs ->
+      Buffer.add_string buf ", ";
+      Value.to_buffer buf v;
+      add_rest buf vs
+
 let add_values buf = function
   | [] -> ()
   | v :: vs ->
       Value.to_buffer buf v;
-      List.iter
-        (fun v ->
-          Buffer.add_string buf ", ";
-          Value.to_buffer buf v)
-        vs
+      add_rest buf vs
 
 (* [o.m(a, b)], then [/r] for one return or [/(r1, r2)] for several. *)
 let to_buffer buf t =

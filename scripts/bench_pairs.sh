@@ -11,7 +11,9 @@
 # sides alike. Each side's runs are merged into one set file, and the
 # two sets go to `crdbench --compare` (A = BASE, B = the working tree),
 # whose exit status this script returns. With no WORKLOAD, every
-# workload runs.
+# workload runs. Last, for each workload and end-to-end metric of
+# BENCHMARK.json, it prints how many pairs the working tree won (by
+# the metric's "better" direction; ties count for neither side).
 #
 # Environment:
 #   WINDOW  measured window of one run, in seconds   (default 20)
@@ -85,4 +87,23 @@ if [ -n "${KEEP:-}" ]; then
   mkdir -p "$KEEP"
   cp "$TMP/base.json" "$TMP/head.json" "$KEEP/"
 fi
-./_build/default/crdbench/crdbench.exe --compare "$TMP/base.json" "$TMP/head.json"
+status=0
+./_build/default/crdbench/crdbench.exe --compare "$TMP/base.json" "$TMP/head.json" || status=$?
+
+# Pair wins: the Nth run of a workload in each set is one pair.
+echo
+jq -rn --slurpfile base "$TMP/base.json" --slurpfile head "$TMP/head.json" \
+  --slurpfile bench BENCHMARK.json '
+  def metrics($set; $w): [$set[0].runs[] | select(.workload == $w) | .result.metrics];
+  (["workload", "metric", "head_wins", "base_wins", "ties", "pairs"] | @tsv),
+  ($base[0].runs | map(.workload) | reduce .[] as $w ([]; if index([$w]) then . else . + [$w] end))[] as $w
+  | metrics($base; $w) as $a | metrics($head; $w) as $b
+  | $bench[0].end_to_end[] as $m
+  | [range(0; [($a | length), ($b | length)] | min)
+     | {a: $a[.][$m.name].value, b: $b[.][$m.name].value}
+     | select(.a != null and .b != null)] as $pairs
+  | ($pairs | map(select(if $m.better == "lower" then .b < .a else .b > .a end)) | length) as $won
+  | ($pairs | map(select(.a == .b)) | length) as $ties
+  | [$w, $m.name, $won, ($pairs | length) - $won - $ties, $ties, ($pairs | length)]
+  | @tsv' | awk -F'\t' '{ printf "%-22s %-20s %9s %9s %5s %6s\n", $1, $2, $3, $4, $5, $6 }'
+exit "$status"

@@ -35,6 +35,21 @@ let any_value : Value.t Gen.t =
       Gen.map (fun i -> Value.Ref i) Gen.int;
     ]
 
+(* Integers the digit writer must get right and [Gen.int] almost never
+   draws: single digits, powers of ten and their neighbours, signs, and
+   both ends of the range ([min_int] has no positive negation). *)
+let edge_ints =
+  let e18 = 1_000_000_000_000_000_000 in
+  [ 0; 9; 10; 99; 100; -1; -9; -10; e18 - 1; e18; e18 + 1; -e18; max_int; min_int ]
+
+(* Every edge integer as both an [Int] and a [Ref]. *)
+let edge_values =
+  List.concat_map (fun i -> [ Value.Int i; Value.Ref i ]) edge_ints
+
+(* [any_value] with the edge integers mixed in. *)
+let any_value_edges : Value.t Gen.t =
+  Gen.oneof [ any_value; Gen.oneofl edge_values ]
+
 let small_value : Value.t Gen.t =
   (* A deliberately tiny domain so collisions (equal slots) are common. *)
   Gen.oneofl [ Value.Nil; Value.Int 0; Value.Int 1; Value.Int 2 ]

@@ -878,13 +878,15 @@ let gen_point =
 
 let gen_action =
   let open Gen in
-  let values = list_size (int_range 0 3) Generators.any_value in
+  let values = list_size (int_range 0 3) Generators.any_value_edges in
   let* obj = gen_obj and* meth = gen_meth and* args = values and* rets = values in
   return (Action.make ~obj ~meth ~args ~rets ())
 
 let gen_report =
   let open Gen in
-  let* index = nat and* tid = int_range 0 70 and* action = gen_action in
+  let* index = oneof [ nat; oneofl Generators.edge_ints ]
+  and* tid = int_range 0 70
+  and* action = gen_action in
   let* point = gen_point and* conflicting = gen_point in
   let* prior =
     opt (pair (map Tid.of_int (int_range 0 70)) gen_action)
@@ -932,8 +934,36 @@ let pinned_fingerprints () =
     "fig3" [ "c412b742c025fe7b" ]
     (List.map Report.fingerprint_hex (Rd2.races d))
 
+let report_matches_oracle r =
+  let want = Fmt.str "%a" oracle_report_pp r in
+  let buf = Buffer.create 16 in
+  Report.add_line buf r;
+  Report.add_line buf r;
+  String.equal (Fmt.str "%a" Report.pp r) want
+  && String.equal (Buffer.contents buf) (want ^ "\n" ^ want ^ "\n")
+
+(* Every edge integer as the event index, a thread id (where in range),
+   and as [Int] and [Ref] arguments and returns of both actions. *)
+let report_writer_edge_ints () =
+  let obj = Obj_id.make ~name:"dictionary:s0" 3 in
+  List.iter
+    (fun i ->
+      let vals = [ Value.Int i; Value.Ref i ] in
+      let tid = Tid.of_int (if i >= 0 && i <= Tid.max_id then i else 0) in
+      let action = Action.make ~obj ~meth:"put" ~args:vals ~rets:[ Value.Int i ] () in
+      let prior = Action.make ~obj ~meth:"get" ~args:[ Value.Ref i ] ~rets:vals () in
+      let r =
+        { Report.index = i; obj; tid; action; point = "put:k[0]"; conflicting = "get:k[0]";
+          prior = Some (tid, prior) }
+      in
+      if not (report_matches_oracle r) then
+        Alcotest.failf "race line with %d does not match the Format oracle" i)
+    Generators.edge_ints
+
 let writer_oracles =
   [
+    Alcotest.test_case "Report writer = Format oracle on edge integers" `Quick
+      report_writer_edge_ints;
     qcheck ~count:1000 "Action writer = Format oracle" gen_action (fun a ->
         let want = Fmt.str "%a" oracle_action_pp a in
         let buf = Buffer.create 16 in
@@ -941,13 +971,7 @@ let writer_oracles =
         String.equal (Action.to_string a) want
         && String.equal (Fmt.str "%a" Action.pp a) want
         && String.equal (Buffer.contents buf) want);
-    qcheck ~count:1000 "Report writer = Format oracle" gen_report (fun r ->
-        let want = Fmt.str "%a" oracle_report_pp r in
-        let buf = Buffer.create 16 in
-        Report.add_line buf r;
-        Report.add_line buf r;
-        String.equal (Fmt.str "%a" Report.pp r) want
-        && String.equal (Buffer.contents buf) (want ^ "\n" ^ want ^ "\n"));
+    qcheck ~count:1000 "Report writer = Format oracle" gen_report report_matches_oracle;
     qcheck ~count:1000 "fingerprint = list-fold oracle, bit for bit" gen_report
       (fun r -> Int64.equal (Report.fingerprint r) (oracle_fingerprint r));
     qcheck "distinct_fingerprints = sorted unique hex" (Gen.list_size (Gen.int_range 0 30) gen_report)

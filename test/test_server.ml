@@ -1034,6 +1034,183 @@ let far_tid_refused () =
       Alcotest.(check int) "two completed sessions" 2 st.Server.sessions;
       Alcotest.(check int) "one error session" 1 st.Server.errors)
 
+(* ------------------------------------------------------------------ *)
+(* Streamed replies                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A zipf synth session whose reply spans many 64 KiB blocks: ~0.37
+   races per event, ~190 bytes per race line. *)
+let zipf_trace events = W.Synth.generate ~seed:7L (W.Synth.default ~events)
+
+let analyze trace =
+  let an = Analyzer.with_stdspecs () in
+  Trace.iter_events trace ~f:(Analyzer.sink an);
+  Analyzer.finish an
+
+(* The reply [Server.render_reply] streams, built whole in one buffer
+   with the same writers. *)
+let whole_reply (res : Analyzer.result) ~closing =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Fmt.str "OK@.%a@." Analyzer.pp_result res);
+  List.iter (Report.add_line buf) res.rd2_reports;
+  List.iter
+    (fun r -> Buffer.add_string buf (Fmt.str "%a\n" Rw_report.pp r))
+    res.fasttrack_reports;
+  List.iter
+    (fun v -> Buffer.add_string buf (Fmt.str "%a\n" Atomicity.pp_violation v))
+    res.atomicity_violations;
+  Buffer.add_string buf closing;
+  Buffer.contents buf
+
+(* RD2 lines from a real session, FastTrack and atomicity lines made up
+   in bulk so that every section crosses block boundaries: the blocks
+   concatenate to the whole reply, each block ends a line, and only its
+   last line takes it to (or past) the block size. *)
+let block_renderer () =
+  let res = analyze (zipf_trace 5_000) in
+  let obj = Obj_id.make ~name:"dictionary:s0" 1 in
+  let kinds = [| Rw_report.Write_write; Rw_report.Write_read; Rw_report.Read_write |] in
+  let fasttrack_reports =
+    List.init 3_000 (fun i ->
+        {
+          Rw_report.index = i;
+          loc = Mem_loc.Global (Printf.sprintf "g%d" (i mod 7));
+          tid = Tid.of_int (i mod 5);
+          kind = kinds.(i mod 3);
+        })
+  and atomicity_violations =
+    List.init 2_000 (fun i ->
+        {
+          Atomicity.index = i;
+          obj;
+          tid = Tid.of_int (i mod 3);
+          action = Action.make ~obj ~meth:"put" ~args:[ Value.Int i ] ();
+          cycle = [ i; i + 1 ];
+        })
+  in
+  let res = { res with fasttrack_reports; atomicity_violations } in
+  Alcotest.(check bool)
+    "the RD2 lines alone span blocks" true
+    (List.length res.rd2_reports * 150 > 2 * Server.reply_block);
+  let closing = "STATS closing\n" in
+  let blocks = ref [] in
+  Server.render_reply res ~closing ~emit:(fun b off len ->
+      blocks := Bytes.sub_string b off len :: !blocks);
+  let blocks = List.rev !blocks in
+  let last = List.length blocks - 1 in
+  List.iteri
+    (fun i blk ->
+      let n = String.length blk in
+      if n = 0 || blk.[n - 1] <> '\n' then
+        Alcotest.failf "block %d does not end a line" i;
+      let last_line =
+        match String.rindex_from_opt blk (n - 2) '\n' with
+        | Some j -> j + 1
+        | None -> 0
+      in
+      if last_line >= Server.reply_block then
+        Alcotest.failf "block %d holds %d bytes before its last line" i last_line;
+      if i < last && n < Server.reply_block then
+        Alcotest.failf "block %d of %d is short: %d bytes" i last n)
+    blocks;
+  Alcotest.(check bool) "many blocks" true (last >= 6);
+  Alcotest.(check string)
+    "blocks = whole reply" (whole_reply res ~closing) (String.concat "" blocks)
+
+let file_exists dir name = Sys.file_exists (Filename.concat dir name)
+
+(* A multi-block session: its race lines equal the offline lines, its
+   [.report] holds exactly the bytes the client received, and a client
+   that quits after the first block leaves no [.report] (nor its
+   [.report.tmp]) and a server that keeps serving. *)
+let multi_block_reply () =
+  let trace = zipf_trace 20_000 in
+  let expected = offline_race_lines trace in
+  let dir = fresh_dir "crd-blocks" in
+  with_server
+    ~f_config:(fun c -> { c with Server.journal = Some dir })
+    (fun ~addr ~server ->
+      let reply =
+        match Client.send_trace ~addr ~nonce:"whole" trace with
+        | Ok reply -> reply
+        | Error e -> Alcotest.failf "send: %s" e
+      in
+      Alcotest.(check bool)
+        "reply spans many blocks" true
+        (String.length reply > 8 * Server.reply_block);
+      Alcotest.(check (list string))
+        "streamed races = offline races" expected (reply_race_lines reply);
+      Alcotest.(check string)
+        ".report = bytes delivered" reply
+        (read_file (Filename.concat dir "whole.report"));
+      Alcotest.(check bool) "no .report.tmp" false (file_exists dir "whole.report.tmp");
+      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Proto.send_handshake fd ~nonce:"quitter" ~spec:"std" ();
+      (match Proto.read_handshake_reply fd with
+      | Ok Proto.Accepted -> ()
+      | _ -> Alcotest.fail "handshake refused");
+      Proto.write_all fd (encode_trace trace);
+      (match Proto.read_exact fd Server.reply_block with
+      | Some block ->
+          Alcotest.(check string)
+            "first block is the reply's head"
+            (String.sub reply 0 Server.reply_block)
+            block
+      | None -> Alcotest.fail "first block never arrived");
+      Unix.close fd;
+      poll "quitting session never finished" (fun () ->
+          (Server.stats server).Server.sessions >= 2);
+      Alcotest.(check bool) "journal committed" true (file_exists dir "quitter.commit");
+      Alcotest.(check bool) "no .report" false (file_exists dir "quitter.report");
+      Alcotest.(check bool) "no .report.tmp" false (file_exists dir "quitter.report.tmp");
+      Alcotest.(check (list string))
+        "committed-unreported" [ "quitter" ]
+        (Journal.committed_unreported ~dir);
+      let again = send_exn ~addr trace in
+      Alcotest.(check (list string))
+        "still serving" expected (reply_race_lines again))
+
+(* The sock_write fault point is consulted once per reply, before its
+   first byte. Armed for its second hit, it must spare the whole first
+   multi-block reply (a point consulted per block would cut it after
+   one block), lose the whole second one (the client gets no byte of
+   it, no [.report] is left) and spare the third. *)
+let sock_write_loses_one_reply () =
+  let trace = zipf_trace 5_000 in
+  let expected = offline_race_lines trace in
+  let dir = fresh_dir "crd-lost-block" in
+  with_faults "seed=5,sock_write=nth:2" (fun () ->
+      with_server
+        ~f_config:(fun c -> { c with Server.journal = Some dir })
+        (fun ~addr ~server:_ ->
+          let delivered nonce =
+            match Client.send_trace ~addr ~nonce trace with
+            | Error e -> Alcotest.failf "send %s: %s" nonce e
+            | Ok reply ->
+                Alcotest.(check bool)
+                  (nonce ^ " reply spans blocks") true
+                  (String.length reply > 2 * Server.reply_block);
+                Alcotest.(check (list string))
+                  (nonce ^ " reply whole") expected (reply_race_lines reply);
+                Alcotest.(check string)
+                  (nonce ^ " .report = bytes delivered") reply
+                  (read_file (Filename.concat dir (nonce ^ ".report")))
+          in
+          delivered "first";
+          (match Client.send_trace ~addr ~nonce:"lost" trace with
+          | Ok reply ->
+              Alcotest.failf "lost reply came back (%d bytes)" (String.length reply)
+          | Error msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "no byte of the reply (%s)" msg)
+                true
+                (contains msg "connection closed before report"));
+          Alcotest.(check bool) "no .report" false (file_exists dir "lost.report");
+          Alcotest.(check bool) "no .report.tmp" false (file_exists dir "lost.report.tmp");
+          delivered "third"))
+
 let suite =
   ( "server",
     [
@@ -1077,4 +1254,9 @@ let suite =
         `Quick ingest_exits;
       Alcotest.test_case "thread id above Tid.max_id refused" `Quick
         far_tid_refused;
+      Alcotest.test_case "block renderer = whole reply" `Quick block_renderer;
+      Alcotest.test_case "multi-block reply, .report = bytes sent" `Quick
+        multi_block_reply;
+      Alcotest.test_case "sock_write loses one whole reply" `Quick
+        sock_write_loses_one_reply;
     ] )

@@ -19,6 +19,28 @@ let buffered to_buffer x =
   to_buffer buf x;
   Buffer.contents buf
 
+let matches_oracle v =
+  let want = Fmt.str "%a" oracle_pp v in
+  String.equal (Value.to_string v) want
+  && String.equal (Fmt.str "%a" Value.pp v) want
+  && String.equal (buffered Value.to_buffer v) ("<" ^ want)
+
+(* The fixed edge integers, each written by [add_int] and as an [Int]
+   and a [Ref] value, against [Int.to_string] and the Format oracle. *)
+let check_edge_ints () =
+  List.iter
+    (fun i ->
+      Alcotest.(check string)
+        (Printf.sprintf "add_int %d" i)
+        ("<" ^ Int.to_string i)
+        (buffered Value.add_int i))
+    Generators.edge_ints;
+  List.iter
+    (fun v ->
+      if not (matches_oracle v) then
+        Alcotest.failf "%s does not match the Format oracle" (Value.to_string v))
+    Generators.edge_values
+
 let check_roundtrip () =
   List.iter
     (fun v ->
@@ -74,12 +96,10 @@ let suite =
       qcheck "equal values hash equally"
         (Gen.pair Generators.value Generators.value) (fun (a, b) ->
           (not (Value.equal a b)) || Value.hash a = Value.hash b);
+      Alcotest.test_case "integer edge cases match the Format oracle" `Quick
+        check_edge_ints;
       qcheck "to_string, pp and to_buffer match the Format oracle"
-        Generators.any_value (fun v ->
-          let want = Fmt.str "%a" oracle_pp v in
-          String.equal (Value.to_string v) want
-          && String.equal (Fmt.str "%a" Value.pp v) want
-          && String.equal (buffered Value.to_buffer v) ("<" ^ want));
+        Generators.any_value_edges matches_oracle;
       qcheck "print/parse roundtrip over the whole domain" Generators.any_value
         (fun v ->
           match Value.parse (Value.to_string v) with
