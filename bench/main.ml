@@ -431,18 +431,15 @@ type codec_record = {
   co_text_bytes : int;
   co_bin_bytes : int;
   co_encode_ns : float;
-  co_decode_ns : float;  (** legacy string decoder *)
-  co_big_ns : float;  (** zero-copy bigstring decoder on the same bytes *)
-  co_stream_ns : float;  (** legacy streaming decode: 64 KiB feeds, push *)
-  co_stream_big_ns : float;  (** zero-copy streaming decode over the slice *)
+  co_big_ns : float;  (** whole decode into a trace, over the bigstring *)
+  co_stream_big_ns : float;  (** streaming decode over the slice *)
 }
 
 let mb_per_s bytes ns = float_of_int bytes /. ns *. 1e9 /. 1e6
 let per_s count ns = float_of_int count /. ns *. 1e9
 
 (* The codec corpus: the Table 2 traces (tens of KB — fixed decoder
-   overheads dominate) plus one synthetic trace at ingest scale, where
-   the zero-copy path's per-event wins show. *)
+   overheads dominate) plus one synthetic trace at ingest scale. *)
 let codec_records ?(repeats = 5) ?(synth_events = 200_000) () =
   let corpus =
     Lazy.force table2_traces
@@ -455,34 +452,15 @@ let codec_records ?(repeats = 5) ?(synth_events = 200_000) () =
     (fun (name, trace) ->
       let text = Trace_text.to_string trace in
       let bin = Wire.encode_trace trace in
-      (match Wire.decode_string bin with
-      | Ok t when Trace.length t = Trace.length trace -> ()
-      | Ok _ -> failwith (name ^ ": codec round-trip changed the event count")
-      | Error e -> failwith (name ^ ": " ^ Wire.error_to_string e));
-      (* Differential guard: timing a decoder that produces different
+      (* Round-trip guard: timing a decoder that produces different
          events would be meaningless. *)
       let big = Bigwire.bigstring_of_string bin in
-      (match (Bigwire.decode_bigstring big, Wire.decode_string bin) with
-      | Ok a, Ok b when Trace.to_list a = Trace.to_list b -> ()
-      | Ok _, Ok _ -> failwith (name ^ ": bigstring decode diverged from legacy")
-      | Error e, _ | _, Error e -> failwith (name ^ ": " ^ Wire.error_to_string e));
+      (match Bigwire.decode_bigstring big with
+      | Ok t when Trace.to_list t = Trace.to_list trace -> ()
+      | Ok _ -> failwith (name ^ ": codec round trip changed the events")
+      | Error e -> failwith (name ^ ": " ^ Wire.error_to_string e));
       (* Streaming decode, the server-ingest shape: events are handed to
-         a consumer and dropped, not accumulated into a trace. The
-         legacy decoder is fed in 64 KiB slices (what a socket read
-         loop gives it) and pays its per-feed list; the zero-copy
-         decoder streams straight off the slice. *)
-      let stream_legacy () =
-        let dec = Wire.Decoder.create () in
-        let n = String.length bin in
-        let pos = ref 0 in
-        while !pos < n do
-          let len = min 65536 (n - !pos) in
-          (match Wire.Decoder.feed dec ~off:!pos ~len bin with
-          | Ok events -> List.iter ignore events
-          | Error e -> failwith (name ^ ": " ^ Wire.error_to_string e));
-          pos := !pos + len
-        done
-      in
+         a consumer and dropped, not accumulated into a trace. *)
       let stream_big () =
         match Bigwire.iter_bigstring big ~f:ignore with
         | Ok () -> ()
@@ -495,54 +473,24 @@ let codec_records ?(repeats = 5) ?(synth_events = 200_000) () =
         co_bin_bytes = String.length bin;
         co_encode_ns =
           best_of_ns repeats (fun () -> ignore (Wire.encode_trace trace));
-        co_decode_ns =
-          best_of_ns repeats (fun () -> ignore (Wire.decode_string bin));
         co_big_ns =
           best_of_ns repeats (fun () -> ignore (Bigwire.decode_bigstring big));
-        co_stream_ns = best_of_ns repeats stream_legacy;
         co_stream_big_ns = best_of_ns repeats stream_big;
       })
     corpus
 
-let big_decode_speedup c = c.co_decode_ns /. c.co_big_ns
-let big_stream_speedup c = c.co_stream_ns /. c.co_stream_big_ns
-
 let print_codec_table codec =
   Fmt.pr "@.## Wire codec throughput (best-of-N wall clock)@.@.";
-  Fmt.pr "%-44s %8s %9s %10s %10s %10s %6s %10s %10s %7s@." "trace" "events"
-    "bytes" "enc MB/s" "dec MB/s" "big MB/s" "big x" "strm MB/s" "bstrm MB/s"
-    "strm x";
+  Fmt.pr "%-44s %8s %9s %10s %10s %10s@." "trace" "events" "bytes" "enc MB/s"
+    "dec MB/s" "strm MB/s";
   List.iter
     (fun c ->
-      Fmt.pr "%-44s %8d %9d %10.1f %10.1f %10.1f %5.2fx %10.1f %10.1f %6.2fx@."
-        c.co_name c.co_events c.co_bin_bytes
+      Fmt.pr "%-44s %8d %9d %10.1f %10.1f %10.1f@." c.co_name c.co_events
+        c.co_bin_bytes
         (mb_per_s c.co_bin_bytes c.co_encode_ns)
-        (mb_per_s c.co_bin_bytes c.co_decode_ns)
         (mb_per_s c.co_bin_bytes c.co_big_ns)
-        (big_decode_speedup c)
-        (mb_per_s c.co_bin_bytes c.co_stream_ns)
-        (mb_per_s c.co_bin_bytes c.co_stream_big_ns)
-        (big_stream_speedup c))
+        (mb_per_s c.co_bin_bytes c.co_stream_big_ns))
     codec
-
-(* The bench-smoke gate: the zero-copy decoder must beat the legacy
-   decoder in aggregate over the Table 2 corpus — in every run, not
-   just when a baseline file is at hand. Aggregated because the
-   smallest rows are tens of microseconds and individually noisy. *)
-let assert_big_decoder_wins codec =
-  let sum f = List.fold_left (fun a c -> a +. f c) 0. codec in
-  let check label legacy big =
-    if codec <> [] && big >= legacy then
-      failwith
-        (Printf.sprintf
-           "codec_big regression: bigstring %s decode (%.0f ns total) is not \
-            faster than the legacy decoder (%.0f ns total)"
-           label big legacy)
-  in
-  check "full" (sum (fun c -> c.co_decode_ns)) (sum (fun c -> c.co_big_ns));
-  check "streaming"
-    (sum (fun c -> c.co_stream_ns))
-    (sum (fun c -> c.co_stream_big_ns))
 
 (* ------------------------------------------------------------------ *)
 (* Server round trip (in-process, Unix socket)                         *)
@@ -816,13 +764,16 @@ let print_predict_table predict =
    gated by --compare).
    7: new predict section (per-trace predictive-pass rows) and flat
    predict_uplift section (predicted-only race counts, gated by
-   --compare). *)
+   --compare).
+   The codec_big_speedup section and the codec rows' string-decoder
+   fields went away without a bump: the reader skips the section in an
+   older file, and nothing gates the codec rows. *)
 let schema_version = 7
 
 (* Minimal reader for our own BENCH_results.json — just enough for
    --compare, not a general JSON parser. Returns the file's
-   schema_version, its benchmarks_ns pairs, and its synth_speedup and
-   codec_big_speedup pairs (flat key: number sections). *)
+   schema_version, its benchmarks_ns pairs, and its synth_speedup,
+   overload and predict_uplift pairs (flat key: number sections). *)
 let load_results path =
   match In_channel.with_open_text path In_channel.input_lines with
   | exception Sys_error e -> Error e
@@ -831,7 +782,6 @@ let load_results path =
       let section = ref "" in
       let bench = ref [] in
       let speedups = ref [] in
-      let big_speedups = ref [] in
       let overload = ref [] in
       let uplift = ref [] in
       List.iter
@@ -861,10 +811,6 @@ let load_results path =
                   Option.iter
                     (fun v -> speedups := (key, v) :: !speedups)
                     (float_of_string_opt value)
-                else if String.equal !section "codec_big_speedup" then
-                  Option.iter
-                    (fun v -> big_speedups := (key, v) :: !big_speedups)
-                    (float_of_string_opt value)
                 else if String.equal !section "overload" then
                   Option.iter
                     (fun v -> overload := (key, v) :: !overload)
@@ -882,7 +828,6 @@ let load_results path =
             ( v,
               List.rev !bench,
               List.rev !speedups,
-              List.rev !big_speedups,
               List.rev !overload,
               List.rev !uplift )
 
@@ -899,19 +844,6 @@ let synth_speedup_pairs synth =
         synth_jobs
       @ [ (sy.sy_name ^ "/parallel_speedup", synth_parallel_speedup sy) ])
     synth
-
-(* The flat codec_big_speedup keys: legacy-vs-bigstring decode ratio per
-   Table 2 trace. Gated by --compare like the synth speedups, but never
-   skipped — single-threaded decode throughput does not depend on the
-   host's core count. *)
-let codec_big_speedup_pairs codec =
-  List.concat_map
-    (fun c ->
-      [
-        (c.co_name ^ "/big_decode_speedup", big_decode_speedup c);
-        (c.co_name ^ "/big_stream_speedup", big_stream_speedup c);
-      ])
-    codec
 
 (* The flat overload keys: the spill-tier acceptance rate from the
    sustained_overload burst. Gated by --compare — a ladder change that
@@ -944,19 +876,19 @@ let speedup_regression_tolerance = 0.7
 
 (* Refuses to compare across schema versions; otherwise prints the
    per-benchmark delta of this run against the previous file, and fails
-   when a synth parallel speedup or a codec big-decode speedup regressed
-   below tolerance. Only [synth/*] keys feed the parallel gate. *)
-let compare_results ~prev_path ~benchmarks ~synth ~codec ~overload ~predict =
+   when a synth parallel speedup, the overload acceptance rate or the
+   predicted-race uplift regressed below tolerance. Only [synth/*] keys
+   feed the parallel gate. *)
+let compare_results ~prev_path ~benchmarks ~synth ~overload ~predict =
   match load_results prev_path with
   | Error e -> Error ("--compare: " ^ e)
-  | Ok (prev_schema, _, _, _, _, _) when prev_schema <> schema_version ->
+  | Ok (prev_schema, _, _, _, _) when prev_schema <> schema_version ->
       Error
         (Printf.sprintf
            "--compare: %s has schema_version %d but this harness writes %d; \
             regenerate the baseline before comparing"
            prev_path prev_schema schema_version)
-  | Ok (_, prev_bench, prev_speedups, prev_big, prev_overload, prev_uplift)
-    ->
+  | Ok (_, prev_bench, prev_speedups, prev_overload, prev_uplift) ->
       Fmt.pr "@.## Comparison against %s@.@." prev_path;
       if benchmarks = [] then
         Fmt.pr "(no bechamel benchmarks in this run — --tables-only?)@."
@@ -985,7 +917,6 @@ let compare_results ~prev_path ~benchmarks ~synth ~codec ~overload ~predict =
         end
       in
       let synth_regr = ref []
-      and big_regr = ref []
       and ov_regr = ref []
       and up_regr = ref [] in
       gate ~label:"synth speedup" ~prev:prev_speedups
@@ -993,9 +924,6 @@ let compare_results ~prev_path ~benchmarks ~synth ~codec ~overload ~predict =
            (fun (k, _) -> String.length k >= 6 && String.sub k 0 6 = "synth/")
            (synth_speedup_pairs synth))
         synth_regr;
-      gate ~label:"codec big-decode speedup" ~prev:prev_big
-        (codec_big_speedup_pairs codec)
-        big_regr;
       gate ~label:"overload acceptance (events/s)" ~prev:prev_overload
         (overload_pairs overload) ov_regr;
       gate ~label:"predicted-race uplift" ~prev:prev_uplift
@@ -1014,8 +942,7 @@ let compare_results ~prev_path ~benchmarks ~synth ~codec ~overload ~predict =
         else List.rev !synth_regr
       in
       match
-        synth_regr @ List.rev !big_regr @ List.rev !ov_regr
-        @ List.rev !up_regr
+        synth_regr @ List.rev !ov_regr @ List.rev !up_regr
       with
       | [] -> Ok ()
       | regressions ->
@@ -1088,14 +1015,6 @@ let write_json ~path ~jobs ~benchmarks ~traces ~synth ~codec ~server
       pr "    }")
     synth;
   pr "%s  },\n" (if synth = [] then "" else "\n");
-  (* Flat like synth_speedup, for the same reason: the --compare reader
-     gates these key: number pairs against the previous baseline. *)
-  pr "  \"codec_big_speedup\": {";
-  List.iteri
-    (fun i (key, s) ->
-      pr "%s\n    \"%s\": %.3f" (if i = 0 then "" else ",") (json_escape key) s)
-    (codec_big_speedup_pairs codec);
-  pr "%s  },\n" (if codec = [] then "" else "\n");
   pr "  \"codec\": {";
   List.iteri
     (fun i c ->
@@ -1106,21 +1025,13 @@ let write_json ~path ~jobs ~benchmarks ~traces ~synth ~codec ~server
       pr "      \"bytes_per_event\": %.2f,\n"
         (rate c.co_bin_bytes (max 1 c.co_events));
       pr "      \"encode_ns\": %.0f,\n" c.co_encode_ns;
-      pr "      \"decode_ns\": %.0f,\n" c.co_decode_ns;
       pr "      \"big_decode_ns\": %.0f,\n" c.co_big_ns;
       pr "      \"encode_mb_s\": %.2f,\n" (mb_per_s c.co_bin_bytes c.co_encode_ns);
-      pr "      \"decode_mb_s\": %.2f,\n" (mb_per_s c.co_bin_bytes c.co_decode_ns);
       pr "      \"big_decode_mb_s\": %.2f,\n" (mb_per_s c.co_bin_bytes c.co_big_ns);
-      pr "      \"big_decode_speedup\": %.3f,\n" (big_decode_speedup c);
-      pr "      \"stream_decode_ns\": %.0f,\n" c.co_stream_ns;
       pr "      \"big_stream_decode_ns\": %.0f,\n" c.co_stream_big_ns;
-      pr "      \"stream_decode_mb_s\": %.2f,\n"
-        (mb_per_s c.co_bin_bytes c.co_stream_ns);
       pr "      \"big_stream_decode_mb_s\": %.2f,\n"
         (mb_per_s c.co_bin_bytes c.co_stream_big_ns);
-      pr "      \"big_stream_speedup\": %.3f,\n" (big_stream_speedup c);
       pr "      \"encode_events_s\": %.0f,\n" (per_s c.co_events c.co_encode_ns);
-      pr "      \"decode_events_s\": %.0f,\n" (per_s c.co_events c.co_decode_ns);
       pr "      \"big_decode_events_s\": %.0f,\n" (per_s c.co_events c.co_big_ns);
       pr "      \"big_stream_events_s\": %.0f\n"
         (per_s c.co_events c.co_stream_big_ns);
@@ -1293,8 +1204,8 @@ let () =
     | None -> ()
     | Some prev_path -> (
         match
-          compare_results ~prev_path ~benchmarks:[] ~synth ~codec:[]
-            ~overload:None ~predict:[]
+          compare_results ~prev_path ~benchmarks:[] ~synth ~overload:None
+            ~predict:[]
         with
         | Ok () -> ()
         | Error e ->
@@ -1330,7 +1241,6 @@ let () =
     codec_records ~synth_events:(min 200_000 (max 50_000 synth_max_events)) ()
   in
   print_codec_table codec;
-  assert_big_decoder_wins codec;
   let ((server_ns, server_events) as server) = server_roundtrip () in
   let jdir =
     Filename.concat
@@ -1419,8 +1329,7 @@ let () =
   | None -> ()
   | Some prev_path -> (
       match
-        compare_results ~prev_path ~benchmarks ~synth ~codec ~overload
-          ~predict
+        compare_results ~prev_path ~benchmarks ~synth ~overload ~predict
       with
       | Ok () -> ()
       | Error e ->

@@ -5,9 +5,10 @@
     individual sub-libraries:
 
     - values, identities, clocks: {!Value}, {!Tid}, {!Obj_id}, {!Lock_id},
-      {!Mem_loc}, {!Prng}, {!Vclock};
+      {!Mem_loc}, {!Prng}, {!Vclock}, and the {!Varint} integer encoding;
     - traces and happens-before: {!Action}, {!Event}, {!Trace},
-      {!Trace_text}, the binary {!Wire} codec, {!Hb};
+      {!Trace_text}, the binary {!Wire} codec and its {!Bigwire} decoder,
+      {!Hb};
     - specification logic: {!Atom}, {!Formula}, {!Ecl}, {!Signature},
       {!Spec}, the surface-syntax {!Spec_parser} and built-in
       {!Stdspecs};
@@ -27,6 +28,7 @@ module Obj_id = Crd_base.Obj_id
 module Lock_id = Crd_base.Lock_id
 module Mem_loc = Crd_base.Mem_loc
 module Prng = Crd_base.Prng
+module Varint = Crd_base.Varint
 module Vclock = Crd_vclock.Vclock
 module Action = Crd_trace.Action
 module Event = Crd_trace.Event

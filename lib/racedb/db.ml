@@ -1,4 +1,4 @@
-module Codec = Crd_wire.Codec
+module Varint = Crd_base.Varint
 
 (* --- observability ------------------------------------------------- *)
 
@@ -375,7 +375,7 @@ let seal ?(prefix = "") ~crc_from b =
 
 let frame_of_buffer b =
   let h = Buffer.create 5 in
-  Codec.add_varint h (Buffer.length b);
+  Varint.add h (Buffer.length b);
   seal ~prefix:(Buffer.contents h) ~crc_from:0 b
 
 let frame_record r =
@@ -389,7 +389,7 @@ let frame_record r =
 let frame_merge_batch es =
   let b = Buffer.create 4096 in
   Buffer.add_char b 'H';
-  Codec.add_varint b (List.length es);
+  Varint.add b (List.length es);
   List.iter (Entry.encode b) es;
   frame_of_buffer b
 
@@ -404,13 +404,13 @@ exception Frame_too_large
 let add_counted_chunk b ~nonce ~n groups =
   Buffer.clear b;
   Buffer.add_char b 'C';
-  Codec.add_varint b (String.length nonce);
+  Varint.add b (String.length nonce);
   Buffer.add_string b nonce;
-  Codec.add_varint b n;
+  Varint.add b n;
   List.iter
     (fun g ->
-      Codec.add_varint b g.count;
-      Codec.add_varint b g.last;
+      Varint.add b g.count;
+      Varint.add b g.last;
       Record.add_to_buffer b g.first;
       if Buffer.length b > max_frame_bytes then raise Frame_too_large)
     groups
@@ -441,7 +441,7 @@ let group_chunk records =
   List.rev !groups
 
 let get_nonce payload pos =
-  let n, pos = Codec.get_varint payload pos in
+  let n, pos = Varint.get payload pos in
   if n < 0 || n > max_nonce_bytes || pos + n > String.length payload then
     failwith "batch: bad nonce";
   (String.sub payload pos n, pos + n)
@@ -449,7 +449,7 @@ let get_nonce payload pos =
 let decode_counted payload =
   (* payload.[0] = 'C' already consumed by the dispatcher *)
   let nonce, pos = get_nonce payload 1 in
-  let n, pos = Codec.get_varint payload pos in
+  let n, pos = Varint.get payload pos in
   if n < 1 then failwith "chunk: bad record count";
   let rec go acc seen pos =
     if seen = n then begin
@@ -457,9 +457,9 @@ let decode_counted payload =
       (nonce, n, List.rev acc)
     end
     else
-      let count, pos = Codec.get_varint payload pos in
+      let count, pos = Varint.get payload pos in
       if count < 1 || count > n - seen then failwith "chunk: bad group count";
-      let last, pos = Codec.get_varint payload pos in
+      let last, pos = Varint.get payload pos in
       if last < 0 || last >= n then failwith "chunk: bad offset";
       let first, pos = Record.decode_at payload pos in
       go ({ fp = Record.fingerprint first; first; count; last } :: acc)
@@ -469,7 +469,7 @@ let decode_counted payload =
 
 let decode_merge_batch ~entry_decode payload =
   (* the tag at payload.[0] was already consumed by the dispatcher *)
-  let n, pos = Codec.get_varint payload 1 in
+  let n, pos = Varint.get payload 1 in
   (* an entry takes more than 8 bytes: the payload bounds the count *)
   if n < 0 || n > String.length payload / 8 then
     failwith "merge batch: bad entry count";
@@ -484,12 +484,12 @@ let decode_merge_batch ~entry_decode payload =
 let decode_batch payload =
   (* payload.[0] = 'B' already consumed by the dispatcher *)
   let nonce, pos = get_nonce payload 1 in
-  let k, pos = Codec.get_varint payload pos in
+  let k, pos = Varint.get payload pos in
   if k < 0 || k > String.length payload then failwith "batch: bad record count";
   let rec go acc k pos =
     if k = 0 then (nonce, List.rev acc)
     else
-      let n, pos = Codec.get_varint payload pos in
+      let n, pos = Varint.get payload pos in
       if n <= 0 || pos + n > String.length payload then
         failwith "batch: bad record";
       match Record.decode_at payload pos with
@@ -508,7 +508,7 @@ let scan_segment ~committed bytes ~record ~batch ~counted ~entry =
   let salvaged = ref 0 in
   let stop = ref false in
   while (not !stop) && !pos < len do
-    match Codec.get_varint bytes !pos with
+    match Varint.get bytes !pos with
     | exception Failure _ -> stop := true
     | n, data_pos ->
         if n <= 0 || n > max_frame_bytes || data_pos + n + 4 > len then
@@ -590,8 +590,8 @@ let index_version = 3
    and the first compaction rewrites the file as v2. *)
 let decode_index_v1 ~node s =
   let node = if node = "" then "legacy" else node in
-  let folded_up_to, pos = Codec.get_varint s 5 in
-  let n, pos = Codec.get_varint s pos in
+  let folded_up_to, pos = Varint.get s 5 in
+  let n, pos = Varint.get s pos in
   if n < 0 || n > 1 lsl 24 then failwith "index: bad entry count";
   let rec go acc seq n pos =
     if n = 0 then List.rev acc
@@ -610,14 +610,14 @@ let encode_index ~folded_up_to ~published es =
   in
   Buffer.add_string b index_magic;
   Buffer.add_char b (Char.chr index_version);
-  Codec.add_varint b folded_up_to;
-  Codec.add_varint b (List.length published);
+  Varint.add b folded_up_to;
+  Varint.add b (List.length published);
   List.iter
     (fun nonce ->
-      Codec.add_varint b (String.length nonce);
+      Varint.add b (String.length nonce);
       Buffer.add_string b nonce)
     (List.sort String.compare published);
-  Codec.add_varint b (List.length es);
+  Varint.add b (List.length es);
   List.iter
     (fun e -> Entry.encode b e)
     (List.sort
@@ -645,19 +645,19 @@ let decode_index ~node s =
         if version = 2 then Entry.decode_v2 else Entry.decode
       in
       match
-        let folded_up_to, pos = Codec.get_varint s 5 in
-        let np, pos = Codec.get_varint s pos in
+        let folded_up_to, pos = Varint.get s 5 in
+        let np, pos = Varint.get s pos in
         if np < 0 || np > len then failwith "index: bad nonce count";
         let rec nonces acc np pos =
           if np = 0 then (List.rev acc, pos)
           else
-            let n, pos = Codec.get_varint s pos in
+            let n, pos = Varint.get s pos in
             if n < 0 || n > max_nonce_bytes || pos + n > len then
               failwith "index: bad nonce";
             nonces (String.sub s pos n :: acc) (np - 1) (pos + n)
         in
         let published, pos = nonces [] np pos in
-        let n, pos = Codec.get_varint s pos in
+        let n, pos = Varint.get s pos in
         if n < 0 || n > len / 8 then failwith "index: bad entry count";
         let rec go acc n pos =
           if n = 0 then List.rev acc

@@ -1,4 +1,4 @@
-module Codec = Crd_wire.Codec
+module Varint = Crd_base.Varint
 
 type t = {
   fingerprint : int64;
@@ -96,7 +96,7 @@ let encode b (e : t) =
   Rollup.encode b e.hours;
   Rollup.encode b e.days;
   let sample = Record.encode e.sample in
-  Codec.add_varint b (String.length sample);
+  Varint.add b (String.length sample);
   Buffer.add_string b sample;
   Buffer.add_char b
     (match e.provenance with
@@ -106,7 +106,7 @@ let encode b (e : t) =
 (* The sample is length-prefixed; the enclosing (checksummed) string
    is its only bound. *)
 let get_sample s pos =
-  let n, pos = Codec.get_varint s pos in
+  let n, pos = Varint.get s pos in
   if n < 0 || pos + n > String.length s then failwith "entry: bad sample";
   match Record.decode_at s pos with
   | r, fin when fin = pos + n -> (r, n, pos)
@@ -160,7 +160,7 @@ let decode_v2 = decode_body
 let decode_v1 ~node ~seq s pos =
   let fingerprint = get_i64le s pos in
   let pos = pos + 8 in
-  let count, pos = Codec.get_varint s pos in
+  let count, pos = Varint.get s pos in
   if count <= 0 then failwith "entry: bad v1 count";
   let first_seen = Int64.float_of_bits (get_i64le s pos) in
   let last_seen = Int64.float_of_bits (get_i64le s (pos + 8)) in

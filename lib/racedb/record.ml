@@ -1,7 +1,6 @@
 open Crd_base
 open Crd_trace
 open Crd_detector
-module Codec = Crd_wire.Codec
 
 type t = {
   ts : float;
@@ -42,12 +41,12 @@ let pp ppf t =
     t.ts t.spec Provenance.pp t.provenance Report.pp t.report
 
 (* ------------------------------------------------------------------ *)
-(* Binary form. Varints/zigzag reuse the Crd_wire helpers; values are
+(* Binary form. Integers are [Varint]s, signed ones zigzagged; values are
    tagged like the trace codec but carry strings inline (no interning,
    records decode in isolation). *)
 
 let add_str b s =
-  Codec.add_varint b (String.length s);
+  Varint.add b (String.length s);
   Buffer.add_string b s
 
 let add_i64 b v =
@@ -61,20 +60,20 @@ let add_value b = function
   | Value.Bool true -> Buffer.add_char b '\x02'
   | Value.Int i ->
       Buffer.add_char b '\x03';
-      Codec.add_varint b (Codec.zigzag i)
+      Varint.add_zigzag b i
   | Value.Str s ->
       Buffer.add_char b '\x04';
       add_str b s
   | Value.Ref r ->
       Buffer.add_char b '\x05';
-      Codec.add_varint b (Codec.zigzag r)
+      Varint.add_zigzag b r
 
 let add_values b vs =
-  Codec.add_varint b (List.length vs);
+  Varint.add b (List.length vs);
   List.iter (add_value b) vs
 
 let add_obj b o =
-  Codec.add_varint b (Codec.zigzag (Obj_id.id o));
+  Varint.add_zigzag b (Obj_id.id o);
   add_str b (Obj_id.name o)
 
 let add_action b (a : Action.t) =
@@ -87,9 +86,9 @@ let add_to_buffer b t =
   add_i64 b (Int64.bits_of_float t.ts);
   add_str b t.spec;
   let r = t.report in
-  Codec.add_varint b r.Report.index;
+  Varint.add b r.Report.index;
   add_obj b r.obj;
-  Codec.add_varint b (Tid.to_int r.tid);
+  Varint.add b (Tid.to_int r.tid);
   add_action b r.action;
   add_str b r.point;
   add_str b r.conflicting;
@@ -104,7 +103,7 @@ let add_to_buffer b t =
   | None -> Buffer.add_char b (Char.chr prov_bit)
   | Some (tid, a) ->
       Buffer.add_char b (Char.chr (1 lor prov_bit));
-      Codec.add_varint b (Tid.to_int tid);
+      Varint.add b (Tid.to_int tid);
       add_action b a)
 
 let encode t =
@@ -113,7 +112,7 @@ let encode t =
   Buffer.contents b
 
 let get_str s pos =
-  let n, pos = Codec.get_varint s pos in
+  let n, pos = Varint.get s pos in
   if n < 0 || pos + n > String.length s then failwith "record: bad string";
   (String.sub s pos n, pos + n)
 
@@ -134,18 +133,18 @@ let get_value s pos =
   | 1 -> (Value.Bool false, pos)
   | 2 -> (Value.Bool true, pos)
   | 3 ->
-      let v, pos = Codec.get_varint s pos in
-      (Value.Int (Codec.unzigzag v), pos)
+      let v, pos = Varint.get s pos in
+      (Value.Int (Varint.unzigzag v), pos)
   | 4 ->
       let v, pos = get_str s pos in
       (Value.Str v, pos)
   | 5 ->
-      let v, pos = Codec.get_varint s pos in
-      (Value.Ref (Codec.unzigzag v), pos)
+      let v, pos = Varint.get s pos in
+      (Value.Ref (Varint.unzigzag v), pos)
   | _ -> failwith "record: bad value tag"
 
 let get_values s pos =
-  let n, pos = Codec.get_varint s pos in
+  let n, pos = Varint.get s pos in
   (* every value takes at least one byte: the enclosing string bounds
      the count, as it bounds every length *)
   if n < 0 || n > String.length s - pos then failwith "record: bad value count";
@@ -158,9 +157,9 @@ let get_values s pos =
   go [] n pos
 
 let get_obj s pos =
-  let id, pos = Codec.get_varint s pos in
+  let id, pos = Varint.get s pos in
   let name, pos = get_str s pos in
-  (Obj_id.make ~name (Codec.unzigzag id), pos)
+  (Obj_id.make ~name (Varint.unzigzag id), pos)
 
 let get_action s pos =
   let obj, pos = get_obj s pos in
@@ -170,14 +169,14 @@ let get_action s pos =
   (Action.make ~obj ~meth ~args ~rets (), pos)
 
 let get_tid s pos =
-  let v, pos = Codec.get_varint s pos in
+  let v, pos = Varint.get s pos in
   if v < 0 || v > Tid.max_id then failwith "record: bad thread id";
   (Tid.of_int v, pos)
 
 let decode_at s pos =
   let bits, pos = get_i64 s pos in
   let spec, pos = get_str s pos in
-  let index, pos = Codec.get_varint s pos in
+  let index, pos = Varint.get s pos in
   let obj, pos = get_obj s pos in
   let tid, pos = get_tid s pos in
   let action, pos = get_action s pos in

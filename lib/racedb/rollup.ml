@@ -1,3 +1,5 @@
+module Varint = Crd_base.Varint
+
 type t = {
   res : int;
   buckets : int array;  (* bucket number per slot; -1 = empty *)
@@ -97,29 +99,24 @@ let to_list t =
   |> List.map (fun (b, c) -> (float_of_int (b * t.res), c))
 
 (* Wire form: res, slots, then (bucket+1, count) per slot — the +1 keeps
-   empty slots (-1) in varint range. Most slots are empty and most
-   counts small, so one-byte varints skip the general loop. *)
-let add_varint b v =
-  if v land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr v)
-  else Crd_wire.Codec.add_varint b v
-
+   empty slots (-1) in varint range. *)
 let encode b t =
-  add_varint b t.res;
-  add_varint b (Array.length t.buckets);
+  Varint.add b t.res;
+  Varint.add b (Array.length t.buckets);
   for slot = 0 to Array.length t.buckets - 1 do
-    add_varint b (t.buckets.(slot) + 1);
-    add_varint b t.counts.(slot)
+    Varint.add b (t.buckets.(slot) + 1);
+    Varint.add b t.counts.(slot)
   done
 
 let decode s pos =
-  let res, pos = Crd_wire.Codec.get_varint s pos in
-  let n, pos = Crd_wire.Codec.get_varint s pos in
+  let res, pos = Varint.get s pos in
+  let n, pos = Varint.get s pos in
   if res < 1 || n < 1 || n > 1 lsl 16 then failwith "rollup: bad shape";
   let t = create ~res ~slots:n in
   let pos = ref pos in
   for slot = 0 to n - 1 do
-    let b, p = Crd_wire.Codec.get_varint s !pos in
-    let c, p = Crd_wire.Codec.get_varint s p in
+    let b, p = Varint.get s !pos in
+    let c, p = Varint.get s p in
     t.buckets.(slot) <- b - 1;
     t.counts.(slot) <- c;
     pos := p

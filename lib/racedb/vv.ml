@@ -1,3 +1,5 @@
+module Varint = Crd_base.Varint
+
 type t = (string * int) list
 
 let empty = []
@@ -43,25 +45,25 @@ let of_list l =
 let node_max_bytes = 64
 
 let encode b t =
-  Crd_wire.Codec.add_varint b (List.length t);
+  Varint.add b (List.length t);
   List.iter
     (fun (n, v) ->
-      Crd_wire.Codec.add_varint b (String.length n);
+      Varint.add b (String.length n);
       Buffer.add_string b n;
-      Crd_wire.Codec.add_varint b v)
+      Varint.add b v)
     t
 
 let decode s pos =
-  let k, pos = Crd_wire.Codec.get_varint s pos in
+  let k, pos = Varint.get s pos in
   if k < 0 || k > 1 lsl 16 then failwith "vv: bad component count";
   let rec go acc k pos =
     if k = 0 then (of_list (List.rev acc), pos)
     else
-      let n, pos = Crd_wire.Codec.get_varint s pos in
+      let n, pos = Varint.get s pos in
       if n < 0 || n > node_max_bytes || pos + n > String.length s then
         failwith "vv: bad node id";
       let node = String.sub s pos n in
-      let v, pos = Crd_wire.Codec.get_varint s (pos + n) in
+      let v, pos = Varint.get s (pos + n) in
       if v <= 0 then failwith "vv: non-positive component";
       go ((node, v) :: acc) (k - 1) pos
   in

@@ -1,3 +1,5 @@
+module Varint = Crd_base.Varint
+
 let magic = "CRDS"
 let version = 2
 let max_spec_name = 4096
@@ -82,9 +84,9 @@ let send_handshake fd ?(nonce = "") ~spec () =
   let b = Buffer.create 32 in
   Buffer.add_string b magic;
   Buffer.add_char b (Char.chr version);
-  Crd_wire.Codec.add_varint b (String.length nonce);
+  Varint.add b (String.length nonce);
   Buffer.add_string b nonce;
-  Crd_wire.Codec.add_varint b (String.length spec);
+  Varint.add b (String.length spec);
   Buffer.add_string b spec;
   write_all fd (Buffer.contents b)
 
@@ -93,14 +95,14 @@ let send_accept fd = write_all fd "\x00"
 let send_reject fd msg =
   let b = Buffer.create (8 + String.length msg) in
   Buffer.add_char b '\x01';
-  Crd_wire.Codec.add_varint b (String.length msg);
+  Varint.add b (String.length msg);
   Buffer.add_string b msg;
   write_all fd (Buffer.contents b)
 
 let send_busy fd ~retry_ms =
   let b = Buffer.create 8 in
   Buffer.add_char b '\x02';
-  Crd_wire.Codec.add_varint b (max 0 retry_ms);
+  Varint.add b (max 0 retry_ms);
   write_all fd (Buffer.contents b)
 
 let read_lstring fd ~max ~what =
@@ -134,7 +136,7 @@ let read_preamble fd =
         if v <> version then
           Error (Printf.sprintf "unsupported protocol version %d" v)
         else Ok Session
-      else if String.equal m Crd_wire.Codec.sync_magic then Ok (Sync v)
+      else if String.equal m Crd_sync.sync_magic then Ok (Sync v)
       else if String.equal h health_magic then begin
         (* Consume the rest of the ASCII line ("H\n") so the close after
            the reply never RSTs unread probe bytes back at the client. *)

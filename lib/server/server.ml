@@ -190,7 +190,7 @@ let m_racedb_queue_hw =
     "racedb_queue_depth_hw"
 
 (* Chaos injection points threaded through the ingestion pipeline; see
-   Crd_fault. decode_frame lives in Crd_wire.Codec, journal_append in
+   Crd_fault. decode_frame lives in Crd_wire.Bigcodec, journal_append in
    Journal. *)
 let fp_sock_read = Crd_fault.point "sock_read"
 let fp_sock_write = Crd_fault.point "sock_write"

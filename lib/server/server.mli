@@ -95,7 +95,8 @@ type config = {
   journal : string option;
       (** directory for crash-safe session journals; [None] disables *)
   resync : bool;
-      (** decode session streams with {!Crd_wire.Codec.create}[ ~resync:true]:
+      (** decode session streams with
+          {!Crd_wire.Bigcodec.Decoder.create}[ ~resync:true]:
           corrupt frames are skipped instead of failing the session *)
   racedb : string option;
       (** directory of a {!Crd_racedb.Db} race database; every

@@ -1,7 +1,16 @@
 module Db = Crd_racedb.Db
 module Entry = Crd_racedb.Entry
 module Vv = Crd_racedb.Vv
-module Codec = Crd_wire.Codec
+module Varint = Crd_base.Varint
+
+(* The exchange rides the CRDW varint framing (varint(len) payload)
+   after its own magic; payloads open with a frame-kind byte. *)
+let sync_magic = "CRDY"
+let sync_version = 2
+let sync_hello = 1
+let sync_delta = 2
+let sync_ack = 3
+let sync_error = 4
 
 (* --- observability ------------------------------------------------- *)
 
@@ -142,7 +151,7 @@ let write_frame ~dl fd payload =
   Crd_fault.inject fp_write;
   check_deadline dl;
   let b = Buffer.create (String.length payload + 4) in
-  Codec.add_varint b (String.length payload);
+  Varint.add b (String.length payload);
   Buffer.add_string b payload;
   let s = Buffer.contents b in
   write_all fd s;
@@ -167,17 +176,17 @@ type frame =
 
 let hello_payload ~node ~vv =
   let b = Buffer.create 64 in
-  Buffer.add_char b (Char.chr Codec.sync_hello);
-  Codec.add_varint b (String.length node);
+  Buffer.add_char b (Char.chr sync_hello);
+  Varint.add b (String.length node);
   Buffer.add_string b node;
   Vv.encode b vv;
   Buffer.contents b
 
 let ack_payload ~vv ~applied =
   let b = Buffer.create 64 in
-  Buffer.add_char b (Char.chr Codec.sync_ack);
+  Buffer.add_char b (Char.chr sync_ack);
   Vv.encode b vv;
-  Codec.add_varint b applied;
+  Varint.add b applied;
   Buffer.contents b
 
 let error_payload msg =
@@ -185,24 +194,24 @@ let error_payload msg =
     if String.length msg > 512 then String.sub msg 0 512 else msg
   in
   let b = Buffer.create (String.length msg + 4) in
-  Buffer.add_char b (Char.chr Codec.sync_error);
-  Codec.add_varint b (String.length msg);
+  Buffer.add_char b (Char.chr sync_error);
+  Varint.add b (String.length msg);
   Buffer.add_string b msg;
   Buffer.contents b
 
 let parse_frame p =
   if p = "" then failwith "sync: empty frame";
   let kind = Char.code p.[0] in
-  if kind = Codec.sync_hello then begin
-    let n, pos = Codec.get_varint p 1 in
+  if kind = sync_hello then begin
+    let n, pos = Varint.get p 1 in
     if n <= 0 || n > Vv.node_max_bytes || pos + n > String.length p then
       failwith "sync: bad peer node id";
     let node = String.sub p pos n in
     let vv, _ = Vv.decode p (pos + n) in
     Hello (node, vv)
   end
-  else if kind = Codec.sync_delta then begin
-    let n, pos = Codec.get_varint p 1 in
+  else if kind = sync_delta then begin
+    let n, pos = Varint.get p 1 in
     if n < 0 || n > 1 lsl 20 then failwith "sync: bad delta count";
     let rec go acc n pos =
       if n = 0 then Delta (List.rev acc)
@@ -212,13 +221,13 @@ let parse_frame p =
     in
     go [] n pos
   end
-  else if kind = Codec.sync_ack then begin
+  else if kind = sync_ack then begin
     let vv, pos = Vv.decode p 1 in
-    let applied, _ = Codec.get_varint p pos in
+    let applied, _ = Varint.get p pos in
     Ack (vv, applied)
   end
-  else if kind = Codec.sync_error then begin
-    let n, pos = Codec.get_varint p 1 in
+  else if kind = sync_error then begin
+    let n, pos = Varint.get p 1 in
     if n < 0 || pos + n > String.length p then failwith "sync: bad error";
     Refused (String.sub p pos n)
   end
@@ -253,8 +262,8 @@ let send_deltas ~dl fd db ~since ~applied =
   let flush () =
     if !count > 0 then begin
       let b = Buffer.create (Buffer.length entries_buf + 8) in
-      Buffer.add_char b (Char.chr Codec.sync_delta);
-      Codec.add_varint b !count;
+      Buffer.add_char b (Char.chr sync_delta);
+      Varint.add b !count;
       Buffer.add_buffer b entries_buf;
       write_frame ~dl fd (Buffer.contents b);
       Buffer.clear entries_buf;
@@ -344,7 +353,7 @@ let client ?(timeout = 30.) ?deadline fd db =
       set_timeouts fd timeout;
       Crd_fault.inject fp_write;
       write_all fd
-        (Codec.sync_magic ^ String.make 1 (Char.chr Codec.sync_version));
+        (sync_magic ^ String.make 1 (Char.chr sync_version));
       Crd_obs.Counter.add m_bytes_sent 5;
       write_frame ~dl fd
         (hello_payload ~node:(Db.node_id db) ~vv:(Db.version db));
@@ -363,7 +372,7 @@ let serve ?(timeout = 30.) ?deadline ~version fd db =
   run
     (fun () ->
       let dl = deadline_of ~timeout ~deadline in
-      if version <> Codec.sync_version then begin
+      if version <> sync_version then begin
         (try write_frame ~dl fd
            (error_payload (Printf.sprintf "unsupported sync version %d" version))
          with _ -> ());

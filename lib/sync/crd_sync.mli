@@ -15,8 +15,8 @@
                 <----  ACK{vv_s', applied}
     v}
 
-    Frames ride the CRDW varint framing ({!Crd_wire.Codec.sync_magic},
-    kind bytes [sync_hello]/[sync_delta]/[sync_ack]/[sync_error]).
+    Frames ride the CRDW varint framing ({!sync_magic}, kind bytes
+    {!sync_hello}/{!sync_delta}/{!sync_ack}/{!sync_error}).
     Because {!Crd_racedb.Entry.merge} is a lattice join, the exchange
     is idempotent — re-syncing a converged pair transfers two empty
     deltas and changes nothing — and any gossip schedule that keeps
@@ -45,6 +45,33 @@
     themselves at 16 MiB). A peer exceeding the caps gets a best-effort
     [sync_error] frame and the exchange fails without applying
     anything. *)
+
+(** {1 Wire constants}
+
+    A connection opens with [sync_magic] and a [sync_version] byte, then
+    exchanges [varint(len) payload] frames whose payloads begin with one
+    of the kind bytes below. *)
+
+val sync_magic : string
+(** ["CRDY"]. *)
+
+val sync_version : int
+(** Sync protocol version (currently 2: delta entries carry the
+    provenance byte). *)
+
+val sync_hello : int
+(** Frame kind: node id + version vector, opens both directions. *)
+
+val sync_delta : int
+(** Frame kind: a batch of replicated racedb entries. *)
+
+val sync_ack : int
+(** Frame kind: end of a delta stream — version vector + merged count. *)
+
+val sync_error : int
+(** Frame kind: human-readable refusal, connection closes after. *)
+
+(** {1 Exchanges} *)
 
 type summary = {
   peer : string;  (** the peer's node id *)

@@ -1,10 +1,8 @@
 open Crd_base
 open Crd_trace
 
-(* The zero-copy CRDW decoder: same grammar, same typed errors and the
-   same observable behaviour as [Codec.Decoder] (which stays as the
-   reference oracle — see test/test_bigwire.ml for the differential
-   property), but parsing in place over Bigarray slices:
+(* The CRDW decoder ({!Codec} holds the grammar and the encoder), parsing
+   in place over Bigarray slices:
 
    - no per-frame [Buffer.sub] / [String.sub]: a frame is a (pos, limit)
      window over the input or the pending buffer;
@@ -15,14 +13,17 @@ open Crd_trace
      assign ids sequentially), not a hashtable probe per event;
    - when a feed arrives with nothing pending, frames decode straight
      from the caller's slice and only the incomplete tail is copied;
-   - the push-based entry points ([feed_iter], [iter_bigstring],
-     [iter_file]) hand each event to the consumer as it is parsed, with
-     no intermediate list: in a streaming consumer the events die in the
-     minor heap instead of being promoted twice;
+   - every entry point is push-based ([feed_iter], [feed_bytes_iter],
+     [iter_bigstring], [iter_file]): each event goes to the consumer as
+     it is parsed, with no intermediate list, so in a streaming consumer
+     the events die in the minor heap instead of being promoted twice;
    - an [Int] in [[0, 1024)] decodes to a box shared by every decoder,
      built by the first [Decoder.create] (not at start-up), so the
      common small argument allocates nothing and [Value.equal] settles
-     it by identity. *)
+     it by identity.
+
+   test/test_bigwire.ml checks it against an independent string decoder
+   of the same grammar, test/codec_oracle.ml. *)
 
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -78,6 +79,26 @@ let with_file path k =
         (fun () -> k fd)
 
 let map_file path = with_file path (map_fd path)
+
+(* Process-wide decoder metrics: byte counters on the feed granularity
+   (one atomic add per feed, never per event). *)
+let rx_bytes_total =
+  Crd_obs.counter ~help:"Bytes fed into CRDW decoders" "wire_rx_bytes_total"
+
+let frames_total =
+  Crd_obs.counter ~help:"CRDW frames decoded" "wire_frames_total"
+
+let decode_errors_total =
+  Crd_obs.counter ~help:"CRDW decoders entering the failed state"
+    "wire_decode_errors_total"
+
+let resync_total =
+  Crd_obs.counter ~help:"Bytes skipped by resyncing CRDW decoders"
+    "wire_resync_total"
+
+(* Deterministic corruption for chaos runs: when armed, a frame parse
+   fails as if the frame arrived corrupt. *)
+let fp_decode_frame = Crd_fault.point "decode_frame"
 
 (* ------------------------------------------------------------------ *)
 (* Decoder                                                             *)
@@ -236,7 +257,7 @@ module Decoder = struct
     end
     else corrupt "record overruns its frame"
 
-  let r_zigzag c = Codec.unzigzag (r_varint c)
+  let r_zigzag c = Varint.unzigzag (r_varint c)
 
   (* --- interning with in-place comparison --------------------------- *)
 
@@ -554,18 +575,18 @@ module Decoder = struct
               else begin
                 c.rpos <- !pos + hdr_len;
                 c.rlimit <- !pos + hdr_len + frame_len;
-                if Crd_fault.fire Codec.fp_decode_frame then
+                if Crd_fault.fire fp_decode_frame then
                   corrupt "fault injected: decode_frame";
                 parse_frame t c buffer;
                 (* Consume the frame only once it parsed: a resync
                    restarts its scan from the frame's first byte. *)
                 pos := !pos + hdr_len + frame_len;
-                Crd_obs.Counter.incr Codec.frames_total;
+                Crd_obs.Counter.incr frames_total;
                 if t.resync then List.iter push (List.rev !frame_events)
               end
         with Fail e when t.resync && recoverable t e ->
           pos := !pos + 1;
-          Crd_obs.Counter.incr Codec.resync_total
+          Crd_obs.Counter.incr resync_total
       done
     end
     else if t.state = Finished && limit - !pos > 0 then
@@ -637,13 +658,13 @@ module Decoder = struct
         with
         | Fail e ->
             t.state <- Failed e;
-            Crd_obs.Counter.incr Codec.decode_errors_total;
+            Crd_obs.Counter.incr decode_errors_total;
             Error e
         | Consumer ex -> raise ex
         | e ->
             let err = Codec.Corrupt (Printexc.to_string e) in
             t.state <- Failed err;
-            Crd_obs.Counter.incr Codec.decode_errors_total;
+            Crd_obs.Counter.incr decode_errors_total;
             Error err)
 
   let drain_pending t push =
@@ -657,13 +678,10 @@ module Decoder = struct
         compact t)
       (fun () -> drain t t.buf pos t.fill push)
 
-  (* Push-based feed bodies: the public list-returning API and the
-     iter API are thin wrappers over these. *)
-
   let feed_push t off len (input : bigstring) push =
     if off < 0 || len < 0 || off + len > Bigarray.Array1.dim input then
-      invalid_arg "Bigcodec.Decoder.feed: invalid slice";
-    Crd_obs.Counter.add Codec.rx_bytes_total len;
+      invalid_arg "Bigcodec.Decoder.feed_iter: invalid slice";
+    Crd_obs.Counter.add rx_bytes_total len;
     if pending t = 0 then begin
       (* Zero-copy fast path: parse the caller's slice in place. *)
       t.pos <- 0;
@@ -693,12 +711,12 @@ module Decoder = struct
     end
 
   (* Bytes cannot be parsed in place (the cursor is bigstring-typed), so
-     the slice lands in the pending buffer with one copy — still none of
-     the legacy path's per-read [Bytes.sub_string] + [Buffer] copies. *)
+     the slice lands in the pending buffer with one copy and no per-read
+     string. *)
   let feed_bytes_push t off len input push =
     if off < 0 || len < 0 || off + len > Bytes.length input then
-      invalid_arg "Bigcodec.Decoder.feed_bytes: invalid slice";
-    Crd_obs.Counter.add Codec.rx_bytes_total len;
+      invalid_arg "Bigcodec.Decoder.feed_bytes_iter: invalid slice";
+    Crd_obs.Counter.add rx_bytes_total len;
     reserve t len;
     let buf = t.buf in
     let base = t.fill in
@@ -708,19 +726,6 @@ module Decoder = struct
     t.fill <- t.fill + len;
     drain_pending t push
 
-  let collected t k =
-    let events = ref [] in
-    let push e = events := e :: !events in
-    match run_protected t (fun () -> k push) with
-    | Ok () -> Ok (List.rev !events)
-    | Error e -> Error e
-
-  let feed t ?(off = 0) ?len (input : bigstring) =
-    let len =
-      match len with Some l -> l | None -> Bigarray.Array1.dim input - off
-    in
-    collected t (feed_push t off len input)
-
   let feed_iter t ?(off = 0) ?len (input : bigstring) ~f =
     let len =
       match len with Some l -> l | None -> Bigarray.Array1.dim input - off
@@ -728,20 +733,10 @@ module Decoder = struct
     let f = guard_consumer f in
     run_protected t (fun () -> feed_push t off len input f)
 
-  let feed_bytes t ?(off = 0) ?len input =
-    let len = match len with Some l -> l | None -> Bytes.length input - off in
-    collected t (feed_bytes_push t off len input)
-
   let feed_bytes_iter t ?(off = 0) ?len input ~f =
     let len = match len with Some l -> l | None -> Bytes.length input - off in
     let f = guard_consumer f in
     run_protected t (fun () -> feed_bytes_push t off len input f)
-
-  let feed_string t ?(off = 0) ?len input =
-    let len = match len with Some l -> l | None -> String.length input - off in
-    if off < 0 || len < 0 || off + len > String.length input then
-      invalid_arg "Bigcodec.Decoder.feed_string: invalid slice";
-    feed_bytes t ~off ~len (Bytes.unsafe_of_string input)
 
   let finish t =
     match t.state with
@@ -765,8 +760,8 @@ let iter_bigstring ?resync b ~f =
 
 (* Events append straight into the trace's array — no intermediate
    list, so the only promoted data is the decoded trace itself. A
-   failed decode discards the partially filled trace wholesale, which
-   matches the legacy decoder's all-or-nothing result. *)
+   failed decode discards the partially filled trace wholesale: the
+   result is all or nothing. *)
 let decode_with feed_one ?resync () =
   let dec = Decoder.create ?resync () in
   let trace = Trace.create () in

@@ -1,8 +1,6 @@
-(** [Crd_wire.Bigcodec] — the zero-copy CRDW decoder.
+(** [Crd_wire.Bigcodec] — the CRDW decoder.
 
-    Same wire grammar, same typed {!Codec.error}s and the same
-    observable semantics as {!Codec.Decoder} (which remains the
-    reference oracle, differential-tested against this module), but
+    It reads the grammar of {!Codec} and reports {!Codec.error}s,
     decoding in place over [Bigarray] slices:
 
     - frames are [(pos, limit)] windows — no per-frame [Buffer.sub] or
@@ -13,10 +11,17 @@
     - a feed that arrives with an empty pending buffer parses the
       caller's slice directly and copies only the incomplete tail.
 
+    The decoder is push-based and {e total}: feed it arbitrary byte
+    slices and it hands each completed event to a callback; on any input
+    — truncated, corrupt, or adversarial — it returns a typed
+    {!Codec.error} and never raises. It runs in O(frame + intern tables)
+    memory, never in O(trace).
+
     Encoding stays in {!Codec.Encoder}; this module is read-side only.
-    Metrics ([wire_rx_bytes_total], [wire_frames_total],
-    [wire_decode_errors_total], [wire_resync_total]) and the
-    [decode_frame] fault point are shared with the legacy decoder. *)
+    It reports into the metrics [wire_rx_bytes_total],
+    [wire_frames_total], [wire_decode_errors_total] and
+    [wire_resync_total], and consults the [decode_frame] fault point
+    once per frame. *)
 
 open Crd_trace
 
@@ -39,19 +44,15 @@ module Decoder : sig
   type t
 
   val create : ?resync:bool -> unit -> t
-  (** Same contract as {!Codec.Decoder.create}, including resync
-      scanning semantics and sticky errors. *)
-
-  val feed :
-    t -> ?off:int -> ?len:int -> bigstring -> (Event.t list, Codec.error) result
-  (** Zero-copy feed: when nothing is pending, frames decode straight
-      from the caller's slice; only an incomplete tail is buffered. The
-      slice may be reused or unmapped as soon as the call returns. *)
-
-  val feed_bytes :
-    t -> ?off:int -> ?len:int -> Bytes.t -> (Event.t list, Codec.error) result
-  (** One copy (into the pending bigstring) — for callers whose bytes
-      come from [Unix.read]. No per-call string allocation. *)
+  (** [resync] (default [false]) turns mid-stream corruption from a
+      fatal error into a scan: the decoder discards the partial effects
+      of the bad frame (events and interning definitions), skips one
+      byte, and retries until it finds the next parseable frame
+      boundary. Each skipped byte increments [wire_resync_total]. The
+      scan is best-effort — recovered output is a subset of the
+      original events — but the decoder stays total and deterministic,
+      and an uncorrupted stream decodes identically with zero resyncs.
+      Header errors and data after the end marker remain fatal. *)
 
   val feed_iter :
     t ->
@@ -60,10 +61,15 @@ module Decoder : sig
     bigstring ->
     f:(Event.t -> unit) ->
     (unit, Codec.error) result
-  (** Push-based [feed]: each event goes to [f] as soon as its frame
-      parses, with no intermediate list — in a streaming consumer the
-      events die in the minor heap instead of being promoted. An
-      exception raised by [f] propagates to the caller unchanged (the
+  (** [feed_iter t b ~f] consumes the next slice of the stream and hands
+      each event it completes to [f], in trace order, as soon as its
+      frame parses. When nothing is pending, frames decode straight from
+      the caller's slice and only an incomplete tail is buffered; the
+      slice may be reused or unmapped as soon as the call returns.
+
+      Errors are sticky: after an [Error _], every further call returns
+      the same error. Input past the end-of-stream marker is [Corrupt].
+      An exception raised by [f] propagates to the caller unchanged (the
       decoder is not poisoned, but delivery of the interrupted feed is
       unspecified — abort the session). *)
 
@@ -74,13 +80,15 @@ module Decoder : sig
     Bytes.t ->
     f:(Event.t -> unit) ->
     (unit, Codec.error) result
-  (** Push-based {!feed_bytes}; same contract as {!feed_iter}. *)
-
-  val feed_string :
-    t -> ?off:int -> ?len:int -> string -> (Event.t list, Codec.error) result
+  (** {!feed_iter} over bytes, e.g. from [Unix.read]: one copy into the
+      pending buffer, no per-call string. Same contract. *)
 
   val finished : t -> bool
+  (** The end-of-stream marker has been consumed. *)
+
   val finish : t -> (unit, Codec.error) result
+  (** Declare end of input: [Ok ()] iff the stream was complete
+      (header, frames, end marker); [Error Truncated] otherwise. *)
 
   val release : t -> unit
   (** Return the decoder's charge against the process-wide

@@ -1,4 +1,5 @@
-(** [Crd_wire.Codec] — the compact binary trace format.
+(** [Crd_wire.Codec] — the compact binary trace format: its grammar and
+    its encoder.
 
     A wire stream is a 5-byte header (magic ["CRDW"], version byte)
     followed by length-framed chunks, terminated by a zero-length frame:
@@ -17,46 +18,28 @@
     definitions carry the original numeric identity, so decoding
     reproduces the input trace up to structural equality ({!Event.equal}
     holds event-for-event; objects that share an id keep the first
-    recorded name).
+    recorded name). Integers are {!Crd_base.Varint} LEB128, signed ones
+    zigzagged.
 
-    The encoder is incremental (events are appended to the current
-    chunk, flushed at a byte threshold) and the decoder is push-based:
-    feed it arbitrary byte slices and it returns the events completed so
-    far. Both run in O(chunk + intern tables) memory, never in O(trace).
-
-    The decoder is {e total}: on any input — truncated, corrupt, or
-    adversarial — it returns a typed {!error} and never raises. *)
+    The encoder is incremental: events are appended to the current
+    chunk, flushed at a byte threshold, in O(chunk + intern tables)
+    memory. The decoder is {!Bigcodec}; the {!error}s it reports are
+    defined here. *)
 
 open Crd_trace
+
+val magic : string
+(** ["CRDW"]. *)
 
 val version : int
 (** Wire format version written by this encoder (currently 1). *)
 
-(** {1 SYNC frames}
+val default_chunk_bytes : int
+(** The encoder's default flush threshold (32768). *)
 
-    The racedb replication protocol ({!Crd_sync}) reuses the CRDW
-    varint framing after its own magic: a connection opens with
-    ["CRDY" version] and then exchanges [varint(len) payload] frames
-    whose payloads begin with one of the kind bytes below. *)
-
-val sync_magic : string
-(** ["CRDY"]. *)
-
-val sync_version : int
-(** Sync protocol version (currently 2: delta entries carry the
-    provenance byte). *)
-
-val sync_hello : int
-(** Frame kind: node id + version vector, opens both directions. *)
-
-val sync_delta : int
-(** Frame kind: a batch of replicated racedb entries. *)
-
-val sync_ack : int
-(** Frame kind: end of a delta stream — version vector + merged count. *)
-
-val sync_error : int
-(** Frame kind: human-readable refusal, connection closes after. *)
+val max_frame_bytes : int
+(** A decoder rejects a frame longer than this (16 MiB) as corrupt
+    rather than buffering it. *)
 
 (** {1 Errors} *)
 
@@ -91,68 +74,14 @@ module Encoder : sig
   (** Flush, then emit the end-of-stream marker. Idempotent. *)
 end
 
-(** {1 Incremental decoding} *)
-
-module Decoder : sig
-  type t
-
-  val create : ?resync:bool -> unit -> t
-  (** [resync] (default [false]) turns mid-stream corruption from a
-      fatal error into a scan: the decoder discards the partial effects
-      of the bad frame (events and interning definitions), skips one
-      byte, and retries until it finds the next parseable frame
-      boundary. Each skipped byte increments [wire_resync_total]. The
-      scan is best-effort — recovered output is a subset of the
-      original events — but the decoder stays total and deterministic,
-      and an uncorrupted stream decodes identically with zero resyncs.
-      Header errors and data after the end marker remain fatal. *)
-
-  val feed : t -> ?off:int -> ?len:int -> string -> (Event.t list, error) result
-  (** [feed t s] consumes the next slice of the stream and returns the
-      events completed by it, in trace order. Errors are sticky: after
-      an [Error _], every further call returns the same error. Input
-      past the end-of-stream marker is [Corrupt]. *)
-
-  val finished : t -> bool
-  (** The end-of-stream marker has been consumed. *)
-
-  val finish : t -> (unit, error) result
-  (** Declare end of input: [Ok ()] iff the stream was complete
-      (header, frames, end marker); [Error Truncated] otherwise. *)
-end
-
 (** {1 Whole-value convenience} *)
 
 val encode_trace : ?chunk_bytes:int -> Trace.t -> string
-val decode_string : ?resync:bool -> string -> (Trace.t, error) result
 
 val write_channel : out_channel -> Trace.t -> unit
 val to_file : string -> Trace.t -> (unit, string) result
 
-(** {1 Wire helpers} (shared with the server handshake) *)
-
-val add_varint : Buffer.t -> int -> unit
-(** LEB128 on OCaml's 63-bit ints (at most 9 bytes). *)
-
-val get_varint : string -> int -> int * int
-(** [get_varint s pos] reads one {!add_varint} encoding starting at
-    [pos] and returns [(value, next_pos)].
-    @raise Failure on truncated or over-long input. *)
-
-val zigzag : int -> int
-(** Signed→unsigned bijection on the 63-bit patterns; small negatives
-    stay small on the wire. *)
-
-val unzigzag : int -> int
-(** Inverse of {!zigzag}. *)
-
-val magic : string
-(** ["CRDW"]. *)
-
-val default_chunk_bytes : int
-val max_frame_bytes : int
-
-(** {1 Record tags} (shared with {!Bigcodec}, the zero-copy decoder)
+(** {1 Record tags} (read by {!Bigcodec})
 
     One byte each. [0x01]-[0x03] are interning definitions; [0x10]+ are
     events; locations and values carry their own sub-tag byte. *)
@@ -178,15 +107,3 @@ val val_true : int
 val val_int : int
 val val_str : int
 val val_ref : int
-
-(** {1 Shared decoder plumbing}
-
-    Both decoders report into the same metrics and consult the same
-    [decode_frame] fault point, so dashboards and chaos specs do not
-    care which decoder a path uses. *)
-
-val rx_bytes_total : Crd_obs.Counter.t
-val frames_total : Crd_obs.Counter.t
-val decode_errors_total : Crd_obs.Counter.t
-val resync_total : Crd_obs.Counter.t
-val fp_decode_frame : Crd_fault.point

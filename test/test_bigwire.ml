@@ -1,13 +1,15 @@
-(* Differential testing of the zero-copy [Bigwire] decoder against the
-   legacy string decoder, which is the reference oracle: on every input
-   — valid, truncated, bit-flipped, or random — both decoders must
-   produce identical events and identical typed errors, under every
-   feed chunking (chunk boundaries split varints and string
-   definitions) and in resync mode. *)
+(* Differential testing of the library's CRDW decoder, [Bigwire],
+   against [Codec_oracle], the string decoder it replaced, kept in this
+   directory as the reference: on every input — valid, truncated,
+   bit-flipped, or random — both decoders must produce identical events
+   and identical typed errors, under every feed chunking (chunk
+   boundaries split varints and string definitions) and in resync
+   mode. *)
 
 open Crd
 module Gen = QCheck2.Gen
 module Big = Bigwire
+module Oracle = Codec_oracle
 
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -49,44 +51,42 @@ let trace_gen =
 
 (* Both decoders on the same whole input: same events or same error. *)
 let agree ?resync s =
-  match (Wire.decode_string ?resync s, Big.decode_string ?resync s) with
+  match (Oracle.decode_string ?resync s, Big.decode_string ?resync s) with
   | Ok t1, Ok t2 -> Trace.to_list t1 = Trace.to_list t2
   | Error e1, Error e2 -> e1 = e2
   | Ok _, Error _ | Error _, Ok _ -> false
 
-(* Feed the big decoder in [chunk]-byte slices of one mapped bigstring:
-   the first feed takes the zero-copy direct path, an incomplete tail
-   rides the pending buffer, later feeds alternate between the two. *)
+(* Feed the big decoder in [chunk]-byte slices of one mapped bigstring
+   through [feed_iter]: the first feed takes the zero-copy direct path,
+   an incomplete tail rides the pending buffer, later feeds alternate
+   between the two. *)
 let decode_big_chunked ?resync ~chunk s =
   let b = Big.bigstring_of_string s in
   let d = Big.Decoder.create ?resync () in
   let events = ref [] in
-  let err = ref None in
-  let pos = ref 0 in
-  while !err = None && !pos < String.length s do
-    let len = min chunk (String.length s - !pos) in
-    (match Big.Decoder.feed d ~off:!pos ~len b with
-    | Ok evs -> events := List.rev_append evs !events
-    | Error e -> err := Some e);
-    pos := !pos + len
-  done;
-  match !err with
-  | Some e -> Error e
-  | None -> (
-      match Big.Decoder.finish d with
-      | Ok () -> Ok (List.rev !events)
-      | Error e -> Error e)
+  let push e = events := e :: !events in
+  let rec go pos =
+    if pos >= String.length s then Big.Decoder.finish d
+    else
+      let len = min chunk (String.length s - pos) in
+      match Big.Decoder.feed_iter d ~off:pos ~len b ~f:push with
+      | Error e -> Error e
+      | Ok () -> go (pos + len)
+  in
+  Result.map (fun () -> List.rev !events) (go 0)
 
-(* The same through [feed_bytes] — the server ingest path. *)
-let decode_big_bytes ?resync ~chunk s =
-  let d = Big.Decoder.create ?resync () in
-  let src = Bytes.of_string s in
+(* The same through [feed_bytes_iter] — the server ingest path. *)
+let decode_big_bytes ?resync ~chunk s = Test_wire.decode_chunked ?resync ~chunk s
+
+(* The oracle fed in [chunk]-byte slices of the string. *)
+let oracle_chunked ?resync ~chunk s =
+  let d = Oracle.Decoder.create ?resync () in
   let events = ref [] in
   let err = ref None in
   let pos = ref 0 in
   while !err = None && !pos < String.length s do
     let len = min chunk (String.length s - !pos) in
-    (match Big.Decoder.feed_bytes d ~off:!pos ~len src with
+    (match Oracle.Decoder.feed d ~off:!pos ~len s with
     | Ok evs -> events := List.rev_append evs !events
     | Error e -> err := Some e);
     pos := !pos + len
@@ -94,14 +94,12 @@ let decode_big_bytes ?resync ~chunk s =
   match !err with
   | Some e -> Error e
   | None -> (
-      match Big.Decoder.finish d with
+      match Oracle.Decoder.finish d with
       | Ok () -> Ok (List.rev !events)
       | Error e -> Error e)
 
-let whole_legacy ?resync s =
-  match Wire.decode_string ?resync s with
-  | Ok t -> Ok (Trace.to_list t)
-  | Error e -> Error e
+let whole_oracle ?resync s =
+  Result.map Trace.to_list (Oracle.decode_string ?resync s)
 
 let sample_bin () = Wire.encode_trace ~chunk_bytes:16 (Test_wire.sample_trace ())
 
@@ -115,8 +113,8 @@ let sample_identity () =
       Alcotest.(check bool)
         (Printf.sprintf "chunk=%d agrees" chunk)
         true
-        (decode_big_chunked ~chunk bin = whole_legacy bin
-        && decode_big_bytes ~chunk bin = whole_legacy bin))
+        (decode_big_chunked ~chunk bin = whole_oracle bin
+        && decode_big_bytes ~chunk bin = whole_oracle bin))
     [ 1; 2; 3; 7; 16; 1 lsl 20 ]
 
 (* max_int / min_int zigzag round trip through both decoders, as values
@@ -139,7 +137,7 @@ let zigzag_extremes () =
   | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e);
   Alcotest.(check bool)
     "bytewise agrees on extremes" true
-    (decode_big_chunked ~chunk:1 bin = whole_legacy bin)
+    (decode_big_chunked ~chunk:1 bin = whole_oracle bin)
 
 let header_errors () =
   List.iter
@@ -199,52 +197,21 @@ let intern_materializes_once () =
             (a1.Action.meth == a2.Action.meth)
       | _ -> Alcotest.fail "unexpected decoded shape")
 
-(* The push-based entry points must deliver the same events in the same
-   order as the list-returning API, with chunk boundaries anywhere. *)
+(* Both feeds deliver the oracle's events in the same order, with chunk
+   boundaries anywhere. *)
 let streaming_iter_agrees () =
   let bin = sample_bin () in
-  let expected = whole_legacy bin in
-  let via_iter ~chunk =
-    let b = Big.bigstring_of_string bin in
-    let d = Big.Decoder.create () in
-    let events = ref [] in
-    let err = ref None in
-    let pos = ref 0 in
-    while !err = None && !pos < String.length bin do
-      let len = min chunk (String.length bin - !pos) in
-      (match Big.Decoder.feed_iter d ~off:!pos ~len b ~f:(fun e -> events := e :: !events) with
-      | Ok () -> ()
-      | Error e -> err := Some e);
-      pos := !pos + len
-    done;
-    match !err with
-    | Some e -> Error e
-    | None -> (
-        match Big.Decoder.finish d with
-        | Ok () -> Ok (List.rev !events)
-        | Error e -> Error e)
-  in
+  let expected = whole_oracle bin in
   List.iter
     (fun chunk ->
       Alcotest.(check bool)
-        (Printf.sprintf "feed_iter chunk=%d = legacy" chunk)
+        (Printf.sprintf "feed_iter chunk=%d = oracle" chunk)
         true
-        (via_iter ~chunk = expected))
+        (decode_big_chunked ~chunk bin = expected))
     [ 1; 7; 1 lsl 20 ];
-  let via_bytes_iter =
-    let d = Big.Decoder.create () in
-    let events = ref [] in
-    match
-      Big.Decoder.feed_bytes_iter d (Bytes.of_string bin) ~f:(fun e ->
-          events := e :: !events)
-    with
-    | Error e -> Error e
-    | Ok () -> (
-        match Big.Decoder.finish d with
-        | Ok () -> Ok (List.rev !events)
-        | Error e -> Error e)
-  in
-  Alcotest.(check bool) "feed_bytes_iter = legacy" true (via_bytes_iter = expected)
+  Alcotest.(check bool)
+    "feed_bytes_iter = oracle" true
+    (decode_big_bytes ~chunk:(String.length bin) bin = expected)
 
 (* An exception raised by the consumer callback must reach the caller
    unchanged — not be swallowed into a [Corrupt] decode error. *)
@@ -400,7 +367,7 @@ let small_ints_shared () =
     !values
 
 (* Two domains decoding the same bytes at once, both reading the shared
-   small ints, get the events of the legacy decoder. *)
+   small ints, get the events of the oracle. *)
 let two_domains_agree () =
   let bin = small_int_stream 5_000 in
   let decode () =
@@ -410,9 +377,9 @@ let two_domains_agree () =
   in
   let d1 = Domain.spawn decode and d2 = Domain.spawn decode in
   let r1 = Domain.join d1 and r2 = Domain.join d2 in
-  let want = Trace.to_list (Result.get_ok (Wire.decode_string bin)) in
+  let want = Trace.to_list (Result.get_ok (Oracle.decode_string bin)) in
   Alcotest.(check int) "all events" 5_000 (List.length r1);
-  Alcotest.(check bool) "both = legacy decoder" true (r1 = want && r2 = want)
+  Alcotest.(check bool) "both = oracle" true (r1 = want && r2 = want)
 
 let suite =
   ( "bigwire",
@@ -439,8 +406,8 @@ let suite =
         Gen.(pair trace_gen (int_range 1 9))
         (fun (trace, chunk) ->
           let bin = Wire.encode_trace ~chunk_bytes:32 trace in
-          decode_big_chunked ~chunk bin = whole_legacy bin
-          && decode_big_bytes ~chunk bin = whole_legacy bin);
+          decode_big_chunked ~chunk bin = whole_oracle bin
+          && decode_big_bytes ~chunk bin = whole_oracle bin);
       qcheck "corrupted streams agree"
         Gen.(triple trace_gen (int_range 0 max_int) (int_range 0 7))
         (fun (trace, n, bit) ->
@@ -463,12 +430,8 @@ let suite =
           let i = n mod Bytes.length b in
           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
           let s = Bytes.to_string b in
-          let legacy =
-            match Test_wire.decode_chunked ~resync:true ~chunk s with
-            | Ok evs -> Ok evs
-            | Error e -> Error e
-          in
-          decode_big_chunked ~resync:true ~chunk s = legacy);
+          decode_big_chunked ~resync:true ~chunk s
+          = oracle_chunked ~resync:true ~chunk s);
       qcheck "random bytes never raise and agree" ~count:500
         Gen.(string_size ~gen:char (int_range 0 120))
         (fun s -> agree s);

@@ -534,9 +534,9 @@ let encode_entry_v2 e =
 
 let v2_index ~folded_up_to entries =
   let body = Buffer.create 256 in
-  Crd_wire.Codec.add_varint body folded_up_to;
-  Crd_wire.Codec.add_varint body 0 (* published nonces *);
-  Crd_wire.Codec.add_varint body (List.length entries);
+  Varint.add body folded_up_to;
+  Varint.add body 0 (* published nonces *);
+  Varint.add body (List.length entries);
   List.iter (fun e -> Buffer.add_string body (encode_entry_v2 e)) entries;
   let body = Buffer.contents body in
   let b = Buffer.create (String.length body + 16) in
@@ -549,11 +549,11 @@ let v2_index ~folded_up_to entries =
 let v2_merge_frame entries =
   let p = Buffer.create 256 in
   Buffer.add_char p 'G';
-  Crd_wire.Codec.add_varint p (List.length entries);
+  Varint.add p (List.length entries);
   List.iter (fun e -> Buffer.add_string p (encode_entry_v2 e)) entries;
   let payload = Buffer.contents p in
   let b = Buffer.create (String.length payload + 12) in
-  Crd_wire.Codec.add_varint b (String.length payload);
+  Varint.add b (String.length payload);
   Buffer.add_string b payload;
   add_u32le b (crc32 payload);
   Buffer.contents b

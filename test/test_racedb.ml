@@ -581,14 +581,14 @@ let add_i64le b v =
 let v1_frame r =
   let payload = Record.encode r in
   let b = Buffer.create 64 in
-  Crd_wire.Codec.add_varint b (String.length payload);
+  Varint.add b (String.length payload);
   Buffer.add_string b payload;
   add_u32le b (crc32 payload);
   Buffer.contents b
 
 let v1_entry b ~count (r : Record.t) =
   add_i64le b (Record.fingerprint r);
-  Crd_wire.Codec.add_varint b count;
+  Varint.add b count;
   add_i64le b (Int64.bits_of_float r.Record.ts);
   add_i64le b (Int64.bits_of_float r.Record.ts);
   let minutes = Rollup.create ~res:60 ~slots:60 in
@@ -601,13 +601,13 @@ let v1_entry b ~count (r : Record.t) =
   Rollup.encode b hours;
   Rollup.encode b days;
   let sample = Record.encode r in
-  Crd_wire.Codec.add_varint b (String.length sample);
+  Varint.add b (String.length sample);
   Buffer.add_string b sample
 
 let v1_index ~folded_up_to entries =
   let body = Buffer.create 256 in
-  Crd_wire.Codec.add_varint body folded_up_to;
-  Crd_wire.Codec.add_varint body (List.length entries);
+  Varint.add body folded_up_to;
+  Varint.add body (List.length entries);
   List.iter (fun (count, r) -> v1_entry body ~count r) entries;
   let body = Buffer.contents body in
   let b = Buffer.create (String.length body + 16) in
@@ -666,18 +666,18 @@ let v1_store_migrates () =
 let b_frame ~nonce records =
   let p = Buffer.create 256 in
   Buffer.add_char p 'B';
-  Crd_wire.Codec.add_varint p (String.length nonce);
+  Varint.add p (String.length nonce);
   Buffer.add_string p nonce;
-  Crd_wire.Codec.add_varint p (List.length records);
+  Varint.add p (List.length records);
   List.iter
     (fun r ->
       let s = Record.encode r in
-      Crd_wire.Codec.add_varint p (String.length s);
+      Varint.add p (String.length s);
       Buffer.add_string p s)
     records;
   let payload = Buffer.contents p in
   let b = Buffer.create (String.length payload + 8) in
-  Crd_wire.Codec.add_varint b (String.length payload);
+  Varint.add b (String.length payload);
   Buffer.add_string b payload;
   add_u32le b (crc32 payload);
   Buffer.contents b

@@ -488,7 +488,7 @@ let write_all fd s =
 
 let framed payload =
   let b = Buffer.create (String.length payload + 4) in
-  Crd_wire.Codec.add_varint b (String.length payload);
+  Varint.add b (String.length payload);
   Buffer.add_string b payload;
   Buffer.contents b
 
@@ -499,8 +499,8 @@ let oversized_delta_stream_refused () =
   let sa, sb = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let hello =
     let buf = Buffer.create 32 in
-    Buffer.add_char buf (Char.chr Crd_wire.Codec.sync_hello);
-    Crd_wire.Codec.add_varint buf 4;
+    Buffer.add_char buf (Char.chr Crd_sync.sync_hello);
+    Varint.add buf 4;
     Buffer.add_string buf "evil";
     Vv.encode buf Vv.empty;
     framed (Buffer.contents buf)
@@ -524,8 +524,8 @@ let oversized_delta_stream_refused () =
       }
     in
     let buf = Buffer.create (1 lsl 23) in
-    Buffer.add_char buf (Char.chr Crd_wire.Codec.sync_delta);
-    Crd_wire.Codec.add_varint buf 8;
+    Buffer.add_char buf (Char.chr Crd_sync.sync_delta);
+    Varint.add buf 8;
     for _ = 1 to 8 do
       Entry.encode buf e
     done;

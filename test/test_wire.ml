@@ -1,7 +1,9 @@
-(* The binary wire codec: round-trip identity (whole-string and
-   byte-at-a-time incremental decoding), and decoder totality — every
-   truncated or corrupted input yields a typed [Error _], never an
-   exception. *)
+(* The binary wire codec: round-trip identity, and totality of the
+   decoder ([Bigwire], the one the library ships) — every truncated or
+   corrupted input yields a typed [Error _], never an exception. Every
+   case decodes the whole input and the same bytes fed in 1-, 2- and
+   7-byte slices (chunk boundaries split varints, string definitions and
+   the header), and asserts the same result at every chunking. *)
 
 open Crd
 module Gen = QCheck2.Gen
@@ -45,40 +47,49 @@ let sample_trace () =
   Trace.append t (Event.join t0 t1);
   t
 
-let decode_exn what s =
-  match Wire.decode_string s with
-  | Ok t -> t
-  | Error e -> Alcotest.failf "%s: decode failed: %a" what Wire.pp_error e
-
-(* Feed the decoder in [chunk]-byte slices; events must come out
-   identical and the decoder must report a finished stream. *)
+(* Feed [s] to the decoder through [feed_bytes_iter] in [chunk]-byte
+   slices and collect the events, or the first error. *)
 let decode_chunked ?resync ~chunk s =
-  let d = Wire.Decoder.create ?resync () in
+  let d = Bigwire.Decoder.create ?resync () in
+  let src = Bytes.unsafe_of_string s in
   let events = ref [] in
-  let err = ref None in
-  let pos = ref 0 in
-  while !err = None && !pos < String.length s do
-    let len = min chunk (String.length s - !pos) in
-    (match Wire.Decoder.feed d ~off:!pos ~len s with
-    | Ok evs -> events := List.rev_append evs !events
-    | Error e -> err := Some e);
-    pos := !pos + len
-  done;
-  match !err with
-  | Some e -> Error e
-  | None -> (
-      match Wire.Decoder.finish d with
-      | Ok () -> Ok (List.rev !events)
-      | Error e -> Error e)
+  let push e = events := e :: !events in
+  let rec go pos =
+    if pos >= Bytes.length src then Bigwire.Decoder.finish d
+    else
+      let len = min chunk (Bytes.length src - pos) in
+      match Bigwire.Decoder.feed_bytes_iter d ~off:pos ~len src ~f:push with
+      | Error e -> Error e
+      | Ok () -> go (pos + len)
+  in
+  let r = go 0 in
+  Bigwire.Decoder.release d;
+  Result.map (fun () -> List.rev !events) r
 
-let decode_bytewise s = decode_chunked ~chunk:1 s
+let chunkings = [ 1; 2; 7 ]
+
+(* The whole-input result, after checking that every chunking gives the
+   same one. *)
+let decode ?resync s =
+  let whole = Result.map Trace.to_list (Bigwire.decode_string ?resync s) in
+  List.iter
+    (fun chunk ->
+      if decode_chunked ?resync ~chunk s <> whole then
+        Alcotest.failf "%d-byte feeds disagree with the whole input" chunk)
+    chunkings;
+  whole
+
+let decode_exn what s =
+  match decode s with
+  | Ok events -> events
+  | Error e -> Alcotest.failf "%s: decode failed: %a" what Wire.pp_error e
 
 let roundtrip_sample () =
   let t = sample_trace () in
   let bin = Wire.encode_trace t in
   Alcotest.(check bool)
     "decode (encode t) = t" true
-    (Trace.to_list (decode_exn "sample" bin) = Trace.to_list t)
+    (decode_exn "sample" bin = Trace.to_list t)
 
 let roundtrip_tiny_chunks () =
   let t = sample_trace () in
@@ -87,35 +98,35 @@ let roundtrip_tiny_chunks () =
   let bin = Wire.encode_trace ~chunk_bytes:16 t in
   Alcotest.(check bool)
     "multi-frame round trip" true
-    (Trace.to_list (decode_exn "tiny chunks" bin) = Trace.to_list t)
+    (decode_exn "tiny chunks" bin = Trace.to_list t)
 
 let empty_trace () =
   let t = Trace.create () in
   Alcotest.(check int)
     "empty trace round trip" 0
-    (Trace.length (decode_exn "empty" (Wire.encode_trace t)))
+    (List.length (decode_exn "empty" (Wire.encode_trace t)))
 
 let empty_input () =
-  match Wire.decode_string "" with
+  match decode "" with
   | Error Wire.Truncated -> ()
   | Error e -> Alcotest.failf "expected Truncated, got %a" Wire.pp_error e
   | Ok _ -> Alcotest.fail "empty input decoded"
 
 let bad_magic () =
-  match Wire.decode_string "XRDW\x01\x00" with
+  match decode "XRDW\x01\x00" with
   | Error Wire.Bad_magic -> ()
   | Error e -> Alcotest.failf "expected Bad_magic, got %a" Wire.pp_error e
   | Ok _ -> Alcotest.fail "bad magic decoded"
 
 let bad_version () =
-  match Wire.decode_string "CRDW\x07\x00" with
+  match decode "CRDW\x07\x00" with
   | Error (Wire.Unsupported_version 7) -> ()
   | Error e -> Alcotest.failf "expected Unsupported_version 7, got %a" Wire.pp_error e
   | Ok _ -> Alcotest.fail "future version decoded"
 
 let trailing_garbage () =
   let bin = Wire.encode_trace (sample_trace ()) ^ "junk" in
-  match Wire.decode_string bin with
+  match decode bin with
   | Error (Wire.Corrupt _) -> ()
   | Error e -> Alcotest.failf "expected Corrupt, got %a" Wire.pp_error e
   | Ok _ -> Alcotest.fail "input past end-of-stream decoded"
@@ -126,7 +137,7 @@ let trailing_garbage () =
 let all_prefixes_truncated () =
   let bin = Wire.encode_trace (sample_trace ()) in
   for cut = 0 to String.length bin - 1 do
-    match Wire.decode_string (String.sub bin 0 cut) with
+    match decode (String.sub bin 0 cut) with
     | Ok _ -> Alcotest.failf "prefix of %d/%d bytes decoded" cut (String.length bin)
     | Error _ -> ()
   done
@@ -134,7 +145,7 @@ let all_prefixes_truncated () =
 let bytewise_equals_whole () =
   let t = sample_trace () in
   let bin = Wire.encode_trace t in
-  match decode_bytewise bin with
+  match decode_chunked ~chunk:1 bin with
   | Error e -> Alcotest.failf "bytewise decode failed: %a" Wire.pp_error e
   | Ok events ->
       Alcotest.(check bool) "bytewise = whole" true (events = Trace.to_list t)
@@ -148,7 +159,7 @@ let bit_flips_total () =
     for bit = 0 to 7 do
       let orig = Bytes.get b i in
       Bytes.set b i (Char.chr (Char.code orig lxor (1 lsl bit)));
-      (match Wire.decode_string (Bytes.to_string b) with
+      (match decode (Bytes.to_string b) with
       | Ok _ | Error _ -> ());
       Bytes.set b i orig
     done
@@ -168,30 +179,26 @@ let metric name =
 (* Offset just past the first frame: header, then one length varint and
    its payload. *)
 let first_frame_boundary bin =
-  let rec varint acc shift p =
-    let b = Char.code bin.[p] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then (acc, p + 1) else varint acc (shift + 7) (p + 1)
-  in
-  let len, p = varint 0 0 5 in
+  let len, p = Varint.get bin (String.length Wire.magic + 1) in
   p + len
 
 let resync_identity_on_clean_stream () =
   let t = sample_trace () in
   let bin = Wire.encode_trace ~chunk_bytes:16 t in
   let before = metric "wire_resync_total" in
-  (match Wire.decode_string ~resync:true bin with
-  | Ok t' ->
+  (match decode ~resync:true bin with
+  | Ok events ->
       Alcotest.(check bool)
         "clean stream unchanged by resync mode" true
-        (Trace.to_list t' = Trace.to_list t)
+        (events = Trace.to_list t)
   | Error e -> Alcotest.failf "resync decode of clean stream: %a" Wire.pp_error e);
   Alcotest.(check int) "zero resyncs" before (metric "wire_resync_total")
 
 (* Garbage spliced between two frames: every 0x01 byte claims a 1-byte
    frame, and no 1-byte frame can hold a record, so the scanner skips
    exactly one byte per attempt and lands back on the true boundary —
-   all real events recovered, one resync per garbage byte. *)
+   all real events recovered, one resync per garbage byte in each of
+   the whole and the chunked decodes. *)
 let resync_skips_interframe_garbage () =
   let t = sample_trace () in
   let bin = Wire.encode_trace ~chunk_bytes:16 t in
@@ -200,27 +207,28 @@ let resync_skips_interframe_garbage () =
     String.sub bin 0 cut ^ "\x01\x01\x01\x01"
     ^ String.sub bin cut (String.length bin - cut)
   in
-  (match Wire.decode_string corrupted with
+  (match decode corrupted with
   | Error (Wire.Corrupt _) -> ()
   | Error e -> Alcotest.failf "expected Corrupt without resync, got %a" Wire.pp_error e
   | Ok _ -> Alcotest.fail "corrupted stream decoded without resync");
   let before = metric "wire_resync_total" in
-  (match Wire.decode_string ~resync:true corrupted with
-  | Ok t' ->
+  (match decode ~resync:true corrupted with
+  | Ok events ->
       Alcotest.(check bool)
         "all events recovered" true
-        (Trace.to_list t' = Trace.to_list t)
+        (events = Trace.to_list t)
   | Error e -> Alcotest.failf "resync decode: %a" Wire.pp_error e);
-  Alcotest.(check int) "one resync per garbage byte" (before + 4)
+  Alcotest.(check int) "one resync per garbage byte"
+    (before + (4 * (1 + List.length chunkings)))
     (metric "wire_resync_total")
 
 let resync_keeps_fatal_errors () =
-  (match Wire.decode_string ~resync:true "XRDW\x01\x00" with
+  (match decode ~resync:true "XRDW\x01\x00" with
   | Error Wire.Bad_magic -> ()
   | Error e -> Alcotest.failf "expected Bad_magic, got %a" Wire.pp_error e
   | Ok _ -> Alcotest.fail "bad magic decoded under resync");
   let bin = Wire.encode_trace (sample_trace ()) ^ "junk" in
-  match Wire.decode_string ~resync:true bin with
+  match decode ~resync:true bin with
   | Error (Wire.Corrupt _) -> ()
   | Error e -> Alcotest.failf "expected Corrupt, got %a" Wire.pp_error e
   | Ok _ -> Alcotest.fail "trailing data decoded under resync"
@@ -230,10 +238,12 @@ let with_faults spec k =
   | Error e -> Alcotest.failf "configure %S: %s" spec e
   | Ok () -> Fun.protect ~finally:Crd_fault.reset k
 
+(* The fault tests decode the whole input once: a [once] fault would
+   fire in the first of several feedings only. *)
 let decode_frame_fault_fatal () =
   with_faults "decode_frame=once" (fun () ->
       let bin = Wire.encode_trace (sample_trace ()) in
-      match Wire.decode_string bin with
+      match Bigwire.decode_string bin with
       | Error (Wire.Corrupt msg) ->
           Alcotest.(check bool)
             "error names the injection point" true
@@ -248,9 +258,7 @@ let decode_frame_fault_resync () =
   let run () =
     with_faults "seed=11,decode_frame=once" (fun () ->
         let bin = Wire.encode_trace ~chunk_bytes:16 (sample_trace ()) in
-        match Wire.decode_string ~resync:true bin with
-        | Ok t -> Ok (Trace.to_list t)
-        | Error e -> Error e)
+        Result.map Trace.to_list (Bigwire.decode_string ~resync:true bin))
   in
   let a = run () in
   (match a with
@@ -267,14 +275,14 @@ let far_tid = 400_000_000
 let far_tid_stream =
   let payload = Buffer.create 16 in
   Buffer.add_char payload (Char.chr Wire.tag_fork);
-  Wire.add_varint payload 0;
-  Wire.add_varint payload far_tid;
+  Varint.add payload 0;
+  Varint.add payload far_tid;
   let b = Buffer.create 32 in
   Buffer.add_string b Wire.magic;
   Buffer.add_char b (Char.chr Wire.version);
-  Wire.add_varint b (Buffer.length payload);
+  Varint.add b (Buffer.length payload);
   Buffer.add_buffer b payload;
-  Wire.add_varint b 0;
+  Varint.add b 0;
   Buffer.contents b
 
 let far_tid_text =
@@ -296,15 +304,14 @@ let tid_bound () =
     | Error e -> Alcotest.failf "%s: unexpected %a" what Wire.pp_error e
     | Ok _ -> Alcotest.failf "%s: far thread id accepted" what
   in
-  corrupt "codec" (Wire.decode_string far_tid_stream);
-  corrupt "bigcodec" (Bigwire.decode_string far_tid_stream);
+  corrupt "bigcodec" (decode far_tid_stream);
   (* A varint that is a valid int but not a valid tid, at the bound. *)
   let at_bound =
     String.concat ""
       [ Wire.magic; String.make 1 (Char.chr Wire.version); "\x05\x13\x00\xff\xff\x03"; "\x00" ]
   in
-  (match Bigwire.decode_string at_bound with
-  | Ok t -> Alcotest.(check int) "T65535 decodes" 1 (Trace.length t)
+  (match decode at_bound with
+  | Ok events -> Alcotest.(check int) "T65535 decodes" 1 (List.length events)
   | Error e -> Alcotest.failf "T65535 rejected: %a" Wire.pp_error e);
   (match Trace_text.parse far_tid_text with
   | Error msg ->
@@ -329,11 +336,11 @@ let suite =
       Alcotest.test_case "bytewise = whole" `Quick bytewise_equals_whole;
       Alcotest.test_case "bit flips stay total" `Quick bit_flips_total;
       qcheck "decode (encode t) = t" trace_gen (fun trace ->
-          match Wire.decode_string (Wire.encode_trace trace) with
-          | Ok t -> Trace.to_list t = Trace.to_list trace
+          match decode (Wire.encode_trace trace) with
+          | Ok events -> events = Trace.to_list trace
           | Error _ -> false);
       qcheck "incremental decode = whole decode" trace_gen (fun trace ->
-          match decode_bytewise (Wire.encode_trace trace) with
+          match decode_chunked ~chunk:1 (Wire.encode_trace trace) with
           | Ok events -> events = Trace.to_list trace
           | Error _ -> false);
       qcheck "strict prefixes are errors"
@@ -341,7 +348,7 @@ let suite =
         (fun (trace, n) ->
           let bin = Wire.encode_trace trace in
           let cut = n mod String.length bin in
-          Result.is_error (Wire.decode_string (String.sub bin 0 cut)));
+          Result.is_error (decode (String.sub bin 0 cut)));
       qcheck "bit flips never raise"
         Gen.(triple trace_gen (int_range 0 max_int) (int_range 0 7))
         (fun (trace, n, bit) ->
@@ -349,12 +356,12 @@ let suite =
           let i = n mod Bytes.length b in
           Bytes.set b i
             (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-          match Wire.decode_string (Bytes.to_string b) with
+          match decode (Bytes.to_string b) with
           | Ok _ | Error _ -> true);
       qcheck "random bytes never raise" ~count:500
         Gen.(string_size ~gen:char (int_range 0 120))
         (fun s ->
-          match Wire.decode_string s with Ok _ | Error _ -> true);
+          match decode s with Ok _ | Error _ -> true);
       Alcotest.test_case "resync: clean stream identity" `Quick
         resync_identity_on_clean_stream;
       Alcotest.test_case "resync: skips inter-frame garbage" `Quick
@@ -367,8 +374,8 @@ let suite =
         decode_frame_fault_resync;
       qcheck "resync: clean streams decode identically" trace_gen
         (fun trace ->
-          match Wire.decode_string ~resync:true (Wire.encode_trace trace) with
-          | Ok t -> Trace.to_list t = Trace.to_list trace
+          match decode ~resync:true (Wire.encode_trace trace) with
+          | Ok events -> events = Trace.to_list trace
           | Error _ -> false);
       qcheck "resync: bit flips never raise, deterministically"
         Gen.(triple trace_gen (int_range 0 max_int) (int_range 0 7))
