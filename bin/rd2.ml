@@ -228,7 +228,10 @@ let check_cmd =
     let config =
       { Analyzer.rd2 = mode; direct; fasttrack; djit = false; atomicity }
     in
-    let* an = Analyzer.create ~config ~jobs ~spec_for:(Stdspecs.spec_in specs) () in
+    let* an =
+      Analyzer.create ~config ~jobs ~collect:verbose
+        ~spec_for:(Stdspecs.spec_in specs) ()
+    in
     let* res =
       try
         let streamed = iter_trace format trace_file ~f:(Analyzer.step an) in
@@ -461,7 +464,7 @@ let simulate_cmd =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every race.")
   in
   let run workload seed scale verbose =
-    let an = Analyzer.with_stdspecs () in
+    let an = Analyzer.with_stdspecs ~collect:verbose () in
     let sink = Analyzer.sink an in
     let ok = run_workload workload ~seed ~scale sink in
     if not ok then
@@ -644,7 +647,7 @@ let synth_cmd =
     if check then begin
       Fmt.epr "synth: %a@." Synth.pp_config config;
       let an =
-        Analyzer.with_stdspecs ~jobs
+        Analyzer.with_stdspecs ~jobs ~collect:false
           ~config:
             {
               Analyzer.rd2 = `Constant;
@@ -729,20 +732,19 @@ let explore_cmd =
     let ok = ref true in
     for seed = 1 to seeds do
       if !ok then begin
-        let an = Analyzer.with_stdspecs () in
+        let an = Analyzer.with_stdspecs ~collect:false () in
         if not (run_workload workload ~seed:(Int64.of_int seed) ~scale
                   (Analyzer.sink an))
         then ok := false
         else begin
           let fresh = ref 0 in
-          List.iter
-            (fun (r : Report.t) ->
-              let key = Report.fingerprint r in
+          Array.iter
+            (fun key ->
               if not (Hashtbl.mem seen key) then begin
                 Hashtbl.replace seen key ();
                 incr fresh
               end)
-            (Analyzer.rd2_races an);
+            (Analyzer.finish an).rd2_distinct;
           new_per_seed := (seed, !fresh) :: !new_per_seed
         end
       end

@@ -59,37 +59,54 @@ let handoff_chunks = 4
 
 (* One detector set: the inline bundle of an unsharded run, or one per
    shard worker. Each bundle owns its vector-clock pool: pools are
-   single-owner, and a bundle never leaves the domain that created it. *)
+   single-owner, and a bundle never leaves the domain that created it.
+
+   RD2 itself keeps no report: the bundle folds each race it closes into
+   [rd2_fps] (its count is [Rd2.stats]'s [races]) and conses it onto
+   [rd2_rev] only when [collect] asks for the list. *)
 type detectors = {
   rd2 : Rd2.t option;
   direct : Direct.t option;
   ft : Fasttrack.t option;
   djit : Djit.t option;
   pool : Vclock.Pool.t;
+  collect : bool;
+  rd2_fps : Report.fingerprints;
+  mutable rd2_rev : Report.t list;  (* newest first *)
 }
 
-let make_detectors (config : config) ~repr_for ~spec_for =
+let make_detectors (config : config) ~collect ~repr_for ~spec_for =
   let pool = Metrics.create_pool () in
   {
     rd2 =
       (match config.rd2 with
       | `Off -> None
       | (`Constant | `Linear) as mode ->
-          Some (Rd2.create ~mode ~pool ~repr_for ()));
+          Some (Rd2.create ~mode ~pool ~collect:false ~repr_for ()));
     direct = (if config.direct then Some (Direct.create ~spec_for ()) else None);
     ft = (if config.fasttrack then Some (Fasttrack.create ~pool ()) else None);
     djit = (if config.djit then Some (Djit.create ()) else None);
     pool;
+    collect;
+    rd2_fps = Report.fingerprints ();
+    rd2_rev = [];
   }
 
-(* The dispatch hot loop: no allocation of its own. [vc] is only read
-   during the call (the live [Hb] clock inline, a chunk's snapshot on a
-   shard). *)
+let rec fold_rd2 d = function
+  | [] -> ()
+  | r :: rest ->
+      Report.add_fingerprint d.rd2_fps r;
+      if d.collect then d.rd2_rev <- r :: d.rd2_rev;
+      fold_rd2 d rest
+
+(* The dispatch hot loop: no allocation of its own but a collected
+   race's cons. [vc] is only read during the call (the live [Hb] clock
+   inline, a chunk's snapshot on a shard). *)
 let dispatch d ~index (e : Event.t) vc =
   match e.op with
   | Event.Call action ->
       (match d.rd2 with
-      | Some det -> ignore (Rd2.on_action det ~index e.tid action vc)
+      | Some det -> fold_rd2 d (Rd2.on_action det ~index e.tid action vc)
       | None -> ());
       (match d.direct with
       | Some det -> ignore (Direct.on_action det ~index e.tid action vc)
@@ -116,6 +133,7 @@ let dispatch d ~index (e : Event.t) vc =
    pool goes back to the [mem_vcpool_bytes] accounting. *)
 type outputs = {
   o_rd2 : Report.t list;
+  o_rd2_fps : Report.fingerprints;
   o_rd2_stats : Rd2.stats option;
   o_direct : Report.t list;
   o_direct_stats : Direct.stats option;
@@ -127,7 +145,8 @@ type outputs = {
 let outputs_of d =
   Metrics.publish_pool d.pool;
   {
-    o_rd2 = (match d.rd2 with Some det -> Rd2.races det | None -> []);
+    o_rd2 = List.rev d.rd2_rev;
+    o_rd2_fps = d.rd2_fps;
     o_rd2_stats = Option.map Rd2.stats d.rd2;
     o_direct = (match d.direct with Some det -> Direct.races det | None -> []);
     o_direct_stats = Option.map Direct.stats d.direct;
@@ -235,9 +254,9 @@ let fail h e =
       Queue.clear h.q;
       Condition.signal h.cond)
 
-let worker config ~repr_for ~spec_for h () =
+let worker config ~collect ~repr_for ~spec_for h () =
   Crd_obs.time Metrics.shard_wall_seconds (fun () ->
-      let dets = make_detectors config ~repr_for ~spec_for in
+      let dets = make_detectors config ~collect ~repr_for ~spec_for in
       let rec loop () =
         match pop h with
         | None -> ()
@@ -274,6 +293,7 @@ type mode =
 
 type t = {
   config : config;
+  collect : bool;
   jobs : int;
   threshold : int;
   hb : Hb.t;
@@ -339,7 +359,8 @@ let start_shards t buffered =
         Array.map
           (fun h ->
             Domain.spawn
-              (worker t.config ~repr_for:lookup_repr ~spec_for:lookup_spec h))
+              (worker t.config ~collect:t.collect ~repr_for:lookup_repr
+                 ~spec_for:lookup_spec h))
           handoffs;
       fill = Array.init t.jobs (fun _ -> fresh_chunk ());
     }
@@ -351,12 +372,12 @@ let start_shards t buffered =
     (List.rev buffered)
 
 let inline_detectors t =
-  make_detectors t.config
+  make_detectors t.config ~collect:t.collect
     ~repr_for:(fun o -> snd (t.resolve o))
     ~spec_for:(fun o -> fst (t.resolve o))
 
 let create ?(config = default_config) ?(jobs = 1)
-    ?(threshold = default_parallel_threshold) ~spec_for () =
+    ?(threshold = default_parallel_threshold) ?(collect = true) ~spec_for () =
   (* The spec -> access-point memo: one entry per object, over one
      translation per specification. Only the producer writes it; shard
      workers read it under [mu], once per object they meet. Translation
@@ -392,6 +413,7 @@ let create ?(config = default_config) ?(jobs = 1)
   let t =
     {
       config;
+      collect;
       jobs = max 1 jobs;
       threshold;
       hb = Hb.create ();
@@ -412,8 +434,10 @@ let create ?(config = default_config) ?(jobs = 1)
    else t.mode <- Buffering [ fresh_chunk () ]);
   Ok t
 
-let with_stdspecs ?config ?jobs () =
-  match create ?config ?jobs ~spec_for:Crd_stdspecs.Stdspecs.spec_for () with
+let with_stdspecs ?config ?jobs ?collect () =
+  match
+    create ?config ?jobs ?collect ~spec_for:Crd_stdspecs.Stdspecs.spec_for ()
+  with
   | Ok t -> t
   | Error e -> invalid_arg ("Analyzer.with_stdspecs: " ^ e)
 
@@ -517,7 +541,7 @@ let complete t ~shards ~fell_back outs =
       shards;
       fell_back;
       rd2_reports;
-      rd2_distinct = Report.distinct_fingerprints rd2_reports;
+      rd2_distinct = Report.sorted_union (List.map (fun o -> o.o_rd2_fps) outs);
       rd2_stats = sum_stats add_rd2 (List.filter_map (fun o -> o.o_rd2_stats) outs);
       direct_reports;
       direct_stats =
@@ -580,8 +604,7 @@ let pp_result ppf (r : result) =
   Fmt.pf ppf "@,";
   (match r.rd2_stats with
   | Some s ->
-      Fmt.pf ppf "rd2: %d races (%d distinct)@,"
-        (List.length r.rd2_reports)
+      Fmt.pf ppf "rd2: %d races (%d distinct)@," s.Rd2.races
         (Array.length r.rd2_distinct);
       if s.Rd2.actions > 0 then
         Fmt.pf ppf "rd2: %d/%d actions same-epoch (%.1f%%)@," s.Rd2.same_epoch

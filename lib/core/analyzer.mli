@@ -13,8 +13,18 @@
     Events are pushed one at a time through {!step} — from a recorded
     {!Crd_trace.Trace.t}, a decoder, a socket, or live from
     {!Crd_runtime.Sched.run} via [sink] — and {!finish} produces the
-    result. Nothing is recorded: memory is bounded by the detectors'
-    state, not by the stream length.
+    result. The events themselves are not recorded (a sharded stream
+    buffers at most [threshold] events, then a constant number of chunks
+    per shard). What grows with the stream is what the detectors keep:
+
+    - RD2 keeps its per-access-point state and nothing per race. Each
+      detector bundle folds every race it closes into a count
+      ([Rd2.stats]'s [races]) and a set of distinct fingerprints, and
+      keeps the {!Crd_detector.Report.t} itself only when the analyzer
+      was created with [collect] (the default). Without it, RD2's memory
+      is its per-point state plus one set entry per distinct race.
+    - Direct, FastTrack and DJIT+ keep every report they emit, and the
+      atomicity checker every violation.
 
     With [jobs = 1] the detectors run inside the clock pass and are
     given the happens-before engine's live clock ({!Crd_trace.Hb.advance}),
@@ -44,7 +54,9 @@
     each shard's reports are in trace order, so merging the per-shard
     lists by trace index in one linear pass reproduces the sequential
     report list {e bit-identically}, and summed counters equal
-    the sequential ones — see DESIGN.md, "Shard-merge determinism". *)
+    the sequential ones — see DESIGN.md, "Shard-merge determinism". The
+    distinct fingerprints are the union of the shards' sets, which needs
+    no order. *)
 
 open Crd_base
 open Crd_trace
@@ -70,9 +82,12 @@ type result = {
       (** [jobs > 1] was requested but the stream ended below the
           threshold, so it ran inline instead *)
   rd2_reports : Report.t list;
+      (** every RD2 race in trace order when the analyzer collects; [[]]
+          otherwise ([rd2_stats]'s [races] counts them either way) *)
   rd2_distinct : int64 array;
-      (** the distinct fingerprints of [rd2_reports]
-          ({!Report.distinct_fingerprints}), computed once here: the
+      (** the distinct RD2 race fingerprints, sorted by
+          [Int64.unsigned_compare] (what {!Report.distinct_fingerprints}
+          gives on the collected list), folded as the races close: the
           summary, the server's [STATS] line and [rd2 check
           --fingerprints] all read it *)
   rd2_stats : Rd2.stats option;
@@ -100,6 +115,7 @@ val create :
   ?config:config ->
   ?jobs:int ->
   ?threshold:int ->
+  ?collect:bool ->
   spec_for:(Obj_id.t -> Spec.t option) ->
   unit ->
   (t, string) Stdlib.result
@@ -113,9 +129,14 @@ val create :
 
     [jobs] (default 1) is the shard count; [threshold] (default
     {!default_parallel_threshold}) the stream length from which it
-    applies — [0] shards from the first event. *)
+    applies — [0] shards from the first event.
 
-val with_stdspecs : ?config:config -> ?jobs:int -> unit -> t
+    [collect] (default [true]) keeps every RD2 report for
+    [rd2_reports]. With [false] the races are only counted and
+    fingerprinted as they close, which is all the summary and
+    [rd2_distinct] need. *)
+
+val with_stdspecs : ?config:config -> ?jobs:int -> ?collect:bool -> unit -> t
 (** An analyzer that resolves specifications by monitored-object naming
     convention ({!Crd_stdspecs.Stdspecs.spec_for}): an object named
     [<spec>:<anything>] or exactly [<spec>] uses the built-in
@@ -146,6 +167,8 @@ val finish : t -> result
 (** {2 Accessors} — each calls {!finish}. *)
 
 val rd2_races : t -> Report.t list
+(** [rd2_reports]: [[]] unless the analyzer collects. *)
+
 val rd2_stats : t -> Rd2.stats option
 val direct_races : t -> Report.t list
 val direct_stats : t -> Direct.stats option

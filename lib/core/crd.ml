@@ -54,7 +54,6 @@ module Direct = Crd_detector.Direct
 module Rw_report = Crd_fasttrack.Rw_report
 module Fasttrack = Crd_fasttrack.Fasttrack
 module Djit = Crd_fasttrack.Djit
-module Lockset = Crd_fasttrack.Lockset
 module Model = Crd_semantics.Model
 module Models = Crd_semantics.Models
 module Soundness = Crd_semantics.Soundness

@@ -111,14 +111,15 @@ type t = {
   spill : slot ObjTbl.t;
   pool : Vclock.Pool.t option;  (* component-clock arena (single-owner) *)
   stats : stats;
-  mutable reports : Report.t list;  (* newest first *)
+  collect : bool;
+  mutable reports : Report.t list;  (* newest first; only when [collect] *)
   mutable shapes : int array;
   mutable values : Value.t array;
 }
 
 let dense_limit = 1 lsl 16
 
-let create ?(mode = `Constant) ?pool ~repr_for () =
+let create ?(mode = `Constant) ?pool ?(collect = true) ~repr_for () =
   {
     mode;
     repr_for;
@@ -134,6 +135,7 @@ let create ?(mode = `Constant) ?pool ~repr_for () =
         promotions = 0;
         deflations = 0;
       };
+    collect;
     reports = [];
     shapes = [||];
     values = [||];
@@ -287,7 +289,7 @@ let report t st ~index ~tid ~(action : Action.t) i ~keyed ~id' (e : entry) =
       prior = Some (e.last_tid, e.last_action);
     }
   in
-  t.reports <- r :: t.reports;
+  if t.collect then t.reports <- r :: t.reports;
   r
 
 (* Whether the action's [n] points are the cached last race-free ones. *)

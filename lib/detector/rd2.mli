@@ -58,6 +58,7 @@ type t
 val create :
   ?mode:mode ->
   ?pool:Vclock.Pool.t ->
+  ?collect:bool ->
   repr_for:(Obj_id.t -> Repr.t option) ->
   unit ->
   t
@@ -66,7 +67,11 @@ val create :
     given, backs epoch-to-component promotions: promoted clocks are
     acquired from it and released again on deflation, so the steady-state
     hot loop allocates no clock storage. The pool must be owned by this
-    detector's domain only. *)
+    detector's domain only.
+
+    [collect] (default [true]) keeps every report for {!races}. With
+    [false] the detector retains no report: {!on_action}'s return is its
+    only output, and its memory is its per-point state. *)
 
 val on_action :
   t -> index:int -> Tid.t -> Action.t -> Vclock.t -> Report.t list
@@ -87,4 +92,7 @@ val active_points : t -> Obj_id.t -> int
 
 val stats : t -> stats
 val races : t -> Report.t list
-(** All reports so far, in trace order. *)
+(** All reports so far, in trace order; [[]] when created with
+    [~collect:false]. The concatenation of {!on_action}'s returns, kept
+    for callers that read the detector after the fact; the analysis
+    engine and the tests fold {!on_action}'s return instead. *)

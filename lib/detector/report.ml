@@ -100,19 +100,30 @@ let fingerprint_hex t = Printf.sprintf "%016Lx" (fingerprint t)
 
 module Fps = Hashtbl.Make (Int64)
 
-(* Deduplicate in a hash set first, then sort only the distinct values:
-   a hot point's thousands of races share a handful of fingerprints. *)
+type fingerprints = unit Fps.t
+
+let fingerprints () = Fps.create 1024
+let add_fingerprint seen r = Fps.replace seen (fingerprint r) ()
+
+(* The sets deduplicate, so only the distinct values are sorted: a hot
+   point's thousands of races share a handful of fingerprints. *)
+let sorted_union = function
+  | [] -> [||]
+  | seen :: rest ->
+      List.iter (Fps.iter (fun fp () -> Fps.replace seen fp ())) rest;
+      let fps = Array.make (Fps.length seen) 0L in
+      let n = ref 0 in
+      Fps.iter
+        (fun fp () ->
+          fps.(!n) <- fp;
+          incr n)
+        seen;
+      Array.sort Int64.unsigned_compare fps;
+      fps
+
 let distinct_fingerprints reports =
-  let seen = Fps.create 1024 in
-  List.iter (fun r -> Fps.replace seen (fingerprint r) ()) reports;
-  let fps = Array.make (Fps.length seen) 0L in
-  let n = ref 0 in
-  Fps.iter
-    (fun fp () ->
-      fps.(!n) <- fp;
-      incr n)
-    seen;
-  Array.sort Int64.unsigned_compare fps;
-  fps
+  let seen = fingerprints () in
+  List.iter (add_fingerprint seen) reports;
+  sorted_union [ seen ]
 
 let distinct reports = Array.length (distinct_fingerprints reports)

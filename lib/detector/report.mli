@@ -48,6 +48,21 @@ val fingerprint_hex : t -> string
 (** [fingerprint] as 16 lowercase hex digits — the rendering used by
     [rd2 query] and the racedb tooling. *)
 
+type fingerprints
+(** A mutable set of distinct {!fingerprint}s: what a caller keeps when
+    it needs the distinct races but not the reports themselves. *)
+
+val fingerprints : unit -> fingerprints
+(** An empty set. *)
+
+val add_fingerprint : fingerprints -> t -> unit
+(** Add the report's {!fingerprint}. *)
+
+val sorted_union : fingerprints list -> int64 array
+(** The distinct fingerprints of all the sets, sorted by
+    [Int64.unsigned_compare]. The union is built in the first set, which
+    therefore gains the others' members. *)
+
 val distinct_fingerprints : t list -> int64 array
 (** The distinct {!fingerprint}s, sorted by [Int64.unsigned_compare] —
     the order of their {!fingerprint_hex} renderings. *)

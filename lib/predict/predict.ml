@@ -99,7 +99,8 @@ let build ~spec_for trace =
         None
   in
   let hb = Hb.create () in
-  let rd2 = Rd2.create ~mode:`Constant ~repr_for () in
+  let rd2 = Rd2.create ~mode:`Constant ~collect:false ~repr_for () in
+  let witnessed_rev = ref [] in
   let kind = Array.make n 0 in
   let tid_arr = Array.make n 0 in
   let pos_arr = Array.make n 0 in
@@ -153,7 +154,8 @@ let build ~spec_for trace =
       th_rev.(tid) <- i :: th_rev.(tid);
       match e.op with
       | Event.Call a -> (
-          ignore (Rd2.on_action rd2 ~index:i e.tid a vc);
+          witnessed_rev :=
+            List.rev_append (Rd2.on_action rd2 ~index:i e.tid a vc) !witnessed_rev;
           match repr_for a.Action.obj with
           | None -> ()
           | Some repr ->
@@ -254,7 +256,7 @@ let build ~spec_for trace =
     call_obj;
     objs;
     maxconf = Array.make n [||];
-    witnessed = Rd2.races rd2;
+    witnessed = List.rev !witnessed_rev;
   }
 
 (* --- conflicting HB-predecessors ----------------------------------- *)

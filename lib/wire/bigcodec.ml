@@ -679,8 +679,6 @@ module Decoder = struct
       (fun () -> drain t t.buf pos t.fill push)
 
   let feed_push t off len (input : bigstring) push =
-    if off < 0 || len < 0 || off + len > Bigarray.Array1.dim input then
-      invalid_arg "Bigcodec.Decoder.feed_iter: invalid slice";
     Crd_obs.Counter.add rx_bytes_total len;
     if pending t = 0 then begin
       (* Zero-copy fast path: parse the caller's slice in place. *)
@@ -714,8 +712,6 @@ module Decoder = struct
      the slice lands in the pending buffer with one copy and no per-read
      string. *)
   let feed_bytes_push t off len input push =
-    if off < 0 || len < 0 || off + len > Bytes.length input then
-      invalid_arg "Bigcodec.Decoder.feed_bytes_iter: invalid slice";
     Crd_obs.Counter.add rx_bytes_total len;
     reserve t len;
     let buf = t.buf in
@@ -726,15 +722,23 @@ module Decoder = struct
     t.fill <- t.fill + len;
     drain_pending t push
 
+  (* A bad slice is the caller's error, not the stream's: it is raised
+     here, outside [run_protected], which would make it a sticky
+     [Corrupt]. *)
+  let check_slice name off len dim =
+    if off < 0 || len < 0 || off > dim - len then
+      invalid_arg ("Bigcodec.Decoder." ^ name ^ ": invalid slice")
+
   let feed_iter t ?(off = 0) ?len (input : bigstring) ~f =
-    let len =
-      match len with Some l -> l | None -> Bigarray.Array1.dim input - off
-    in
+    let dim = Bigarray.Array1.dim input in
+    let len = match len with Some l -> l | None -> dim - off in
+    check_slice "feed_iter" off len dim;
     let f = guard_consumer f in
     run_protected t (fun () -> feed_push t off len input f)
 
   let feed_bytes_iter t ?(off = 0) ?len input ~f =
     let len = match len with Some l -> l | None -> Bytes.length input - off in
+    check_slice "feed_bytes_iter" off len (Bytes.length input);
     let f = guard_consumer f in
     run_protected t (fun () -> feed_bytes_push t off len input f)
 

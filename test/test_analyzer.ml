@@ -1,4 +1,6 @@
 open Crd
+module Gen = QCheck2.Gen
+module Synth = Crd_workloads.Synth
 
 let fig1 ~hosts sink =
   Sched.run ~seed:42L ~sink (fun () ->
@@ -175,6 +177,73 @@ let sharded_matches_sequential () =
         (races par.Shard.rd2_stats))
     traces
 
+let rd2_only =
+  { Analyzer.rd2 = `Constant; direct = false; fasttrack = false; djit = false; atomicity = false }
+
+(* A synthetic trace streamed through a fresh analyzer, not finished. *)
+let stream_synth ?jobs ?threshold ~collect (seed, cfg) =
+  let an =
+    Result.get_ok
+      (Analyzer.create ~config:rd2_only ?jobs ?threshold ~collect
+         ~spec_for:Stdspecs.spec_for ())
+  in
+  Synth.iter ~seed cfg ~f:(Analyzer.step an);
+  an
+
+let synth_case =
+  Gen.(
+    let* threads = int_range 2 16
+    and* objects = int_range 4 256
+    and* events = int_range 500 5_000
+    and* skew = oneofl [ Synth.Uniform; Synth.Zipf 0.9 ]
+    and* sync_period = int_range 2 64
+    and* seed = int_range 0 10_000 in
+    return
+      ( Int64.of_int seed,
+        { (Synth.default ~events) with threads; objects; skew; sync_period } ))
+
+(* Without [collect] the engine keeps no report but folds every race:
+   its count and distinct fingerprints (and so its printed summary) are
+   those of the collected list, inline, sharded and fallen back. *)
+let fold_equals_collect =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"fold-only == collecting (count, distinct)"
+       Gen.(
+         triple synth_case (oneofl [ 1; 2; 4 ])
+           (oneofl [ 0; Analyzer.default_parallel_threshold ]))
+       (fun (case, jobs, threshold) ->
+         let fold = Analyzer.finish (stream_synth ~jobs ~threshold ~collect:false case)
+         and coll = Analyzer.finish (stream_synth ~jobs ~threshold ~collect:true case) in
+         let races (r : Analyzer.result) =
+           Option.map (fun (s : Rd2.stats) -> s.Rd2.races) r.rd2_stats
+         in
+         let summary = Fmt.str "%a" Analyzer.pp_result in
+         fold.rd2_reports = []
+         && races fold = Some (List.length coll.rd2_reports)
+         && fold.rd2_distinct = Report.distinct_fingerprints coll.rd2_reports
+         && coll.rd2_distinct = fold.rd2_distinct
+         && summary fold = summary coll))
+
+(* The fold retains no [Report.t]: after a 100k-event zipf trace the
+   fold-only analyzer reaches under half the words of a collecting one,
+   both while its detectors are live (the collecting bundle holds every
+   race beside RD2's per-point state) and once finished. *)
+let fold_retains_no_reports () =
+  let case = (7L, Synth.default ~events:100_000) in
+  let fold = stream_synth ~collect:false case
+  and coll = stream_synth ~collect:true case in
+  let under_half what =
+    let wf = Obj.reachable_words (Obj.repr fold)
+    and wc = Obj.reachable_words (Obj.repr coll) in
+    if 2 * wf >= wc then
+      Alcotest.failf "%s: fold-only reaches %d words, collecting %d" what wf wc
+  in
+  under_half "streamed";
+  let rf = Analyzer.finish fold and rc = Analyzer.finish coll in
+  Alcotest.(check bool) "races found" true (List.length rc.rd2_reports > 10_000);
+  Alcotest.(check bool) "same distinct" true (rf.rd2_distinct = rc.rd2_distinct);
+  under_half "finished"
+
 let suite =
   ( "analyzer",
     [
@@ -190,4 +259,6 @@ let suite =
       Alcotest.test_case "summary prints" `Quick summary_prints;
       Alcotest.test_case "sharded == sequential == live" `Quick
         sharded_matches_sequential;
+      fold_equals_collect;
+      Alcotest.test_case "fold retains no reports" `Quick fold_retains_no_reports;
     ] )

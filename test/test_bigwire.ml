@@ -227,6 +227,37 @@ let consumer_exception_propagates () =
              if !seen = 3 then raise Exit)));
   Alcotest.(check int) "consumer saw events up to the raise" 3 !seen
 
+(* An out-of-range slice is the caller's error: both feeds raise
+   [Invalid_argument] and leave the decoder as it was, so valid bytes
+   fed next still decode. *)
+let bad_slice_raises () =
+  let bin = sample_bin () in
+  let want = Trace.to_list (Result.get_ok (Oracle.decode_string bin)) in
+  let b = Big.bigstring_of_string bin and by = Bytes.of_string bin in
+  let n = String.length bin in
+  let bad = [ (3, n); (-1, 2); (0, -1); (n + 1, 0) ] in
+  let d = Big.Decoder.create () in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises "bigstring slice"
+        (Invalid_argument "Bigcodec.Decoder.feed_iter: invalid slice")
+        (fun () -> ignore (Big.Decoder.feed_iter d ~off ~len b ~f:ignore));
+      Alcotest.check_raises "bytes slice"
+        (Invalid_argument "Bigcodec.Decoder.feed_bytes_iter: invalid slice")
+        (fun () -> ignore (Big.Decoder.feed_bytes_iter d ~off ~len by ~f:ignore)))
+    bad;
+  let got = ref [] in
+  let f e = got := e :: !got in
+  let half = n / 2 in
+  (match Big.Decoder.feed_iter d ~len:half b ~f with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "feed_iter after a bad slice: %a" Wire.pp_error e);
+  (match Big.Decoder.feed_bytes_iter d ~off:half by ~f with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "feed_bytes_iter after a bad slice: %a" Wire.pp_error e);
+  Alcotest.(check bool) "stream complete" true (Big.Decoder.finish d = Ok ());
+  Alcotest.(check bool) "events = oracle" true (List.rev !got = want)
+
 let mapped_file_roundtrip () =
   let t = Test_wire.sample_trace () in
   let path = Filename.temp_file "crd-bigwire" ".crdw" in
@@ -398,6 +429,7 @@ let suite =
       Alcotest.test_case "streaming iter agrees" `Quick streaming_iter_agrees;
       Alcotest.test_case "consumer exception propagates" `Quick
         consumer_exception_propagates;
+      Alcotest.test_case "bad slice raises, decoder intact" `Quick bad_slice_raises;
       Alcotest.test_case "small ints shared" `Quick small_ints_shared;
       Alcotest.test_case "two domains decode alike" `Quick two_domains_agree;
       qcheck "valid streams decode identically" trace_gen (fun trace ->

@@ -10,18 +10,23 @@ let dict_repr = Result.get_ok (Repr.of_spec dict)
 let spec_for _ = Some dict
 let repr_for _ = Some dict_repr
 
+(* The detector, its races (what [on_action] returned, in trace order)
+   and the indices of the events that closed one. *)
 let run_rd2 ?(mode = `Constant) trace =
   let hb = Hb.create () in
-  let d = Rd2.create ~mode ~repr_for () in
-  let events_with_race = ref [] in
+  let d = Rd2.create ~mode ~collect:false ~repr_for () in
+  let races = ref [] and events_with_race = ref [] in
   Trace.iter trace ~f:(fun index (e : Event.t) ->
       let vc = Hb.step hb e in
       match e.op with
-      | Event.Call a ->
-          if Rd2.on_action d ~index e.tid a vc <> [] then
-            events_with_race := index :: !events_with_race
+      | Event.Call a -> (
+          match Rd2.on_action d ~index e.tid a vc with
+          | [] -> ()
+          | rs ->
+              races := List.rev_append rs !races;
+              events_with_race := index :: !events_with_race)
       | _ -> ());
-  (d, List.rev !events_with_race)
+  (d, List.rev !races, List.rev !events_with_race)
 
 let run_direct trace =
   let hb = Hb.create () in
@@ -49,9 +54,8 @@ let fig3 () =
      T0 call dictionary.size() / 1\n"
   in
   let trace = Result.get_ok (Trace_text.parse src) in
-  let d, events = run_rd2 trace in
+  let _, races, events = run_rd2 trace in
   Alcotest.(check (list int)) "race closed by a2 only" [ 3 ] events;
-  let races = Rd2.races d in
   Alcotest.(check int) "one race" 1 (List.length races);
   let r = List.hd races in
   Alcotest.(check string) "racing action" "dictionary.put(\"a.com\", @2)/@1"
@@ -66,7 +70,7 @@ let fig3_no_join () =
      T0 call o.size() / 1\n"
   in
   let trace = Result.get_ok (Trace_text.parse src) in
-  let _, events = run_rd2 trace in
+  let _, _, events = run_rd2 trace in
   Alcotest.(check (list int)) "size races" [ 3 ] events
 
 (* And the overwriting put does NOT race with size (Section 2: a2/a3). *)
@@ -77,7 +81,7 @@ let overwrite_vs_size () =
      T0 call o.size() / 1\n"
   in
   let trace = Result.get_ok (Trace_text.parse src) in
-  let _, events = run_rd2 trace in
+  let _, _, events = run_rd2 trace in
   Alcotest.(check (list int)) "no race" [] events
 
 let ordered_no_race () =
@@ -86,7 +90,7 @@ let ordered_no_race () =
     "T0 call o.put(1, 2) / nil\nT0 call o.put(1, 3) / 2\nT0 call o.size() / 1\n"
   in
   let trace = Result.get_ok (Trace_text.parse src) in
-  let _, events = run_rd2 trace in
+  let _, _, events = run_rd2 trace in
   Alcotest.(check (list int)) "no race" [] events
 
 let lock_protection () =
@@ -102,7 +106,7 @@ let lock_protection () =
      T2 release l\n"
   in
   let trace = Result.get_ok (Trace_text.parse src) in
-  let _, events = run_rd2 trace in
+  let _, _, events = run_rd2 trace in
   Alcotest.(check (list int)) "lock orders the puts" [] events
 
 let release_object () =
@@ -196,7 +200,7 @@ let run_ref_rd2 trace =
 let epoch_adaptive_exact =
   qcheck ~count:500 "epoch-adaptive Rd2 == full-VC reference"
     (Generators.dict_trace ~threads:4 ~objects:2 ~len:60) (fun trace ->
-      let d, _ = run_rd2 ~mode:`Constant trace in
+      let _, races, _ = run_rd2 ~mode:`Constant trace in
       let adaptive =
         List.map
           (fun (r : Report.t) ->
@@ -204,7 +208,7 @@ let epoch_adaptive_exact =
               r.Report.point,
               r.Report.conflicting,
               Option.map fst r.Report.prior ))
-          (Rd2.races d)
+          races
       in
       let desc p =
         match (p : Point.t) with
@@ -230,7 +234,7 @@ let same_epoch_fast_path () =
      T0 call o.size() / 0\n"
   in
   let trace = Result.get_ok (Trace_text.parse src) in
-  let d, events = run_rd2 ~mode:`Constant trace in
+  let d, _, events = run_rd2 ~mode:`Constant trace in
   Alcotest.(check (list int)) "no races" [] events;
   let s = Rd2.stats d in
   Alcotest.(check int) "two same-epoch hits" 2 s.Rd2.same_epoch;
@@ -242,10 +246,31 @@ let same_epoch_fast_path () =
 let equivalence =
   qcheck ~count:500 "Rd2 == Rd2-linear == Direct per event (Theorem 5.1)"
     (Generators.dict_trace ~threads:4 ~objects:2 ~len:60) (fun trace ->
-      let _, constant = run_rd2 ~mode:`Constant trace in
-      let _, linear = run_rd2 ~mode:`Linear trace in
+      let _, _, constant = run_rd2 ~mode:`Constant trace in
+      let _, _, linear = run_rd2 ~mode:`Linear trace in
       let _, direct = run_direct trace in
       constant = linear && constant = direct)
+
+(* [Rd2.races] is the concatenation of [on_action]'s returns; created
+   with [~collect:false], the detector keeps none of them and returns the
+   same races. *)
+let races_collect =
+  qcheck ~count:100 "Rd2.races = on_action's returns; ~collect:false keeps none"
+    (Generators.dict_trace ~threads:4 ~objects:2 ~len:60) (fun trace ->
+      let run collect =
+        let hb = Hb.create () in
+        let d = Rd2.create ~collect ~repr_for () in
+        let returned = ref [] in
+        Trace.iter trace ~f:(fun index (e : Event.t) ->
+            let vc = Hb.step hb e in
+            match e.op with
+            | Event.Call a ->
+                returned := List.rev_append (Rd2.on_action d ~index e.tid a vc) !returned
+            | _ -> ());
+        (Rd2.races d, List.rev !returned)
+      in
+      let kept, returned = run true and none, returned' = run false in
+      kept = returned && none = [] && returned' = returned)
 
 (* The constant-mode lookup count per action is bounded by
    eta * max_conflicts, independent of history; the direct detector's
@@ -253,7 +278,7 @@ let equivalence =
 let lookup_bounds =
   qcheck ~count:100 "constant-mode lookups are O(1) per action"
     (Generators.dict_trace ~threads:4 ~objects:1 ~len:200) (fun trace ->
-      let d, _ = run_rd2 ~mode:`Constant trace in
+      let d, _, _ = run_rd2 ~mode:`Constant trace in
       let stats = Rd2.stats d in
       (* eta <= 2 points, each with <= 2 conflicts. *)
       stats.Rd2.actions = 0 || stats.Rd2.lookups <= 4 * stats.Rd2.actions)
@@ -552,13 +577,14 @@ type step = Ev of Event.t | Drop of Obj_id.t
 
 (* Runs the detector and the oracle side by side over [steps];
    [same_event] compares the races each closes at one event, and
-   [observe] sees the detector after every call. *)
+   [observe] sees the detector after every call. Returns the detector,
+   its races in trace order, the oracle and the verdict. *)
 let against_oracle_steps ?(observe = fun _ _ -> ()) ~mode ~pool ~same_event steps =
   let hb = Hb.create () in
   let pool = if pool then Some (Vclock.Pool.create ()) else None in
-  let d = Rd2.create ~mode ?pool ~repr_for:mixed_repr_for () in
+  let d = Rd2.create ~mode ?pool ~collect:false ~repr_for:mixed_repr_for () in
   let o = Point_tbl_rd2.create ~mode ~repr_for:mixed_repr_for in
-  let ok = ref true in
+  let races = ref [] and ok = ref true in
   List.iteri
     (fun index step ->
       match step with
@@ -569,13 +595,18 @@ let against_oracle_steps ?(observe = fun _ _ -> ()) ~mode ~pool ~same_event step
           let vc = Hb.step hb e in
           match e.op with
           | Event.Call a ->
-              let got = List.map report_fields (Rd2.on_action d ~index e.tid a vc) in
+              let rs = Rd2.on_action d ~index e.tid a vc in
+              races := List.rev_append rs !races;
+              let got = List.map report_fields rs in
               let want = List.map report_fields (Point_tbl_rd2.on_action o ~index e.tid a vc) in
               if not (same_event got want) then ok := false;
               observe d a
           | _ -> ()))
     steps;
-  (d, o, !ok && stats_fields (Rd2.stats d) = stats_fields o.Point_tbl_rd2.stats)
+  ( d,
+    List.rev !races,
+    o,
+    !ok && stats_fields (Rd2.stats d) = stats_fields o.Point_tbl_rd2.stats )
 
 let against_oracle ~mode ~pool ~same_event trace =
   against_oracle_steps ~mode ~pool ~same_event (List.map (fun e -> Ev e) (Trace.to_list trace))
@@ -670,23 +701,23 @@ let oracle_properties =
   [
     qcheck ~count:400 "Rd2 = Point.Tbl oracle: reports and stats (constant)" gen
       (fun (trace, pool) ->
-        let d, o, ok = against_oracle ~mode:`Constant ~pool ~same_event:( = ) trace in
+        let _, races, o, ok = against_oracle ~mode:`Constant ~pool ~same_event:( = ) trace in
         ok
-        && List.map report_fields (Rd2.races d)
+        && List.map report_fields races
            = List.map report_fields (List.rev o.Point_tbl_rd2.reports));
     qcheck ~count:400 "Rd2 = Point.Tbl oracle: races per event as a multiset (linear)" gen
       (fun (trace, pool) ->
-        let _, _, ok = against_oracle ~mode:`Linear ~pool ~same_event:multiset trace in
+        let _, _, _, ok = against_oracle ~mode:`Linear ~pool ~same_event:multiset trace in
         ok);
     qcheck ~count:200 "wide oracle (constant): ids, values, release" wide
       (fun (steps, pool) ->
-        let d, o, ok = against_oracle_steps ~mode:`Constant ~pool ~same_event:( = ) steps in
+        let _, races, o, ok = against_oracle_steps ~mode:`Constant ~pool ~same_event:( = ) steps in
         ok
-        && List.map report_fields (Rd2.races d)
+        && List.map report_fields races
            = List.map report_fields (List.rev o.Point_tbl_rd2.reports));
     qcheck ~count:200 "wide oracle (linear): ids, values, release" wide
       (fun (steps, pool) ->
-        let _, _, ok = against_oracle_steps ~mode:`Linear ~pool ~same_event:multiset steps in
+        let _, _, _, ok = against_oracle_steps ~mode:`Linear ~pool ~same_event:multiset steps in
         ok);
   ]
 
@@ -702,7 +733,7 @@ let oracle_generator_coverage () =
   let pair_repr = Result.get_ok (Repr.of_spec pair_spec) in
   List.iter
     (fun trace ->
-      let d, _, _ = against_oracle ~mode:`Constant ~pool:false ~same_event:( = ) trace in
+      let d, _, _, _ = against_oracle ~mode:`Constant ~pool:false ~same_event:( = ) trace in
       let s = Rd2.stats d in
       totals :=
         List.map2 ( + ) !totals
@@ -929,10 +960,10 @@ let pinned_fingerprints () =
           T3 call dictionary.put(\"a.com\", @1) / nil\n\
           T2 call dictionary.put(\"a.com\", @2) / @1\n")
   in
-  let d, _ = run_rd2 trace in
+  let _, races, _ = run_rd2 trace in
   Alcotest.(check (list string))
     "fig3" [ "c412b742c025fe7b" ]
-    (List.map Report.fingerprint_hex (Rd2.races d))
+    (List.map Report.fingerprint_hex races)
 
 let report_matches_oracle r =
   let want = Fmt.str "%a" oracle_report_pp r in
@@ -995,6 +1026,7 @@ let suite =
       Alcotest.test_case "same-epoch fast path" `Quick same_epoch_fast_path;
       epoch_adaptive_exact;
       equivalence;
+      races_collect;
       lookup_bounds;
       stats_monotone;
       Alcotest.test_case "pinned fingerprints" `Quick pinned_fingerprints;

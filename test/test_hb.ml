@@ -252,16 +252,18 @@ let jobs_agree_on_64_threads () =
       Rd2.create
         ~repr_for:(fun o ->
           Option.map (fun s -> Result.get_ok (Repr.of_spec s)) (Stdspecs.spec_for o))
-        ()
+        ~collect:false ()
     and ft = Fasttrack.create () in
+    let races = ref [] in
     Trace.iter trace ~f:(fun index (e : Event.t) ->
         let vc = Hb_oracle.step hb e in
         match e.op with
-        | Event.Call a -> ignore (Rd2.on_action rd2 ~index e.tid a vc)
+        | Event.Call a ->
+            races := List.rev_append (Rd2.on_action rd2 ~index e.tid a vc) !races
         | Event.Read loc -> ignore (Fasttrack.on_read ft ~index e.tid loc vc)
         | Event.Write loc -> ignore (Fasttrack.on_write ft ~index e.tid loc vc)
         | _ -> ());
-    (Rd2.races rd2, Fasttrack.races ft)
+    (List.rev !races, Fasttrack.races ft)
   in
   let rd2_1, ft_1 = run 1 and rd2_2, ft_2 = run 2 in
   Alcotest.(check bool) "some rd2 races" true (rd2_1 <> []);

@@ -1,5 +1,4 @@
 open Crd
-module Lockset = Crd_fasttrack.Lockset
 
 let run trace =
   let d = Lockset.create () in

@@ -160,16 +160,18 @@ let pool_exhaustion () =
   in
   let run pool =
     let hb = Hb.create () in
-    let rd2 = Rd2.create ?pool ~repr_for () in
+    let rd2 = Rd2.create ?pool ~collect:false ~repr_for () in
     let ft = Fasttrack.create ?pool () in
+    let races = ref [] in
     Trace.iter trace ~f:(fun index (e : Event.t) ->
         let vc = Hb.step hb e in
         match e.op with
-        | Event.Call a -> ignore (Rd2.on_action rd2 ~index e.tid a vc)
+        | Event.Call a ->
+            races := List.rev_append (Rd2.on_action rd2 ~index e.tid a vc) !races
         | Event.Read loc -> ignore (Fasttrack.on_read ft ~index e.tid loc vc)
         | Event.Write loc -> ignore (Fasttrack.on_write ft ~index e.tid loc vc)
         | _ -> ());
-    (Rd2.races rd2, Fasttrack.races ft)
+    (List.rev !races, Fasttrack.races ft)
   in
   let plain = run None in
   let pool = Vclock.Pool.create ~capacity:1 () in

@@ -28,16 +28,16 @@ let model =
    whether the trace is race-free; return (actions, clocks). *)
 let calls_with_clocks trace =
   let hb = Hb.create () in
-  let rd2 = Rd2.create ~repr_for:(fun _ -> Some dict_repr) () in
-  let calls = ref [] in
+  let rd2 = Rd2.create ~collect:false ~repr_for:(fun _ -> Some dict_repr) () in
+  let calls = ref [] and race_free = ref true in
   Trace.iter trace ~f:(fun index (e : Event.t) ->
       let vc = Hb.step hb e in
       match e.op with
       | Event.Call a ->
-          ignore (Rd2.on_action rd2 ~index e.tid a vc);
+          if Rd2.on_action rd2 ~index e.tid a vc <> [] then race_free := false;
           calls := (a, Vclock.copy vc, e.tid, index) :: !calls
       | _ -> ());
-  (List.rev !calls, Rd2.races rd2 = [])
+  (List.rev !calls, !race_free)
 
 let apply_shape state (a : Action.t) =
   model.Model.apply state
