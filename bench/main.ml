@@ -604,7 +604,6 @@ type racedb_record = {
   rb_reports : int;  (** records over all sessions *)
   rb_distinct_per_session : float;  (** mean distinct fingerprints *)
   rb_publish_ns : float;  (** full lifecycle: open, publish all, close *)
-  rb_publish_plain_ns : float;  (** same with [~rollups:false] *)
   rb_query_ns : float;  (** cold [Db.load] + [select ~top:10] *)
   rb_distinct : int;
 }
@@ -654,26 +653,21 @@ let racedb_bench ?(sessions = 4) ?(events = 20_000) ?(repeats = 3) () =
   in
   (* every timed run publishes into a brand-new store; the previous one
      is removed first so only the last survives for the query phase *)
-  let ingest ~rollups =
-    let last = ref None in
-    let ns =
-      best_of_ns repeats (fun () ->
-          Option.iter rm_rf !last;
-          let dir = fresh_dir () in
-          last := Some dir;
-          match Crd_racedb.Db.open_db ~rollups dir with
-          | Error e -> failwith ("racedb benchmark: " ^ e)
-          | Ok db ->
-              List.iter
-                (fun (nonce, rs) -> ignore (Crd_racedb.Db.publish db ~nonce rs : bool))
-                batches;
-              Crd_racedb.Db.close db)
-    in
-    (ns, Option.get !last)
+  let last = ref None in
+  let rb_publish_ns =
+    best_of_ns repeats (fun () ->
+        Option.iter rm_rf !last;
+        let dir = fresh_dir () in
+        last := Some dir;
+        match Crd_racedb.Db.open_db dir with
+        | Error e -> failwith ("racedb benchmark: " ^ e)
+        | Ok db ->
+            List.iter
+              (fun (nonce, rs) -> ignore (Crd_racedb.Db.publish db ~nonce rs : bool))
+              batches;
+            Crd_racedb.Db.close db)
   in
-  let rb_publish_ns, dir = ingest ~rollups:true in
-  let rb_publish_plain_ns, plain_dir = ingest ~rollups:false in
-  rm_rf plain_dir;
+  let dir = Option.get !last in
   let rb_distinct = ref 0 in
   let rb_query_ns =
     best_of_ns repeats (fun () ->
@@ -690,7 +684,6 @@ let racedb_bench ?(sessions = 4) ?(events = 20_000) ?(repeats = 3) () =
     rb_reports = reports;
     rb_distinct_per_session = float_of_int distinct /. float_of_int sessions;
     rb_publish_ns;
-    rb_publish_plain_ns;
     rb_query_ns;
     rb_distinct = !rb_distinct;
   }
@@ -1102,11 +1095,6 @@ let write_json ~path ~jobs ~benchmarks ~traces ~synth ~codec ~server
   pr "    \"publish_ms_per_session\": %.2f,\n"
     (racedb.rb_publish_ns /. 1e6 /. float_of_int racedb.rb_sessions);
   pr "    \"publish_reports_s\": %.0f,\n" (per_s racedb.rb_reports racedb.rb_publish_ns);
-  pr "    \"publish_plain_ns\": %.0f,\n" racedb.rb_publish_plain_ns;
-  pr "    \"publish_plain_reports_s\": %.0f,\n"
-    (per_s racedb.rb_reports racedb.rb_publish_plain_ns);
-  pr "    \"rollup_overhead\": %.3f,\n"
-    (racedb.rb_publish_ns /. racedb.rb_publish_plain_ns);
   pr "    \"query_top_ns\": %.0f,\n" racedb.rb_query_ns;
   pr "    \"query_top_entries\": %d\n" racedb.rb_distinct;
   pr "  }\n}\n";
@@ -1294,15 +1282,11 @@ let () =
   Fmt.pr "@.## Race database (racedb_publish / query_top)@.@.";
   Fmt.pr
     "%d sessions (%d reports, %.0f distinct a session) published in %.2f ms \
-     (%.2f ms a session, %.0f reports/s with rollups)@."
+     (%.2f ms a session, %.0f reports/s)@."
     racedb.rb_sessions racedb.rb_reports racedb.rb_distinct_per_session
     (racedb.rb_publish_ns /. 1e6)
     (racedb.rb_publish_ns /. 1e6 /. float_of_int racedb.rb_sessions)
     (per_s racedb.rb_reports racedb.rb_publish_ns);
-  Fmt.pr "without rollups: %.2f ms (%.0f reports/s, %.2fx rollup overhead)@."
-    (racedb.rb_publish_plain_ns /. 1e6)
-    (per_s racedb.rb_reports racedb.rb_publish_plain_ns)
-    (racedb.rb_publish_ns /. racedb.rb_publish_plain_ns);
   Fmt.pr "query --top 10 (cold load): %.2f ms (%d entries)@."
     (racedb.rb_query_ns /. 1e6)
     racedb.rb_distinct;

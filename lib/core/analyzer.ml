@@ -34,6 +34,7 @@ type result = {
   direct_reports : Report.t list;
   direct_stats : Direct.stats option;
   fasttrack_reports : Rw_report.t list;
+  fasttrack_distinct : int;
   fasttrack_stats : Fasttrack.stats option;
   djit_reports : Rw_report.t list;
   atomicity_violations : Atomicity.violation list;
@@ -63,7 +64,9 @@ let handoff_chunks = 4
 
    RD2 itself keeps no report: the bundle folds each race it closes into
    [rd2_fps] (its count is [Rd2.stats]'s [races]) and conses it onto
-   [rd2_rev] only when [collect] asks for the list. *)
+   [rd2_rev] only when [collect] asks for the list. FastTrack keeps its
+   reports only when [collect] does; the bundle folds each of its races
+   into [ft_locs] (their count is [Fasttrack.stats]' [races]). *)
 type detectors = {
   rd2 : Rd2.t option;
   direct : Direct.t option;
@@ -73,6 +76,7 @@ type detectors = {
   collect : bool;
   rd2_fps : Report.fingerprints;
   mutable rd2_rev : Report.t list;  (* newest first *)
+  ft_locs : Rw_report.locations;
 }
 
 let make_detectors (config : config) ~collect ~repr_for ~spec_for =
@@ -84,12 +88,15 @@ let make_detectors (config : config) ~collect ~repr_for ~spec_for =
       | (`Constant | `Linear) as mode ->
           Some (Rd2.create ~mode ~pool ~collect:false ~repr_for ()));
     direct = (if config.direct then Some (Direct.create ~spec_for ()) else None);
-    ft = (if config.fasttrack then Some (Fasttrack.create ~pool ()) else None);
+    ft =
+      (if config.fasttrack then Some (Fasttrack.create ~pool ~collect ())
+       else None);
     djit = (if config.djit then Some (Djit.create ()) else None);
     pool;
     collect;
     rd2_fps = Report.fingerprints ();
     rd2_rev = [];
+    ft_locs = Rw_report.locations ();
   }
 
 let rec fold_rd2 d = function
@@ -113,14 +120,20 @@ let dispatch d ~index (e : Event.t) vc =
       | None -> ())
   | Event.Read loc ->
       (match d.ft with
-      | Some det -> ignore (Fasttrack.on_read det ~index e.tid loc vc)
+      | Some det -> (
+          match Fasttrack.on_read det ~index e.tid loc vc with
+          | Some r -> Rw_report.add_location d.ft_locs r
+          | None -> ())
       | None -> ());
       (match d.djit with
       | Some det -> ignore (Djit.on_read det ~index e.tid loc vc)
       | None -> ())
   | Event.Write loc ->
       (match d.ft with
-      | Some det -> ignore (Fasttrack.on_write det ~index e.tid loc vc)
+      | Some det ->
+          List.iter
+            (Rw_report.add_location d.ft_locs)
+            (Fasttrack.on_write det ~index e.tid loc vc)
       | None -> ());
       (match d.djit with
       | Some det -> ignore (Djit.on_write det ~index e.tid loc vc)
@@ -138,6 +151,7 @@ type outputs = {
   o_direct : Report.t list;
   o_direct_stats : Direct.stats option;
   o_ft : Rw_report.t list;
+  o_ft_locs : Rw_report.locations;
   o_ft_stats : Fasttrack.stats option;
   o_djit : Rw_report.t list;
 }
@@ -151,6 +165,7 @@ let outputs_of d =
     o_direct = (match d.direct with Some det -> Direct.races det | None -> []);
     o_direct_stats = Option.map Direct.stats d.direct;
     o_ft = (match d.ft with Some det -> Fasttrack.races det | None -> []);
+    o_ft_locs = d.ft_locs;
     o_ft_stats = Option.map Fasttrack.stats d.ft;
     o_djit = (match d.djit with Some det -> Djit.races det | None -> []);
   }
@@ -547,6 +562,8 @@ let complete t ~shards ~fell_back outs =
       direct_stats =
         sum_stats add_direct (List.filter_map (fun o -> o.o_direct_stats) outs);
       fasttrack_reports;
+      fasttrack_distinct =
+        Rw_report.union_count (List.map (fun o -> o.o_ft_locs) outs);
       fasttrack_stats =
         sum_stats add_ft (List.filter_map (fun o -> o.o_ft_stats) outs);
       djit_reports;
@@ -618,10 +635,9 @@ let pp_result ppf (r : result) =
         (Report.distinct r.direct_reports)
   | None -> ());
   (match r.fasttrack_stats with
-  | Some _ ->
+  | Some s ->
       Fmt.pf ppf "fasttrack: %d races (%d distinct locations)@,"
-        (List.length r.fasttrack_reports)
-        (Rw_report.distinct_locations r.fasttrack_reports)
+        s.Fasttrack.races r.fasttrack_distinct
   | None -> ());
   if r.djit_reports <> [] then
     Fmt.pf ppf "djit: %d races (%d distinct locations)@,"

@@ -23,8 +23,11 @@
       keeps the {!Crd_detector.Report.t} itself only when the analyzer
       was created with [collect] (the default). Without it, RD2's memory
       is its per-point state plus one set entry per distinct race.
-    - Direct, FastTrack and DJIT+ keep every report they emit, and the
-      atomicity checker every violation.
+    - FastTrack likewise: each bundle folds its races into a count
+      ([Fasttrack.stats]' [races]) and a set of raced locations, and
+      keeps the {!Crd_fasttrack.Rw_report.t}s only under [collect].
+    - Direct and DJIT+ keep every report they emit, and the atomicity
+      checker every violation.
 
     With [jobs = 1] the detectors run inside the clock pass and are
     given the happens-before engine's live clock ({!Crd_trace.Hb.advance}),
@@ -94,6 +97,13 @@ type result = {
   direct_reports : Report.t list;
   direct_stats : Direct.stats option;
   fasttrack_reports : Rw_report.t list;
+      (** every FastTrack race in trace order when the analyzer collects;
+          [[]] otherwise ([fasttrack_stats]' [races] counts them either
+          way) *)
+  fasttrack_distinct : int;
+      (** distinct memory locations with a FastTrack race, folded as the
+          races are found (what {!Rw_report.distinct_locations} gives on
+          the collected list) *)
   fasttrack_stats : Fasttrack.stats option;
   djit_reports : Rw_report.t list;
   atomicity_violations : Crd_atomicity.Atomicity.violation list;
@@ -132,9 +142,10 @@ val create :
     applies — [0] shards from the first event.
 
     [collect] (default [true]) keeps every RD2 report for
-    [rd2_reports]. With [false] the races are only counted and
-    fingerprinted as they close, which is all the summary and
-    [rd2_distinct] need. *)
+    [rd2_reports] and every FastTrack report for [fasttrack_reports].
+    With [false] the races are only counted, and fingerprinted (RD2) or
+    located (FastTrack) as they are found, which is all the summary,
+    [rd2_distinct] and [fasttrack_distinct] need. *)
 
 val with_stdspecs : ?config:config -> ?jobs:int -> ?collect:bool -> unit -> t
 (** An analyzer that resolves specifications by monitored-object naming

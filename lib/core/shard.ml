@@ -8,6 +8,7 @@ type result = Analyzer.result = {
   direct_reports : Crd_detector.Report.t list;
   direct_stats : Crd_detector.Direct.stats option;
   fasttrack_reports : Crd_fasttrack.Rw_report.t list;
+  fasttrack_distinct : int;
   fasttrack_stats : Crd_fasttrack.Fasttrack.stats option;
   djit_reports : Crd_fasttrack.Rw_report.t list;
   atomicity_violations : Crd_atomicity.Atomicity.violation list;

@@ -25,14 +25,16 @@ type t = {
   shadows : shadow LocTbl.t;
   pool : Vclock.Pool.t option;  (* read-clock arena (single-owner) *)
   stats : stats;
-  mutable reports : Rw_report.t list;
+  collect : bool;
+  mutable reports : Rw_report.t list;  (* newest first; only when [collect] *)
 }
 
-let create ?pool () =
+let create ?pool ?(collect = true) () =
   {
     shadows = LocTbl.create 1024;
     pool;
     stats = { reads = 0; writes = 0; same_epoch = 0; races = 0 };
+    collect;
     reports = [];
   }
 
@@ -47,7 +49,7 @@ let shadow t loc =
 let report t ~index ~tid ~loc kind =
   t.stats.races <- t.stats.races + 1;
   let r = { Rw_report.index; loc; tid; kind } in
-  t.reports <- r :: t.reports;
+  if t.collect then t.reports <- r :: t.reports;
   r
 
 let on_read t ~index tid loc clock =

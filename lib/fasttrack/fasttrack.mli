@@ -21,11 +21,15 @@ type stats = {
 
 type t
 
-val create : ?pool:Vclock.Pool.t -> unit -> t
+val create : ?pool:Vclock.Pool.t -> ?collect:bool -> unit -> t
 (** [pool], when given, backs read-epoch inflations (the SHARE
     transition): read vector clocks are acquired from it and released
     again when WRITE SHARED deflates the metadata. Single-owner — see
-    {!Vclock.Pool}. *)
+    {!Vclock.Pool}.
+
+    [collect] (default [true]) keeps every report for {!races}. With
+    [false] the detector retains no report: the returns of {!on_read}
+    and {!on_write} are its only output, [stats]' [races] counts them. *)
 
 val on_read :
   t -> index:int -> Tid.t -> Mem_loc.t -> Vclock.t -> Rw_report.t option
@@ -41,4 +45,7 @@ val on_write :
 (** Reports a write-write and/or read-write race (at most one of each). *)
 
 val stats : t -> stats
+
 val races : t -> Rw_report.t list
+(** All reports so far, in trace order; [[]] when created with
+    [~collect:false]. *)

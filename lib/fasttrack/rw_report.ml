@@ -13,6 +13,20 @@ let pp ppf t =
   Fmt.pf ppf "%s race at event %d: %a accesses %a" (kind_name t.kind) t.index
     Tid.pp t.tid Mem_loc.pp t.loc
 
+module Locs = Hashtbl.Make (Mem_loc)
+
+type locations = unit Locs.t
+
+let locations () = Locs.create 64
+let add_location seen r = Locs.replace seen r.loc ()
+
+let union_count = function
+  | [] -> 0
+  | seen :: rest ->
+      List.iter (Locs.iter (fun loc () -> Locs.replace seen loc ())) rest;
+      Locs.length seen
+
 let distinct_locations reports =
-  List.length
-    (List.sort_uniq Mem_loc.compare (List.map (fun r -> r.loc) reports))
+  let seen = locations () in
+  List.iter (add_location seen) reports;
+  union_count [ seen ]

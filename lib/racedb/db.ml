@@ -67,13 +67,12 @@ let fsync_dir dir =
       Unix.close fd
   | exception Unix.Unix_error _ -> ()
 
-let write_all fd s =
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go off =
-    if off < len then go (off + Unix.write fd b off (len - off))
-  in
-  go 0
+let write_sub fd b off len =
+  let fin = off + len in
+  let rec go off = if off < fin then go (off + Unix.write fd b off (fin - off)) in
+  go off
+
+let write_all fd s = write_sub fd (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let write_file_atomic ~dir path content =
   let tmp = path ^ ".tmp" in
@@ -116,10 +115,15 @@ let crc_tables =
   done;
   t
 
-let crc32 s off len =
+(* [crc32_update] folds [len] bytes of [s] into a running state that
+   starts at [crc32_init]; [crc32_finish] turns the state into the
+   checksum, so bytes checksummed in pieces give the whole-string value. *)
+let crc32_init = 0xffffffff
+
+let crc32_update crc s off len =
   let t i = Array.unsafe_get crc_tables i in
   let u32 i = Int32.to_int (String.get_int32_le s i) land 0xffffffff in
-  let c = ref 0xffffffff in
+  let c = ref crc in
   let i = ref off in
   let fin = off + len in
   while !i + 8 <= fin do
@@ -138,7 +142,10 @@ let crc32 s off len =
   for j = !i to fin - 1 do
     c := t ((!c lxor Char.code (String.unsafe_get s j)) land 0xff) lxor (!c lsr 8)
   done;
-  !c lxor 0xffffffff
+  !c
+
+let crc32_finish crc = crc lxor 0xffffffff
+let crc32 s off len = crc32_finish (crc32_update crc32_init s off len)
 
 let get_u32le s pos =
   let v = ref 0 in
@@ -250,15 +257,13 @@ let vv_of_tbl vvtbl =
    never displaces the sample. Replay at open re-walks segments in
    write order, so the same records always get the same sequence
    numbers back. *)
-let fold_group ~rollups ~node tbl ~fp ~seq ~count (r : Record.t) =
+let fold_group ~node tbl ~fp ~seq ~count (r : Record.t) =
   match Hashtbl.find_opt tbl fp with
   | None ->
       let minutes, hours, days = fresh_rings () in
-      if rollups then begin
-        Rollup.add ~count minutes r.ts;
-        Rollup.add ~count hours r.ts;
-        Rollup.add ~count days r.ts
-      end;
+      Rollup.add ~count minutes r.ts;
+      Rollup.add ~count hours r.ts;
+      Rollup.add ~count days r.ts;
       Hashtbl.add tbl fp
         (ref
            {
@@ -275,11 +280,9 @@ let fold_group ~rollups ~node tbl ~fp ~seq ~count (r : Record.t) =
            })
   | Some cell ->
       let e = !cell in
-      if rollups then begin
-        Rollup.add ~count e.Entry.minutes r.ts;
-        Rollup.add ~count e.Entry.hours r.ts;
-        Rollup.add ~count e.Entry.days r.ts
-      end;
+      Rollup.add ~count e.Entry.minutes r.ts;
+      Rollup.add ~count e.Entry.hours r.ts;
+      Rollup.add ~count e.Entry.days r.ts;
       cell :=
         {
           e with
@@ -291,9 +294,9 @@ let fold_group ~rollups ~node tbl ~fp ~seq ~count (r : Record.t) =
           provenance = Provenance.join e.Entry.provenance r.provenance;
         }
 
-let fold_record ~rollups ~node ~vvtbl tbl (r : Record.t) =
+let fold_record ~node ~vvtbl tbl (r : Record.t) =
   let seq = vv_next vvtbl node in
-  fold_group ~rollups ~node tbl ~fp:(Record.fingerprint r) ~seq ~count:1 r
+  fold_group ~node tbl ~fp:(Record.fingerprint r) ~seq ~count:1 r
 
 (* One group of a counted chunk: [count] records like [first], the
    last of them at offset [last] in the chunk. *)
@@ -307,11 +310,11 @@ type group = {
 (* Fold a chunk of [n] records given as its groups: the same store as
    folding the [n] records in order (see [fold_group]); our version
    component then covers the whole chunk. *)
-let fold_chunk ~rollups ~node ~vvtbl tbl ~n groups =
+let fold_chunk ~node ~vvtbl tbl ~n groups =
   let base = match Hashtbl.find_opt vvtbl node with Some v -> v | None -> 0 in
   List.iter
     (fun g ->
-      fold_group ~rollups ~node tbl ~fp:g.fp ~seq:(base + g.last + 1)
+      fold_group ~node tbl ~fp:g.fp ~seq:(base + g.last + 1)
         ~count:g.count g.first)
     groups;
   Hashtbl.replace vvtbl node (base + n)
@@ -362,21 +365,18 @@ let max_frame_bytes = 1 lsl 28
 let batch_chunk_records = 4096
 let max_nonce_bytes = Vv.node_max_bytes + 8
 
-(* Copy [b] once into [prefix ^ contents ^ crc32_le(contents from
-   [crc_from])]: one copy and one checksum pass over the bytes. *)
-let seal ?(prefix = "") ~crc_from b =
-  let p = String.length prefix and n = Buffer.length b in
-  let out = Bytes.create (p + n + 4) in
-  Bytes.blit_string prefix 0 out 0 p;
-  Buffer.blit b 0 out p n;
-  let crc = crc32 (Bytes.unsafe_to_string out) (p + crc_from) (n - crc_from) in
-  Bytes.set_int32_le out (p + n) (Int32.of_int crc);
-  Bytes.unsafe_to_string out
-
+(* [varint(len) ^ contents ^ crc32_le(contents)] of [b]: one copy and
+   one checksum pass over the bytes. *)
 let frame_of_buffer b =
   let h = Buffer.create 5 in
   Varint.add h (Buffer.length b);
-  seal ~prefix:(Buffer.contents h) ~crc_from:0 b
+  let p = Buffer.length h and n = Buffer.length b in
+  let out = Bytes.create (p + n + 4) in
+  Buffer.blit h 0 out 0 p;
+  Buffer.blit b 0 out p n;
+  Bytes.set_int32_le out (p + n)
+    (Int32.of_int (crc32 (Bytes.unsafe_to_string out) p n));
+  Bytes.unsafe_to_string out
 
 let frame_record r =
   let b = Buffer.create 256 in
@@ -601,29 +601,56 @@ let decode_index_v1 ~node s =
   in
   (folded_up_to, [], go [] 1 n pos)
 
-let encode_index ~folded_up_to ~published es =
-  (* presized for three rings and a sample an entry, so the buffer
-     seldom regrows; [seal] then copies it once *)
-  let b =
-    Buffer.create
-      (64 + (640 * List.length es) + (Vv.node_max_bytes * List.length published))
+(* Write the index to [fd] through [b] and one [index_block]-byte block:
+   the body is encoded into [b] piece by piece, and whenever [b] holds a
+   block's worth it is copied out block by block, folded into the
+   running CRC and written. Memory is the two buffers and an array of
+   the entries, whatever the size of the index. *)
+let index_block = 65536
+
+let write_index fd b ~folded_up_to ~published tbl =
+  let block = Bytes.create index_block in
+  let crc = ref crc32_init in
+  let drain () =
+    let n = Buffer.length b in
+    let rec go off =
+      if off < n then begin
+        let k = min index_block (n - off) in
+        Buffer.blit b off block 0 k;
+        crc := crc32_update !crc (Bytes.unsafe_to_string block) 0 k;
+        write_sub fd block 0 k;
+        go (off + k)
+      end
+    in
+    go 0;
+    Buffer.clear b
   in
-  Buffer.add_string b index_magic;
-  Buffer.add_char b (Char.chr index_version);
+  let drain_full () = if Buffer.length b >= index_block then drain () in
+  write_all fd (index_magic ^ String.make 1 (Char.chr index_version));
+  Buffer.clear b;
   Varint.add b folded_up_to;
   Varint.add b (List.length published);
   List.iter
     (fun nonce ->
       Varint.add b (String.length nonce);
-      Buffer.add_string b nonce)
+      Buffer.add_string b nonce;
+      drain_full ())
     (List.sort String.compare published);
-  Varint.add b (List.length es);
-  List.iter
-    (fun e -> Entry.encode b e)
-    (List.sort
-       (fun a b -> Int64.compare a.Entry.fingerprint b.Entry.fingerprint)
-       es);
-  seal ~crc_from:(String.length index_magic + 1) b
+  let es = Array.of_list (Hashtbl.fold (fun _ cell acc -> cell :: acc) tbl []) in
+  Array.sort
+    (fun a b -> Int64.compare !a.Entry.fingerprint !b.Entry.fingerprint)
+    es;
+  Varint.add b (Array.length es);
+  Array.iter
+    (fun cell ->
+      Entry.encode b !cell;
+      drain_full ())
+    es;
+  drain ();
+  let tail = Bytes.create 4 in
+  Bytes.set_int32_le tail 0 (Int32.of_int (crc32_finish !crc));
+  write_sub fd tail 0 4;
+  Array.length es
 
 let decode_index ~node s =
   let len = String.length s in
@@ -676,7 +703,6 @@ type t = {
   dir : string;
   node : string;
   mu : Mutex.t;
-  rollups : bool;
   segment_bytes : int;
   sync_every : int;
   auto_compact : int;
@@ -725,7 +751,7 @@ let scan_store ~repair ~node dir =
           List.iter (fun n -> Hashtbl.replace published n ()) nonces;
           List.iter (fold_entry ~vvtbl tbl) es));
   if repair then unlink_quiet (index_path dir ^ ".tmp");
-  let record = fold_record ~rollups:true ~node ~vvtbl tbl in
+  let record = fold_record ~node ~vvtbl tbl in
   let batch ~nonce fold =
     if nonce = "" then fold ()
     else if not (Hashtbl.mem published nonce) then begin
@@ -733,7 +759,7 @@ let scan_store ~repair ~node dir =
       Hashtbl.replace published nonce ()
     end
   in
-  let counted = fold_chunk ~rollups:true ~node ~vvtbl tbl in
+  let counted = fold_chunk ~node ~vvtbl tbl in
   let entry = fold_entry ~vvtbl tbl in
   let live = ref [] in
   List.iter
@@ -785,8 +811,7 @@ let scan_store ~repair ~node dir =
 let local_locks : (int * int, unit) Hashtbl.t = Hashtbl.create 4
 let local_locks_mu = Mutex.create ()
 
-let open_db ?(segment_bytes = 1 lsl 20) ?(sync_every = 64) ?(auto_compact = 8)
-    ?(rollups = true) dir =
+let open_db ?(segment_bytes = 1 lsl 20) ?(sync_every = 64) ?(auto_compact = 8) dir =
   try
     mkdir_p dir;
     let lock_fd =
@@ -847,7 +872,6 @@ let open_db ?(segment_bytes = 1 lsl 20) ?(sync_every = 64) ?(auto_compact = 8)
             dir;
             node;
             mu = Mutex.create ();
-            rollups;
             segment_bytes = max 4096 segment_bytes;
             sync_every = max 1 sync_every;
             auto_compact;
@@ -907,17 +931,20 @@ let compact_locked t =
   Crd_obs.time h_compact @@ fun () ->
   rotate_locked t;
   let folded_up_to = t.active_id - 1 in
-  let es = Hashtbl.fold (fun _ cell acc -> !cell :: acc) t.tbl [] in
   let published = Hashtbl.fold (fun n () acc -> n :: acc) t.published [] in
-  let bytes = encode_index ~folded_up_to ~published es in
   let path = index_path t.dir in
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      write_all fd bytes;
-      Unix.fsync fd);
+  let distinct =
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        (* [t.frame] is free here: a publish that triggers this
+           compaction has already sealed its frame *)
+        let n = write_index fd t.frame ~folded_up_to ~published t.tbl in
+        Unix.fsync fd;
+        n)
+  in
   (* the kill window the chaos soak aims at: tmp index written, nothing
      published — a crash (or injected abort) here must lose nothing *)
   Crd_fault.inject fp_compact;
@@ -934,7 +961,7 @@ let compact_locked t =
     (segment_ids t.dir);
   fsync_dir t.dir;
   Crd_obs.Counter.incr m_compactions;
-  List.length es
+  distinct
 
 let compact_result t =
   match compact_locked t with
@@ -969,7 +996,7 @@ let append t r =
   let frame = frame_record r in
   if String.length frame > max_frame_bytes then
     failwith "racedb append: record exceeds the frame limit";
-  fold_record ~rollups:t.rollups ~node:t.node ~vvtbl:t.vvtbl t.tbl r;
+  fold_record ~node:t.node ~vvtbl:t.vvtbl t.tbl r;
   append_frame_locked t frame ~records:1
 
 (* Chunk nonces are derived deterministically from the record order, so
@@ -1025,8 +1052,7 @@ let publish t ~nonce records =
                 [ ("nonce", cn); ("records", string_of_int n) ]
           | () ->
               let frame = frame_of_buffer t.frame in
-              fold_chunk ~rollups:t.rollups ~node:t.node ~vvtbl:t.vvtbl t.tbl ~n
-                groups;
+              fold_chunk ~node:t.node ~vvtbl:t.vvtbl t.tbl ~n groups;
               if cn <> "" then Hashtbl.replace t.published cn ();
               append_frame_locked t frame ~records:n
         end)

@@ -82,7 +82,6 @@ val open_db :
   ?segment_bytes:int ->
   ?sync_every:int ->
   ?auto_compact:int ->
-  ?rollups:bool ->
   string ->
   (t, string) result
 (** [open_db dir] recovers and opens the database for writing, taking
@@ -90,8 +89,7 @@ val open_db :
     [DIR/node] on first open. [segment_bytes] (default 1 MiB) is the
     rotation threshold, [sync_every] (default 64) the appends between
     automatic [sync]s, [auto_compact] (default 8) the sealed-segment
-    count that triggers an inline compaction (0 disables), [rollups]
-    (default [true]) whether appends maintain the time rings. *)
+    count that triggers an inline compaction (0 disables). *)
 
 val dir : t -> string
 

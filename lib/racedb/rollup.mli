@@ -1,11 +1,16 @@
-(** Fixed-size time-bucketed counters (rrd-style).
+(** Time-bucketed counters (rrd-style), stored sparsely.
 
     A rollup is a ring of [slots] counters at resolution [res] seconds:
     bucket [b] (i.e. the interval [[b*res, (b+1)*res)]) lives in slot
     [b mod slots], stamped with its bucket number so a wrapped slot is
-    recognized and reset rather than summed into. Memory is fixed
-    regardless of traffic, and adding a sample is O(1) — the xcp-rrdd
+    recognized and reset rather than summed into — the xcp-rrdd
     aggregation idea, specialized to monotone counters.
+
+    Only the slots that hold a bucket are stored (three words each), so
+    a ring's memory follows the buckets it has seen and is bounded by
+    [slots]: a ring that saw one bucket costs one slot. Adding to a
+    stored slot is O(log slots) and allocates nothing; a sample that
+    opens a slot reallocates the stored slots once.
 
     Samples older than the oldest live bucket are dropped on [add] and
     stale slots are ignored by the query side, so the ring only ever

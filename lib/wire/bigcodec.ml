@@ -46,10 +46,11 @@ let bigstring_to_string (b : bigstring) off len =
   done;
   Bytes.unsafe_to_string out
 
-(* Read-only mmap of an open file. Must stay total: a file that cannot
-   be mapped (a pipe, an exotic filesystem) is an [Error], and the
-   callers fall back to streaming reads. Only a regular file maps: a
-   pipe's [st_size] is 0, which would otherwise read as an empty file. *)
+(* Read-only mmap of an open file (journal replay). Must stay total: a
+   file that cannot be mapped (a pipe, an exotic filesystem) is an
+   [Error], and the caller falls back to reading it. Only a regular file
+   maps: a pipe's [st_size] is 0, which would otherwise read as an empty
+   file. *)
 let map_fd path fd =
   let module L = Unix.LargeFile in
   match L.fstat fd with
@@ -786,9 +787,9 @@ let decode_string ?resync s =
       Decoder.feed_bytes_iter dec (Bytes.unsafe_of_string s) ~f)
     ?resync ()
 
-(* Stream an unmappable file through the same decoder over one
-   reusable buffer, to EOF — so [?resync] and the result are exactly
-   those of [iter_bigstring] on the same bytes. *)
+(* Stream a descriptor through the decoder over one reusable buffer, to
+   EOF — so [?resync] and the result are exactly those of
+   [iter_bigstring] on the same bytes. *)
 let iter_fd ?resync fd ~f =
   let dec = Decoder.create ?resync () in
   let buf = Bytes.create 65536 in
@@ -809,19 +810,15 @@ let iter_fd ?resync fd ~f =
       in
       go ())
 
-(* mmap a regular file and decode in place; anything else (a pipe, a
-   FIFO) streams from the same descriptor. The file is opened once:
-   reopening a FIFO would find its writer gone. *)
+(* Regular files, pipes and FIFOs alike stream through [iter_fd]: a
+   mapped file's pages would stay resident for the whole run, a 64 KiB
+   buffer is all a streamed one holds. *)
 let iter_file ?resync path ~f =
   with_file path (fun fd ->
-      match map_fd path fd with
-      | Ok b ->
-          Result.map_error Codec.error_to_string (iter_bigstring ?resync b ~f)
-      | Error _ -> (
-          match iter_fd ?resync fd ~f with
-          | r -> Result.map_error Codec.error_to_string r
-          | exception Unix.Unix_error (e, _, _) ->
-              Error (Printf.sprintf "%s: %s" path (Unix.error_message e))))
+      match iter_fd ?resync fd ~f with
+      | r -> Result.map_error Codec.error_to_string r
+      | exception Unix.Unix_error (e, _, _) ->
+          Error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
 
 let of_file ?resync path =
   let trace = Trace.create () in

@@ -114,9 +114,10 @@ val iter_bigstring :
 
 val iter_file :
   ?resync:bool -> string -> f:(Event.t -> unit) -> (unit, string) result
-(** mmap + decode in place; a file that is not regular or refuses to
-    map (a pipe, a FIFO) streams through {!Decoder.feed_bytes_iter} over
-    one reusable buffer instead, with the same [?resync] and the same
-    result as {!iter_bigstring} on the same bytes. *)
+(** Read the file (regular, a pipe or a FIFO) to EOF through
+    {!Decoder.feed_bytes_iter} over one reusable 64 KiB buffer, with the
+    same [?resync] and the same result as {!iter_bigstring} on the same
+    bytes. Nothing is mapped, so the input's pages do not stay resident
+    for the run. *)
 
 val of_file : ?resync:bool -> string -> (Trace.t, string) result

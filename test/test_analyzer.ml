@@ -180,11 +180,13 @@ let sharded_matches_sequential () =
 let rd2_only =
   { Analyzer.rd2 = `Constant; direct = false; fasttrack = false; djit = false; atomicity = false }
 
+let rd2_fasttrack = { rd2_only with fasttrack = true }
+
 (* A synthetic trace streamed through a fresh analyzer, not finished. *)
-let stream_synth ?jobs ?threshold ~collect (seed, cfg) =
+let stream_synth ?(config = rd2_only) ?jobs ?threshold ~collect (seed, cfg) =
   let an =
     Result.get_ok
-      (Analyzer.create ~config:rd2_only ?jobs ?threshold ~collect
+      (Analyzer.create ~config ?jobs ?threshold ~collect
          ~spec_for:Stdspecs.spec_for ())
   in
   Synth.iter ~seed cfg ~f:(Analyzer.step an);
@@ -203,8 +205,9 @@ let synth_case =
         { (Synth.default ~events) with threads; objects; skew; sync_period } ))
 
 (* Without [collect] the engine keeps no report but folds every race:
-   its count and distinct fingerprints (and so its printed summary) are
-   those of the collected list, inline, sharded and fallen back. *)
+   RD2's count and distinct fingerprints and FastTrack's count and
+   distinct locations (and so the printed summary) are those of the
+   collected lists, inline, sharded and fallen back. *)
 let fold_equals_collect =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:40 ~name:"fold-only == collecting (count, distinct)"
@@ -212,16 +215,25 @@ let fold_equals_collect =
          triple synth_case (oneofl [ 1; 2; 4 ])
            (oneofl [ 0; Analyzer.default_parallel_threshold ]))
        (fun (case, jobs, threshold) ->
-         let fold = Analyzer.finish (stream_synth ~jobs ~threshold ~collect:false case)
-         and coll = Analyzer.finish (stream_synth ~jobs ~threshold ~collect:true case) in
+         let stream = stream_synth ~config:rd2_fasttrack ~jobs ~threshold in
+         let fold = Analyzer.finish (stream ~collect:false case)
+         and coll = Analyzer.finish (stream ~collect:true case) in
          let races (r : Analyzer.result) =
            Option.map (fun (s : Rd2.stats) -> s.Rd2.races) r.rd2_stats
+         and ft_races (r : Analyzer.result) =
+           Option.map (fun (s : Fasttrack.stats) -> s.Fasttrack.races)
+             r.fasttrack_stats
          in
          let summary = Fmt.str "%a" Analyzer.pp_result in
          fold.rd2_reports = []
          && races fold = Some (List.length coll.rd2_reports)
          && fold.rd2_distinct = Report.distinct_fingerprints coll.rd2_reports
          && coll.rd2_distinct = fold.rd2_distinct
+         && fold.fasttrack_reports = []
+         && ft_races fold = Some (List.length coll.fasttrack_reports)
+         && fold.fasttrack_distinct
+            = Rw_report.distinct_locations coll.fasttrack_reports
+         && coll.fasttrack_distinct = fold.fasttrack_distinct
          && summary fold = summary coll))
 
 (* The fold retains no [Report.t]: after a 100k-event zipf trace the

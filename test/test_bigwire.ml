@@ -283,8 +283,8 @@ let mapped_file_roundtrip () =
             "of_file = original" true
             (Trace.to_list t' = Trace.to_list t))
 
-(* A FIFO cannot be mapped, so [iter_file] streams it through the same
-   decoder: with [~resync:true], a stream carrying a corrupt frame must
+(* A FIFO streams through [iter_file]'s read loop like a regular file:
+   with [~resync:true], a stream carrying a corrupt frame must
    yield exactly the events (and result) of [iter_bigstring
    ~resync:true] on the same bytes. The stream is several pipe buffers
    long, so the reader sees many partial reads. *)

@@ -8,6 +8,8 @@ module Db = Crd_racedb.Db
 module Record = Crd_racedb.Record
 module Rollup = Crd_racedb.Rollup
 module Entry = Crd_racedb.Entry
+module Synth = Crd_workloads.Synth
+module Dense = Rollup_oracle
 module Gen = QCheck2.Gen
 
 let qcheck ?(count = 100) name gen prop =
@@ -238,7 +240,204 @@ let rollup_merge_and_codec () =
   Alcotest.(check (list (pair (float 0.) int)))
     "codec round-trip" (Rollup.to_list a) (Rollup.to_list a')
 
+(* Differential check against the dense ring [Rollup_oracle]: random
+   operation sequences over three rings of one shape, applied to both
+   implementations. The sequences mix adds (also older than the window
+   and at negative times), pre-bucketed adds (negative buckets and
+   counts included), additive merges and joins (a ring with itself
+   too), copies, round trips, and decodes of hand-built bytes: stale
+   and non-congruent buckets, an empty bucket field (0) with a nonzero
+   count, and other shapes, on which merges and joins must fail alike.
+   After every operation both sides must agree on the encoded bytes,
+   [total], [total_since], [to_list] and pairwise [equal], and the
+   sparse ring must survive [decode] of its own encoding. *)
+
+type rollup_op =
+  | Add of int * float * int option
+  | Add_bucket of int * int * int
+  | Merge_into of int * int
+  | Join of int * int
+  | Copy of int * int
+  | Decode of int * string
+  | Round_trip of int
+
+let pp_rollup_op = function
+  | Add (i, ts, c) ->
+      Printf.sprintf "add r%d %g%s" i ts
+        (match c with Some c -> Printf.sprintf " ~count:%d" c | None -> "")
+  | Add_bucket (i, b, c) -> Printf.sprintf "add_bucket r%d %d %d" i b c
+  | Merge_into (i, j) -> Printf.sprintf "merge_into r%d r%d" i j
+  | Join (i, j) -> Printf.sprintf "join r%d r%d" i j
+  | Copy (i, j) -> Printf.sprintf "r%d := copy r%d" i j
+  | Decode (i, s) -> Printf.sprintf "r%d := decode %S" i s
+  | Round_trip i -> Printf.sprintf "r%d := decode (encode r%d)" i i
+
+(* Wire bytes of a ring of [slots] slots, one (bucket + 1, count) pair
+   a slot, drawn freely rather than written by either implementation. *)
+let ring_bytes_gen ~res ~slots =
+  let open Gen in
+  let* res = frequency [ (5, return res); (1, return (res + 1)) ]
+  and* slots = frequency [ (5, return slots); (1, int_range 1 8) ] in
+  let+ cells =
+    list_repeat slots
+      (pair
+         (frequency [ (3, return 0); (3, int_range 1 40) ])
+         (frequency [ (2, return 0); (3, int_range 1 5) ]))
+  in
+  let b = Buffer.create 32 in
+  Crd_base.Varint.add b res;
+  Crd_base.Varint.add b slots;
+  List.iter
+    (fun (bucket, count) ->
+      Crd_base.Varint.add b bucket;
+      Crd_base.Varint.add b count)
+    cells;
+  Buffer.contents b
+
+let rollup_case_gen =
+  let open Gen in
+  let* res = oneofl [ 1; 60 ] and* slots = int_range 1 8 in
+  let ring = int_bound 2 in
+  let op =
+    frequency
+      [
+        ( 5,
+          map3
+            (fun i b c -> Add (i, (float_of_int (b * res) +. 0.5), c))
+            ring (int_range (-2) 40)
+            (opt (int_range (-1) 4)) );
+        ( 3,
+          map3 (fun i b c -> Add_bucket (i, b, c)) ring (int_range (-2) 40)
+            (int_range (-1) 5) );
+        (2, map2 (fun i j -> Merge_into (i, j)) ring ring);
+        (2, map2 (fun i j -> Join (i, j)) ring ring);
+        (1, map2 (fun i j -> Copy (i, j)) ring ring);
+        (1, map2 (fun i s -> Decode (i, s)) ring (ring_bytes_gen ~res ~slots));
+        (1, map (fun i -> Round_trip i) ring);
+      ]
+  in
+  let+ ops = list_size (int_range 1 40) op
+  and+ cutoff = map float_of_int (int_range (-60) (45 * res)) in
+  (res, slots, ops, cutoff)
+
+let print_rollup_case (res, slots, ops, cutoff) =
+  Printf.sprintf "res %d, slots %d, cutoff %g:\n  %s" res slots cutoff
+    (String.concat "\n  " (List.map pp_rollup_op ops))
+
+let outcome f = match f () with () -> Ok () | exception Invalid_argument m -> Error m
+
+let apply_rollup_op sp dn = function
+  | Add (i, ts, count) ->
+      outcome (fun () -> Rollup.add ?count sp.(i) ts)
+      = outcome (fun () -> Dense.add ?count dn.(i) ts)
+  | Add_bucket (i, bucket, count) ->
+      outcome (fun () -> Rollup.add_bucket sp.(i) ~bucket ~count)
+      = outcome (fun () -> Dense.add_bucket dn.(i) ~bucket ~count)
+  | Merge_into (i, j) ->
+      outcome (fun () -> Rollup.merge_into sp.(i) sp.(j))
+      = outcome (fun () -> Dense.merge_into dn.(i) dn.(j))
+  | Join (i, j) ->
+      outcome (fun () -> Rollup.join sp.(i) sp.(j))
+      = outcome (fun () -> Dense.join dn.(i) dn.(j))
+  | Copy (i, j) ->
+      sp.(i) <- Rollup.copy sp.(j);
+      dn.(i) <- Dense.copy dn.(j);
+      true
+  | Decode (i, s) ->
+      let r, p = Rollup.decode s 0 and d, q = Dense.decode s 0 in
+      sp.(i) <- r;
+      dn.(i) <- d;
+      p = String.length s && q = p
+  | Round_trip i ->
+      let b = Buffer.create 64 in
+      Rollup.encode b sp.(i);
+      sp.(i) <- fst (Rollup.decode (Buffer.contents b) 0);
+      let b = Buffer.create 64 in
+      Dense.encode b dn.(i);
+      dn.(i) <- fst (Dense.decode (Buffer.contents b) 0);
+      true
+
+let rollups_agree sp dn cutoff =
+  let bytes encode r =
+    let b = Buffer.create 64 in
+    encode b r;
+    Buffer.contents b
+  in
+  let ok = ref true in
+  Array.iteri
+    (fun i r ->
+      let d = dn.(i) in
+      let s = bytes Rollup.encode r in
+      ok :=
+        !ok
+        && s = bytes Dense.encode d
+        && Rollup.res r = Dense.res d
+        && Rollup.slots r = Dense.slots d
+        && Rollup.total r = Dense.total d
+        && Rollup.total_since r cutoff = Dense.total_since d cutoff
+        && Rollup.to_list r = Dense.to_list d
+        && (let r', pos = Rollup.decode s 0 in
+            pos = String.length s && Rollup.equal r' r
+            && bytes Rollup.encode r' = s);
+      Array.iteri
+        (fun j r2 -> ok := !ok && Rollup.equal r r2 = Dense.equal d dn.(j))
+        sp)
+    sp;
+  !ok
+
+let rollup_matches_dense_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1_500 ~name:"rollup: sparse ring == dense oracle"
+       ~print:print_rollup_case rollup_case_gen (fun (res, slots, ops, cutoff) ->
+         let sp = Array.init 3 (fun _ -> Rollup.create ~res ~slots)
+         and dn = Array.init 3 (fun _ -> Dense.create ~res ~slots) in
+         rollups_agree sp dn cutoff
+         && List.for_all
+              (fun op -> apply_rollup_op sp dn op && rollups_agree sp dn cutoff)
+              ops))
+
+(* Counting into a slot the ring already stores (its bucket again, or
+   a newer tenant of the slot) writes in place. *)
+let rollup_add_allocates_nothing () =
+  let r = Rollup.create ~res:60 ~slots:60 in
+  Rollup.add r 30.;
+  Rollup.add r 90.;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Rollup.add_bucket r ~bucket:(i land 1) ~count:1;
+    Rollup.add r 30.
+  done;
+  Rollup.add_bucket r ~bucket:60 ~count:1;
+  let words = Gc.minor_words () -. before in
+  if words > 100. then
+    Alcotest.failf "10,001 adds to stored slots allocated %.0f words" words;
+  Alcotest.(check (list (pair (float 0.) int)))
+    "counted, bucket 0 evicted" [ (60., 5_001); (3600., 1) ] (Rollup.to_list r)
+
 (* --- segment store -------------------------------------------------- *)
+
+(* The index costs what it stores: one 20k-event synth session (the
+   serve-small-sessions shape, thousands of distinct races each seen in
+   one minute) published into a fresh store keeps under [bound] words a
+   distinct entry reachable from the handle — the entry, its sample,
+   vectors, rings and table slot. Dense rings alone took ~290. *)
+let index_memory_per_entry () =
+  let bound = 160 in
+  let an = Analyzer.with_stdspecs () in
+  Synth.iter ~seed:7L (Synth.default ~events:20_000) ~f:(Analyzer.step an);
+  let records =
+    List.map (Record.make ~ts:1.7e9 ~spec:"std") (Analyzer.rd2_races an)
+  in
+  let dir = fresh_dir () in
+  let db = Result.get_ok (Db.open_db dir) in
+  Alcotest.(check bool) "published" true (Db.publish db ~nonce:"s0" records);
+  let distinct = (Db.stats db).Db.distinct in
+  Alcotest.(check bool) "thousands of entries" true (distinct > 1_000);
+  let per_entry = Obj.reachable_words (Obj.repr db) / distinct in
+  Db.close db;
+  if per_entry >= bound then
+    Alcotest.failf "%d words per entry over %d entries (bound %d)" per_entry
+      distinct bound
 
 let append_reopen () =
   let dir = fresh_dir () in
@@ -950,4 +1149,9 @@ let suite =
     @ [
         Alcotest.test_case "record: thread id out of range" `Quick
           record_tid_out_of_range;
+        rollup_matches_dense_oracle;
+        Alcotest.test_case "rollup: adding to a stored slot allocates nothing"
+          `Quick rollup_add_allocates_nothing;
+        Alcotest.test_case "db: index memory per entry" `Quick
+          index_memory_per_entry;
       ] )
