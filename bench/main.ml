@@ -345,6 +345,8 @@ type synth_record = {
   sy_seq_ns : float;
   sy_jobs_ns : (int * float) list;  (** jobs -> best-of-N wall clock *)
   sy_identical : bool;  (** parallel reports == sequential reports *)
+  sy_promoted : (int * float) list;
+      (** jobs -> words promoted per event, streaming fold-only *)
 }
 
 let synth_speedup sy jobs =
@@ -360,6 +362,29 @@ let synth_parallel_speedup sy =
       | Some s -> Float.max acc s
       | None -> acc)
     0. synth_jobs
+
+(* Jobs whose retention the table prints: inline, and two shards. *)
+let promoted_jobs = [ 1; 2 ]
+
+(* Words promoted to the major heap per event while the trace's events
+   stream, freshly built, through a fold-only analyzer (as [rd2 check]
+   runs), sharded from the first event when [jobs > 1]. A decoded event
+   that something keeps past its step is promoted, so this is where a
+   retention regression shows. The counter sums every domain's. *)
+let promoted_per_event ~seed config ~jobs =
+  let an =
+    match
+      Analyzer.create ~config:rd2_config ~jobs ~threshold:0 ~collect:false
+        ~spec_for:Stdspecs.spec_for ()
+    with
+    | Ok an -> an
+    | Error e -> failwith e
+  in
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  W.Synth.iter ~seed config ~f:(Analyzer.step an);
+  ignore (Analyzer.finish an);
+  ((Gc.quick_stat ()).Gc.promoted_words -. before)
+  /. float_of_int config.W.Synth.events
 
 let synth_records ?(max_events = max_int) () =
   let corpus =
@@ -397,6 +422,10 @@ let synth_records ?(max_events = max_int) () =
         sy_seq_ns;
         sy_jobs_ns;
         sy_identical = identical;
+        sy_promoted =
+          List.map
+            (fun jobs -> (jobs, promoted_per_event ~seed:7L config ~jobs))
+            promoted_jobs;
       })
     corpus
 
@@ -404,6 +433,7 @@ let print_synth_table synth =
   Fmt.pr "@.## Synthetic traces — parallel speedup (best-of-N wall clock)@.@.";
   Fmt.pr "%-24s %9s %10s %12s" "trace" "events" "seq ms" "seq ev/s";
   List.iter (fun j -> Fmt.pr " %9s" (Printf.sprintf "jobs%d x" j)) synth_jobs;
+  List.iter (fun j -> Fmt.pr " %11s" (Printf.sprintf "prom/ev j%d" j)) promoted_jobs;
   Fmt.pr " %8s@." "jobs-ok";
   List.iter
     (fun sy ->
@@ -416,6 +446,7 @@ let print_synth_table synth =
           | Some s -> Fmt.pr " %8.2fx" s
           | None -> Fmt.pr " %9s" "-")
         synth_jobs;
+      List.iter (fun (_, w) -> Fmt.pr " %11.2f" w) sy.sy_promoted;
       Fmt.pr " %8b@." sy.sy_identical)
     synth
 

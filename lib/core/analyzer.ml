@@ -62,20 +62,18 @@ let handoff_chunks = 4
    shard worker. Each bundle owns its vector-clock pool: pools are
    single-owner, and a bundle never leaves the domain that created it.
 
-   RD2 itself keeps no report: the bundle folds each race it closes into
-   [rd2_fps] (its count is [Rd2.stats]'s [races]) and conses it onto
-   [rd2_rev] only when [collect] asks for the list. FastTrack keeps its
-   reports only when [collect] does; the bundle folds each of its races
-   into [ft_locs] (their count is [Fasttrack.stats]' [races]). *)
+   RD2 and FastTrack keep their reports only when [collect] does (RD2's
+   collected reports then share their prior actions). The bundle folds
+   each RD2 race into [rd2_fps] (their count is [Rd2.stats]'s [races])
+   and each FastTrack race into [ft_locs] (their count is
+   [Fasttrack.stats]' [races]). *)
 type detectors = {
   rd2 : Rd2.t option;
   direct : Direct.t option;
   ft : Fasttrack.t option;
   djit : Djit.t option;
   pool : Vclock.Pool.t;
-  collect : bool;
   rd2_fps : Report.fingerprints;
-  mutable rd2_rev : Report.t list;  (* newest first *)
   ft_locs : Rw_report.locations;
 }
 
@@ -86,16 +84,14 @@ let make_detectors (config : config) ~collect ~repr_for ~spec_for =
       (match config.rd2 with
       | `Off -> None
       | (`Constant | `Linear) as mode ->
-          Some (Rd2.create ~mode ~pool ~collect:false ~repr_for ()));
+          Some (Rd2.create ~mode ~pool ~collect ~repr_for ()));
     direct = (if config.direct then Some (Direct.create ~spec_for ()) else None);
     ft =
       (if config.fasttrack then Some (Fasttrack.create ~pool ~collect ())
        else None);
     djit = (if config.djit then Some (Djit.create ()) else None);
     pool;
-    collect;
     rd2_fps = Report.fingerprints ();
-    rd2_rev = [];
     ft_locs = Rw_report.locations ();
   }
 
@@ -103,12 +99,11 @@ let rec fold_rd2 d = function
   | [] -> ()
   | r :: rest ->
       Report.add_fingerprint d.rd2_fps r;
-      if d.collect then d.rd2_rev <- r :: d.rd2_rev;
       fold_rd2 d rest
 
-(* The dispatch hot loop: no allocation of its own but a collected
-   race's cons. [vc] is only read during the call (the live [Hb] clock
-   inline, a chunk's snapshot on a shard). *)
+(* The dispatch hot loop: no allocation of its own. [vc] is only read
+   during the call (the live [Hb] clock inline, a chunk's snapshot on a
+   shard). *)
 let dispatch d ~index (e : Event.t) vc =
   match e.op with
   | Event.Call action ->
@@ -159,7 +154,7 @@ type outputs = {
 let outputs_of d =
   Metrics.publish_pool d.pool;
   {
-    o_rd2 = List.rev d.rd2_rev;
+    o_rd2 = (match d.rd2 with Some det -> Rd2.races det | None -> []);
     o_rd2_fps = d.rd2_fps;
     o_rd2_stats = Option.map Rd2.stats d.rd2;
     o_direct = (match d.direct with Some det -> Direct.races det | None -> []);
@@ -175,41 +170,109 @@ let outputs_of d =
 (* ------------------------------------------------------------------ *)
 
 (* A chunk is a fixed-capacity struct-of-arrays batch of clock-stamped
-   events: appending is three unsafe stores and a bump. Clock snapshots
-   are the stable [Hb] snapshots (copy-on-sync, never mutated after
-   creation), so sharing them with a worker is safe once the chunk is
-   published under the handoff mutex. *)
+   events. A [Read]/[Write] event is kept by pointer in [c_ev]. A call is
+   kept by value, so the decoded event dies young: [c_ev] holds
+   [call_mark], [c_call] the thread and the argument count, [c_obj] and
+   [c_meth] the object and method (interned by the decoder), and the
+   chunk's [c_vals] arena its arguments then returns, up to [c_end].
+   The worker rebuilds a young event per call. Clock snapshots are the
+   stable [Hb] snapshots (copy-on-sync, never mutated after creation),
+   so sharing them with a worker is safe once the chunk is published
+   under the handoff mutex. *)
 type chunk = {
   c_idx : int array;
   c_ev : Event.t array;
   c_vc : Vclock.t array;
+  c_call : int array;  (* tid lor (nargs lsl 16): [Tid.max_id] < 2^16 *)
+  c_obj : Obj_id.t array;
+  c_meth : string array;
+  c_end : int array;  (* a call's values end here in [c_vals] *)
+  mutable c_vals : Value.t array;
+  mutable c_nvals : int;
   mutable c_n : int;
 }
 
-let dummy_event = Event.begin_ Tid.main
+(* Never appended as itself: only calls, reads and writes are. *)
+let call_mark = Event.begin_ Tid.main
 let dummy_vc = Vclock.bot ()
+let no_obj = Obj_id.make (-1)
 
 let fresh_chunk () =
   {
     c_idx = Array.make chunk_events 0;
-    c_ev = Array.make chunk_events dummy_event;
+    c_ev = Array.make chunk_events call_mark;
     c_vc = Array.make chunk_events dummy_vc;
+    c_call = Array.make chunk_events 0;
+    c_obj = Array.make chunk_events no_obj;
+    c_meth = Array.make chunk_events "";
+    c_end = Array.make chunk_events 0;
+    c_vals = Array.make chunk_events Value.Nil;
+    c_nvals = 0;
     c_n = 0;
   }
 
+let rec put_values ch = function
+  | [] -> ()
+  | v :: vs ->
+      let i = ch.c_nvals in
+      if i = Array.length ch.c_vals then begin
+        let grown = Array.make (2 * i) Value.Nil in
+        Array.blit ch.c_vals 0 grown 0 i;
+        ch.c_vals <- grown
+      end;
+      Array.unsafe_set ch.c_vals i v;
+      ch.c_nvals <- i + 1;
+      put_values ch vs
+
 (* Appends; true when the chunk is now full. *)
-let add ch index e vc =
+let add ch index (e : Event.t) vc =
   let i = ch.c_n in
   Array.unsafe_set ch.c_idx i index;
-  Array.unsafe_set ch.c_ev i e;
   Array.unsafe_set ch.c_vc i vc;
+  (match e.op with
+  | Event.Call a ->
+      let start = ch.c_nvals in
+      put_values ch a.Action.args;
+      Array.unsafe_set ch.c_call i
+        (Tid.to_int e.tid lor ((ch.c_nvals - start) lsl 16));
+      put_values ch a.Action.rets;
+      Array.unsafe_set ch.c_end i ch.c_nvals;
+      Array.unsafe_set ch.c_ev i call_mark;
+      Array.unsafe_set ch.c_obj i a.Action.obj;
+      Array.unsafe_set ch.c_meth i a.Action.meth
+  | _ -> Array.unsafe_set ch.c_ev i e);
   ch.c_n <- i + 1;
   ch.c_n = chunk_events
 
+let rec values_from vals i stop =
+  if i = stop then []
+  else Array.unsafe_get vals i :: values_from vals (i + 1) stop
+
+(* [f index event vc] on each event in order, a call rebuilt from its
+   values. *)
 let iter_chunk ch f =
+  let start = ref 0 in
   for i = 0 to ch.c_n - 1 do
-    f (Array.unsafe_get ch.c_idx i) (Array.unsafe_get ch.c_ev i)
-      (Array.unsafe_get ch.c_vc i)
+    let e = Array.unsafe_get ch.c_ev i in
+    let e =
+      if e != call_mark then e
+      else begin
+        let c = Array.unsafe_get ch.c_call i
+        and stop = Array.unsafe_get ch.c_end i in
+        let mid = !start + (c lsr 16) in
+        let action =
+          {
+            Action.obj = Array.unsafe_get ch.c_obj i;
+            meth = Array.unsafe_get ch.c_meth i;
+            args = values_from ch.c_vals !start mid;
+            rets = values_from ch.c_vals mid stop;
+          }
+        in
+        start := stop;
+        Event.call (Tid.of_int (c land 0xffff)) action
+      end
+    in
+    f (Array.unsafe_get ch.c_idx i) e (Array.unsafe_get ch.c_vc i)
   done
 
 (* One single-producer single-consumer handoff per shard, holding at
@@ -315,6 +378,8 @@ type t = {
   resolve : Obj_id.t -> Spec.t option * Repr.t option;
   lookup : Obj_id.t -> Spec.t option * Repr.t option;
   atomicity : Atomicity.t option;
+  calls_read : bool;  (* RD2 or direct runs *)
+  accesses_read : bool;  (* FastTrack or DJIT+ runs *)
   mutable events : int;
   mutable mode : mode;
 }
@@ -341,6 +406,10 @@ let abandon t e =
   t.mode <- Failed e;
   raise e
 
+(* The shard of key [k] among [n]: [abs (k mod n)], never negative (unlike
+   [abs k mod n], since [abs min_int < 0]). *)
+let shard_of k n = abs (k mod n)
+
 let route ?bound t s index (e : Event.t) vc =
   let n = Array.length s.handoffs in
   let shard =
@@ -348,8 +417,8 @@ let route ?bound t s index (e : Event.t) vc =
     | Event.Call action ->
         (* Resolved here, in the producer, before any worker can ask. *)
         ignore (t.resolve action.Action.obj);
-        abs (Obj_id.id action.Action.obj) mod n
-    | Event.Read loc | Event.Write loc -> abs (Mem_loc.hash loc) mod n
+        shard_of (Obj_id.id action.Action.obj) n
+    | Event.Read loc | Event.Write loc -> shard_of (Mem_loc.hash loc) n
     | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _
     | Event.Begin | Event.End ->
         0
@@ -440,6 +509,8 @@ let create ?(config = default_config) ?(jobs = 1)
         (if config.atomicity then
            Some (Atomicity.create ~repr_for:(fun o -> snd (resolve o)) ())
          else None);
+      calls_read = config.rd2 <> `Off || config.direct;
+      accesses_read = config.fasttrack || config.djit;
       events = 0;
       mode = Buffering [];
     }
@@ -465,28 +536,36 @@ let step t (e : Event.t) =
   t.events <- index + 1;
   Crd_obs.Counter.incr Metrics.events_total;
   try
+    (* Only the events a detector reads are dispatched or routed: calls
+       when RD2 or direct runs, reads and writes when FastTrack or DJIT+
+       does. *)
+    let routed =
+      match e.op with
+      | Event.Call _ -> t.calls_read
+      | Event.Read _ | Event.Write _ -> t.accesses_read
+      | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _
+      | Event.Begin | Event.End ->
+          false
+    in
     (* Inline detectors only read the clock during the call, so they get
-       the live one; chunks hold clocks across steps, so they get the
-       segment's stable snapshot. *)
+       the live one; chunks hold clocks across steps, so a routed event
+       gets the segment's stable snapshot. *)
     let vc =
       match t.mode with
-      | Inline _ -> Hb.advance t.hb e
-      | Buffering _ | Sharded _ | Finished _ | Failed _ -> Hb.step t.hb e
+      | (Buffering _ | Sharded _) when routed -> Hb.step t.hb e
+      | Inline _ | Buffering _ | Sharded _ | Finished _ | Failed _ ->
+          Hb.advance t.hb e
     in
     (match t.atomicity with
     | Some a -> ignore (Atomicity.step a ~index e)
     | None -> ());
-    (match e.op with
-    | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _
-    | Event.Begin | Event.End ->
-        ()
-    | Event.Call _ | Event.Read _ | Event.Write _ -> (
-        match t.mode with
-        | Inline d -> dispatch d ~index e vc
-        | Sharded s -> route t s index e vc
-        | Buffering (ch :: _ as chunks) ->
-            if add ch index e vc then t.mode <- Buffering (fresh_chunk () :: chunks)
-        | Buffering [] | Finished _ | Failed _ -> assert false));
+    (if routed then
+       match t.mode with
+       | Inline d -> dispatch d ~index e vc
+       | Sharded s -> route t s index e vc
+       | Buffering (ch :: _ as chunks) ->
+           if add ch index e vc then t.mode <- Buffering (fresh_chunk () :: chunks)
+       | Buffering [] | Finished _ | Failed _ -> assert false);
     match t.mode with
     | Buffering chunks when t.events >= t.threshold -> start_shards t chunks
     | Inline _ | Buffering _ | Sharded _ | Finished _ | Failed _ -> ()

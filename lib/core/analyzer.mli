@@ -15,14 +15,19 @@
     {!Crd_runtime.Sched.run} via [sink] — and {!finish} produces the
     result. The events themselves are not recorded (a sharded stream
     buffers at most [threshold] events, then a constant number of chunks
-    per shard). What grows with the stream is what the detectors keep:
+    per shard), and a call is kept by value, never by its [Event.t]:
+    without [collect], every stepped event is garbage once {!step}
+    returns. What grows with the stream is what the detectors keep:
 
-    - RD2 keeps its per-access-point state and nothing per race. Each
-      detector bundle folds every race it closes into a count
-      ([Rd2.stats]'s [races]) and a set of distinct fingerprints, and
-      keeps the {!Crd_detector.Report.t} itself only when the analyzer
-      was created with [collect] (the default). Without it, RD2's memory
-      is its per-point state plus one set entry per distinct race.
+    - RD2 keeps its per-access-point state (with each point's last
+      toucher by value) and nothing per race. Each detector bundle
+      folds every race it closes into a count ([Rd2.stats]'s [races])
+      and a set of distinct fingerprints. Only when the analyzer was
+      created with [collect] (the default) does RD2 keep the
+      {!Crd_detector.Report.t}s, sharing their actions; the bundle
+      reads them from {!Crd_detector.Rd2.races} and conses nothing of
+      its own. Without it, RD2's memory is its per-point state plus one
+      set entry per distinct race.
     - FastTrack likewise: each bundle folds its races into a count
       ([Fasttrack.stats]' [races]) and a set of raced locations, and
       keeps the {!Crd_fasttrack.Rw_report.t}s only under [collect].
@@ -39,9 +44,12 @@
     {!Crd_detector.Direct}) or per memory location
     ({!Crd_fasttrack.Fasttrack}, {!Crd_fasttrack.Djit}), so with
     [jobs > 1] the clock pass stamps each [Call]/[Read]/[Write] event
-    with its clock snapshot and routes it by object (calls hash on the
-    object identity, reads and writes on the location) into per-shard
-    batches of {!chunk_events} events. One detector bundle per shard,
+    that a detector reads (calls for RD2 and direct, reads and writes
+    for FastTrack and DJIT+) with its clock snapshot and routes it by
+    object (calls hash on the object identity, reads and writes on the
+    location) into per-shard batches of {!chunk_events} events. A batch
+    holds a call by value (thread, object, method and values) and the
+    shard rebuilds it. One detector bundle per shard,
     each on its own OCaml 5 domain, drains them while the stream is
     still arriving. A shard's handoff holds a fixed number of chunks;
     the producer waits when it is full, so in-flight memory is constant

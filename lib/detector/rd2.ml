@@ -30,13 +30,29 @@ type stats = {
    reports describe it, rendered on the entry's first race and shared by
    every later one. A keyed entry carries its key ([shape], [value]) and
    the [next] link of its object's bucket chain; a ds entry's [value] is
-   [Nil] and its [next] unused. *)
+   [Nil] and its [next] unused.
+
+   The last toucher, which a race report names as its prior, is kept by
+   value: its thread, object and method (interned by the decoder or
+   immediate) and its [last_nargs] arguments then returns in the first
+   [last_arity] slots of [last_vals], an array as long as the repr's
+   widest method. No decoded [Action.t] is retained, so a call that
+   closes no collected race dies young. [report] rebuilds the prior on
+   demand; a collecting detector memoizes it in [last_action] (and
+   stores a raced call's own action there), so its reports share priors
+   as they would share the decoded actions. [no_action] marks it
+   unset. *)
 type entry = {
   mutable ep_tid : Tid.t;
   mutable ep_clock : int;
   mutable evc : Vclock.t option;  (* [Some c]: promoted component clock *)
   mutable last_tid : Tid.t;
-  mutable last_action : Action.t;
+  mutable last_obj : Obj_id.t;
+  mutable last_meth : string;
+  mutable last_nargs : int;
+  mutable last_arity : int;
+  last_vals : Value.t array;
+  mutable last_action : Action.t;  (* [no_action] unless memoized *)
   mutable desc : string;  (* [""] until the first race on the entry *)
   shape : int;
   value : Value.t;
@@ -44,6 +60,9 @@ type entry = {
 }
 
 module ObjTbl = Hashtbl.Make (Int)
+
+let no_obj = Obj_id.make (-1)
+let no_action = Action.make ~obj:no_obj ~meth:"" ()
 
 (* The missing entry, shared by every detector and never written: a slot
    or a chain link holding it is empty. *)
@@ -53,7 +72,12 @@ let rec absent =
     ep_clock = 0;
     evc = None;
     last_tid = Tid.main;
-    last_action = Action.make ~obj:(Obj_id.make (-1)) ~meth:"" ();
+    last_obj = no_obj;
+    last_meth = "";
+    last_nargs = 0;
+    last_arity = 0;
+    last_vals = [||];
+    last_action = no_action;
     desc = "";
     shape = -1;
     value = Value.Nil;
@@ -80,6 +104,7 @@ let no_buckets = [| absent |]
    allocation-free. *)
 type obj_state = {
   repr : Repr.t;
+  width : int;  (* the repr's widest arity: each entry's [last_vals] *)
   ds : entry array;  (* by shape id; [absent] when inactive *)
   mutable buckets : entry array;  (* keyed entries; [no_buckets] until one *)
   mutable nkeyed : int;
@@ -173,6 +198,7 @@ let new_slot t (o : Obj_id.t) =
         Seen
           {
             repr;
+            width = n - 1;
             ds = Array.make (Repr.num_shapes repr) absent;
             buckets = no_buckets;
             nkeyed = 0;
@@ -276,6 +302,46 @@ let current_desc t st i ~keyed =
   if e != absent then entry_desc st.repr e ~keyed id v
   else point_desc st.repr ~keyed id v
 
+let rec values_from vals i stop =
+  if i = stop then [] else vals.(i) :: values_from vals (i + 1) stop
+
+(* The entry's last toucher as an action: the memoized one, or one
+   rebuilt from its values (and memoized when collecting). *)
+let prior t (e : entry) =
+  if e.last_action != no_action then e.last_action
+  else
+    let a =
+      {
+        Action.obj = e.last_obj;
+        meth = e.last_meth;
+        args = values_from e.last_vals 0 e.last_nargs;
+        rets = values_from e.last_vals e.last_nargs e.last_arity;
+      }
+    in
+    if t.collect then e.last_action <- a;
+    a
+
+(* A store only where the value changed: a hot entry often sees the same
+   (shared) values again, and an unchanged slot needs no write barrier. *)
+let rec put_values vals i = function
+  | [] -> i
+  | v :: vs ->
+      if vals.(i) != v then vals.(i) <- v;
+      put_values vals (i + 1) vs
+
+(* Record [action] by [tid] as the entry's last toucher, by value. [memo]
+   is the action itself when a collected report keeps it, [no_action]
+   otherwise. The action's arity was checked against the repr by
+   [Repr.eta_into], so it fits [last_vals]. *)
+let touch (e : entry) tid (action : Action.t) memo =
+  e.last_tid <- tid;
+  if e.last_obj != action.obj then e.last_obj <- action.obj;
+  if e.last_meth != action.meth then e.last_meth <- action.meth;
+  let nargs = put_values e.last_vals 0 action.args in
+  e.last_nargs <- nargs;
+  e.last_arity <- put_values e.last_vals nargs action.rets;
+  if e.last_action != memo then e.last_action <- memo
+
 let report t st ~index ~tid ~(action : Action.t) i ~keyed ~id' (e : entry) =
   t.stats.races <- t.stats.races + 1;
   let r =
@@ -286,7 +352,7 @@ let report t st ~index ~tid ~(action : Action.t) i ~keyed ~id' (e : entry) =
       action;
       point = current_desc t st i ~keyed;
       conflicting = entry_desc st.repr e ~keyed id' t.values.(i);
-      prior = Some (e.last_tid, e.last_action);
+      prior = Some (e.last_tid, prior t e);
     }
   in
   if t.collect then t.reports <- r :: t.reports;
@@ -361,7 +427,9 @@ let on_action t ~index tid (action : Action.t) vc =
           | `Linear ->
               found := scan_linear t st ~index ~tid ~action vc i !found
         done;
-      (* Phase 2: update the auxiliary state. *)
+      (* Phase 2: update the auxiliary state. A raced call is kept by
+         its collected reports, so its entries may share it. *)
+      let memo = if t.collect && !found <> [] then action else no_action in
       for i = 0 to n - 1 do
         let id = shapes.(i) and v = values.(i) in
         let keyed = Repr.is_keyed repr id in
@@ -409,8 +477,7 @@ let on_action t ~index tid (action : Action.t) vc =
                 Vclock.set c tid own;
                 st.stamp <- st.stamp + 1
               end);
-          entry.last_tid <- tid;
-          entry.last_action <- action
+          touch entry tid action memo
         end
         else begin
           let entry =
@@ -419,13 +486,19 @@ let on_action t ~index tid (action : Action.t) vc =
               ep_clock = own;
               evc = None;
               last_tid = tid;
-              last_action = action;
+              last_obj = obj;
+              last_meth = action.meth;
+              last_nargs = 0;
+              last_arity = 0;
+              last_vals = Array.make st.width Value.Nil;
+              last_action = no_action;
               desc = "";
               shape = id;
               value = (if keyed then v else Value.Nil);
               next = absent;
             }
           in
+          touch entry tid action memo;
           if keyed then add_keyed st entry else st.ds.(id) <- entry;
           st.stamp <- st.stamp + 1
         end

@@ -69,9 +69,17 @@ val create :
     hot loop allocates no clock storage. The pool must be owned by this
     detector's domain only.
 
-    [collect] (default [true]) keeps every report for {!races}. With
-    [false] the detector retains no report: {!on_action}'s return is its
-    only output, and its memory is its per-point state. *)
+    An entry keeps the last toucher of its point, the prior a report
+    names, by value (thread, object, method, arguments and returns): no
+    action passed to {!on_action} is retained, and a report's prior is
+    rebuilt when its race closes.
+
+    [collect] (default [true]) keeps every report for {!races}, and
+    shares priors with the reports it keeps: an entry memoizes a rebuilt
+    prior, and the action of a call that raced, so later reports name
+    the same [Action.t]. With [false] the detector retains no report:
+    {!on_action}'s return is its only output, and its memory is its
+    per-point state. *)
 
 val on_action :
   t -> index:int -> Tid.t -> Action.t -> Vclock.t -> Report.t list
@@ -80,7 +88,8 @@ val on_action :
     components they need into clocks of their own), so the live clock of
     {!Crd_trace.Hb.advance} is acceptable. Returns the races closed by
     this event. Once an object's points are active, a call that reports
-    no race allocates nothing. *)
+    no race allocates nothing, and no action is retained but the one of
+    a call that raced in a collecting detector. *)
 
 val release_object : t -> Obj_id.t -> unit
 (** Drop all auxiliary state of a dead object — the reclamation
@@ -94,5 +103,5 @@ val stats : t -> stats
 val races : t -> Report.t list
 (** All reports so far, in trace order; [[]] when created with
     [~collect:false]. The concatenation of {!on_action}'s returns, kept
-    for callers that read the detector after the fact; the analysis
-    engine and the tests fold {!on_action}'s return instead. *)
+    for callers that read the detector after the fact: the analysis
+    engine's collecting bundles read it at the end. *)

@@ -207,15 +207,17 @@ let synth_case =
 (* Without [collect] the engine keeps no report but folds every race:
    RD2's count and distinct fingerprints and FastTrack's count and
    distinct locations (and so the printed summary) are those of the
-   collected lists, inline, sharded and fallen back. *)
+   collected lists, inline, sharded and fallen back. RD2 alone runs too:
+   the traces' reads and writes are then routed to no shard. *)
 let fold_equals_collect =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:40 ~name:"fold-only == collecting (count, distinct)"
        Gen.(
-         triple synth_case (oneofl [ 1; 2; 4 ])
-           (oneofl [ 0; Analyzer.default_parallel_threshold ]))
-       (fun (case, jobs, threshold) ->
-         let stream = stream_synth ~config:rd2_fasttrack ~jobs ~threshold in
+         quad synth_case (oneofl [ 1; 2; 4 ])
+           (oneofl [ 0; Analyzer.default_parallel_threshold ])
+           (oneofl [ rd2_fasttrack; rd2_only ]))
+       (fun (case, jobs, threshold, config) ->
+         let stream = stream_synth ~config ~jobs ~threshold in
          let fold = Analyzer.finish (stream ~collect:false case)
          and coll = Analyzer.finish (stream ~collect:true case) in
          let races (r : Analyzer.result) =
@@ -230,7 +232,9 @@ let fold_equals_collect =
          && fold.rd2_distinct = Report.distinct_fingerprints coll.rd2_reports
          && coll.rd2_distinct = fold.rd2_distinct
          && fold.fasttrack_reports = []
-         && ft_races fold = Some (List.length coll.fasttrack_reports)
+         && ft_races fold
+            = (if config.fasttrack then Some (List.length coll.fasttrack_reports)
+               else None)
          && fold.fasttrack_distinct
             = Rw_report.distinct_locations coll.fasttrack_reports
          && coll.fasttrack_distinct = fold.fasttrack_distinct
@@ -256,6 +260,114 @@ let fold_retains_no_reports () =
   Alcotest.(check bool) "same distinct" true (rf.rd2_distinct = rc.rd2_distinct);
   under_half "finished"
 
+(* Object id [min_int] routes to a shard like any other ([abs min_int]
+   is negative, so [abs id mod n] is no shard index): sharded three ways
+   from the first event, RD2 reports exactly the sequential races. *)
+let min_int_object_routes () =
+  let obj = Obj_id.make ~name:"dictionary:far" min_int in
+  let put tid k v =
+    Event.call tid
+      (Action.make ~obj ~meth:"put"
+         ~args:[ Value.Int k; Value.Int v ]
+         ~rets:[ Value.Nil ] ())
+  in
+  let t1 = Tid.of_int 1 and t2 = Tid.of_int 2 in
+  let events =
+    [ Event.fork Tid.main t1; Event.fork Tid.main t2 ]
+    @ List.concat_map
+        (fun k -> [ put t1 (k mod 3) k; put t2 (k mod 3) (k + 1) ])
+        (List.init 200 Fun.id)
+  in
+  let run jobs =
+    let an =
+      Result.get_ok
+        (Analyzer.create ~config:rd2_only ~jobs ~threshold:0
+           ~spec_for:Stdspecs.spec_for ())
+    in
+    List.iter (Analyzer.step an) events;
+    Analyzer.rd2_races an
+  in
+  let seq = run 1 in
+  Alcotest.(check bool) "races found" true (List.length seq > 100);
+  Alcotest.(check bool) "jobs=3 == jobs=1" true (run 3 = seq)
+
+(* A synthetic trace as a server session gets it: its CRDW bytes. *)
+let crdw_session ~events seed =
+  Bytes.of_string
+    (Wire.encode_trace (Synth.generate ~seed (Synth.default ~events)))
+
+(* Decoded calls die young: streaming CRDW bytes through a fold-only
+   analyzer (RD2 + FastTrack), inline and sharded from the first event,
+   no decoded action outlives its step. Every call's action goes into a
+   weak array; a full major collection halfway through the stream,
+   before [finish], must clear them all: RD2's entries keep their last
+   toucher by value and the shard chunks carry calls by value. *)
+let decoded_calls_die_young () =
+  let bytes = crdw_session ~events:40_000 7L in
+  let half = Bytes.length bytes / 2 in
+  List.iter
+    (fun (jobs, threshold) ->
+      let an =
+        Result.get_ok
+          (Analyzer.create ~jobs ~threshold ~collect:false
+             ~spec_for:Stdspecs.spec_for ())
+      in
+      let calls = Weak.create 40_000 and n = ref 0 in
+      let f (e : Event.t) =
+        (match e.op with
+        | Event.Call a ->
+            Weak.set calls !n (Some a);
+            incr n
+        | _ -> ());
+        Analyzer.step an e
+      in
+      let d = Bigwire.Decoder.create () in
+      let feed off len =
+        match Bigwire.Decoder.feed_bytes_iter d ~off ~len bytes ~f with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail (Wire.error_to_string e)
+      in
+      feed 0 half;
+      Gc.full_major ();
+      let live = ref 0 in
+      for i = 0 to !n - 1 do
+        if Weak.check calls i then incr live
+      done;
+      let what = Printf.sprintf "jobs=%d threshold=%d" jobs threshold in
+      Alcotest.(check bool) (what ^ ": calls decoded") true (!n > 10_000);
+      Alcotest.(check int) (what ^ ": decoded actions alive") 0 !live;
+      feed half (Bytes.length bytes - half);
+      Alcotest.(check bool) (what ^ ": stream complete") true
+        (Bigwire.Decoder.finish d = Ok ());
+      Bigwire.Decoder.release d;
+      ignore (Analyzer.finish an))
+    [ (1, Analyzer.default_parallel_threshold); (2, 0) ]
+
+(* Collected reports still share their actions: a report's prior is the
+   action of an earlier report when that call raced too, and a prior
+   rebuilt from an entry's values is memoized for every later race
+   against the entry. Measured on the seed-7 20k-event session: 28.8
+   words reachable per race; an un-memoized prior costs more. *)
+let collected_reports_share_actions () =
+  let bytes = crdw_session ~events:20_000 7L in
+  let an =
+    Result.get_ok (Analyzer.create ~spec_for:Stdspecs.spec_for ())
+  in
+  (match
+     Bigwire.Decoder.feed_bytes_iter (Bigwire.Decoder.create ()) bytes
+       ~f:(Analyzer.step an)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Wire.error_to_string e));
+  let reports = Analyzer.rd2_races an in
+  let races = List.length reports in
+  let per_race =
+    float_of_int (Obj.reachable_words (Obj.repr reports)) /. float_of_int races
+  in
+  Alcotest.(check bool) "races found" true (races > 1_000);
+  if per_race > 29. then
+    Alcotest.failf "collected reports reach %.1f words per race" per_race
+
 let suite =
   ( "analyzer",
     [
@@ -273,4 +385,8 @@ let suite =
         sharded_matches_sequential;
       fold_equals_collect;
       Alcotest.test_case "fold retains no reports" `Quick fold_retains_no_reports;
+      Alcotest.test_case "object id min_int shards" `Quick min_int_object_routes;
+      Alcotest.test_case "decoded calls die young" `Quick decoded_calls_die_young;
+      Alcotest.test_case "collected reports share actions" `Quick
+        collected_reports_share_actions;
     ] )
