@@ -462,8 +462,8 @@ type codec_record = {
   co_text_bytes : int;
   co_bin_bytes : int;
   co_encode_ns : float;
-  co_big_ns : float;  (** whole decode into a trace, over the bigstring *)
-  co_stream_big_ns : float;  (** streaming decode over the slice *)
+  co_big_ns : float;  (** whole decode into a trace ([decode_string]) *)
+  co_stream_big_ns : float;  (** streaming decode in 64 KiB feeds *)
 }
 
 let mb_per_s bytes ns = float_of_int bytes /. ns *. 1e9 /. 1e6
@@ -485,15 +485,29 @@ let codec_records ?(repeats = 5) ?(synth_events = 200_000) () =
       let bin = Wire.encode_trace trace in
       (* Round-trip guard: timing a decoder that produces different
          events would be meaningless. *)
-      let big = Bigwire.bigstring_of_string bin in
-      (match Bigwire.decode_bigstring big with
+      (match Bigwire.decode_string bin with
       | Ok t when Trace.to_list t = Trace.to_list trace -> ()
       | Ok _ -> failwith (name ^ ": codec round trip changed the events")
       | Error e -> failwith (name ^ ": " ^ Wire.error_to_string e));
-      (* Streaming decode, the server-ingest shape: events are handed to
-         a consumer and dropped, not accumulated into a trace. *)
+      (* Streaming decode, the shape [iter_file] and server ingest run:
+         64 KiB feeds of one buffer, events handed to a consumer and
+         dropped, not accumulated into a trace. *)
+      let src = Bytes.of_string bin in
       let stream_big () =
-        match Bigwire.iter_bigstring big ~f:ignore with
+        let dec = Bigwire.Decoder.create () in
+        let rec go off =
+          if off >= Bytes.length src then Bigwire.Decoder.finish dec
+          else
+            let len = min 65536 (Bytes.length src - off) in
+            match
+              Bigwire.Decoder.feed_bytes_iter dec ~off ~len src ~f:ignore
+            with
+            | Error e -> Error e
+            | Ok () -> go (off + len)
+        in
+        let r = go 0 in
+        Bigwire.Decoder.release dec;
+        match r with
         | Ok () -> ()
         | Error e -> failwith (name ^ ": " ^ Wire.error_to_string e)
       in
@@ -505,7 +519,7 @@ let codec_records ?(repeats = 5) ?(synth_events = 200_000) () =
         co_encode_ns =
           best_of_ns repeats (fun () -> ignore (Wire.encode_trace trace));
         co_big_ns =
-          best_of_ns repeats (fun () -> ignore (Bigwire.decode_bigstring big));
+          best_of_ns repeats (fun () -> ignore (Bigwire.decode_string bin));
         co_stream_big_ns = best_of_ns repeats stream_big;
       })
     corpus
@@ -1269,7 +1283,7 @@ let () =
   let ((journal_ns, _) as server_journal) =
     server_roundtrip ~journal:jdir ()
   in
-  (* The ingest row: a bigger synthetic trace through the zero-copy
+  (* The ingest row: a bigger synthetic trace through the streaming
      server path, so the events/s number measures streaming decode +
      online analysis rather than session setup. *)
   let ((ingest_ns, ingest_events) as server_ingest) =

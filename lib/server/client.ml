@@ -168,7 +168,7 @@ let send_file ~addr ?spec ?retries ?backoff ?timeout ?nonce ~format path =
             In_channel.with_open_text path (fun ic ->
                 Trace_text.iter_channel ic ~f:push)
         | `Bin ->
-            (* mmap + zero-copy decode; unmappable inputs (pipes) are
-               streamed by [iter_file] through the same decoder. *)
+            (* Files, pipes and FIFOs alike are read in 64 KiB blocks
+               and decoded in place. *)
             Bigwire.iter_file path ~f:push
       with Sys_error msg -> Error msg)

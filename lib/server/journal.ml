@@ -6,24 +6,7 @@ let m_commits =
   Crd_obs.counter ~help:"Session journals committed (fsync'd end marker)"
     "journal_commits_total"
 
-let m_mmap =
-  Crd_obs.counter ~help:"Committed journals replayed via mmap"
-    "journal_mmap_total"
-
-let m_mmap_bytes =
-  Crd_obs.counter ~help:"Committed journal bytes mapped for replay"
-    "journal_mmap_bytes_total"
-
-let m_mmap_fallback =
-  Crd_obs.counter ~help:"Journal mmap failures served by the read path"
-    "journal_mmap_fallback_total"
-
 let fp_append = Crd_fault.point "journal_append"
-
-(* When armed, [map_committed] behaves as if mmap failed and takes the
-   read-everything fallback — chaos coverage for filesystems (or
-   platforms) where [Unix.map_file] is unavailable. *)
-let fp_mmap = Crd_fault.point "journal_mmap"
 
 let data_path dir nonce = Filename.concat dir (nonce ^ ".crdj")
 let commit_path dir nonce = Filename.concat dir (nonce ^ ".commit")
@@ -83,9 +66,8 @@ let start ~dir ~nonce ~spec =
   (* A reconnect with the same nonce is a fresh run of the same logical
      session: drop any partial or stale state before the first byte.
      The data file is unlinked rather than O_TRUNC'd: a catch-up
-     drainer may still hold an mmap of the previous segment, and
-     truncating a mapped file turns its next load into SIGBUS — the
-     unlink keeps the old inode alive until the mapping drops. *)
+     drainer may still be reading the previous segment, and the unlink
+     keeps that inode whole until the drainer closes it. *)
   List.iter
     (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
     [
@@ -213,49 +195,28 @@ let read_marker ~dir ~nonce =
       | None -> Error (Printf.sprintf "%s: malformed commit marker" marker)
       | Some size -> Ok (size, spec))
 
-let read_committed ~dir ~nonce =
+(* The data file is checked against the marker up front, so a short
+   one fails before [k] sees a byte; bytes past the marker were never
+   committed (a crash mid-append after a retry) and [k] is told to stop
+   at [size]. *)
+let with_committed ~dir ~nonce k =
   match read_marker ~dir ~nonce with
   | Error e -> Error e
   | Ok (size, spec) -> (
       let data = data_path dir nonce in
-      match In_channel.with_open_bin data In_channel.input_all with
-      | exception Sys_error e -> Error e
-      | bytes ->
-          if String.length bytes < size then
-            Error
-              (Printf.sprintf "%s: %d bytes but %d committed" data
-                 (String.length bytes) size)
-          else
-            (* Bytes past the marker were never committed (a crash
-               mid-append after a retry): replay only the prefix. *)
-            Ok (String.sub bytes 0 size, spec))
-
-let map_committed ~dir ~nonce =
-  match read_marker ~dir ~nonce with
-  | Error e -> Error e
-  | Ok (size, spec) -> (
-      let data = data_path dir nonce in
-      let fallback () =
-        Crd_obs.Counter.incr m_mmap_fallback;
-        match read_committed ~dir ~nonce with
-        | Error e -> Error e
-        | Ok (bytes, spec) ->
-            Ok (Crd_wire.Bigcodec.bigstring_of_string bytes, spec)
+      let io_error e =
+        Error (Printf.sprintf "%s: %s" data (Unix.error_message e))
       in
-      let mapped =
-        if Crd_fault.fire fp_mmap then Error "fault injected: journal_mmap"
-        else Crd_wire.Bigcodec.map_file data
-      in
-      match mapped with
-      | Error _ -> fallback ()
-      | Ok b ->
-          let dim = Bigarray.Array1.dim b in
-          if dim < size then
-            Error (Printf.sprintf "%s: %d bytes but %d committed" data dim size)
-          else begin
-            Crd_obs.Counter.incr m_mmap;
-            Crd_obs.Counter.add m_mmap_bytes size;
-            (* The torn tail past the marker stays unmapped for the
-               decoder: replay sees exactly the committed prefix. *)
-            Ok (Bigarray.Array1.sub b 0 size, spec)
-          end)
+      match Unix.openfile data [ Unix.O_RDONLY ] 0 with
+      | exception Unix.Unix_error (e, _, _) -> io_error e
+      | fd ->
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              match Unix.fstat fd with
+              | exception Unix.Unix_error (e, _, _) -> io_error e
+              | { Unix.st_size; _ } when st_size < size ->
+                  Error
+                    (Printf.sprintf "%s: %d bytes but %d committed" data st_size
+                       size)
+              | _ -> Ok (k ~spec ~size fd)))

@@ -84,21 +84,18 @@ val committed_unreported : dir:string -> string list
 (** Nonces with a commit marker but no report, sorted — the sessions a
     restarted server must replay. Empty for an unreadable directory. *)
 
-val read_committed :
-  dir:string -> nonce:string -> (string * string, string) result
-(** The committed byte prefix of a journal plus its spec-set name
-    (bytes past the marker were never acknowledged and are dropped). *)
-
-val map_committed :
+val with_committed :
   dir:string ->
   nonce:string ->
-  (Crd_wire.Bigcodec.bigstring * string, string) result
-(** Like {!read_committed} but zero-copy: the committed prefix is
-    [Unix.map_file]'d and returned as a bigstring slice — a torn tail
-    past the marker is simply not part of the mapping. Increments
-    [journal_mmap_total] / [journal_mmap_bytes_total]; if the map fails
-    (or the [journal_mmap] fault point fires) the read path serves the
-    request instead and [journal_mmap_fallback_total] counts it. *)
+  (spec:string -> size:int -> Unix.file_descr -> 'a) ->
+  ('a, string) result
+(** [with_committed ~dir ~nonce k] reads the commit marker, opens the
+    data file and runs [k ~spec ~size fd] with [fd] at offset 0: [size]
+    is the committed byte count (bytes past it were never acknowledged
+    and must not be read) and [spec] the spec-set name. The fd is
+    closed when [k] returns or raises. A missing marker or data file,
+    or a data file shorter than [size] (["<path>: N bytes but M
+    committed"]), is an [Error] before [k] runs. *)
 
 val fresh_nonce : unit -> string
 (** Process-unique filename-safe nonce for clients (and for journaling

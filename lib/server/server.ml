@@ -575,15 +575,6 @@ let render_reply (res : Analyzer.result) ~closing ~emit =
   Buffer.add_string buf closing;
   flush ()
 
-(* Recovery drain: replay a committed journal's mapped bytes through
-   the same decoder configuration a live session would use. The
-   bigstring typically aliases the journal file ([Journal.map_committed]),
-   so replay never loads the trace into the OCaml heap. *)
-let drain_of_big big ~resync ~f =
-  match Crd_wire.Bigcodec.iter_bigstring ~resync big ~f with
-  | Ok () -> Ok ()
-  | Error e -> Error (Decode, Crd_wire.Codec.error_to_string e)
-
 (* The one-line operator probe: everything an "is it keeping up?" glance
    needs, answered straight off the session listener. *)
 let health_line t =
@@ -1025,33 +1016,43 @@ and supervisor_loop t =
 (* ------------------------------------------------------------------ *)
 
 (* Replay one committed journal — a spill segment or a session a
-   killed process left unreported: mmap it, run it through
-   [analyze_with] (the path its live session would have taken), publish
-   under the session nonce, where the racedb's durable dedup makes a
-   replay of an already-published session a no-op, and leave the report
-   in [<nonce>.report]. An unanalyzable journal gets an [ERR] report so
-   it is not replayed forever, here or by the next restart. *)
+   killed process left unreported: stream its committed prefix (64 KiB
+   reads, stopping at the marker's size) through [analyze_with], the
+   path its live session would have taken; publish under the session
+   nonce, where the racedb's durable dedup makes a replay of an
+   already-published session a no-op, and leave the report in
+   [<nonce>.report]. An unanalyzable journal gets an [ERR] report so it
+   is not replayed forever, here or by the next restart. *)
 let replay_journal t ~jobs ~dir nonce =
+  let replay ~spec:spec_name ~size fd =
+    match resolve_spec_set t.cfg spec_name with
+    | Error msg -> Error (Spec, msg)
+    | Ok spec_for -> (
+        let drain ~f =
+          match
+            Crd_wire.Bigcodec.iter_fd ~resync:t.cfg.resync ~len:size fd ~f
+          with
+          | Ok () -> Ok ()
+          | Error e -> Error (Decode, Crd_wire.Codec.error_to_string e)
+          | exception Unix.Unix_error (e, _, _) ->
+              Error (Io, Unix.error_message e)
+        in
+        match
+          try analyze_with { t.cfg with jobs } spec_for ~drain
+          with e -> Error (Analysis, Printexc.to_string e)
+        with
+        | Error _ as e -> e
+        | Ok res as ok ->
+            (match t.racedb with
+            | Some sink ->
+                sink_publish sink ~nonce ~spec:spec_name res.rd2_reports
+            | None -> ());
+            ok)
+  in
   let outcome =
-    match Journal.map_committed ~dir ~nonce with
+    match Journal.with_committed ~dir ~nonce replay with
     | Error msg -> Error (Io, msg)
-    | Ok (big, spec_name) -> (
-        match resolve_spec_set t.cfg spec_name with
-        | Error msg -> Error (Spec, msg)
-        | Ok spec_for -> (
-            match
-              try
-                analyze_with { t.cfg with jobs } spec_for
-                  ~drain:(drain_of_big big ~resync:t.cfg.resync)
-              with e -> Error (Analysis, Printexc.to_string e)
-            with
-            | Error _ as e -> e
-            | Ok res as ok ->
-                (match t.racedb with
-                | Some sink ->
-                    sink_publish sink ~nonce ~spec:spec_name res.rd2_reports
-                | None -> ());
-                ok))
+    | Ok outcome -> outcome
   in
   (* The report a live session would have delivered, streamed to the
      [.report] writer in the same blocks (with no closing line). *)

@@ -1,51 +1,8 @@
 open Crd_spec
 
-let dictionary_src =
-  {|
-object dictionary {
-  method put(k, v) / p;
-  method get(k) / v;
-  method size() / r;
-
-  commutes put(k1, v1) / p1 <> put(k2, v2) / p2
-    when k1 != k2 || (v1 == p1 && v2 == p2);
-  commutes put(k1, v1) / p1 <> get(k2) / v2
-    when k1 != k2 || v1 == p1;
-  commutes put(k1, v1) / p1 <> size() / r2
-    when (v1 == nil && p1 == nil) || (v1 != nil && p1 != nil);
-  commutes get(k1) / v1 <> get(k2) / v2 when true;
-  commutes get(k1) / v1 <> size() / r2  when true;
-  commutes size() / r1  <> size() / r2  when true;
-}
-|}
-
-let set_src =
-  {|
-object set {
-  method add(x) / was;
-  method remove(x) / was;
-  method contains(x) / b;
-  method size() / r;
-
-  commutes add(x1) / w1 <> add(x2) / w2
-    when x1 != x2 || (w1 == true && w2 == true);
-  commutes add(x1) / w1 <> remove(x2) / w2
-    when x1 != x2;
-  commutes add(x1) / w1 <> contains(x2) / b2
-    when x1 != x2 || (w1 == true && b2 == true);
-  commutes add(x1) / w1 <> size() / r2
-    when w1 == true;
-  commutes remove(x1) / w1 <> remove(x2) / w2
-    when x1 != x2 || (w1 == false && w2 == false);
-  commutes remove(x1) / w1 <> contains(x2) / b2
-    when x1 != x2 || (w1 == false && b2 == false);
-  commutes remove(x1) / w1 <> size() / r2
-    when w1 == false;
-  commutes contains(x1) / b1 <> contains(x2) / b2 when true;
-  commutes contains(x1) / b1 <> size() / r2 when true;
-  commutes size() / r1 <> size() / r2 when true;
-}
-|}
+(* Generated from specs/dictionary.crd and specs/set.crd (see dune). *)
+let dictionary_src = Spec_files.dictionary
+let set_src = Spec_files.set
 
 let counter_src =
   {|

@@ -1,7 +1,9 @@
 (** Built-in commutativity specifications, all within the ECL fragment.
 
     Each [X_src] value is the DSL source text (also usable as example
-    input for the [rd2] CLI); [X ()] is the parsed, validated
+    input for the [rd2] CLI; [dictionary_src] and [set_src] are the
+    files [specs/dictionary.crd] and [specs/set.crd], compiled in);
+    [X ()] is the parsed, validated
     specification, memoized. All five are verified sound against the
     executable models of {!Crd_semantics} in the test suite
     (Definition 4.2). *)

@@ -2,7 +2,7 @@ open Crd_base
 open Crd_trace
 
 (* The CRDW decoder ({!Codec} holds the grammar and the encoder), parsing
-   in place over Bigarray slices:
+   in place over [Bytes.t] slices:
 
    - no per-frame [Buffer.sub] / [String.sub]: a frame is a (pos, limit)
      window over the input or the pending buffer;
@@ -13,10 +13,10 @@ open Crd_trace
      assign ids sequentially), not a hashtable probe per event;
    - when a feed arrives with nothing pending, frames decode straight
      from the caller's slice and only the incomplete tail is copied;
-   - every entry point is push-based ([feed_iter], [feed_bytes_iter],
-     [iter_bigstring], [iter_file]): each event goes to the consumer as
-     it is parsed, with no intermediate list, so in a streaming consumer
-     the events die in the minor heap instead of being promoted twice;
+   - every entry point is push-based ([feed_bytes_iter], [iter_fd],
+     [iter_file]): each event goes to the consumer as it is parsed, with
+     no intermediate list, so in a streaming consumer the events die in
+     the minor heap instead of being promoted twice;
    - an [Int] in [[0, 1024)] decodes to a box shared by every decoder,
      built by the first [Decoder.create] (not at start-up), so the
      common small argument allocates nothing and [Value.equal] settles
@@ -24,62 +24,6 @@ open Crd_trace
 
    test/test_bigwire.ml checks it against an independent string decoder
    of the same grammar, test/codec_oracle.ml. *)
-
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let create_bigstring n : bigstring =
-  Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
-
-let bigstring_of_string s =
-  let n = String.length s in
-  let b = create_bigstring n in
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set b i (String.unsafe_get s i)
-  done;
-  b
-
-let bigstring_to_string (b : bigstring) off len =
-  let out = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set out i (Bigarray.Array1.unsafe_get b (off + i))
-  done;
-  Bytes.unsafe_to_string out
-
-(* Read-only mmap of an open file (journal replay). Must stay total: a
-   file that cannot be mapped (a pipe, an exotic filesystem) is an
-   [Error], and the caller falls back to reading it. Only a regular file
-   maps: a pipe's [st_size] is 0, which would otherwise read as an empty
-   file. *)
-let map_fd path fd =
-  let module L = Unix.LargeFile in
-  match L.fstat fd with
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-  | { L.st_kind = Unix.S_REG; st_size = 0L; _ } -> Ok (create_bigstring 0)
-  | { L.st_kind = Unix.S_REG; st_size = size; _ }
-    when size > Int64.of_int max_int ->
-      Error (Printf.sprintf "%s: too large to map" path)
-  | { L.st_kind = Unix.S_REG; st_size = size; _ } -> (
-      match
-        Unix.map_file fd Bigarray.char Bigarray.c_layout false
-          [| Int64.to_int size |]
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Printf.sprintf "%s: mmap: %s" path (Unix.error_message e))
-      | genarray -> Ok (Bigarray.array1_of_genarray genarray))
-  | _ -> Error (Printf.sprintf "%s: not a regular file" path)
-
-let with_file path k =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () -> k fd)
-
-let map_file path = with_file path (map_fd path)
 
 (* Process-wide decoder metrics: byte counters on the feed granularity
    (one atomic add per feed, never per event). *)
@@ -158,7 +102,7 @@ module Decoder = struct
   type t = {
     mutable state : state;
     resync : bool;
-    mutable buf : bigstring;  (* pending unconsumed input *)
+    mutable buf : Bytes.t;  (* pending unconsumed input *)
     mutable pos : int;  (* consumed prefix of [buf] *)
     mutable fill : int;  (* valid bytes in [buf] *)
     mutable strings : string array;  (* intern id -> string *)
@@ -196,7 +140,7 @@ module Decoder = struct
       {
         state = Header;
         resync;
-        buf = create_bigstring 65536;
+        buf = Bytes.create 65536;
         pos = 0;
         fill = 0;
         strings = Array.make 64 "";
@@ -222,11 +166,11 @@ module Decoder = struct
   (* [rpos]/[rlimit] bound the current frame; overrun means corruption,
      because the frame header promised the bytes. The window is plain
      mutable state (no per-frame record allocation). *)
-  type cursor = { mutable cb : bigstring; mutable rpos : int; mutable rlimit : int }
+  type cursor = { mutable cb : Bytes.t; mutable rpos : int; mutable rlimit : int }
 
   let r_byte c =
     if c.rpos >= c.rlimit then corrupt "record overruns its frame";
-    let v = Char.code (Bigarray.Array1.unsafe_get c.cb c.rpos) in
+    let v = Char.code (Bytes.unsafe_get c.cb c.rpos) in
     c.rpos <- c.rpos + 1;
     v
 
@@ -234,7 +178,7 @@ module Decoder = struct
     (* Hot path: almost every varint is one byte; read it without the
        loop state. Multi-byte continuations fall through to the loop. *)
     if c.rpos < c.rlimit then begin
-      let b0 = Char.code (Bigarray.Array1.unsafe_get c.cb c.rpos) in
+      let b0 = Char.code (Bytes.unsafe_get c.cb c.rpos) in
       if b0 < 0x80 then begin
         c.rpos <- c.rpos + 1;
         b0
@@ -264,20 +208,20 @@ module Decoder = struct
 
   (* FNV-1a over the slice (offset basis truncated to OCaml's 63-bit
      ints), folded non-negative. *)
-  let hash_slice (b : bigstring) pos len =
+  let hash_slice b pos len =
     let h = ref 0x4bf29ce484222325 in
     for i = pos to pos + len - 1 do
-      h := (!h lxor Char.code (Bigarray.Array1.unsafe_get b i)) * 0x100000001b3
+      h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3
     done;
     !h land max_int
 
-  let slice_equal (b : bigstring) pos len s =
+  let slice_equal b pos len s =
     String.length s = len
     &&
     let i = ref 0 in
     while
       !i < len
-      && Char.equal (Bigarray.Array1.unsafe_get b (pos + !i))
+      && Char.equal (Bytes.unsafe_get b (pos + !i))
            (String.unsafe_get s !i)
     do
       incr i
@@ -286,11 +230,11 @@ module Decoder = struct
 
   (* Materialize the slice as an OCaml string, reusing a pooled string
      of identical content when one exists. *)
-  let intern t (b : bigstring) pos len =
+  let intern t b pos len =
     let h = hash_slice b pos len in
     let rec find = function
       | [] ->
-          let s = bigstring_to_string b pos len in
+          let s = Bytes.sub_string b pos len in
           Hashtbl.add t.pool h s;
           (* string header + content + a pool bucket, roughly *)
           charge t (len + 48);
@@ -504,7 +448,7 @@ module Decoder = struct
 
   (* Frame-header varint at [pos] in [(buf, limit)]: [None] while the
      varint itself is incomplete (wait for more input). *)
-  let try_varint (buf : bigstring) pos limit =
+  let try_varint buf pos limit =
     let acc = ref 0 in
     let shift = ref 0 in
     let i = ref pos in
@@ -512,7 +456,7 @@ module Decoder = struct
     (try
        while !result = None do
          if !i >= limit then raise Exit;
-         let b = Char.code (Bigarray.Array1.unsafe_get buf !i) in
+         let b = Char.code (Bytes.unsafe_get buf !i) in
          incr i;
          acc := !acc lor ((b land 0x7f) lsl !shift);
          if b < 0x80 then result := Some (!acc, !i - pos)
@@ -527,7 +471,7 @@ module Decoder = struct
   (* Drain as many whole frames as possible from [(buf, !pos, limit)],
      advancing [!pos]; shared by the direct (caller's slice) and the
      pending-buffer paths. *)
-  let drain t (buf : bigstring) pos limit push =
+  let drain t buf pos limit push =
     let magic = Codec.magic in
     let mlen = String.length magic in
     if t.state = Header then begin
@@ -535,11 +479,11 @@ module Decoder = struct
          short input. *)
       let n = min (limit - !pos) mlen in
       for i = 0 to n - 1 do
-        if Bigarray.Array1.unsafe_get buf (!pos + i) <> magic.[i] then
+        if Bytes.unsafe_get buf (!pos + i) <> magic.[i] then
           fail Codec.Bad_magic
       done;
       if limit - !pos >= mlen + 1 then begin
-        let v = Char.code (Bigarray.Array1.unsafe_get buf (!pos + mlen)) in
+        let v = Char.code (Bytes.unsafe_get buf (!pos + mlen)) in
         if v <> Codec.version then fail (Codec.Unsupported_version v);
         pos := !pos + mlen + 1;
         t.state <- Frames
@@ -600,27 +544,21 @@ module Decoder = struct
   (* Make room for [extra] more bytes: shift the consumed prefix away
      first, grow only if the live bytes plus [extra] still don't fit. *)
   let reserve t extra =
-    if t.fill + extra > Bigarray.Array1.dim t.buf then begin
+    if t.fill + extra > Bytes.length t.buf then begin
       let live = pending t in
       if t.pos > 0 then begin
-        if live > 0 then
-          Bigarray.Array1.blit
-            (Bigarray.Array1.sub t.buf t.pos live)
-            (Bigarray.Array1.sub t.buf 0 live);
+        Bytes.blit t.buf t.pos t.buf 0 live;
         t.pos <- 0;
         t.fill <- live
       end;
-      if t.fill + extra > Bigarray.Array1.dim t.buf then begin
-        let cap = ref (2 * Bigarray.Array1.dim t.buf) in
+      if t.fill + extra > Bytes.length t.buf then begin
+        let cap = ref (2 * Bytes.length t.buf) in
         while t.fill + extra > !cap do
           cap := 2 * !cap
         done;
-        charge t (!cap - Bigarray.Array1.dim t.buf);
-        let bigger = create_bigstring !cap in
-        if t.fill > 0 then
-          Bigarray.Array1.blit
-            (Bigarray.Array1.sub t.buf 0 t.fill)
-            (Bigarray.Array1.sub bigger 0 t.fill);
+        charge t (!cap - Bytes.length t.buf);
+        let bigger = Bytes.create !cap in
+        Bytes.blit t.buf 0 bigger 0 t.fill;
         t.buf <- bigger
       end
     end
@@ -630,10 +568,7 @@ module Decoder = struct
   let compact t =
     if t.pos > 65536 && t.pos * 2 > t.fill then begin
       let live = pending t in
-      if live > 0 then
-        Bigarray.Array1.blit
-          (Bigarray.Array1.sub t.buf t.pos live)
-          (Bigarray.Array1.sub t.buf 0 live);
+      Bytes.blit t.buf t.pos t.buf 0 live;
       t.pos <- 0;
       t.fill <- live
     end
@@ -679,69 +614,46 @@ module Decoder = struct
         compact t)
       (fun () -> drain t t.buf pos t.fill push)
 
-  let feed_push t off len (input : bigstring) push =
+  let feed_push t off len input push =
     Crd_obs.Counter.add rx_bytes_total len;
     if pending t = 0 then begin
-      (* Zero-copy fast path: parse the caller's slice in place. *)
+      (* Fast path: parse the caller's slice in place and keep only what
+         it could not parse yet. A failed parse keeps nothing: errors
+         are sticky, so the rest would never be read. *)
       t.pos <- 0;
       t.fill <- 0;
       let pos = ref off in
       let limit = off + len in
-      Fun.protect
-        ~finally:(fun () ->
-          let rest = limit - !pos in
-          if rest > 0 && (match t.state with Failed _ -> false | _ -> true)
-          then begin
-            reserve t rest;
-            Bigarray.Array1.blit
-              (Bigarray.Array1.sub input !pos rest)
-              (Bigarray.Array1.sub t.buf t.fill rest);
-            t.fill <- t.fill + rest
-          end)
-        (fun () -> drain t input pos limit push)
+      let keep_rest () =
+        let rest = limit - !pos in
+        if rest > 0 then begin
+          reserve t rest;
+          Bytes.blit input !pos t.buf t.fill rest;
+          t.fill <- t.fill + rest
+        end
+      in
+      match drain t input pos limit push with
+      | () -> keep_rest ()
+      | exception (Consumer _ as e) ->
+          keep_rest ();
+          raise e
     end
     else begin
       reserve t len;
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub input off len)
-        (Bigarray.Array1.sub t.buf t.fill len);
+      Bytes.blit input off t.buf t.fill len;
       t.fill <- t.fill + len;
       drain_pending t push
     end
 
-  (* Bytes cannot be parsed in place (the cursor is bigstring-typed), so
-     the slice lands in the pending buffer with one copy and no per-read
-     string. *)
-  let feed_bytes_push t off len input push =
-    Crd_obs.Counter.add rx_bytes_total len;
-    reserve t len;
-    let buf = t.buf in
-    let base = t.fill in
-    for i = 0 to len - 1 do
-      Bigarray.Array1.unsafe_set buf (base + i) (Bytes.unsafe_get input (off + i))
-    done;
-    t.fill <- t.fill + len;
-    drain_pending t push
-
-  (* A bad slice is the caller's error, not the stream's: it is raised
-     here, outside [run_protected], which would make it a sticky
-     [Corrupt]. *)
-  let check_slice name off len dim =
-    if off < 0 || len < 0 || off > dim - len then
-      invalid_arg ("Bigcodec.Decoder." ^ name ^ ": invalid slice")
-
-  let feed_iter t ?(off = 0) ?len (input : bigstring) ~f =
-    let dim = Bigarray.Array1.dim input in
-    let len = match len with Some l -> l | None -> dim - off in
-    check_slice "feed_iter" off len dim;
-    let f = guard_consumer f in
-    run_protected t (fun () -> feed_push t off len input f)
-
   let feed_bytes_iter t ?(off = 0) ?len input ~f =
     let len = match len with Some l -> l | None -> Bytes.length input - off in
-    check_slice "feed_bytes_iter" off len (Bytes.length input);
+    (* A bad slice is the caller's error, not the stream's: it is raised
+       here, outside [run_protected], which would make it a sticky
+       [Corrupt]. *)
+    if off < 0 || len < 0 || off > Bytes.length input - len then
+      invalid_arg "Bigcodec.Decoder.feed_bytes_iter: invalid slice";
     let f = guard_consumer f in
-    run_protected t (fun () -> feed_bytes_push t off len input f)
+    run_protected t (fun () -> feed_push t off len input f)
 
   let finish t =
     match t.state with
@@ -754,71 +666,60 @@ end
 (* Whole-value convenience                                             *)
 (* ------------------------------------------------------------------ *)
 
-let iter_bigstring ?resync b ~f =
-  let dec = Decoder.create ?resync () in
-  Fun.protect
-    ~finally:(fun () -> Decoder.release dec)
-    (fun () ->
-      match Decoder.feed_iter dec b ~f with
-      | Error e -> Error e
-      | Ok () -> Decoder.finish dec)
-
 (* Events append straight into the trace's array — no intermediate
    list, so the only promoted data is the decoded trace itself. A
    failed decode discards the partially filled trace wholesale: the
    result is all or nothing. *)
-let decode_with feed_one ?resync () =
+let decode_string ?resync s =
   let dec = Decoder.create ?resync () in
   let trace = Trace.create () in
   Fun.protect
     ~finally:(fun () -> Decoder.release dec)
     (fun () ->
-      match feed_one dec (Trace.append trace) with
+      match
+        Decoder.feed_bytes_iter dec (Bytes.unsafe_of_string s)
+          ~f:(Trace.append trace)
+      with
       | Error e -> Error e
       | Ok () -> (
           match Decoder.finish dec with Error e -> Error e | Ok () -> Ok trace))
 
-let decode_bigstring ?resync b =
-  decode_with (fun dec f -> Decoder.feed_iter dec b ~f) ?resync ()
-
-let decode_string ?resync s =
-  decode_with
-    (fun dec f ->
-      Decoder.feed_bytes_iter dec (Bytes.unsafe_of_string s) ~f)
-    ?resync ()
-
-(* Stream a descriptor through the decoder over one reusable buffer, to
-   EOF — so [?resync] and the result are exactly those of
-   [iter_bigstring] on the same bytes. *)
-let iter_fd ?resync fd ~f =
+(* Stream a descriptor through the decoder over one reusable 64 KiB
+   buffer, to EOF or through its next [len] bytes. *)
+let iter_fd ?resync ?(len = max_int) fd ~f =
   let dec = Decoder.create ?resync () in
   let buf = Bytes.create 65536 in
-  let rec read () =
-    try Unix.read fd buf 0 (Bytes.length buf)
-    with Unix.Unix_error (Unix.EINTR, _, _) -> read ()
+  let rec read n =
+    try Unix.read fd buf 0 n
+    with Unix.Unix_error (Unix.EINTR, _, _) -> read n
   in
   Fun.protect
     ~finally:(fun () -> Decoder.release dec)
     (fun () ->
-      let rec go () =
-        match read () with
+      let rec go left =
+        match if left = 0 then 0 else read (min left (Bytes.length buf)) with
         | 0 -> Decoder.finish dec
         | n -> (
             match Decoder.feed_bytes_iter dec ~len:n buf ~f with
             | Error e -> Error e
-            | Ok () -> go ())
+            | Ok () -> go (left - n))
       in
-      go ())
+      go len)
 
 (* Regular files, pipes and FIFOs alike stream through [iter_fd]: a
-   mapped file's pages would stay resident for the whole run, a 64 KiB
-   buffer is all a streamed one holds. *)
+   64 KiB buffer is all a run holds of its input. *)
 let iter_file ?resync path ~f =
-  with_file path (fun fd ->
-      match iter_fd ?resync fd ~f with
-      | r -> Result.map_error Codec.error_to_string r
-      | exception Unix.Unix_error (e, _, _) ->
-          Error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
+  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          match iter_fd ?resync fd ~f with
+          | r -> Result.map_error Codec.error_to_string r
+          | exception Unix.Unix_error (e, _, _) ->
+              Error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
 
 let of_file ?resync path =
   let trace = Trace.create () in

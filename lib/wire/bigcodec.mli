@@ -1,7 +1,7 @@
 (** [Crd_wire.Bigcodec] — the CRDW decoder.
 
     It reads the grammar of {!Codec} and reports {!Codec.error}s,
-    decoding in place over [Bigarray] slices:
+    decoding in place over [Bytes.t] slices:
 
     - frames are [(pos, limit)] windows — no per-frame [Buffer.sub] or
       per-string [String.sub];
@@ -25,21 +25,6 @@
 
 open Crd_trace
 
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-val create_bigstring : int -> bigstring
-val bigstring_of_string : string -> bigstring
-
-val bigstring_to_string : bigstring -> int -> int -> string
-(** [bigstring_to_string b off len] copies the slice out. *)
-
-val map_file : string -> (bigstring, string) result
-(** Read-only [Unix.map_file] of a whole regular file ([Error _] for
-    files that cannot be mapped — pipes, oversized, unreadable). An
-    empty file maps to an empty bigstring without touching [mmap]. The
-    mapping is released when the bigstring is collected. *)
-
 module Decoder : sig
   type t
 
@@ -54,25 +39,6 @@ module Decoder : sig
       and an uncorrupted stream decodes identically with zero resyncs.
       Header errors and data after the end marker remain fatal. *)
 
-  val feed_iter :
-    t ->
-    ?off:int ->
-    ?len:int ->
-    bigstring ->
-    f:(Event.t -> unit) ->
-    (unit, Codec.error) result
-  (** [feed_iter t b ~f] consumes the next slice of the stream and hands
-      each event it completes to [f], in trace order, as soon as its
-      frame parses. When nothing is pending, frames decode straight from
-      the caller's slice and only an incomplete tail is buffered; the
-      slice may be reused or unmapped as soon as the call returns.
-
-      Errors are sticky: after an [Error _], every further call returns
-      the same error. Input past the end-of-stream marker is [Corrupt].
-      An exception raised by [f] propagates to the caller unchanged (the
-      decoder is not poisoned, but delivery of the interrupted feed is
-      unspecified — abort the session). *)
-
   val feed_bytes_iter :
     t ->
     ?off:int ->
@@ -80,8 +46,19 @@ module Decoder : sig
     Bytes.t ->
     f:(Event.t -> unit) ->
     (unit, Codec.error) result
-  (** {!feed_iter} over bytes, e.g. from [Unix.read]: one copy into the
-      pending buffer, no per-call string. Same contract. *)
+  (** [feed_bytes_iter t b ~off ~len ~f] consumes the next slice of the
+      stream (default: the rest of [b] from [off]) and hands each event
+      it completes to [f], in trace order, as soon as its frame parses.
+      When nothing is pending, frames decode straight from the caller's
+      slice and only an incomplete tail is copied into the decoder; the
+      slice may be reused as soon as the call returns. An out-of-range
+      slice raises [Invalid_argument] and leaves the decoder as it was.
+
+      Errors are sticky: after an [Error _], every further call returns
+      the same error. Input past the end-of-stream marker is [Corrupt].
+      An exception raised by [f] propagates to the caller unchanged (the
+      decoder is not poisoned, but delivery of the interrupted feed is
+      unspecified — abort the session). *)
 
   val finished : t -> bool
   (** The end-of-stream marker has been consumed. *)
@@ -106,17 +83,23 @@ end
 
 (** {1 Whole-value convenience} *)
 
-val decode_bigstring : ?resync:bool -> bigstring -> (Trace.t, Codec.error) result
 val decode_string : ?resync:bool -> string -> (Trace.t, Codec.error) result
 
-val iter_bigstring :
-  ?resync:bool -> bigstring -> f:(Event.t -> unit) -> (unit, Codec.error) result
+val iter_fd :
+  ?resync:bool ->
+  ?len:int ->
+  Unix.file_descr ->
+  f:(Event.t -> unit) ->
+  (unit, Codec.error) result
+(** Read [fd] from its current offset to EOF, or through its next [len]
+    bytes, through {!Decoder.feed_bytes_iter} over one reusable 64 KiB
+    buffer, then {!Decoder.finish}. A failed read raises
+    [Unix.Unix_error]. *)
 
 val iter_file :
   ?resync:bool -> string -> f:(Event.t -> unit) -> (unit, string) result
-(** Read the file (regular, a pipe or a FIFO) to EOF through
-    {!Decoder.feed_bytes_iter} over one reusable 64 KiB buffer, with the
-    same [?resync] and the same result as {!iter_bigstring} on the same
+(** {!iter_fd} over the file (regular, a pipe or a FIFO), with the same
+    [?resync] and the same events as {!decode_string} on the same
     bytes. Nothing is mapped, so the input's pages do not stay resident
     for the run. *)
 

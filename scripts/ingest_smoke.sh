@@ -1,14 +1,14 @@
 #!/bin/sh
-# Ingest-path smoke: drive the zero-copy ingest pipeline end to end and
+# Ingest-path smoke: drive the streaming ingest pipeline end to end and
 # check race-set identity against the offline analyzer.
 #
 #   1. generate a 100k-event synthetic binary trace (`rd2 synth`);
-#   2. `rd2 check` it offline — mmap + Bigcodec decode — for the
-#      reference race set;
+#   2. `rd2 check` it offline — 64 KiB reads, each decoded in place by
+#      Bigcodec — for the reference race set;
 #   3. `rd2 serve --journal`, then `rd2 send` the same file through the
-#      streaming ingest loop (bigstring decoder + journal appends from
-#      the same read slice) and compare the server's reply race set to
-#      the offline one;
+#      streaming ingest loop (each socket read decoded in place and
+#      appended to the journal from the same buffer) and compare the
+#      server's reply race set to the offline one;
 #   4. send once more under an io_eintr fault storm (every:7): the
 #      EINTR-retry wrappers in Proto must make the session
 #      indistinguishable from an undisturbed one;

@@ -56,28 +56,6 @@ let agree ?resync s =
   | Error e1, Error e2 -> e1 = e2
   | Ok _, Error _ | Error _, Ok _ -> false
 
-(* Feed the big decoder in [chunk]-byte slices of one mapped bigstring
-   through [feed_iter]: the first feed takes the zero-copy direct path,
-   an incomplete tail rides the pending buffer, later feeds alternate
-   between the two. *)
-let decode_big_chunked ?resync ~chunk s =
-  let b = Big.bigstring_of_string s in
-  let d = Big.Decoder.create ?resync () in
-  let events = ref [] in
-  let push e = events := e :: !events in
-  let rec go pos =
-    if pos >= String.length s then Big.Decoder.finish d
-    else
-      let len = min chunk (String.length s - pos) in
-      match Big.Decoder.feed_iter d ~off:pos ~len b ~f:push with
-      | Error e -> Error e
-      | Ok () -> go (pos + len)
-  in
-  Result.map (fun () -> List.rev !events) (go 0)
-
-(* The same through [feed_bytes_iter] — the server ingest path. *)
-let decode_big_bytes ?resync ~chunk s = Test_wire.decode_chunked ?resync ~chunk s
-
 (* The oracle fed in [chunk]-byte slices of the string. *)
 let oracle_chunked ?resync ~chunk s =
   let d = Oracle.Decoder.create ?resync () in
@@ -101,7 +79,33 @@ let oracle_chunked ?resync ~chunk s =
 let whole_oracle ?resync s =
   Result.map Trace.to_list (Oracle.decode_string ?resync s)
 
+(* The whole string in one feed, events streamed to [f]. *)
+let iter_string ?resync s ~f =
+  let d = Big.Decoder.create ?resync () in
+  Fun.protect
+    ~finally:(fun () -> Big.Decoder.release d)
+    (fun () ->
+      match Big.Decoder.feed_bytes_iter d (Bytes.unsafe_of_string s) ~f with
+      | Error e -> Error e
+      | Ok () -> Big.Decoder.finish d)
+
 let sample_bin () = Wire.encode_trace ~chunk_bytes:16 (Test_wire.sample_trace ())
+
+(* A steady stream of small-int calls: [put(k, v) / p] on one
+   dictionary, every value in [0, 1024). *)
+let small_int_stream n =
+  let t = Trace.create () in
+  let obj = Obj_id.make ~name:"dictionary:d" 0 in
+  for i = 0 to n - 1 do
+    Trace.append t
+      (Event.call
+         (Tid.of_int (i land 3))
+         (Action.make ~obj ~meth:"put"
+            ~args:[ Value.Int (i land 1023); Value.Int ((7 * i) land 1023) ]
+            ~rets:[ Value.Int ((13 * i) land 1023) ]
+            ()))
+  done;
+  Wire.encode_trace t
 
 (* --- deterministic cases ------------------------------------------- *)
 
@@ -113,8 +117,7 @@ let sample_identity () =
       Alcotest.(check bool)
         (Printf.sprintf "chunk=%d agrees" chunk)
         true
-        (decode_big_chunked ~chunk bin = whole_oracle bin
-        && decode_big_bytes ~chunk bin = whole_oracle bin))
+        (Test_wire.decode_chunked ~chunk bin = whole_oracle bin))
     [ 1; 2; 3; 7; 16; 1 lsl 20 ]
 
 (* max_int / min_int zigzag round trip through both decoders, as values
@@ -137,7 +140,7 @@ let zigzag_extremes () =
   | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e);
   Alcotest.(check bool)
     "bytewise agrees on extremes" true
-    (decode_big_chunked ~chunk:1 bin = whole_oracle bin)
+    (Test_wire.decode_chunked ~chunk:1 bin = whole_oracle bin)
 
 let header_errors () =
   List.iter
@@ -197,7 +200,7 @@ let intern_materializes_once () =
             (a1.Action.meth == a2.Action.meth)
       | _ -> Alcotest.fail "unexpected decoded shape")
 
-(* Both feeds deliver the oracle's events in the same order, with chunk
+(* The feed delivers the oracle's events in the same order, with chunk
    boundaries anywhere. *)
 let streaming_iter_agrees () =
   let bin = sample_bin () in
@@ -205,43 +208,84 @@ let streaming_iter_agrees () =
   List.iter
     (fun chunk ->
       Alcotest.(check bool)
-        (Printf.sprintf "feed_iter chunk=%d = oracle" chunk)
+        (Printf.sprintf "feed_bytes_iter chunk=%d = oracle" chunk)
         true
-        (decode_big_chunked ~chunk bin = expected))
+        (Test_wire.decode_chunked ~chunk bin = expected))
     [ 1; 7; 1 lsl 20 ];
-  Alcotest.(check bool)
-    "feed_bytes_iter = oracle" true
-    (decode_big_bytes ~chunk:(String.length bin) bin = expected)
+  (* A slice parses in place up to its last complete frame and copies
+     only an incomplete tail: feeding a >= 1 MiB stream in one slice,
+     whole or cut 1000 bytes short, charges the decoder its intern
+     tables and nothing else (the tail fits its first buffer). All
+     strings are defined in the first frame, so the charge after it is
+     the charge after any longer prefix. *)
+  let big = small_int_stream 100_000 in
+  let n = String.length big in
+  Alcotest.(check bool) "stream >= 1 MiB" true (n >= 1 lsl 20);
+  let feed d s =
+    match Big.Decoder.feed_bytes_iter d (Bytes.of_string s) ~f:ignore with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e
+  in
+  let charge_after s =
+    let d = Big.Decoder.create () in
+    feed d s;
+    (d, Big.Decoder.mem d)
+  in
+  let first = Test_wire.first_frame_boundary big in
+  let d, intern = charge_after (String.sub big 0 first) in
+  Big.Decoder.release d;
+  let d, whole = charge_after big in
+  Big.Decoder.release d;
+  Alcotest.(check int) "one whole slice: no pending copy charged" intern whole;
+  let cut = n - 1000 in
+  let d, torn = charge_after (String.sub big 0 cut) in
+  Alcotest.(check int) "a cut slice: only the tail copied" intern torn;
+  feed d (String.sub big cut (n - cut));
+  Alcotest.(check bool) "the next feed completes it" true
+    (Big.Decoder.finish d = Ok ());
+  Big.Decoder.release d;
+  (* A slice that fails after its first frame keeps nothing of the
+     rest: the error is sticky, so it would never be parsed. *)
+  let corrupt =
+    String.sub big 0 first ^ "\x01\x01\x01\x01"
+    ^ String.sub big first (n - first)
+  in
+  let d = Big.Decoder.create () in
+  (match
+     Big.Decoder.feed_bytes_iter d (Bytes.of_string corrupt) ~f:ignore
+   with
+  | Ok () -> Alcotest.fail "corruption not detected"
+  | Error _ ->
+      Alcotest.(check int) "a failed slice: nothing copied" intern
+        (Big.Decoder.mem d));
+  Big.Decoder.release d
 
 (* An exception raised by the consumer callback must reach the caller
    unchanged — not be swallowed into a [Corrupt] decode error. *)
 let consumer_exception_propagates () =
   let bin = sample_bin () in
-  let b = Big.bigstring_of_string bin in
+  let b = Bytes.of_string bin in
   let d = Big.Decoder.create () in
   let seen = ref 0 in
   Alcotest.check_raises "consumer exception surfaces" Exit (fun () ->
       ignore
-        (Big.Decoder.feed_iter d b ~f:(fun _ ->
+        (Big.Decoder.feed_bytes_iter d b ~f:(fun _ ->
              incr seen;
              if !seen = 3 then raise Exit)));
   Alcotest.(check int) "consumer saw events up to the raise" 3 !seen
 
-(* An out-of-range slice is the caller's error: both feeds raise
-   [Invalid_argument] and leave the decoder as it was, so valid bytes
+(* An out-of-range slice is the caller's error: the feed raises
+   [Invalid_argument] and leaves the decoder as it was, so valid bytes
    fed next still decode. *)
 let bad_slice_raises () =
   let bin = sample_bin () in
   let want = Trace.to_list (Result.get_ok (Oracle.decode_string bin)) in
-  let b = Big.bigstring_of_string bin and by = Bytes.of_string bin in
+  let by = Bytes.of_string bin in
   let n = String.length bin in
   let bad = [ (3, n); (-1, 2); (0, -1); (n + 1, 0) ] in
   let d = Big.Decoder.create () in
   List.iter
     (fun (off, len) ->
-      Alcotest.check_raises "bigstring slice"
-        (Invalid_argument "Bigcodec.Decoder.feed_iter: invalid slice")
-        (fun () -> ignore (Big.Decoder.feed_iter d ~off ~len b ~f:ignore));
       Alcotest.check_raises "bytes slice"
         (Invalid_argument "Bigcodec.Decoder.feed_bytes_iter: invalid slice")
         (fun () -> ignore (Big.Decoder.feed_bytes_iter d ~off ~len by ~f:ignore)))
@@ -249,45 +293,83 @@ let bad_slice_raises () =
   let got = ref [] in
   let f e = got := e :: !got in
   let half = n / 2 in
-  (match Big.Decoder.feed_iter d ~len:half b ~f with
+  (match Big.Decoder.feed_bytes_iter d ~len:half by ~f with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "feed_iter after a bad slice: %a" Wire.pp_error e);
+  | Error e -> Alcotest.failf "first half after a bad slice: %a" Wire.pp_error e);
   (match Big.Decoder.feed_bytes_iter d ~off:half by ~f with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "feed_bytes_iter after a bad slice: %a" Wire.pp_error e);
+  | Error e -> Alcotest.failf "second half after a bad slice: %a" Wire.pp_error e);
   Alcotest.(check bool) "stream complete" true (Big.Decoder.finish d = Ok ());
   Alcotest.(check bool) "events = oracle" true (List.rev !got = want)
 
-let mapped_file_roundtrip () =
-  let t = Test_wire.sample_trace () in
+(* A file streams through [iter_file]'s 64 KiB reads: [of_file] and
+   [iter_file] give back the encoded trace, also when the stream is
+   several read blocks long. *)
+let file_roundtrip () =
+  let small = Test_wire.sample_trace () in
+  let big = Trace.create () in
+  for _ = 1 to 2000 do
+    Trace.iter_events small ~f:(Trace.append big)
+  done;
+  List.iter
+    (fun t ->
+      let path = Filename.temp_file "crd-bigwire" ".crdw" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          (match Wire.to_file path t with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "to_file: %s" e);
+          (match Big.of_file path with
+          | Error e -> Alcotest.failf "of_file: %s" e
+          | Ok t' ->
+              Alcotest.(check bool)
+                "of_file = original" true
+                (Trace.to_list t' = Trace.to_list t));
+          let n = ref 0 in
+          match Big.iter_file path ~f:(fun _ -> incr n) with
+          | Error e -> Alcotest.failf "iter_file: %s" e
+          | Ok () -> Alcotest.(check int) "iter_file events" (Trace.length t) !n))
+    [ small; big ]
+
+(* [iter_fd ~len] reads exactly the stream's bytes and stops: the junk
+   after them is never fed (without [len] it is trailing data), and the
+   descriptor is left just past the stream, however the 64 KiB reads
+   fall. *)
+let iter_fd_stops_at_len () =
+  let bin = small_int_stream 20_000 in
+  let n = String.length bin in
+  let want = whole_oracle bin in
   let path = Filename.temp_file "crd-bigwire" ".crdw" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc bin;
+      Out_channel.output_string oc "junk");
+  let iter ?len () =
+    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        let events = ref [] in
+        let r = Big.iter_fd ?len fd ~f:(fun e -> events := e :: !events) in
+        ( Result.map (fun () -> List.rev !events) r,
+          Unix.lseek fd 0 Unix.SEEK_CUR ))
+  in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      (match Wire.to_file path t with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "to_file: %s" e);
-      (match Big.map_file path with
-      | Error e -> Alcotest.failf "map_file: %s" e
-      | Ok b -> (
-          match Big.decode_bigstring b with
-          | Error e -> Alcotest.failf "decode_bigstring: %a" Wire.pp_error e
-          | Ok t' ->
-              Alcotest.(check bool)
-                "mmap decode = original" true
-                (Trace.to_list t' = Trace.to_list t)));
-      match Big.of_file path with
-      | Error e -> Alcotest.failf "of_file: %s" e
-      | Ok t' ->
-          Alcotest.(check bool)
-            "of_file = original" true
-            (Trace.to_list t' = Trace.to_list t))
+      Alcotest.(check bool) "longer than one read" true (n > 65536);
+      let got, off = iter ~len:n () in
+      Alcotest.(check bool) "events = oracle" true (got = want);
+      Alcotest.(check int) "offset = stream length" n off;
+      match iter () with
+      | Error (Wire.Corrupt _), _ -> ()
+      | _ -> Alcotest.fail "trailing junk read without ~len")
 
 (* A FIFO streams through [iter_file]'s read loop like a regular file:
    with [~resync:true], a stream carrying a corrupt frame must
-   yield exactly the events (and result) of [iter_bigstring
-   ~resync:true] on the same bytes. The stream is several pipe buffers
-   long, so the reader sees many partial reads. *)
+   yield exactly the events (and result) of the same bytes fed whole
+   from memory. The stream is several pipe buffers long, so the reader
+   sees many partial reads. *)
 let fifo_resync_agrees () =
   let t = Trace.create () in
   let sample = Test_wire.sample_trace () in
@@ -305,14 +387,13 @@ let fifo_resync_agrees () =
     let r = iter ~f:(fun e -> events := e :: !events) in
     (r, List.rev !events)
   in
-  let big = Big.bigstring_of_string corrupted in
-  (match Big.iter_bigstring big ~f:ignore with
+  (match iter_string corrupted ~f:ignore with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "corruption not detected without resync");
   let expected_r, expected =
     collect (fun ~f ->
         Result.map_error Wire.error_to_string
-          (Big.iter_bigstring ~resync:true big ~f))
+          (iter_string ~resync:true corrupted ~f))
   in
   Alcotest.(check int) "resync recovers every event" (Trace.length t)
     (List.length expected);
@@ -345,22 +426,6 @@ let fifo_resync_agrees () =
       Alcotest.(check (result unit string)) "same result" expected_r got_r;
       Alcotest.(check bool) "same events" true (got = expected))
 
-(* A steady stream of small-int calls: [put(k, v) / p] on one
-   dictionary, every value in [0, 1024). *)
-let small_int_stream n =
-  let t = Trace.create () in
-  let obj = Obj_id.make ~name:"dictionary:d" 0 in
-  for i = 0 to n - 1 do
-    Trace.append t
-      (Event.call
-         (Tid.of_int (i land 3))
-         (Action.make ~obj ~meth:"put"
-            ~args:[ Value.Int (i land 1023); Value.Int ((7 * i) land 1023) ]
-            ~rets:[ Value.Int ((13 * i) land 1023) ]
-            ()))
-  done;
-  Wire.encode_trace t
-
 (* Small ints decode to shared boxes: equal values are physically equal,
    and a call allocates only its event (3 words), [Call] (2), action (5)
    and three list cells (9). Measured on this stream: 39.0 minor words
@@ -368,9 +433,9 @@ let small_int_stream n =
    the unboxed [Action.make] arguments; 19.0 after. *)
 let small_ints_shared () =
   let events = 20_000 in
-  let b = Big.bigstring_of_string (small_int_stream events) in
+  let b = small_int_stream events in
   let run () =
-    match Big.iter_bigstring b ~f:ignore with
+    match iter_string b ~f:ignore with
     | Ok () -> ()
     | Error e -> Alcotest.failf "decode: %a" Wire.pp_error e
   in
@@ -382,7 +447,7 @@ let small_ints_shared () =
     Alcotest.failf "decoding small-int calls allocates %.2f minor words per event"
       per_event;
   let values = ref [] in
-  (match Big.iter_bigstring b ~f:(fun e ->
+  (match iter_string b ~f:(fun e ->
        match e.Event.op with
        | Event.Call a -> values := a.Action.args @ a.Action.rets @ !values
        | _ -> ())
@@ -423,8 +488,9 @@ let suite =
       Alcotest.test_case "bit flips agree" `Quick bit_flips_agree;
       Alcotest.test_case "intern pool materializes once" `Quick
         intern_materializes_once;
-      Alcotest.test_case "mmap'd file round trip" `Quick mapped_file_roundtrip;
-      Alcotest.test_case "FIFO resync = iter_bigstring" `Quick
+      Alcotest.test_case "file round trip" `Quick file_roundtrip;
+      Alcotest.test_case "iter_fd stops at len" `Quick iter_fd_stops_at_len;
+      Alcotest.test_case "FIFO resync = in-memory" `Quick
         fifo_resync_agrees;
       Alcotest.test_case "streaming iter agrees" `Quick streaming_iter_agrees;
       Alcotest.test_case "consumer exception propagates" `Quick
@@ -438,8 +504,7 @@ let suite =
         Gen.(pair trace_gen (int_range 1 9))
         (fun (trace, chunk) ->
           let bin = Wire.encode_trace ~chunk_bytes:32 trace in
-          decode_big_chunked ~chunk bin = whole_oracle bin
-          && decode_big_bytes ~chunk bin = whole_oracle bin);
+          Test_wire.decode_chunked ~chunk bin = whole_oracle bin);
       qcheck "corrupted streams agree"
         Gen.(triple trace_gen (int_range 0 max_int) (int_range 0 7))
         (fun (trace, n, bit) ->
@@ -462,7 +527,7 @@ let suite =
           let i = n mod Bytes.length b in
           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
           let s = Bytes.to_string b in
-          decode_big_chunked ~resync:true ~chunk s
+          Test_wire.decode_chunked ~resync:true ~chunk s
           = oracle_chunked ~resync:true ~chunk s);
       qcheck "random bytes never raise and agree" ~count:500
         Gen.(string_size ~gen:char (int_range 0 120))

@@ -518,6 +518,44 @@ let journal_replay_on_start () =
         "partial journal not replayed" false
         (Sys.file_exists (Filename.concat dir "partial.report")))
 
+(* Replay streams a journal's committed prefix in 64 KiB reads: a
+   journal several blocks long with a torn tail past its marker replays
+   to the offline races, and one whose data file is shorter than its
+   marker gets an [ERR] report naming both sizes, counted as an error. *)
+let journal_replay_streams_committed_prefix () =
+  let trace = W.Synth.generate ~seed:7L (W.Synth.default ~events:20_000) in
+  let expected = offline_race_lines trace in
+  let dir = fresh_dir "crd-journal" in
+  let bytes = encode_trace trace in
+  Alcotest.(check bool) "several read blocks" true (String.length bytes > 131072);
+  let commit nonce =
+    let j = Journal.start ~dir ~nonce ~spec:"std" in
+    Journal.append j bytes;
+    Journal.commit j;
+    j
+  in
+  let torn = commit "torn" in
+  Journal.append torn "torn-tail";
+  Journal.close torn;
+  Journal.close (commit "short");
+  let short = Filename.concat dir "short.crdj" in
+  let have = String.length bytes - 100 in
+  Unix.truncate short have;
+  with_server
+    ~f_config:(fun c -> { c with Server.journal = Some dir })
+    (fun ~addr:_ ~server ->
+      let st = Server.stats server in
+      Alcotest.(check int) "both journals recovered" 2 st.Server.recovered;
+      Alcotest.(check int) "the short one is an error" 1 st.Server.errors;
+      let report = read_file (Filename.concat dir "torn.report") in
+      Alcotest.(check (list string))
+        "torn journal races = offline races" expected (reply_race_lines report);
+      Alcotest.(check string)
+        "short journal ERR names both sizes"
+        (Printf.sprintf "ERR %s: %d bytes but %d committed\n" short have
+           (String.length bytes))
+        (read_file (Filename.concat dir "short.report")))
+
 (* ------------------------------------------------------------------ *)
 (* Subprocess end-to-end: SIGKILL crash recovery, SIGTERM drain        *)
 (* ------------------------------------------------------------------ *)
@@ -1237,6 +1275,8 @@ let suite =
         retry_on_lost_reply;
       Alcotest.test_case "lost reply without retries fails" `Quick
         lost_reply_without_retries;
+      Alcotest.test_case "journal replay streams the committed prefix" `Quick
+        journal_replay_streams_committed_prefix;
       Alcotest.test_case "journal replay on start" `Quick
         journal_replay_on_start;
       Alcotest.test_case "racedb publication = offline fold" `Quick
