@@ -283,9 +283,7 @@ let trace_records ~jobs =
   List.map
     (fun (name, trace) ->
       let analyze jobs =
-        match
-          Shard.analyze_stdspecs ~jobs ~force:true ~config:rd2_config trace
-        with
+        match Shard.analyze_stdspecs ~jobs ~config:rd2_config trace with
         | Ok res -> res
         | Error e -> failwith e
       in
@@ -374,7 +372,7 @@ let promoted_jobs = [ 1; 2 ]
 let promoted_per_event ~seed config ~jobs =
   let an =
     match
-      Analyzer.create ~config:rd2_config ~jobs ~threshold:0 ~collect:false
+      Analyzer.create ~config:rd2_config ~jobs ~collect:false
         ~spec_for:Stdspecs.spec_for ()
     with
     | Ok an -> an
@@ -395,9 +393,7 @@ let synth_records ?(max_events = max_int) () =
       let config = { (W.Synth.default ~events) with W.Synth.skew } in
       let trace = W.Synth.generate ~seed:7L config in
       let analyze jobs =
-        match
-          Shard.analyze_stdspecs ~jobs ~force:true ~config:rd2_config trace
-        with
+        match Shard.analyze_stdspecs ~jobs ~config:rd2_config trace with
         | Ok res -> res
         | Error e -> failwith (name ^ ": " ^ e)
       in
@@ -1019,8 +1015,8 @@ let write_json ~path ~jobs ~benchmarks ~traces ~synth ~codec ~server
       pr "      \"rd2_races\": %d,\n" t.tr_rd2_races;
       pr "      \"rd2_ns\": %.0f,\n" t.tr_rd2_ns;
       pr "      \"events_per_sec\": %.0f,\n" (per_s t.tr_events t.tr_rd2_ns);
-      (* The jobs2 identity check forces sharding onto traces far below
-         the parallel threshold: correctness signal, not a speedup claim. *)
+      (* The jobs2 identity check shards these short traces from their
+         first event: correctness signal, not a speedup claim. *)
       pr "      \"forced_parallel\": true,\n";
       pr "      \"sharded_reports_identical\": %b\n" t.tr_identical;
       pr "    }")

@@ -38,6 +38,24 @@ let load_trace format path =
   let trace = Trace.create () in
   Result.map (fun () -> trace) (iter_trace format path ~f:(Trace.append trace))
 
+(* Write a trace as text or CRDW, to [output] or (when [None]) stdout. *)
+let write_trace format output trace =
+  match (format, output) with
+  | `Text, None ->
+      print_string (Trace_text.to_string trace);
+      Ok ()
+  | `Text, Some path -> (
+      try
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc (Trace_text.to_string trace));
+        Ok ()
+      with Sys_error e -> Error e)
+  | `Bin, None ->
+      Out_channel.set_binary_mode stdout true;
+      Wire.write_channel stdout trace;
+      Ok ()
+  | `Bin, Some path -> Wire.to_file path trace
+
 (* One line per race through [Report.add_line], written to stdout in
    blocks. Whatever was printed before went through Format's "@.", which
    flushes into the same channel, so the lines land after it. *)
@@ -510,27 +528,10 @@ let record_cmd =
     let trace = Trace.create () in
     if not (run_workload workload ~seed ~scale (Trace.append trace)) then
       `Error (false, Printf.sprintf "unknown workload %s" workload)
-    else begin
-      match format with
-      | `Text ->
-          let text = Trace_text.to_string trace in
-          (match output with
-          | None -> print_string text
-          | Some path ->
-              Out_channel.with_open_text path (fun oc ->
-                  Out_channel.output_string oc text));
-          `Ok ()
-      | `Bin -> (
-          match output with
-          | None ->
-              Out_channel.set_binary_mode stdout true;
-              Wire.write_channel stdout trace;
-              `Ok ()
-          | Some path -> (
-              match Wire.to_file path trace with
-              | Ok () -> `Ok ()
-              | Error e -> `Error (false, e)))
-    end
+    else
+      match write_trace format output trace with
+      | Ok () -> `Ok ()
+      | Error e -> `Error (false, e)
   in
   Cmd.v
     (Cmd.info "record" ~exits
@@ -674,25 +675,9 @@ let synth_cmd =
       with
       | Error e -> `Error (false, e)
       | Ok trace -> (
-          match format with
-          | `Text ->
-              let text = Trace_text.to_string trace in
-              (match output with
-              | None -> print_string text
-              | Some path ->
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc text));
-              `Ok ()
-          | `Bin -> (
-              match output with
-              | None ->
-                  Out_channel.set_binary_mode stdout true;
-                  Wire.write_channel stdout trace;
-                  `Ok ()
-              | Some path -> (
-                  match Wire.to_file path trace with
-                  | Ok () -> `Ok ()
-                  | Error e -> `Error (false, e))))
+          match write_trace format output trace with
+          | Ok () -> `Ok ()
+          | Error e -> `Error (false, e))
   in
   Cmd.v
     (Cmd.info "synth" ~exits
@@ -825,14 +810,9 @@ let table2_cmd =
               ignore (run_workload name ~seed ~scale (Trace.append trace));
               let ext = match format with `Text -> "trace" | `Bin -> "ctrace" in
               let path = Filename.concat dir (name ^ "." ^ ext) in
-              (match format with
-              | `Text ->
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc (Trace_text.to_string trace))
-              | `Bin -> (
-                  match Wire.to_file path trace with
-                  | Ok () -> ()
-                  | Error e -> failwith e));
+              (match write_trace format (Some path) trace with
+              | Ok () -> ()
+              | Error e -> failwith e);
               Fmt.pr "%s: %d events@." path (Trace.length trace))
             names;
           `Ok ()

@@ -8,10 +8,6 @@ let kind_equal a b =
   | Slot i, Slot j -> i = j
   | (Ds | Slot _), _ -> false
 
-let pp_kind ppf = function
-  | Ds -> Fmt.string ppf "ds"
-  | Slot i -> Fmt.pf ppf "slot %d" i
-
 type key = { meth : int; beta : int; kind : kind }
 
 let key_equal a b =
@@ -100,19 +96,6 @@ let beta_of t m args rets =
     then beta := !beta lor (1 lsl k)
   done;
   !beta
-
-let beta_pp t m ppf beta =
-  let arr = t.atoms.(m) in
-  if Array.length arr = 0 then Fmt.string ppf "{}"
-  else begin
-    Fmt.string ppf "{";
-    Array.iteri
-      (fun k a ->
-        if k > 0 then Fmt.string ppf ", ";
-        Fmt.pf ppf "%a:%b" Atom.pp a (beta land (1 lsl k) <> 0))
-      arr;
-    Fmt.string ppf "}"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Building the conflict table                                        *)

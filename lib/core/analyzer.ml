@@ -27,7 +27,6 @@ let default_config =
 type result = {
   events : int;
   shards : int;
-  fell_back : bool;
   rd2_reports : Report.t list;
   rd2_distinct : int64 array;
   rd2_stats : Rd2.stats option;
@@ -41,18 +40,17 @@ type result = {
 }
 
 let recommended_jobs () = min 8 (Domain.recommended_domain_count ())
-let default_parallel_threshold = 100_000
 
-(* Chunk size of the batched handoff: large enough that queue round
+(* Chunk size of the batched shard queues: large enough that queue round
    trips and mutex operations are amortized over thousands of events,
    small enough that workers start draining while the sequential
    happens-before pass is still producing. *)
 let chunk_events = 8_192
 
-(* Chunks a shard's handoff holds before the producer waits: with the
+(* Chunks a shard's queue holds before the producer waits: with the
    chunk being filled and the one being drained, in-flight memory per
    shard is a constant, whatever the stream length. *)
-let handoff_chunks = 4
+let queued_chunks = 4
 
 (* ------------------------------------------------------------------ *)
 (* The detector bundle                                                 *)
@@ -166,7 +164,7 @@ let outputs_of d =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Chunks and the bounded handoff                                      *)
+(* Chunks and the shard workers                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* A chunk is a fixed-capacity struct-of-arrays batch of clock-stamped
@@ -178,7 +176,8 @@ let outputs_of d =
    The worker rebuilds a young event per call. Clock snapshots are the
    stable [Hb] snapshots (copy-on-sync, never mutated after creation),
    so sharing them with a worker is safe once the chunk is published
-   under the handoff mutex. *)
+   under its queue's mutex. Every chunk's arrays are charged to
+   [mem_shard_bytes] until {!release}. *)
 type chunk = {
   c_idx : int array;
   c_ev : Event.t array;
@@ -197,19 +196,31 @@ let call_mark = Event.begin_ Tid.main
 let dummy_vc = Vclock.bot ()
 let no_obj = Obj_id.make (-1)
 
+let word_bytes = Sys.word_size / 8
+
+(* Seven arrays of [chunk_events] slots plus the value arena. *)
+let chunk_bytes ch =
+  word_bytes * ((7 * Array.length ch.c_idx) + Array.length ch.c_vals)
+
+let release ch = Crd_obs.Gauge.add Metrics.mem_shard_bytes (-chunk_bytes ch)
+
 let fresh_chunk () =
-  {
-    c_idx = Array.make chunk_events 0;
-    c_ev = Array.make chunk_events call_mark;
-    c_vc = Array.make chunk_events dummy_vc;
-    c_call = Array.make chunk_events 0;
-    c_obj = Array.make chunk_events no_obj;
-    c_meth = Array.make chunk_events "";
-    c_end = Array.make chunk_events 0;
-    c_vals = Array.make chunk_events Value.Nil;
-    c_nvals = 0;
-    c_n = 0;
-  }
+  let ch =
+    {
+      c_idx = Array.make chunk_events 0;
+      c_ev = Array.make chunk_events call_mark;
+      c_vc = Array.make chunk_events dummy_vc;
+      c_call = Array.make chunk_events 0;
+      c_obj = Array.make chunk_events no_obj;
+      c_meth = Array.make chunk_events "";
+      c_end = Array.make chunk_events 0;
+      c_vals = Array.make chunk_events Value.Nil;
+      c_nvals = 0;
+      c_n = 0;
+    }
+  in
+  Crd_obs.Gauge.add Metrics.mem_shard_bytes (chunk_bytes ch);
+  ch
 
 let rec put_values ch = function
   | [] -> ()
@@ -218,7 +229,8 @@ let rec put_values ch = function
       if i = Array.length ch.c_vals then begin
         let grown = Array.make (2 * i) Value.Nil in
         Array.blit ch.c_vals 0 grown 0 i;
-        ch.c_vals <- grown
+        ch.c_vals <- grown;
+        Crd_obs.Gauge.add Metrics.mem_shard_bytes (word_bytes * i)
       end;
       Array.unsafe_set ch.c_vals i v;
       ch.c_nvals <- i + 1;
@@ -275,71 +287,21 @@ let iter_chunk ch f =
     f (Array.unsafe_get ch.c_idx i) e (Array.unsafe_get ch.c_vc i)
   done
 
-(* One single-producer single-consumer handoff per shard, holding at
-   most [handoff_chunks] chunks. With one party per side, at most one of
-   them waits at a time, so one condition serves both directions. A
-   worker that dies records its exception in [failed], which releases a
-   producer waiting on a full handoff. *)
-type handoff = {
-  mu : Mutex.t;
-  cond : Condition.t;
-  q : chunk Queue.t;
-  mutable closed : bool;
-  mutable failed : exn option;
-}
-
-let make_handoff () =
-  {
-    mu = Mutex.create ();
-    cond = Condition.create ();
-    q = Queue.create ();
-    closed = false;
-    failed = None;
-  }
-
-(* [Some exn] when the worker has died instead of taking the chunk. *)
-let push ?(bound = handoff_chunks) h ch =
-  Mutex.lock h.mu;
-  while h.failed = None && Queue.length h.q >= bound do
-    Condition.wait h.cond h.mu
-  done;
-  let failed = h.failed in
-  if failed = None then begin
-    Queue.push ch h.q;
-    Condition.signal h.cond
-  end;
-  Mutex.unlock h.mu;
-  failed
-
-let close h =
-  Mutex.protect h.mu (fun () ->
-      h.closed <- true;
-      Condition.signal h.cond)
-
-let pop h =
-  Mutex.lock h.mu;
-  while Queue.is_empty h.q && not h.closed do
-    Condition.wait h.cond h.mu
-  done;
-  let r = Queue.take_opt h.q in
-  Condition.signal h.cond;
-  Mutex.unlock h.mu;
-  r
-
-let fail h e =
-  Mutex.protect h.mu (fun () ->
-      h.failed <- Some e;
-      Queue.clear h.q;
-      Condition.signal h.cond)
-
-let worker config ~collect ~repr_for ~spec_for h () =
+(* A shard worker drains its queue until the producer closes it. One
+   that dies releases the chunk it was on, closes its queue, so the
+   producer's next [push] is refused instead of waiting forever, and
+   releases what was queued. *)
+let worker config ~collect ~repr_for ~spec_for q () =
   Crd_obs.time Metrics.shard_wall_seconds (fun () ->
       let dets = make_detectors config ~collect ~repr_for ~spec_for in
       let rec loop () =
-        match pop h with
+        match Bqueue.pop q with
         | None -> ()
         | Some ch ->
-            iter_chunk ch (fun index e vc -> dispatch dets ~index e vc);
+            Fun.protect
+              ~finally:(fun () -> release ch)
+              (fun () ->
+                iter_chunk ch (fun index e vc -> dispatch dets ~index e vc));
             Crd_obs.Counter.incr Metrics.shard_chunks_total;
             loop ()
       in
@@ -347,7 +309,15 @@ let worker config ~collect ~repr_for ~spec_for h () =
       | () -> Ok (outputs_of dets)
       | exception e ->
           Metrics.publish_pool dets.pool;
-          fail h e;
+          Bqueue.close q;
+          let rec drain () =
+            Option.iter
+              (fun ch ->
+                release ch;
+                drain ())
+              (Bqueue.pop q)
+          in
+          drain ();
           Error e)
 
 (* ------------------------------------------------------------------ *)
@@ -355,28 +325,20 @@ let worker config ~collect ~repr_for ~spec_for h () =
 (* ------------------------------------------------------------------ *)
 
 type shards = {
-  handoffs : handoff array;
+  queues : chunk Bqueue.t array;
   workers : (outputs, exn) Stdlib.result Domain.t array;
-  fill : chunk array;
+  fill : chunk array;  (* each shard's chunk being filled *)
 }
 
 type mode =
   | Inline of detectors  (** [jobs = 1]: detectors fed during the clock pass *)
-  | Buffering of chunk list
-      (** [jobs > 1], fewer than [threshold] events so far; the chunk
-          being filled first *)
   | Sharded of shards
   | Finished of result
   | Failed of exn
 
 type t = {
-  config : config;
-  collect : bool;
-  jobs : int;
-  threshold : int;
   hb : Hb.t;
   resolve : Obj_id.t -> Spec.t option * Repr.t option;
-  lookup : Obj_id.t -> Spec.t option * Repr.t option;
   atomicity : Atomicity.t option;
   calls_read : bool;  (* RD2 or direct runs *)
   accesses_read : bool;  (* FastTrack or DJIT+ runs *)
@@ -384,25 +346,38 @@ type t = {
   mutable mode : mode;
 }
 
-(* Every worker is joined before the engine leaves [Sharded]: closing
-   the handoffs lets the live ones drain and exit, dead ones are already
-   gone. The first failure wins. *)
-let join_shards s =
-  Array.iter close s.handoffs;
-  let outs = Array.map Domain.join s.workers in
+(* Ends the shard pipeline, once: hand each non-empty fill chunk over
+   when [flush] (a chunk not handed over is released here), close every
+   queue so the live workers drain it and exit, and join them all. The
+   first failure, in shard order, wins. *)
+let join_shards ~flush s =
+  Array.iteri
+    (fun i ch ->
+      if not (flush && ch.c_n > 0 && Bqueue.push s.queues.(i) ch) then
+        release ch;
+      Bqueue.close s.queues.(i))
+    s.fill;
   Array.fold_right
-    (fun r acc ->
-      match (r, acc) with
+    (fun w acc ->
+      match (Domain.join w, acc) with
       | Error e, _ -> Error e
       | Ok o, Ok os -> Ok (o :: os)
       | Ok _, (Error _ as err) -> err)
-    outs (Ok [])
+    s.workers (Ok [])
 
+(* Shuts the engine down on [e]. A shard worker's failure wins over it:
+   it met an event the producer had already passed, and it is why a
+   [push] was refused. *)
 let abandon t e =
-  (match t.mode with
-  | Sharded s -> ignore (join_shards s)
-  | Inline d -> Metrics.publish_pool d.pool
-  | Buffering _ | Finished _ | Failed _ -> ());
+  let e =
+    match t.mode with
+    | Sharded s -> (
+        match join_shards ~flush:false s with Error w -> w | Ok _ -> e)
+    | Inline d ->
+        Metrics.publish_pool d.pool;
+        e
+    | Finished _ | Failed _ -> e
+  in
   t.mode <- Failed e;
   raise e
 
@@ -410,8 +385,8 @@ let abandon t e =
    [abs k mod n], since [abs min_int < 0]). *)
 let shard_of k n = abs (k mod n)
 
-let route ?bound t s index (e : Event.t) vc =
-  let n = Array.length s.handoffs in
+let route t s index (e : Event.t) vc =
+  let n = Array.length s.queues in
   let shard =
     match e.op with
     | Event.Call action ->
@@ -423,45 +398,13 @@ let route ?bound t s index (e : Event.t) vc =
     | Event.Begin | Event.End ->
         0
   in
-  if add s.fill.(shard) index e vc then begin
-    match push ?bound s.handoffs.(shard) s.fill.(shard) with
-    | None -> s.fill.(shard) <- fresh_chunk ()
-    | Some failure -> abandon t failure
-  end
+  if add s.fill.(shard) index e vc then
+    if Bqueue.push s.queues.(shard) s.fill.(shard) then
+      s.fill.(shard) <- fresh_chunk ()
+    else failwith "Analyzer: a shard worker stopped"
 
-(* The stream reached the threshold: spawn the workers, then route what
-   was buffered, oldest first. The backlog is already in memory, so it
-   goes in without waiting on the bound: the producer gets back to the
-   stream while the workers catch up. *)
-let start_shards t buffered =
-  let lookup_spec o = fst (t.lookup o) and lookup_repr o = snd (t.lookup o) in
-  let handoffs = Array.init t.jobs (fun _ -> make_handoff ()) in
-  let s =
-    {
-      handoffs;
-      workers =
-        Array.map
-          (fun h ->
-            Domain.spawn
-              (worker t.config ~collect:t.collect ~repr_for:lookup_repr
-                 ~spec_for:lookup_spec h))
-          handoffs;
-      fill = Array.init t.jobs (fun _ -> fresh_chunk ());
-    }
-  in
-  t.mode <- Sharded s;
-  List.iter
-    (fun ch ->
-      iter_chunk ch (fun index e vc -> route ~bound:max_int t s index e vc))
-    (List.rev buffered)
-
-let inline_detectors t =
-  make_detectors t.config ~collect:t.collect
-    ~repr_for:(fun o -> snd (t.resolve o))
-    ~spec_for:(fun o -> fst (t.resolve o))
-
-let create ?(config = default_config) ?(jobs = 1)
-    ?(threshold = default_parallel_threshold) ?(collect = true) ~spec_for () =
+let create ?(config = default_config) ?(jobs = 1) ?(collect = true) ~spec_for
+    () =
   (* The spec -> access-point memo: one entry per object, over one
      translation per specification. Only the producer writes it; shard
      workers read it under [mu], once per object they meet. Translation
@@ -489,20 +432,42 @@ let create ?(config = default_config) ?(jobs = 1)
         Mutex.protect mu (fun () -> Hashtbl.replace objs key (spec, repr));
         (spec, repr)
   in
-  let lookup o =
-    Mutex.protect mu (fun () ->
-        Option.value ~default:(None, None)
-          (Hashtbl.find_opt objs (Obj_id.id o)))
+  let jobs = max 1 jobs in
+  let mode =
+    if jobs = 1 then
+      Inline
+        (make_detectors config ~collect
+           ~repr_for:(fun o -> snd (resolve o))
+           ~spec_for:(fun o -> fst (resolve o)))
+    else begin
+      let lookup o =
+        Mutex.protect mu (fun () ->
+            Option.value ~default:(None, None)
+              (Hashtbl.find_opt objs (Obj_id.id o)))
+      in
+      let queues =
+        Array.init jobs (fun _ -> Bqueue.create ~capacity:queued_chunks ())
+      in
+      Sharded
+        {
+          queues;
+          workers =
+            Array.map
+              (fun q ->
+                Domain.spawn
+                  (worker config ~collect
+                     ~repr_for:(fun o -> snd (lookup o))
+                     ~spec_for:(fun o -> fst (lookup o))
+                     q))
+              queues;
+          fill = Array.init jobs (fun _ -> fresh_chunk ());
+        }
+    end
   in
-  let t =
+  Ok
     {
-      config;
-      collect;
-      jobs = max 1 jobs;
-      threshold;
       hb = Hb.create ();
       resolve;
-      lookup;
       (* The atomicity checker is cross-object (one transactional graph),
          so it cannot be sharded; it runs in the clock pass. *)
       atomicity =
@@ -512,13 +477,8 @@ let create ?(config = default_config) ?(jobs = 1)
       calls_read = config.rd2 <> `Off || config.direct;
       accesses_read = config.fasttrack || config.djit;
       events = 0;
-      mode = Buffering [];
+      mode;
     }
-  in
-  (if t.jobs = 1 then t.mode <- Inline (inline_detectors t)
-   else if threshold <= 0 then start_shards t []
-   else t.mode <- Buffering [ fresh_chunk () ]);
-  Ok t
 
 let with_stdspecs ?config ?jobs ?collect () =
   match
@@ -531,7 +491,7 @@ let step t (e : Event.t) =
   (match t.mode with
   | Finished _ -> invalid_arg "Analyzer.step: the analysis is finished"
   | Failed exn -> raise exn
-  | Inline _ | Buffering _ | Sharded _ -> ());
+  | Inline _ | Sharded _ -> ());
   let index = t.events in
   t.events <- index + 1;
   Crd_obs.Counter.incr Metrics.events_total;
@@ -552,23 +512,17 @@ let step t (e : Event.t) =
        gets the segment's stable snapshot. *)
     let vc =
       match t.mode with
-      | (Buffering _ | Sharded _) when routed -> Hb.step t.hb e
-      | Inline _ | Buffering _ | Sharded _ | Finished _ | Failed _ ->
-          Hb.advance t.hb e
+      | Sharded _ when routed -> Hb.step t.hb e
+      | Inline _ | Sharded _ | Finished _ | Failed _ -> Hb.advance t.hb e
     in
     (match t.atomicity with
     | Some a -> ignore (Atomicity.step a ~index e)
     | None -> ());
-    (if routed then
-       match t.mode with
-       | Inline d -> dispatch d ~index e vc
-       | Sharded s -> route t s index e vc
-       | Buffering (ch :: _ as chunks) ->
-           if add ch index e vc then t.mode <- Buffering (fresh_chunk () :: chunks)
-       | Buffering [] | Finished _ | Failed _ -> assert false);
-    match t.mode with
-    | Buffering chunks when t.events >= t.threshold -> start_shards t chunks
-    | Inline _ | Buffering _ | Sharded _ | Finished _ | Failed _ -> ()
+    if routed then
+      match t.mode with
+      | Inline d -> dispatch d ~index e vc
+      | Sharded s -> route t s index e vc
+      | Finished _ | Failed _ -> assert false
   with exn -> abandon t exn
 
 let sink t e = step t e
@@ -619,7 +573,7 @@ let add_ft (a : Fasttrack.stats) (b : Fasttrack.stats) =
     races = a.races + b.races;
   }
 
-let complete t ~shards ~fell_back outs =
+let complete t ~shards outs =
   let merge_span = Crd_obs.Span.start Metrics.shard_merge_seconds in
   let merge index_of f = merge_reports index_of (List.map f outs) in
   let report_index (r : Report.t) = r.Report.index
@@ -633,7 +587,6 @@ let complete t ~shards ~fell_back outs =
     {
       events = t.events;
       shards;
-      fell_back;
       rd2_reports;
       rd2_distinct = Report.sorted_union (List.map (fun o -> o.o_rd2_fps) outs);
       rd2_stats = sum_stats add_rd2 (List.filter_map (fun o -> o.o_rd2_stats) outs);
@@ -658,29 +611,13 @@ let finish t =
   match t.mode with
   | Finished r -> r
   | Failed e -> raise e
-  | Inline d -> complete t ~shards:1 ~fell_back:false [ outputs_of d ]
-  | Buffering chunks -> (
-      (* The stream ended below the threshold: run it inline. *)
-      Crd_obs.Counter.incr Metrics.shard_fallback_total;
-      let d = inline_detectors t in
-      t.mode <- Inline d;
-      match
-        List.iter
-          (fun ch -> iter_chunk ch (fun index e vc -> dispatch d ~index e vc))
-          (List.rev chunks)
-      with
-      | () -> complete t ~shards:1 ~fell_back:true [ outputs_of d ]
-      | exception e -> abandon t e)
+  | Inline d -> complete t ~shards:1 [ outputs_of d ]
   | Sharded s -> (
-      let failed = ref None in
-      Array.iteri
-        (fun i ch -> if ch.c_n > 0 && !failed = None then failed := push s.handoffs.(i) ch)
-        s.fill;
-      match (!failed, join_shards s) with
-      | Some e, _ | None, Error e ->
+      match join_shards ~flush:true s with
+      | Error e ->
           t.mode <- Failed e;
           raise e
-      | None, Ok outs -> complete t ~shards:t.jobs ~fell_back:false outs)
+      | Ok outs -> complete t ~shards:(Array.length s.workers) outs)
 
 let rd2_races t = (finish t).rd2_reports
 let rd2_stats t = (finish t).rd2_stats
@@ -693,10 +630,7 @@ let atomicity_violations t = (finish t).atomicity_violations
 
 let pp_result ppf (r : result) =
   Fmt.pf ppf "@[<v>events: %d" r.events;
-  if r.shards > 1 || r.fell_back then
-    Fmt.pf ppf " (%d shard%s%s)" r.shards
-      (if r.shards = 1 then "" else "s")
-      (if r.fell_back then ", fell back to sequential" else "");
+  if r.shards > 1 then Fmt.pf ppf " (%d shards)" r.shards;
   Fmt.pf ppf "@,";
   (match r.rd2_stats with
   | Some s ->

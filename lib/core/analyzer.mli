@@ -14,8 +14,8 @@
     {!Crd_trace.Trace.t}, a decoder, a socket, or live from
     {!Crd_runtime.Sched.run} via [sink] — and {!finish} produces the
     result. The events themselves are not recorded (a sharded stream
-    buffers at most [threshold] events, then a constant number of chunks
-    per shard), and a call is kept by value, never by its [Event.t]:
+    holds a constant number of chunks per shard), and a call is kept by
+    value, never by its [Event.t]:
     without [collect], every stepped event is garbage once {!step}
     returns. What grows with the stream is what the detectors keep:
 
@@ -47,19 +47,16 @@
     that a detector reads (calls for RD2 and direct, reads and writes
     for FastTrack and DJIT+) with its clock snapshot and routes it by
     object (calls hash on the object identity, reads and writes on the
-    location) into per-shard batches of {!chunk_events} events. A batch
-    holds a call by value (thread, object, method and values) and the
-    shard rebuilds it. One detector bundle per shard,
-    each on its own OCaml 5 domain, drains them while the stream is
-    still arriving. A shard's handoff holds a fixed number of chunks;
+    location) into per-shard batches of 8192 events. A batch holds a
+    call by value (thread, object, method and values) and the shard
+    rebuilds it. One detector bundle per shard, each on its own OCaml 5
+    domain spawned by {!create}, drains them while the stream is still
+    arriving: sharding starts at the first event, whatever the stream's
+    length. A shard's {!Crd_base.Bqueue} holds a fixed number of chunks;
     the producer waits when it is full, so in-flight memory is constant
-    per shard.
-
-    The stream length is unknown, so the first [threshold] events are
-    buffered: a stream that ends below it runs inline instead (domain
-    spawn would dominate) and reports [fell_back]; one that reaches it
-    spawns the shards and routes the buffer, then every later event as
-    it arrives.
+    per shard. It is charged to the [mem_shard_bytes] gauge while a
+    chunk is filled, queued or drained, which the server's memory
+    budget reads.
 
     The merge is deterministic: each event lives in exactly one shard and
     each shard's reports are in trace order, so merging the per-shard
@@ -88,10 +85,7 @@ val default_config : config
 
 type result = {
   events : int;  (** events stepped *)
-  shards : int;  (** shards actually used *)
-  fell_back : bool;
-      (** [jobs > 1] was requested but the stream ended below the
-          threshold, so it ran inline instead *)
+  shards : int;  (** [jobs] *)
   rd2_reports : Report.t list;
       (** every RD2 race in trace order when the analyzer collects; [[]]
           otherwise ([rd2_stats]'s [races] counts them either way) *)
@@ -117,13 +111,6 @@ type result = {
   atomicity_violations : Crd_atomicity.Atomicity.violation list;
 }
 
-val default_parallel_threshold : int
-(** Events a stream must reach before [jobs > 1] actually shards
-    (100_000). *)
-
-val chunk_events : int
-(** Events per handoff chunk (8192). *)
-
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count], capped to 8. *)
 
@@ -132,7 +119,6 @@ type t
 val create :
   ?config:config ->
   ?jobs:int ->
-  ?threshold:int ->
   ?collect:bool ->
   spec_for:(Obj_id.t -> Spec.t option) ->
   unit ->
@@ -145,9 +131,8 @@ val create :
     specification) raises [Invalid_argument] from {!step} unless RD2
     and atomicity are both off.
 
-    [jobs] (default 1) is the shard count; [threshold] (default
-    {!default_parallel_threshold}) the stream length from which it
-    applies — [0] shards from the first event.
+    [jobs] (default 1) is the shard count. With [jobs > 1] the shard
+    domains are spawned here and every routed event goes to them.
 
     [collect] (default [true]) keeps every RD2 report for
     [rd2_reports] and every FastTrack report for [fasttrack_reports].
@@ -177,7 +162,7 @@ val events : t -> int
 (** Events stepped so far. *)
 
 val finish : t -> result
-(** End the stream: run a buffered stream inline or join the shard
+(** End the stream: hand the last chunks over and join the shard
     workers, merge, and fold the RD2 counters into the process-wide
     {!Crd_obs.default} registry ([rd2_actions_total], ...). Idempotent:
     later calls return the same result (or re-raise the same failure)

@@ -38,12 +38,6 @@ let publish_rd2 (s : Crd_detector.Rd2.stats) =
   Crd_obs.Counter.add rd2_deflations_total s.Crd_detector.Rd2.deflations;
   Crd_obs.Counter.add rd2_races_total s.Crd_detector.Rd2.races
 
-let shard_fallback_total =
-  Crd_obs.counter
-    ~help:"Parallel analyses that fell back to sequential below the \
-           event threshold"
-    "shard_fallback_total"
-
 let shard_chunks_total =
   Crd_obs.counter ~help:"Event chunks handed to shard workers"
     "shard_chunks_total"
@@ -54,6 +48,15 @@ let shard_wall_seconds =
 let shard_merge_seconds =
   Crd_obs.histogram ~help:"Deterministic report-merge wall time"
     "shard_merge_seconds"
+
+(* Bytes of shard chunk arrays, charged when a chunk is allocated or its
+   value arena grows and released once a worker has drained it (or the
+   engine shut down with it undrained): the sharded leg of the server's
+   overload memory accounting. *)
+let mem_shard_bytes =
+  Crd_obs.gauge
+    ~help:"Approximate bytes in shard chunks being filled, queued or drained"
+    "mem_shard_bytes"
 
 (* Vector-clock arena occupancy, published at the end of each detector
    run (per shard and per live analyzer). [in_use] is a high-water mark

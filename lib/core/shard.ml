@@ -1,7 +1,6 @@
 type result = Analyzer.result = {
   events : int;
   shards : int;
-  fell_back : bool;
   rd2_reports : Crd_detector.Report.t list;
   rd2_distinct : int64 array;
   rd2_stats : Crd_detector.Rd2.stats option;
@@ -14,9 +13,8 @@ type result = Analyzer.result = {
   atomicity_violations : Crd_atomicity.Atomicity.violation list;
 }
 
-let analyze ?jobs ?(force = false) ?threshold ?config ~spec_for trace =
-  let threshold = if force then Some 0 else threshold in
-  match Analyzer.create ?config ?jobs ?threshold ~spec_for () with
+let analyze ?jobs ?config ~spec_for trace =
+  match Analyzer.create ?config ?jobs ~spec_for () with
   | Error e -> Error e
   | Ok an -> (
       try
@@ -24,8 +22,7 @@ let analyze ?jobs ?(force = false) ?threshold ?config ~spec_for trace =
         Ok (Analyzer.finish an)
       with Invalid_argument e -> Error e)
 
-let analyze_stdspecs ?jobs ?force ?threshold ?config trace =
-  analyze ?jobs ?force ?threshold ?config
-    ~spec_for:Crd_stdspecs.Stdspecs.spec_for trace
+let analyze_stdspecs ?jobs ?config trace =
+  analyze ?jobs ?config ~spec_for:Crd_stdspecs.Stdspecs.spec_for trace
 
 let pp_summary = Analyzer.pp_result

@@ -1,6 +1,6 @@
 (** Whole-trace analysis: a recorded {!Crd_trace.Trace.t} streamed
-    through one {!Analyzer} (see there for sharding, the threshold and
-    the deterministic merge). *)
+    through one {!Analyzer} (see there for sharding and the
+    deterministic merge). *)
 
 open Crd_base
 open Crd_spec
@@ -9,7 +9,6 @@ open Crd_trace
 type result = Analyzer.result = {
   events : int;
   shards : int;
-  fell_back : bool;
   rd2_reports : Crd_detector.Report.t list;
   rd2_distinct : int64 array;
   rd2_stats : Crd_detector.Rd2.stats option;
@@ -24,20 +23,16 @@ type result = Analyzer.result = {
 
 val analyze :
   ?jobs:int ->
-  ?force:bool ->
-  ?threshold:int ->
   ?config:Analyzer.config ->
   spec_for:(Obj_id.t -> Spec.t option) ->
   Trace.t ->
   (result, string) Stdlib.result
-(** [Analyzer.create ~jobs ~threshold], every event of the trace, then
-    [Analyzer.finish]. [force] shards whatever the trace length.
-    Translation failures and malformed events surface as [Error]. *)
+(** [Analyzer.create ~jobs], every event of the trace, then
+    [Analyzer.finish]. Translation failures and malformed events surface
+    as [Error]. *)
 
 val analyze_stdspecs :
   ?jobs:int ->
-  ?force:bool ->
-  ?threshold:int ->
   ?config:Analyzer.config ->
   Trace.t ->
   (result, string) Stdlib.result

@@ -14,8 +14,6 @@ let policy_to_string = function
   | Nth n -> Printf.sprintf "nth:%d" n
   | Every n -> Printf.sprintf "every:%d" n
 
-let pp_policy ppf p = Format.pp_print_string ppf (policy_to_string p)
-
 (* ------------------------------------------------------------------ *)
 (* Stateless SplitMix64 decision streams                               *)
 (* ------------------------------------------------------------------ *)
@@ -151,10 +149,6 @@ let iter_points f =
 let zero p =
   Atomic.set p.hits 0;
   Atomic.set p.injected 0
-
-let set_seed s =
-  Atomic.set global_seed s;
-  iter_points zero
 
 let reset () =
   Atomic.set global_seed default_seed;

@@ -49,7 +49,6 @@ type policy =
   | Nth of int  (** inject exactly the [n]th hit (1-based) *)
   | Every of int  (** inject every [n]th hit *)
 
-val pp_policy : Format.formatter -> policy -> unit
 val policy_to_string : policy -> string
 
 type point
@@ -76,10 +75,6 @@ val hits : point -> int
 (** Hits counted since the last {!configure}/{!reset}. *)
 
 val injected_count : point -> int
-
-val set_seed : int64 -> unit
-(** Reset every point's hit and injection counters and restart all
-    decision streams from this seed. *)
 
 val seed : unit -> int64
 

@@ -11,9 +11,9 @@
    The signals are deliberately cheap: the accept backlog (how many
    admitted sessions no worker has picked up), worker occupancy, and
    the process-wide memory accounting gauges maintained by Bigcodec
-   ([mem_intern_bytes]) and Metrics ([mem_vcpool_bytes]). The
-   registry's find-or-create semantics make those two names the
-   cross-library contract — reading them here observes the same
+   ([mem_intern_bytes]) and Metrics ([mem_vcpool_bytes],
+   [mem_shard_bytes]). The registry's find-or-create semantics make
+   those three names the cross-library contract — reading them here observes the same
    atomics the producers update. *)
 
 type tier = Normal | Spill | Shed
@@ -101,8 +101,11 @@ let fp_stall = Crd_fault.point "worker_stall"
    idempotent, so load order between libraries does not matter). *)
 let g_intern = Crd_obs.gauge "mem_intern_bytes"
 let g_vcpool = Crd_obs.gauge "mem_vcpool_bytes"
+let g_shard = Crd_obs.gauge "mem_shard_bytes"
 
-let mem_used () = Crd_obs.Gauge.get g_intern + Crd_obs.Gauge.get g_vcpool
+let mem_used () =
+  Crd_obs.Gauge.get g_intern + Crd_obs.Gauge.get g_vcpool
+  + Crd_obs.Gauge.get g_shard
 
 (* ------------------------------------------------------------------ *)
 (* Controller                                                          *)

@@ -6,7 +6,7 @@
     - {b spill}: sessions are acked and streamed straight to the
       fsync'd journal at decoder speed, skipping the online analyzer;
       a background catch-up drainer (server.ml) replays the committed
-      segments through the sharded chunk pipeline and publishes to the
+      segments through the session's analysis path and publishes to the
       racedb under the same session nonce, so race sets stay identical
       to what the online path would have produced;
     - {b shed}: [BUSY retry-after], on memory-budget exhaustion or,
@@ -14,11 +14,13 @@
       backlog — without that explicit bound, queue pressure degrades
       to spill, never to dropped evidence.
 
-    The memory signal sums two process-wide gauges maintained by the
+    The memory signal sums three process-wide gauges maintained by the
     producers themselves: [mem_intern_bytes] (live
-    {!Crd_wire.Bigcodec} decoder state) and [mem_vcpool_bytes]
-    (vector-clock arenas). Both are deliberate approximations: the
-    budget is a degradation threshold, not an allocator. *)
+    {!Crd_wire.Bigcodec} decoder state), [mem_vcpool_bytes]
+    (vector-clock arenas) and [mem_shard_bytes] (the analyzer's shard
+    chunks being filled, queued or drained). All are deliberate
+    approximations: the budget is a degradation threshold, not an
+    allocator. *)
 
 type tier = Normal | Spill | Shed
 
@@ -63,7 +65,7 @@ val evaluate : t -> pending:int -> active:int -> workers:int -> tier
     ladder does not flap around the threshold. *)
 
 val mem_used : unit -> int
-(** Sum of the two accounting gauges, in bytes. *)
+(** Sum of the three accounting gauges, in bytes. *)
 
 val note_spilled : bytes:int -> unit
 (** A session was acked via the spill path with [bytes] of committed

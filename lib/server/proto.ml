@@ -161,13 +161,6 @@ let read_handshake_body fd =
       | Error e -> Error e
       | Ok spec -> Ok { nonce; spec })
 
-let read_handshake fd =
-  match read_preamble fd with
-  | Error e -> Error e
-  | Ok (Sync _) -> Error "sync connection on a session read path"
-  | Ok Health -> Error "health probe on a session read path"
-  | Ok Session -> read_handshake_body fd
-
 let read_handshake_reply fd =
   match read_exact fd 1 with
   | None -> Error "connection closed before handshake reply"

@@ -78,10 +78,6 @@ val read_preamble : Unix.file_descr -> (preamble, string) result
 val read_handshake_body : Unix.file_descr -> (handshake, string) result
 (** The nonce + spec-set part that follows a [Session] preamble. *)
 
-val read_handshake : Unix.file_descr -> (handshake, string) result
-(** [read_preamble] + [read_handshake_body]; rejects sync preambles.
-    Server side: the requested session nonce and spec-set name. *)
-
 val read_handshake_reply : Unix.file_descr -> (reply, string) result
 (** Client side: decode accept/reject/busy. [Error _] is a transport or
     framing failure, not a server decision. *)

@@ -1,4 +1,5 @@
 open Crd
+module Bqueue = Crd_base.Bqueue
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -440,7 +441,7 @@ let resolve_spec_set cfg = function
    in place and hand each event to [f]. There is no reader thread and
    no per-session queue: while [f] works nobody reads, so a fast client
    blocks on the kernel socket buffer (and, under [jobs > 1], the
-   engine's bounded shard handoffs) instead of growing server memory.
+   engine's bounded shard queues) instead of growing server memory.
    [beat] hears each read's event count — the worker's progress
    heartbeat for the stall watchdog.
 
@@ -1023,7 +1024,7 @@ and supervisor_loop t =
    already-published session a no-op, and leave the report in
    [<nonce>.report]. An unanalyzable journal gets an [ERR] report so it
    is not replayed forever, here or by the next restart. *)
-let replay_journal t ~jobs ~dir nonce =
+let replay_journal t ~dir nonce =
   let replay ~spec:spec_name ~size fd =
     match resolve_spec_set t.cfg spec_name with
     | Error msg -> Error (Spec, msg)
@@ -1038,7 +1039,7 @@ let replay_journal t ~jobs ~dir nonce =
               Error (Io, Unix.error_message e)
         in
         match
-          try analyze_with { t.cfg with jobs } spec_for ~drain
+          try analyze_with t.cfg spec_for ~drain
           with e -> Error (Analysis, Printexc.to_string e)
         with
         | Error _ as e -> e
@@ -1070,15 +1071,16 @@ let replay_journal t ~jobs ~dir nonce =
      Crd_obs.Log.warn "journal_report_unwritable" [ ("nonce", nonce) ]);
   outcome
 
-(* A spill segment replays with at least two shards, so a long segment
-   does not compete with live sessions for single-threaded throughput. *)
+(* A spill segment replays as its live session would have run, with the
+   session's [jobs]: spilling means every worker is busy, so it gets no
+   extra shard domains. *)
 let catchup_one t dir (nonce, committed_at, bytes) =
   Fun.protect
     ~finally:(fun () ->
       Overload.note_caught_up ~bytes
         ~lag_s:(Float.max 0. (Crd_obs.now_s () -. committed_at)))
     (fun () ->
-      match replay_journal t ~jobs:(max t.cfg.jobs 2) ~dir nonce with
+      match replay_journal t ~dir nonce with
       | Error (_, msg) ->
           Crd_obs.Log.err "catchup_failed" [ ("nonce", nonce); ("err", msg) ]
       | Ok res ->
@@ -1187,7 +1189,7 @@ let recover_journals t =
   | Some dir ->
       List.iter
         (fun nonce ->
-          (match replay_journal t ~jobs:t.cfg.jobs ~dir nonce with
+          (match replay_journal t ~dir nonce with
           | Ok res ->
               record t ~events:res.events
                 ~races:(List.length res.rd2_reports)

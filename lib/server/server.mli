@@ -13,12 +13,12 @@
     reads through the same loop and only counts the events.
 
     Every session streams its events into one {!Crd.Analyzer} built
-    with [jobs]: with [jobs > 1] and a session of at least
-    {!Crd.Analyzer.default_parallel_threshold} events, the analysis
-    runs on [jobs] shard domains as the events arrive, through bounded
-    handoffs, so no session is ever recorded; the reported races are
-    identical by the shard-merge determinism invariant. Spill catch-up
-    and journal recovery go through the same path. Malformed events
+    with [jobs]: with [jobs > 1] the analysis runs on [jobs] shard
+    domains from the session's first event, as the events arrive,
+    through bounded queues, so no session is ever recorded; the reported
+    races are identical by the shard-merge determinism invariant. Spill
+    catch-up and journal recovery go through the same path, with the
+    same [jobs]. Malformed events
     (e.g. a call that does not match its object's specification)
     produce a clean [ERR] reply under every [jobs] setting.
 
@@ -84,7 +84,7 @@ type config = {
   analyzer : Analyzer.config;  (** detector set for every session *)
   jobs : int;
       (** shard domains per session analysis ({!Analyzer.create}'s
-          [jobs]); sessions below the threshold run inline *)
+          [jobs]), spill catch-up and journal recovery included *)
   specs : Spec.t list option;  (** the ["custom"] handshake spec set, if loaded *)
   shed_backlog : int;
       (** when [> 0] and all workers are busy with [shed_backlog]
@@ -120,15 +120,16 @@ type config = {
           (default 30); each peer's tick is jittered in [0.5x, 1.5x] *)
   memory_budget : int;
       (** accounted-memory bytes ([mem_intern_bytes] +
-          [mem_vcpool_bytes]: live decoder state and vector-clock
-          arenas) past which admission sheds with [BUSY]; [0] (the
-          default) never sheds on memory. See {!Overload}. *)
+          [mem_vcpool_bytes] + [mem_shard_bytes]: live decoder state,
+          vector-clock arenas and shard chunks) past which admission
+          sheds with [BUSY]; [0] (the default) never sheds on memory.
+          See {!Overload}. *)
   spill_watermark : int;
       (** admitted-but-unclaimed sessions that flip admission to the
           {e spill} tier while every worker is busy: new sessions are
           acked and journaled at decoder speed (no online analysis) and
-          a background drainer replays them through the sharded
-          pipeline later, publishing to the racedb under the session
+          a background drainer replays them through the session
+          analysis path later, publishing to the racedb under the session
           nonce so race sets match the online path exactly. Requires
           {!field-journal}; [0] (the default) disables spilling. *)
   stall_timeout : float;

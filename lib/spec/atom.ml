@@ -31,14 +31,6 @@ let pred_holds p a b =
   | Gt -> Value.lt b a
   | Ge -> Value.le b a
 
-let pred_negate = function
-  | Eq -> Ne
-  | Ne -> Eq
-  | Lt -> Ge
-  | Le -> Gt
-  | Gt -> Le
-  | Ge -> Lt
-
 (* Mirror image when the two operands are exchanged. *)
 let pred_mirror = function
   | Eq -> Eq

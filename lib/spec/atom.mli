@@ -29,7 +29,6 @@ val term_equal : term -> term -> bool
 type pred = Eq | Ne | Lt | Le | Gt | Ge
 
 val pred_holds : pred -> Value.t -> Value.t -> bool
-val pred_negate : pred -> pred
 val pred_symbol : pred -> string
 
 type t = { pred : pred; lhs : term; rhs : term }

@@ -61,8 +61,3 @@ let check f =
       | Formula.True | Formula.False -> Ok ()
   in
   go f
-
-let lb_atoms f =
-  List.filter
-    (fun a -> match classify_atom a with Some (Lb_atom _) -> true | _ -> false)
-    (Formula.atoms f)

@@ -23,7 +23,3 @@ val is_ecl : Formula.t -> bool
 
 val check : Formula.t -> (unit, string) result
 (** Like [is_ecl] but explains the first violation found. *)
-
-val lb_atoms : Formula.t -> Atom.t list
-(** The LB atoms of an ECL formula, in occurrence order (duplicates kept).
-    Meaningful only if [is_ecl] holds. *)

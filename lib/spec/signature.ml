@@ -6,14 +6,6 @@ let make ~meth ?(args = []) ?(rets = []) () = { meth; args; rets }
 let slot_names t = t.args @ t.rets
 let arity t = List.length t.args + List.length t.rets
 
-let find_slot t name =
-  let rec go i = function
-    | [] -> None
-    | n :: _ when String.equal n name -> Some i
-    | _ :: rest -> go (i + 1) rest
-  in
-  go 0 (slot_names t)
-
 let matches t (a : Action.t) =
   String.equal t.meth a.meth
   && List.length a.args = List.length t.args

@@ -15,9 +15,6 @@ val slot_names : t -> string list
 
 val arity : t -> int
 
-val find_slot : t -> string -> int option
-(** Index of a named slot in [slot_names]. *)
-
 val matches : t -> Action.t -> bool
 (** Does an action have this method name and the right arity? *)
 

@@ -13,10 +13,9 @@
 #      EINTR-retry wrappers in Proto must make the session
 #      indistinguishable from an undisturbed one;
 #   5. SIGTERM must drain the server cleanly;
-#   6. repeat 3-5 on a `--jobs 2` server: at the default 100k events
-#      the session reaches the sharding threshold exactly, so it streams
-#      into two shard workers under the same fault storm, and its race
-#      set must still match the offline one.
+#   6. repeat 3-5 on a `--jobs 2` server: the session streams into two
+#      shard workers from its first event under the same fault storm,
+#      and its race set must still match the offline one.
 #
 # Environment:
 #   EVENTS  synthetic trace size  (default 100000)

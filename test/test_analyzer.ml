@@ -157,7 +157,7 @@ let sharded_matches_sequential () =
       Analyzer.run_trace an trace;
       let seq = Result.get_ok (Shard.analyze_stdspecs ~jobs:1 ~config trace) in
       let par =
-        Result.get_ok (Shard.analyze_stdspecs ~jobs:4 ~force:true ~config trace)
+        Result.get_ok (Shard.analyze_stdspecs ~jobs:4 ~config trace)
       in
       Alcotest.(check bool)
         (name ^ ": jobs=4 rd2 == jobs=1") true
@@ -183,11 +183,10 @@ let rd2_only =
 let rd2_fasttrack = { rd2_only with fasttrack = true }
 
 (* A synthetic trace streamed through a fresh analyzer, not finished. *)
-let stream_synth ?(config = rd2_only) ?jobs ?threshold ~collect (seed, cfg) =
+let stream_synth ?(config = rd2_only) ?jobs ~collect (seed, cfg) =
   let an =
     Result.get_ok
-      (Analyzer.create ~config ?jobs ?threshold ~collect
-         ~spec_for:Stdspecs.spec_for ())
+      (Analyzer.create ~config ?jobs ~collect ~spec_for:Stdspecs.spec_for ())
   in
   Synth.iter ~seed cfg ~f:(Analyzer.step an);
   an
@@ -207,17 +206,16 @@ let synth_case =
 (* Without [collect] the engine keeps no report but folds every race:
    RD2's count and distinct fingerprints and FastTrack's count and
    distinct locations (and so the printed summary) are those of the
-   collected lists, inline, sharded and fallen back. RD2 alone runs too:
+   collected lists, inline and sharded. RD2 alone runs too:
    the traces' reads and writes are then routed to no shard. *)
 let fold_equals_collect =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:40 ~name:"fold-only == collecting (count, distinct)"
        Gen.(
-         quad synth_case (oneofl [ 1; 2; 4 ])
-           (oneofl [ 0; Analyzer.default_parallel_threshold ])
+         triple synth_case (oneofl [ 1; 2; 4 ])
            (oneofl [ rd2_fasttrack; rd2_only ]))
-       (fun (case, jobs, threshold, config) ->
-         let stream = stream_synth ~config ~jobs ~threshold in
+       (fun (case, jobs, config) ->
+         let stream = stream_synth ~config ~jobs in
          let fold = Analyzer.finish (stream ~collect:false case)
          and coll = Analyzer.finish (stream ~collect:true case) in
          let races (r : Analyzer.result) =
@@ -281,8 +279,7 @@ let min_int_object_routes () =
   let run jobs =
     let an =
       Result.get_ok
-        (Analyzer.create ~config:rd2_only ~jobs ~threshold:0
-           ~spec_for:Stdspecs.spec_for ())
+        (Analyzer.create ~config:rd2_only ~jobs ~spec_for:Stdspecs.spec_for ())
     in
     List.iter (Analyzer.step an) events;
     Analyzer.rd2_races an
@@ -306,11 +303,10 @@ let decoded_calls_die_young () =
   let bytes = crdw_session ~events:40_000 7L in
   let half = Bytes.length bytes / 2 in
   List.iter
-    (fun (jobs, threshold) ->
+    (fun jobs ->
       let an =
         Result.get_ok
-          (Analyzer.create ~jobs ~threshold ~collect:false
-             ~spec_for:Stdspecs.spec_for ())
+          (Analyzer.create ~jobs ~collect:false ~spec_for:Stdspecs.spec_for ())
       in
       let calls = Weak.create 40_000 and n = ref 0 in
       let f (e : Event.t) =
@@ -333,7 +329,7 @@ let decoded_calls_die_young () =
       for i = 0 to !n - 1 do
         if Weak.check calls i then incr live
       done;
-      let what = Printf.sprintf "jobs=%d threshold=%d" jobs threshold in
+      let what = Printf.sprintf "jobs=%d" jobs in
       Alcotest.(check bool) (what ^ ": calls decoded") true (!n > 10_000);
       Alcotest.(check int) (what ^ ": decoded actions alive") 0 !live;
       feed half (Bytes.length bytes - half);
@@ -341,7 +337,7 @@ let decoded_calls_die_young () =
         (Bigwire.Decoder.finish d = Ok ());
       Bigwire.Decoder.release d;
       ignore (Analyzer.finish an))
-    [ (1, Analyzer.default_parallel_threshold); (2, 0) ]
+    [ 1; 2 ]
 
 (* Collected reports still share their actions: a report's prior is the
    action of an earlier report when that call raced too, and a prior

@@ -1,9 +1,9 @@
-(* Unit tests for the bounded blocking queue the server hands
-   connections, racedb batches and spill segments through: FIFO order,
-   the capacity bound actually blocking producers, and close waking
-   everyone with the documented returns. *)
+(* Unit tests for the bounded blocking queue the analyzer hands shard
+   chunks through, and the server connections, racedb batches and spill
+   segments: FIFO order, the capacity bound actually blocking
+   producers, and close waking everyone with the documented returns. *)
 
-module Bqueue = Crd_server.Bqueue
+module Bqueue = Crd_base.Bqueue
 
 let fifo_order () =
   let q = Bqueue.create ~capacity:8 () in

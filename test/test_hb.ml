@@ -240,8 +240,7 @@ let jobs_agree_on_64_threads () =
   let run jobs =
     let an =
       Result.get_ok
-        (Analyzer.create ~config ~jobs ~threshold:0
-           ~spec_for:Stdspecs.spec_for ())
+        (Analyzer.create ~config ~jobs ~spec_for:Stdspecs.spec_for ())
     in
     Analyzer.run_trace an trace;
     (Analyzer.rd2_races an, Analyzer.fasttrack_races an)

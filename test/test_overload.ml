@@ -527,6 +527,21 @@ let overcapacity_bounded () =
   Alcotest.(check int) "mem_intern_bytes back to baseline" i0
     (Crd_obs.Gauge.get g_intern)
 
+(* The memory signal sees the shard pipeline: a [jobs = 2] analyzer
+   mid-stream holds chunks that [Overload.mem_used] counts, and finishing
+   it gives them all back. *)
+let mem_used_sees_shards () =
+  let base = Overload.mem_used () in
+  let an =
+    Result.get_ok (Analyzer.create ~jobs:2 ~spec_for:Stdspecs.spec_for ())
+  in
+  W.Synth.iter ~seed:7L (W.Synth.default ~events:20_000) ~f:(Analyzer.step an);
+  Alcotest.(check bool) "shard chunks counted mid-stream" true
+    (Overload.mem_used () > base);
+  ignore (Analyzer.finish an);
+  Alcotest.(check int) "back to baseline after finish" base
+    (Overload.mem_used ())
+
 let suite =
   ( "overload",
     [
@@ -536,6 +551,8 @@ let suite =
         spill_catchup_identity;
       Alcotest.test_case "shed only on memory budget" `Quick
         shed_on_memory_budget;
+      Alcotest.test_case "memory signal sees shard chunks" `Quick
+        mem_used_sees_shards;
       Alcotest.test_case "watchdog recycles a stalled worker" `Quick
         watchdog_recycles_stall;
       Alcotest.test_case "sync deadline beats a drip peer" `Quick

@@ -1,7 +1,7 @@
 (* The synthetic workload generator and the chunked parallel analysis:
    determinism of generation, bit-identical reports across shard counts
-   and against the live analyzer, the sequential fallback, and the
-   vector-clock pool arena. *)
+   and against the live analyzer, sharding from the first event, and
+   the vector-clock pool arena. *)
 
 open Crd
 module Synth = Crd_workloads.Synth
@@ -71,7 +71,7 @@ let analyze ?(jobs = 1) trace =
       atomicity = false;
     }
   in
-  match Shard.analyze_stdspecs ~jobs ~force:true ~config trace with
+  match Shard.analyze_stdspecs ~jobs ~config trace with
   | Ok res -> res
   | Error e -> Alcotest.fail e
 
@@ -125,27 +125,35 @@ let parallel_matches_sequential () =
       ("uniform/all-specs", Synth.Uniform, all_specs_mix);
     ]
 
-let fallback () =
-  let trace = gen 5_000 in
-  let config = Analyzer.default_config in
-  let run ?force ?threshold jobs =
-    match Shard.analyze_stdspecs ~jobs ?force ?threshold ~config trace with
-    | Ok res -> res
-    | Error e -> Alcotest.fail e
-  in
-  let small = run 4 in
-  Alcotest.(check bool) "fell back" true small.Shard.fell_back;
-  Alcotest.(check int) "one shard" 1 small.Shard.shards;
-  let forced = run ~force:true 4 in
-  Alcotest.(check bool) "forced" false forced.Shard.fell_back;
-  Alcotest.(check int) "four shards" 4 forced.Shard.shards;
-  let low_threshold = run ~threshold:1_000 4 in
-  Alcotest.(check bool) "above threshold" false low_threshold.Shard.fell_back;
-  Alcotest.(check int) "sharded" 4 low_threshold.Shard.shards;
-  Alcotest.(check bool) "reports agree across paths" true
-    (small.Shard.rd2_reports = forced.Shard.rd2_reports);
-  let seq = run 1 in
-  Alcotest.(check bool) "jobs=1 never falls back" false seq.Shard.fell_back
+(* Sharding starts at the first event: an empty stream, one event and
+   one event more than a chunk holds (8192) all run on two shards and
+   report exactly what the inline engine does. *)
+let short_streams_shard () =
+  List.iter
+    (fun events ->
+      let trace = if events = 0 then Trace.create () else gen events in
+      let run jobs =
+        let an =
+          Result.get_ok (Analyzer.create ~jobs ~spec_for:Stdspecs.spec_for ())
+        in
+        Analyzer.run_trace an trace;
+        Analyzer.finish an
+      in
+      let seq = run 1 and par = run 2 in
+      let what = Printf.sprintf "%d events" events in
+      Alcotest.(check int) (what ^ ": shards") 2 par.Analyzer.shards;
+      Alcotest.(check int) (what ^ ": events") events par.Analyzer.events;
+      Alcotest.(check bool) (what ^ ": rd2 reports") true
+        (par.Analyzer.rd2_reports = seq.Analyzer.rd2_reports);
+      Alcotest.(check bool) (what ^ ": fasttrack reports") true
+        (par.Analyzer.fasttrack_reports = seq.Analyzer.fasttrack_reports);
+      Alcotest.(check bool) (what ^ ": rd2 stats") true
+        (par.Analyzer.rd2_stats = seq.Analyzer.rd2_stats);
+      Alcotest.(check bool) (what ^ ": fasttrack stats") true
+        (par.Analyzer.fasttrack_stats = seq.Analyzer.fasttrack_stats);
+      Alcotest.(check bool) (what ^ ": rd2 distinct") true
+        (par.Analyzer.rd2_distinct = seq.Analyzer.rd2_distinct))
+    [ 0; 1; 8_193 ]
 
 (* Detectors fed from a deliberately undersized pool (capacity 1) must
    behave exactly like detectors without a pool: exhaustion grows the
@@ -187,9 +195,7 @@ let pool_exhaustion () =
 module Gen = QCheck2.Gen
 
 (* The streaming engine, fed one event at a time, against the whole-trace
-   sequential run. The threshold is drawn relative to the stream length
-   so that streams end below it (buffered, then run inline), exactly at
-   it, and above it (buffer routed to the shards, the rest streamed). *)
+   sequential run. *)
 let engine_matches_sequential =
   let cases =
     Gen.(
@@ -197,23 +203,15 @@ let engine_matches_sequential =
       let* events = int_range 1 20_000 in
       let* uniform = bool in
       let* jobs = oneofl [ 1; 2; 4 ] in
-      let* threshold =
-        oneof
-          [
-            int_range (events + 1) (events + 10_000);
-            return events;
-            int_range 0 (events - 1);
-          ]
-      in
-      return (seed, events, uniform, jobs, threshold))
+      return (seed, events, uniform, jobs))
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:30 ~name:"engine == sequential at every jobs"
-       ~print:(fun (seed, events, uniform, jobs, threshold) ->
-         Printf.sprintf "seed=%d events=%d uniform=%b jobs=%d threshold=%d"
-           seed events uniform jobs threshold)
+       ~print:(fun (seed, events, uniform, jobs) ->
+         Printf.sprintf "seed=%d events=%d uniform=%b jobs=%d" seed events
+           uniform jobs)
        cases
-       (fun (seed, events, uniform, jobs, threshold) ->
+       (fun (seed, events, uniform, jobs) ->
          let trace =
            if uniform then
              gen ~seed:(Int64.of_int seed) ~skew:Synth.Uniform
@@ -223,37 +221,34 @@ let engine_matches_sequential =
          let seq = analyze ~jobs:1 trace in
          let an =
            Result.get_ok
-             (Analyzer.create ~jobs ~threshold ~spec_for:Stdspecs.spec_for ())
+             (Analyzer.create ~jobs ~spec_for:Stdspecs.spec_for ())
          in
          Trace.iter_events trace ~f:(Analyzer.step an);
          let r = Analyzer.finish an in
-         let fell_back = jobs > 1 && events < threshold in
          r.Analyzer.rd2_reports = seq.Shard.rd2_reports
          && r.Analyzer.fasttrack_reports = seq.Shard.fasttrack_reports
          && r.Analyzer.rd2_stats = seq.Shard.rd2_stats
-         && r.Analyzer.fell_back = fell_back
-         && r.Analyzer.shards = (if fell_back then 1 else jobs)
+         && r.Analyzer.shards = jobs
          && Analyzer.finish an == r))
 
-(* A call its specification cannot take, met by a shard worker after the
-   threshold: the worker dies, and the producer gets the error instead of
-   waiting forever on the dead worker's full handoff. Far more events
-   follow the bad one than the bounded handoffs can hold. *)
+(* A call its specification cannot take, met by a shard worker: the
+   worker dies, and the producer gets the error instead of waiting
+   forever on the dead worker's full queue. Far more events follow the
+   bad one than the bounded queues can hold. *)
+let bad_call =
+  Event.call Tid.main
+    (Action.make
+       ~obj:(Obj_id.make ~name:"dictionary:bad" 1_000_000)
+       ~meth:"frobnicate" ~args:[ Value.Str "x" ] ())
+
 let worker_failure_releases_producer () =
   let an =
-    Result.get_ok
-      (Analyzer.create ~jobs:2 ~threshold:1_000 ~spec_for:Stdspecs.spec_for ())
-  in
-  let bad =
-    Event.call Tid.main
-      (Action.make
-         ~obj:(Obj_id.make ~name:"dictionary:bad" 1_000_000)
-         ~meth:"frobnicate" ~args:[ Value.Str "x" ] ())
+    Result.get_ok (Analyzer.create ~jobs:2 ~spec_for:Stdspecs.spec_for ())
   in
   let outcome =
     try
       Trace.iter_events (gen 5_000) ~f:(Analyzer.step an);
-      Analyzer.step an bad;
+      Analyzer.step an bad_call;
       Trace.iter_events (gen ~seed:9L 200_000) ~f:(Analyzer.step an);
       ignore (Analyzer.finish an);
       None
@@ -267,6 +262,37 @@ let worker_failure_releases_producer () =
   match Analyzer.finish an with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "finish after a failure must re-raise it"
+
+(* Shard chunks are charged to [mem_shard_bytes], the gauge the server's
+   memory budget reads, while they are filled, queued or drained: above
+   its start value mid-stream, back at it once the engine has finished,
+   and once a worker has died on a bad call. *)
+let shard_chunks_charged () =
+  let gauge = Crd_obs.gauge "mem_shard_bytes" in
+  let start = Crd_obs.Gauge.get gauge in
+  let create config =
+    Result.get_ok (Analyzer.create ~config ~jobs:2 ~spec_for:Stdspecs.spec_for ())
+  in
+  let an = create Analyzer.default_config in
+  Trace.iter_events (gen 20_000) ~f:(Analyzer.step an);
+  Alcotest.(check bool) "charged mid-stream" true
+    (Crd_obs.Gauge.get gauge > start);
+  ignore (Analyzer.finish an);
+  Alcotest.(check int) "released after finish" start (Crd_obs.Gauge.get gauge);
+  (* The direct detector makes the workers slower than the producer, so
+     the bad call's worker dies with chunks queued behind it. *)
+  let an = create { Analyzer.default_config with direct = true } in
+  (match
+     Trace.iter_events (gen ~objects:4096 20_000) ~f:(Analyzer.step an);
+     Analyzer.step an bad_call;
+     Trace.iter_events (gen ~objects:4096 ~seed:9L 100_000)
+       ~f:(Analyzer.step an);
+     Analyzer.finish an
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "malformed call accepted");
+  Alcotest.(check int) "released after a worker failure" start
+    (Crd_obs.Gauge.get gauge)
 
 (* Key spaces below five: a counter [add]'s delta (1..4) can exceed the
    interned key values, and used to index past them. Generation and
@@ -299,10 +325,12 @@ let suite =
       Alcotest.test_case "skew and mix parsers" `Quick parsers;
       Alcotest.test_case "parallel == sequential == live" `Quick
         parallel_matches_sequential;
-      Alcotest.test_case "sequential fallback" `Quick fallback;
+      Alcotest.test_case "short streams shard" `Quick short_streams_shard;
       Alcotest.test_case "pool exhaustion" `Quick pool_exhaustion;
       engine_matches_sequential;
       small_key_spaces;
       Alcotest.test_case "worker failure releases the producer" `Quick
         worker_failure_releases_producer;
+      Alcotest.test_case "shard chunks charged to the memory gauge" `Quick
+        shard_chunks_charged;
     ] )
