@@ -43,8 +43,8 @@ let recommended_jobs () = min 8 (Domain.recommended_domain_count ())
 
 (* Chunk size of the batched shard queues: large enough that queue round
    trips and mutex operations are amortized over thousands of events,
-   small enough that workers start draining while the sequential
-   happens-before pass is still producing. *)
+   small enough that workers start draining while the producer is still
+   routing. *)
 let chunk_events = 8_192
 
 (* Chunks a shard's queue holds before the producer waits: with the
@@ -57,8 +57,9 @@ let queued_chunks = 4
 (* ------------------------------------------------------------------ *)
 
 (* One detector set: the inline bundle of an unsharded run, or one per
-   shard worker. Each bundle owns its vector-clock pool: pools are
-   single-owner, and a bundle never leaves the domain that created it.
+   shard worker. Each bundle owns its happens-before engine and its
+   vector-clock pool: both are single-owner, and a bundle never leaves
+   the domain that created it.
 
    RD2 and FastTrack keep their reports only when [collect] does (RD2's
    collected reports then share their prior actions). The bundle folds
@@ -66,6 +67,7 @@ let queued_chunks = 4
    and each FastTrack race into [ft_locs] (their count is
    [Fasttrack.stats]' [races]). *)
 type detectors = {
+  hb : Hb.t;
   rd2 : Rd2.t option;
   direct : Direct.t option;
   ft : Fasttrack.t option;
@@ -78,6 +80,7 @@ type detectors = {
 let make_detectors (config : config) ~collect ~repr_for ~spec_for =
   let pool = Metrics.create_pool () in
   {
+    hb = Hb.create ();
     rd2 =
       (match config.rd2 with
       | `Off -> None
@@ -99,10 +102,11 @@ let rec fold_rd2 d = function
       Report.add_fingerprint d.rd2_fps r;
       fold_rd2 d rest
 
-(* The dispatch hot loop: no allocation of its own. [vc] is only read
-   during the call (the live [Hb] clock inline, a chunk's snapshot on a
-   shard). *)
-let dispatch d ~index (e : Event.t) vc =
+(* The one per-event path, inline and on every shard: advance the
+   bundle's clock pass, then run the detectors on its live clock, which
+   they only read during the call. No allocation of its own. *)
+let dispatch d ~index (e : Event.t) =
+  let vc = Hb.advance d.hb e in
   match e.op with
   | Event.Call action ->
       (match d.rd2 with
@@ -167,21 +171,18 @@ let outputs_of d =
 (* Chunks and the shard workers                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A chunk is a fixed-capacity struct-of-arrays batch of clock-stamped
-   events. A [Read]/[Write] event is kept by pointer in [c_ev]. A call is
-   kept by value, so the decoded event dies young: [c_ev] holds
-   [call_mark], [c_call] the thread and the argument count, [c_obj] and
-   [c_meth] the object and method (interned by the decoder), and the
-   chunk's [c_vals] arena its arguments then returns, up to [c_end].
-   The worker rebuilds a young event per call. Clock snapshots are the
-   stable [Hb] snapshots (copy-on-sync, never mutated after creation),
-   so sharing them with a worker is safe once the chunk is published
-   under its queue's mutex. Every chunk's arrays are charged to
-   [mem_shard_bytes] until {!release}. *)
+(* A chunk is a fixed-capacity struct-of-arrays batch of events; it
+   carries no clocks. A [Read]/[Write] or synchronization event is kept
+   by pointer in [c_ev]. A call is kept by value, so the decoded event
+   dies young: [c_ev] holds [call_mark], [c_call] the thread and the
+   argument count, [c_obj] and [c_meth] the object and method (interned
+   by the decoder), and the chunk's [c_vals] arena its arguments then
+   returns, up to [c_end]. The worker rebuilds a young event per call.
+   Every chunk's arrays are charged to [mem_shard_bytes] until
+   {!release}. *)
 type chunk = {
   c_idx : int array;
   c_ev : Event.t array;
-  c_vc : Vclock.t array;
   c_call : int array;  (* tid lor (nargs lsl 16): [Tid.max_id] < 2^16 *)
   c_obj : Obj_id.t array;
   c_meth : string array;
@@ -191,16 +192,15 @@ type chunk = {
   mutable c_n : int;
 }
 
-(* Never appended as itself: only calls, reads and writes are. *)
+(* Never appended as itself: [Begin] is never routed. *)
 let call_mark = Event.begin_ Tid.main
-let dummy_vc = Vclock.bot ()
 let no_obj = Obj_id.make (-1)
 
 let word_bytes = Sys.word_size / 8
 
-(* Seven arrays of [chunk_events] slots plus the value arena. *)
+(* Six arrays of [chunk_events] slots plus the value arena. *)
 let chunk_bytes ch =
-  word_bytes * ((7 * Array.length ch.c_idx) + Array.length ch.c_vals)
+  word_bytes * ((6 * Array.length ch.c_idx) + Array.length ch.c_vals)
 
 let release ch = Crd_obs.Gauge.add Metrics.mem_shard_bytes (-chunk_bytes ch)
 
@@ -209,7 +209,6 @@ let fresh_chunk () =
     {
       c_idx = Array.make chunk_events 0;
       c_ev = Array.make chunk_events call_mark;
-      c_vc = Array.make chunk_events dummy_vc;
       c_call = Array.make chunk_events 0;
       c_obj = Array.make chunk_events no_obj;
       c_meth = Array.make chunk_events "";
@@ -237,10 +236,9 @@ let rec put_values ch = function
       put_values ch vs
 
 (* Appends; true when the chunk is now full. *)
-let add ch index (e : Event.t) vc =
+let add ch index (e : Event.t) =
   let i = ch.c_n in
   Array.unsafe_set ch.c_idx i index;
-  Array.unsafe_set ch.c_vc i vc;
   (match e.op with
   | Event.Call a ->
       let start = ch.c_nvals in
@@ -260,7 +258,7 @@ let rec values_from vals i stop =
   if i = stop then []
   else Array.unsafe_get vals i :: values_from vals (i + 1) stop
 
-(* [f index event vc] on each event in order, a call rebuilt from its
+(* [f index event] on each event in order, a call rebuilt from its
    values. *)
 let iter_chunk ch f =
   let start = ref 0 in
@@ -284,7 +282,7 @@ let iter_chunk ch f =
         Event.call (Tid.of_int (c land 0xffff)) action
       end
     in
-    f (Array.unsafe_get ch.c_idx i) e (Array.unsafe_get ch.c_vc i)
+    f (Array.unsafe_get ch.c_idx i) e
   done
 
 (* A shard worker drains its queue until the producer closes it. One
@@ -301,7 +299,7 @@ let worker config ~collect ~repr_for ~spec_for q () =
             Fun.protect
               ~finally:(fun () -> release ch)
               (fun () ->
-                iter_chunk ch (fun index e vc -> dispatch dets ~index e vc));
+                iter_chunk ch (fun index e -> dispatch dets ~index e));
             Crd_obs.Counter.incr Metrics.shard_chunks_total;
             loop ()
       in
@@ -331,13 +329,12 @@ type shards = {
 }
 
 type mode =
-  | Inline of detectors  (** [jobs = 1]: detectors fed during the clock pass *)
+  | Inline of detectors  (** [jobs = 1]: detectors fed by {!step} *)
   | Sharded of shards
   | Finished of result
   | Failed of exn
 
 type t = {
-  hb : Hb.t;
   resolve : Obj_id.t -> Spec.t option * Repr.t option;
   atomicity : Atomicity.t option;
   calls_read : bool;  (* RD2 or direct runs *)
@@ -385,23 +382,29 @@ let abandon t e =
    [abs k mod n], since [abs min_int < 0]). *)
 let shard_of k n = abs (k mod n)
 
-let route t s index (e : Event.t) vc =
-  let n = Array.length s.queues in
-  let shard =
-    match e.op with
-    | Event.Call action ->
-        (* Resolved here, in the producer, before any worker can ask. *)
-        ignore (t.resolve action.Action.obj);
-        shard_of (Obj_id.id action.Action.obj) n
-    | Event.Read loc | Event.Write loc -> shard_of (Mem_loc.hash loc) n
-    | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _
-    | Event.Begin | Event.End ->
-        0
-  in
-  if add s.fill.(shard) index e vc then
+let append s shard index e =
+  if add s.fill.(shard) index e then
     if Bqueue.push s.queues.(shard) s.fill.(shard) then
       s.fill.(shard) <- fresh_chunk ()
     else failwith "Analyzer: a shard worker stopped"
+
+(* A call goes to its object's shard, a read or write to its location's,
+   and a synchronization event to every shard: each runs its own clock
+   pass. *)
+let route t s index (e : Event.t) =
+  let n = Array.length s.queues in
+  match e.op with
+  | Event.Call action ->
+      (* Resolved here, in the producer, before any worker can ask. *)
+      ignore (t.resolve action.Action.obj);
+      append s (shard_of (Obj_id.id action.Action.obj) n) index e
+  | Event.Read loc | Event.Write loc ->
+      append s (shard_of (Mem_loc.hash loc) n) index e
+  | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _ ->
+      for shard = 0 to n - 1 do
+        append s shard index e
+      done
+  | Event.Begin | Event.End -> ()
 
 let create ?(config = default_config) ?(jobs = 1) ?(collect = true) ~spec_for
     () =
@@ -466,10 +469,9 @@ let create ?(config = default_config) ?(jobs = 1) ?(collect = true) ~spec_for
   in
   Ok
     {
-      hb = Hb.create ();
       resolve;
       (* The atomicity checker is cross-object (one transactional graph),
-         so it cannot be sharded; it runs in the clock pass. *)
+         so it cannot be sharded; it runs in the producer. *)
       atomicity =
         (if config.atomicity then
            Some (Atomicity.create ~repr_for:(fun o -> snd (resolve o)) ())
@@ -496,32 +498,26 @@ let step t (e : Event.t) =
   t.events <- index + 1;
   Crd_obs.Counter.incr Metrics.events_total;
   try
-    (* Only the events a detector reads are dispatched or routed: calls
-       when RD2 or direct runs, reads and writes when FastTrack or DJIT+
-       does. *)
+    (match t.atomicity with
+    | Some a -> ignore (Atomicity.step a ~index e)
+    | None -> ());
+    (* Only the events a bundle reads are dispatched or routed: every
+       event that moves a clock, calls when RD2 or direct runs, reads and
+       writes when FastTrack or DJIT+ does. [Begin] and [End] move no
+       clock, and a thread's first event of any kind starts it at
+       [inc_tau bot]. *)
     let routed =
       match e.op with
       | Event.Call _ -> t.calls_read
       | Event.Read _ | Event.Write _ -> t.accesses_read
-      | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _
-      | Event.Begin | Event.End ->
-          false
+      | Event.Fork _ | Event.Join _ | Event.Acquire _ | Event.Release _ ->
+          true
+      | Event.Begin | Event.End -> false
     in
-    (* Inline detectors only read the clock during the call, so they get
-       the live one; chunks hold clocks across steps, so a routed event
-       gets the segment's stable snapshot. *)
-    let vc =
-      match t.mode with
-      | Sharded _ when routed -> Hb.step t.hb e
-      | Inline _ | Sharded _ | Finished _ | Failed _ -> Hb.advance t.hb e
-    in
-    (match t.atomicity with
-    | Some a -> ignore (Atomicity.step a ~index e)
-    | None -> ());
     if routed then
       match t.mode with
-      | Inline d -> dispatch d ~index e vc
-      | Sharded s -> route t s index e vc
+      | Inline d -> dispatch d ~index e
+      | Sharded s -> route t s index e
       | Finished _ | Failed _ -> assert false
   with exn -> abandon t exn
 

@@ -1,8 +1,9 @@
 (** The streaming analysis engine.
 
-    An analyzer owns one happens-before engine (Table 1), the
-    specification -> access point memo, the optional atomicity checker
-    and any combination of attached detectors:
+    An analyzer owns the specification -> access point memo, the
+    optional atomicity checker and one or more detector bundles, each
+    with its own happens-before engine (Table 1) and any combination of
+    attached detectors:
 
     - {b rd2} — the commutativity race detector of Algorithm 1, fed by
       [Call] events (in constant-lookup or linear-scan mode);
@@ -34,25 +35,31 @@
     - Direct and DJIT+ keep every report they emit, and the atomicity
       checker every violation.
 
-    With [jobs = 1] the detectors run inside the clock pass and are
-    given the happens-before engine's live clock ({!Crd_trace.Hb.advance}),
-    which they only read: the pass copies no clock per event.
+    A bundle handles each event it is handed in one way, inline and on
+    every shard: it advances its own happens-before engine and gives the
+    detectors the live clock ({!Crd_trace.Hb.advance}), which they only
+    read: the pass copies no clock per event.
 
     {2 Sharding}
 
     Every detector keys its state per object ({!Crd_detector.Rd2},
     {!Crd_detector.Direct}) or per memory location
-    ({!Crd_fasttrack.Fasttrack}, {!Crd_fasttrack.Djit}), so with
-    [jobs > 1] the clock pass stamps each [Call]/[Read]/[Write] event
-    that a detector reads (calls for RD2 and direct, reads and writes
-    for FastTrack and DJIT+) with its clock snapshot and routes it by
-    object (calls hash on the object identity, reads and writes on the
-    location) into per-shard batches of 8192 events. A batch holds a
-    call by value (thread, object, method and values) and the shard
-    rebuilds it. One detector bundle per shard, each on its own OCaml 5
-    domain spawned by {!create}, drains them while the stream is still
-    arriving: sharding starts at the first event, whatever the stream's
-    length. A shard's {!Crd_base.Bqueue} holds a fixed number of chunks;
+    ({!Crd_fasttrack.Fasttrack}, {!Crd_fasttrack.Djit}), and clocks move
+    only at [Fork], [Join], [Acquire] and [Release]. So with [jobs > 1]
+    the producer runs no clock pass: it routes each [Call]/[Read]/[Write]
+    event that a detector reads (calls for RD2 and direct, reads and
+    writes for FastTrack and DJIT+) by object (calls hash on the object
+    identity, reads and writes on the location), and appends every
+    synchronization event to every shard, into per-shard batches of 8192
+    events that carry no clocks. [Begin] and [End] go nowhere. A batch
+    holds a call by value (thread, object, method and values) and the
+    shard rebuilds it. One detector bundle per shard, each on its own
+    OCaml 5 domain spawned by {!create}, replays the clock pass over its
+    batches while the stream is still arriving: sharding starts at the
+    first event, whatever the stream's length. Every shard's clocks
+    equal the unsharded pass's for every thread it has met, since a
+    thread first met late starts at [inc_tau bot] and only a
+    synchronization event, which every shard sees, moves a clock. A shard's {!Crd_base.Bqueue} holds a fixed number of chunks;
     the producer waits when it is full, so in-flight memory is constant
     per shard. It is charged to the [mem_shard_bytes] gauge while a
     chunk is filled, queued or drained, which the server's memory

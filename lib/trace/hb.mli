@@ -11,15 +11,17 @@
     - the {e live} clock [T tau] ({!advance}): the engine's own mutable
       clock, valid until the next {!advance} or {!step}. Reading it costs
       nothing; a consumer that needs it later must copy it. This is what
-      the inline analysis ([Analyzer] with [jobs = 1]) and [Predict]
-      use — the detectors only read the clock during the call.
+      [Analyzer] (inline and in each shard, every detector bundle with
+      its own engine) and [Predict] use — the detectors only read the
+      clock during the call.
     - a {e stable snapshot} ({!step} on [Call]/[Read]/[Write],
       {!snapshot}): a copy that later events never mutate. The engine
       keeps one shared copy per thread segment (the stretch of events
       between two synchronization points of that thread), so all events
-      of a segment carry the same physical clock. This is what a consumer
-      that holds clocks across events needs (the sharded analysis, which
-      batches clock-stamped events into chunks).
+      of a segment carry the same physical clock. No library code calls
+      them: they are kept only for crdbench's in-process replay, the
+      bench harness and the tests, and go with the benchmark change
+      that retires crdbench's [detect].
 
     Threads live in an array indexed by {!Crd_base.Tid.t} (at most
     [Tid.max_id + 1] wide); a thread seen for the first time — forked or

@@ -166,8 +166,9 @@ let clocks_match_reference =
 (* Random event streams over a few threads (plus one far tid) and
    sparse lock ids, with no well-formedness imposed: threads act without
    being forked and after being joined, locks are re-acquired, released
-   by other threads or never released. *)
-let gen_wild_events =
+   by other threads or never released. Calls and locations are drawn
+   from [call] and [loc]. *)
+let gen_wild_stream ~call ~loc =
   let open QCheck2.Gen in
   let tid = map Tid.of_int (frequency [ (12, int_range 0 5); (1, pure 300) ]) in
   let lock =
@@ -175,13 +176,12 @@ let gen_wild_events =
       (fun id -> Lock_id.make id)
       (oneofl [ 0; 1; 7; 4096; 1_000_003; -3; max_int ])
   in
-  let loc = Mem_loc.Global "x" in
   let op =
     frequency
       [
-        (3, map (fun k -> Event.Call (put (string_of_int k))) (int_range 0 3));
-        (2, pure (Event.Read loc));
-        (2, pure (Event.Write loc));
+        (3, map (fun a -> Event.Call a) call);
+        (2, map (fun l -> Event.Read l) loc);
+        (2, map (fun l -> Event.Write l) loc);
         (2, map (fun u -> Event.Fork u) tid);
         (2, map (fun u -> Event.Join u) tid);
         (3, map (fun l -> Event.Acquire l) lock);
@@ -191,6 +191,11 @@ let gen_wild_events =
       ]
   in
   list_size (int_range 0 120) (map2 (fun tid op -> { Event.tid; op }) tid op)
+
+let gen_wild_events =
+  gen_wild_stream
+    ~call:(QCheck2.Gen.map (fun k -> put (string_of_int k)) (QCheck2.Gen.int_range 0 3))
+    ~loc:(QCheck2.Gen.pure (Mem_loc.Global "x"))
 
 (* [Hb.step]'s snapshots and [Hb.advance]'s live clock both equal the
    oracle's clock on every [Call]/[Read]/[Write], and the snapshots stay
@@ -228,49 +233,109 @@ let synth_64t ~events =
       skew = Crd_workloads.Synth.Uniform;
     }
 
-(* The inline analysis reads the live clock, the sharded one the
-   snapshots: on a 64-thread trace where most events sit in one- or
-   two-event segments, both report exactly the races of detectors fed by
-   the oracle engine. *)
+(* Wild streams for the sharded engine: calls that fit the built-in
+   dictionary specification on three objects, and reads and writes of
+   four locations, so each shard of two or three gets its own subset. *)
+let dict_objs =
+  List.map
+    (fun i -> Obj_id.make ~name:(Printf.sprintf "dictionary:d%d" i) i)
+    [ 1; 2; 3 ]
+
+let shard_locs =
+  let o = List.hd dict_objs in
+  Mem_loc.
+    [ Global "x"; Global "y"; Field (o, "f"); Slot (o, "s", Value.Int 1) ]
+
+let gen_sharded_events =
+  let open QCheck2.Gen in
+  let key = map (fun k -> Value.Str k) (oneofl [ "a"; "b" ]) in
+  let value = oneofl [ Value.Nil; Value.Int 1; Value.Int 2 ] in
+  let call =
+    let* obj = oneofl dict_objs in
+    oneof
+      [
+        map3
+          (fun k v p -> Action.make ~obj ~meth:"put" ~args:[ k; v ] ~rets:[ p ] ())
+          key value value;
+        map2
+          (fun k v -> Action.make ~obj ~meth:"get" ~args:[ k ] ~rets:[ v ] ())
+          key value;
+        map
+          (fun r -> Action.make ~obj ~meth:"size" ~args:[] ~rets:[ Value.Int r ] ())
+          (int_range 0 2);
+      ]
+  in
+  gen_wild_stream ~call ~loc:(oneofl shard_locs)
+
+let agree_config =
+  { Analyzer.rd2 = `Constant; direct = false; fasttrack = true; djit = false; atomicity = false }
+
+(* RD2's and FastTrack's races, in trace order, when fed by the oracle
+   engine. *)
+let oracle_races trace =
+  let hb = Hb_oracle.create () in
+  let rd2 =
+    Rd2.create
+      ~repr_for:(fun o ->
+        Option.map (fun s -> Result.get_ok (Repr.of_spec s)) (Stdspecs.spec_for o))
+      ~collect:false ()
+  and ft = Fasttrack.create () in
+  let races = ref [] in
+  Trace.iter trace ~f:(fun index (e : Event.t) ->
+      let vc = Hb_oracle.step hb e in
+      match e.op with
+      | Event.Call a ->
+          races := List.rev_append (Rd2.on_action rd2 ~index e.tid a vc) !races
+      | Event.Read loc -> ignore (Fasttrack.on_read ft ~index e.tid loc vc)
+      | Event.Write loc -> ignore (Fasttrack.on_write ft ~index e.tid loc vc)
+      | _ -> ());
+  (List.rev !races, Fasttrack.races ft)
+
+let analyzer_races ~jobs trace =
+  let an =
+    Result.get_ok
+      (Analyzer.create ~config:agree_config ~jobs ~spec_for:Stdspecs.spec_for ())
+  in
+  Analyzer.run_trace an trace;
+  (Analyzer.rd2_races an, Analyzer.fasttrack_races an)
+
+let jobs_agree trace =
+  let expected = oracle_races trace in
+  List.for_all (fun jobs -> analyzer_races ~jobs trace = expected) [ 1; 2; 3 ]
+
+let jobs_agree_on_wild_streams =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"jobs 1/2/3 = oracle on wild streams"
+       ~print:(fun es ->
+         String.concat "\n" (List.map (fun e -> Fmt.str "%a" Event.pp e) es))
+       gen_sharded_events
+       (fun events -> jobs_agree (Trace.of_list events)))
+
+(* Every shard runs its own clock pass over the broadcast synchronization
+   events, and the inline engine runs the same per-event path: at [jobs]
+   1, 2 and 3 the analysis reports exactly the races of detectors fed by
+   the oracle engine, on a 64-thread trace where most events sit in one-
+   or two-event segments and on wild streams whose sync events reach a
+   shard after a thread's first routed event there. The wild streams'
+   objects and locations spread over two and over three shards. *)
 let jobs_agree_on_64_threads () =
+  let spread n keys =
+    List.length (List.sort_uniq compare (List.map (fun k -> abs (k mod n)) keys))
+  in
+  let obj_keys = List.map Obj_id.id dict_objs
+  and loc_keys = List.map Mem_loc.hash shard_locs in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) "objects spread" true (spread n obj_keys >= 2);
+      Alcotest.(check bool) "locations spread" true (spread n loc_keys >= 2))
+    [ 2; 3 ];
   let trace = synth_64t ~events:30_000 in
-  let config =
-    { Analyzer.rd2 = `Constant; direct = false; fasttrack = true; djit = false; atomicity = false }
-  in
-  let run jobs =
-    let an =
-      Result.get_ok
-        (Analyzer.create ~config ~jobs ~spec_for:Stdspecs.spec_for ())
-    in
-    Analyzer.run_trace an trace;
-    (Analyzer.rd2_races an, Analyzer.fasttrack_races an)
-  in
-  let oracle =
-    let hb = Hb_oracle.create () in
-    let rd2 =
-      Rd2.create
-        ~repr_for:(fun o ->
-          Option.map (fun s -> Result.get_ok (Repr.of_spec s)) (Stdspecs.spec_for o))
-        ~collect:false ()
-    and ft = Fasttrack.create () in
-    let races = ref [] in
-    Trace.iter trace ~f:(fun index (e : Event.t) ->
-        let vc = Hb_oracle.step hb e in
-        match e.op with
-        | Event.Call a ->
-            races := List.rev_append (Rd2.on_action rd2 ~index e.tid a vc) !races
-        | Event.Read loc -> ignore (Fasttrack.on_read ft ~index e.tid loc vc)
-        | Event.Write loc -> ignore (Fasttrack.on_write ft ~index e.tid loc vc)
-        | _ -> ());
-    (List.rev !races, Fasttrack.races ft)
-  in
-  let rd2_1, ft_1 = run 1 and rd2_2, ft_2 = run 2 in
-  Alcotest.(check bool) "some rd2 races" true (rd2_1 <> []);
-  Alcotest.(check bool) "some fasttrack races" true (ft_1 <> []);
-  Alcotest.(check bool) "rd2 jobs=1 = oracle" true (rd2_1 = fst oracle);
-  Alcotest.(check bool) "fasttrack jobs=1 = oracle" true (ft_1 = snd oracle);
-  Alcotest.(check bool) "rd2 jobs=2 = jobs=1" true (rd2_2 = rd2_1);
-  Alcotest.(check bool) "fasttrack jobs=2 = jobs=1" true (ft_2 = ft_1)
+  let rd2, ft = oracle_races trace in
+  Alcotest.(check bool) "some rd2 races" true (rd2 <> []);
+  Alcotest.(check bool) "some fasttrack races" true (ft <> []);
+  Alcotest.(check bool) "64 threads: jobs 1/2/3 = oracle" true (jobs_agree trace);
+  let _, _, wild = jobs_agree_on_wild_streams in
+  wild ()
 
 (* Once every thread and lock has been seen and the clocks have reached
    their width, [Hb.advance] allocates nothing. *)
