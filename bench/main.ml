@@ -668,7 +668,7 @@ let racedb_bench ?(sessions = 4) ?(events = 20_000) ?(repeats = 3) () =
         let an = Analyzer.with_stdspecs () in
         Trace.iter_events
           (W.Synth.generate ~seed:(Int64.of_int (7 + i)) (W.Synth.default ~events))
-          ~f:(Analyzer.sink an);
+          ~f:(Analyzer.step an);
         let ts = 1.7e9 +. float_of_int i in
         ( Printf.sprintf "session-%d" i,
           List.map

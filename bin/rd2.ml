@@ -166,7 +166,8 @@ let check_cmd =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"TRACE" ~doc:"Trace file (textual format).")
+      & info [] ~docv:"TRACE"
+          ~doc:"Trace file: text, or CRDW binary with --format bin.")
   in
   let spec_arg =
     Arg.(
@@ -214,9 +215,10 @@ let check_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Analyze the trace with $(docv) domains (sharded by object / \
-             memory location after one sequential happens-before pass). \
-             Reports are identical to the sequential run.")
+            "Analyze the trace with $(docv) domains, sharded by object / \
+             memory location; each shard runs its own happens-before pass \
+             over every synchronization event. Reports are identical to the \
+             sequential run.")
   in
   let stats_flag =
     Arg.(
@@ -483,7 +485,7 @@ let simulate_cmd =
   in
   let run workload seed scale verbose =
     let an = Analyzer.with_stdspecs ~collect:verbose () in
-    let sink = Analyzer.sink an in
+    let sink = Analyzer.step an in
     let ok = run_workload workload ~seed ~scale sink in
     if not ok then
       `Error (false, Printf.sprintf "unknown workload %s" workload)
@@ -719,7 +721,7 @@ let explore_cmd =
       if !ok then begin
         let an = Analyzer.with_stdspecs ~collect:false () in
         if not (run_workload workload ~seed:(Int64.of_int seed) ~scale
-                  (Analyzer.sink an))
+                  (Analyzer.step an))
         then ok := false
         else begin
           let fresh = ref 0 in

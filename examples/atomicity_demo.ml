@@ -32,7 +32,7 @@ let run_with_seed seed =
       ()
   in
   let final = ref 0 in
-  Sched.run ~seed ~sink:(Analyzer.sink an) (fun () ->
+  Sched.run ~seed ~sink:(Analyzer.step an) (fun () ->
       let d = Monitored.Dict.create ~name:"dictionary:counters" () in
       for _ = 1 to increments do
         ignore

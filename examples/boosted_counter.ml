@@ -30,7 +30,7 @@ let run_with_seed seed =
   in
   let final = ref 0 in
   let mgr = ref None in
-  Sched.run ~seed ~sink:(Analyzer.sink an) (fun () ->
+  Sched.run ~seed ~sink:(Analyzer.step an) (fun () ->
       let repr = Result.get_ok (Repr.of_spec (Stdspecs.dictionary ())) in
       let m = Boost.create ~repr () in
       mgr := Some m;

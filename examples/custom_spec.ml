@@ -87,6 +87,6 @@ let () =
   (* The naive detector agrees (Theorem 5.1) but pays a pairwise check
      against every previous action instead of O(1) per access point. *)
   let rd2 = Option.get (Analyzer.rd2_stats analyzer) in
-  let direct = Option.get (Analyzer.direct_stats analyzer) in
+  let direct = Option.get (Analyzer.finish analyzer).direct_stats in
   Fmt.pr "@.phase-1 lookups — rd2: %d, direct: %d@." rd2.Rd2.lookups
     direct.Direct.lookups

@@ -20,7 +20,7 @@ let () =
   let analyzer = Analyzer.with_stdspecs () in
   let store = W.Mvstore.create () in
   let committed = ref 0 in
-  Sched.run ~seed:7L ~sink:(Analyzer.sink analyzer) (fun () ->
+  Sched.run ~seed:7L ~sink:(Analyzer.step analyzer) (fun () ->
       (match W.Mvstore.exec_sql store "CREATE TABLE accounts (id, balance)" with
       | Ok _ -> ()
       | Error e -> failwith e);

@@ -32,7 +32,7 @@ let () =
 
   (* 2. Run the program; every monitored operation streams into it. *)
   let hosts = [ "a.com"; "a.com"; "b.com" ] in
-  establish_connections ~hosts ~sink:(Analyzer.sink analyzer);
+  establish_connections ~hosts ~sink:(Analyzer.step analyzer);
 
   (* 3. Inspect the verdict. *)
   let races = Analyzer.rd2_races analyzer in
@@ -49,6 +49,6 @@ let () =
      commute (distinct keys) even though they run concurrently. *)
   let analyzer' = Analyzer.with_stdspecs () in
   establish_connections ~hosts:[ "a.com"; "b.com"; "c.com" ]
-    ~sink:(Analyzer.sink analyzer');
+    ~sink:(Analyzer.step analyzer');
   Fmt.pr "@.With distinct hosts: %d race(s).@."
     (List.length (Analyzer.rd2_races analyzer'))

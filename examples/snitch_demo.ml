@@ -15,7 +15,7 @@ let () =
     W.Snitch.run ~seed:3L
       ~config:
         { W.Snitch.hosts = 6; updaters = 3; samples_per_host = 8; recalculations = 6 }
-      ~sink:(Analyzer.sink analyzer) ()
+      ~sink:(Analyzer.step analyzer) ()
   in
   Fmt.pr "snitch processed %d latency samples@.@." processed;
   Fmt.pr "%a@." Analyzer.pp_summary analyzer;

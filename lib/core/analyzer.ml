@@ -406,6 +406,20 @@ let route t s index (e : Event.t) =
       done
   | Event.Begin | Event.End -> ()
 
+(* One worker domain per queue. A failed spawn (OCaml 5.1 caps a
+   process at 128 domains) closes every queue, so the workers already
+   spawned find theirs empty and exit, joins them, and is an [Error]. *)
+let spawn_workers queues body =
+  let spawned = ref [] in
+  match
+    Array.iter (fun q -> spawned := Domain.spawn (body q) :: !spawned) queues
+  with
+  | () -> Ok (Array.of_list (List.rev !spawned))
+  | exception Failure e ->
+      Array.iter Bqueue.close queues;
+      List.iter (fun w -> ignore (Domain.join w)) !spawned;
+      Error (Printf.sprintf "cannot run %d shards: %s" (Array.length queues) e)
+
 let create ?(config = default_config) ?(jobs = 1) ?(collect = true) ~spec_for
     () =
   (* The spec -> access-point memo: one entry per object, over one
@@ -438,10 +452,11 @@ let create ?(config = default_config) ?(jobs = 1) ?(collect = true) ~spec_for
   let jobs = max 1 jobs in
   let mode =
     if jobs = 1 then
-      Inline
-        (make_detectors config ~collect
-           ~repr_for:(fun o -> snd (resolve o))
-           ~spec_for:(fun o -> fst (resolve o)))
+      Ok
+        (Inline
+           (make_detectors config ~collect
+              ~repr_for:(fun o -> snd (resolve o))
+              ~spec_for:(fun o -> fst (resolve o))))
     else begin
       let lookup o =
         Mutex.protect mu (fun () ->
@@ -451,36 +466,31 @@ let create ?(config = default_config) ?(jobs = 1) ?(collect = true) ~spec_for
       let queues =
         Array.init jobs (fun _ -> Bqueue.create ~capacity:queued_chunks ())
       in
-      Sharded
-        {
-          queues;
-          workers =
-            Array.map
-              (fun q ->
-                Domain.spawn
-                  (worker config ~collect
-                     ~repr_for:(fun o -> snd (lookup o))
-                     ~spec_for:(fun o -> fst (lookup o))
-                     q))
-              queues;
-          fill = Array.init jobs (fun _ -> fresh_chunk ());
-        }
+      spawn_workers queues
+        (worker config ~collect
+           ~repr_for:(fun o -> snd (lookup o))
+           ~spec_for:(fun o -> fst (lookup o)))
+      |> Result.map (fun workers ->
+             Sharded
+               { queues; workers; fill = Array.init jobs (fun _ -> fresh_chunk ()) })
     end
   in
-  Ok
-    {
-      resolve;
-      (* The atomicity checker is cross-object (one transactional graph),
-         so it cannot be sharded; it runs in the producer. *)
-      atomicity =
-        (if config.atomicity then
-           Some (Atomicity.create ~repr_for:(fun o -> snd (resolve o)) ())
-         else None);
-      calls_read = config.rd2 <> `Off || config.direct;
-      accesses_read = config.fasttrack || config.djit;
-      events = 0;
-      mode;
-    }
+  Result.map
+    (fun mode ->
+      {
+        resolve;
+        (* The atomicity checker is cross-object (one transactional graph),
+           so it cannot be sharded; it runs in the producer. *)
+        atomicity =
+          (if config.atomicity then
+             Some (Atomicity.create ~repr_for:(fun o -> snd (resolve o)) ())
+           else None);
+        calls_read = config.rd2 <> `Off || config.direct;
+        accesses_read = config.fasttrack || config.djit;
+        events = 0;
+        mode;
+      })
+    mode
 
 let with_stdspecs ?config ?jobs ?collect () =
   match
@@ -521,7 +531,6 @@ let step t (e : Event.t) =
       | Finished _ | Failed _ -> assert false
   with exn -> abandon t exn
 
-let sink t e = step t e
 let run_trace t trace = Trace.iter_events trace ~f:(step t)
 let events t = t.events
 
@@ -618,7 +627,6 @@ let finish t =
 let rd2_races t = (finish t).rd2_reports
 let rd2_stats t = (finish t).rd2_stats
 let direct_races t = (finish t).direct_reports
-let direct_stats t = (finish t).direct_stats
 let fasttrack_races t = (finish t).fasttrack_reports
 let fasttrack_stats t = (finish t).fasttrack_stats
 let djit_races t = (finish t).djit_reports

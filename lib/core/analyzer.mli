@@ -13,8 +13,8 @@
 
     Events are pushed one at a time through {!step} — from a recorded
     {!Crd_trace.Trace.t}, a decoder, a socket, or live from
-    {!Crd_runtime.Sched.run} via [sink] — and {!finish} produces the
-    result. The events themselves are not recorded (a sharded stream
+    {!Crd_runtime.Sched.run} via [~sink:(step t)] — and {!finish}
+    produces the result. The events themselves are not recorded (a sharded stream
     holds a constant number of chunks per shard), and a call is kept by
     value, never by its [Event.t]:
     without [collect], every stepped event is garbage once {!step}
@@ -139,7 +139,10 @@ val create :
     and atomicity are both off.
 
     [jobs] (default 1) is the shard count. With [jobs > 1] the shard
-    domains are spawned here and every routed event goes to them.
+    domains are spawned here and every routed event goes to them; when
+    one cannot be spawned (OCaml 5.1 runs at most 128 domains at once)
+    the result is [Error], after the domains already spawned have been
+    joined.
 
     [collect] (default [true]) keeps every RD2 report for
     [rd2_reports] and every FastTrack report for [fasttrack_reports].
@@ -160,9 +163,6 @@ val step : t -> Event.t -> unit
     shut down and every later call re-raises. Raises [Invalid_argument]
     after {!finish}. *)
 
-val sink : t -> Event.t -> unit
-(** Same as {!step}; shaped for [Sched.run ~sink]. *)
-
 val run_trace : t -> Trace.t -> unit
 
 val events : t -> int
@@ -182,7 +182,6 @@ val rd2_races : t -> Report.t list
 
 val rd2_stats : t -> Rd2.stats option
 val direct_races : t -> Report.t list
-val direct_stats : t -> Direct.stats option
 val fasttrack_races : t -> Rw_report.t list
 val fasttrack_stats : t -> Fasttrack.stats option
 val djit_races : t -> Rw_report.t list

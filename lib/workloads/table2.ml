@@ -62,7 +62,7 @@ let timed ~repeats ~jobs mode f =
   let result = ref None in
   for _ = 1 to max 1 repeats do
     let an = analyzer_of_mode ~jobs mode in
-    let sink = match an with None -> fun _ -> () | Some a -> Analyzer.sink a in
+    let sink = match an with None -> fun _ -> () | Some a -> Analyzer.step a in
     let t0 = Unix.gettimeofday () in
     let r = f sink in
     let races =
@@ -134,7 +134,7 @@ let collect ?(seed = 1L) ?(scale = 1) ?(repeats = 1) ?(jobs = 1) () =
        configuration so they stay comparable across machines/scales. *)
     let races_of mode =
       let an = Option.get (analyzer_of_mode mode) in
-      ignore (Snitch.run ~seed ~config:Snitch.default_config ~sink:(Analyzer.sink an) ());
+      ignore (Snitch.run ~seed ~config:Snitch.default_config ~sink:(Analyzer.step an) ());
       an
     in
     let ft_races = Analyzer.fasttrack_races (races_of Ft) in
@@ -176,7 +176,7 @@ let rd2_race_counts ?(seed = 1L) ?(scale = 1) bench =
         { Analyzer.rd2 = `Constant; direct = false; fasttrack = false; djit = false; atomicity = false }
       ()
   in
-  let sink = Analyzer.sink an in
+  let sink = Analyzer.step an in
   let run () =
     if String.equal bench "DynamicEndpointSnitch" then begin
       ignore (Snitch.run ~seed ~sink ());

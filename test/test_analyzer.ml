@@ -16,7 +16,7 @@ let fig1 ~hosts sink =
 
 let end_to_end_fig1 () =
   let an = Analyzer.with_stdspecs () in
-  fig1 ~hosts:[ "a.com"; "a.com"; "b.com" ] (Analyzer.sink an);
+  fig1 ~hosts:[ "a.com"; "a.com"; "b.com" ] (Analyzer.step an);
   Alcotest.(check int) "one commutativity race" 1
     (List.length (Analyzer.rd2_races an));
   Alcotest.(check int) "one racing object" 1
@@ -24,13 +24,13 @@ let end_to_end_fig1 () =
 
 let end_to_end_clean () =
   let an = Analyzer.with_stdspecs () in
-  fig1 ~hosts:[ "a.com"; "b.com"; "c.com" ] (Analyzer.sink an);
+  fig1 ~hosts:[ "a.com"; "b.com"; "c.com" ] (Analyzer.step an);
   Alcotest.(check int) "no races" 0 (List.length (Analyzer.rd2_races an))
 
 let naming_convention () =
   let an = Analyzer.with_stdspecs () in
   (* An object with an unknown prefix is not monitored. *)
-  Sched.run ~sink:(Analyzer.sink an) (fun () ->
+  Sched.run ~sink:(Analyzer.step an) (fun () ->
       let o = Monitored.Dict.create ~name:"unknown:thing" () in
       ignore (Sched.fork (fun () -> ignore (Monitored.Dict.put o (Value.Int 1) (Value.Int 2))));
       ignore (Monitored.Dict.put o (Value.Int 1) (Value.Int 3)));
@@ -42,14 +42,14 @@ let config_off () =
       ~config:{ Analyzer.rd2 = `Off; direct = false; fasttrack = false; djit = false; atomicity = false }
       ()
   in
-  fig1 ~hosts:[ "a.com"; "a.com" ] (Analyzer.sink an);
+  fig1 ~hosts:[ "a.com"; "a.com" ] (Analyzer.step an);
   Alcotest.(check int) "rd2 off" 0 (List.length (Analyzer.rd2_races an));
   Alcotest.(check bool) "no stats" true (Analyzer.rd2_stats an = None)
 
 let direct_and_linear_agree () =
   let run config =
     let an = Analyzer.with_stdspecs ~config () in
-    fig1 ~hosts:[ "a.com"; "a.com"; "b.com"; "b.com" ] (Analyzer.sink an);
+    fig1 ~hosts:[ "a.com"; "a.com"; "b.com"; "b.com" ] (Analyzer.step an);
     an
   in
   let base = { Analyzer.rd2 = `Constant; direct = true; fasttrack = false; djit = false; atomicity = false } in
@@ -69,7 +69,7 @@ let djit_mirrors_fasttrack () =
       ~config:{ Analyzer.rd2 = `Off; direct = false; fasttrack = true; djit = true; atomicity = false }
       ()
   in
-  Sched.run ~sink:(Analyzer.sink an) (fun () ->
+  Sched.run ~sink:(Analyzer.step an) (fun () ->
       let c = Monitored.Shared.create ~name:"c" 0 in
       ignore (Sched.fork (fun () -> Monitored.Shared.update c succ));
       Monitored.Shared.update c succ;
@@ -123,7 +123,7 @@ let bad_spec_surfaces () =
 
 let summary_prints () =
   let an = Analyzer.with_stdspecs () in
-  fig1 ~hosts:[ "a.com"; "a.com" ] (Analyzer.sink an);
+  fig1 ~hosts:[ "a.com"; "a.com" ] (Analyzer.step an);
   let s = Fmt.str "%a" Analyzer.pp_summary an in
   Alcotest.(check bool) "mentions rd2" true
     (String.length s > 0
@@ -364,6 +364,25 @@ let collected_reports_share_actions () =
   if per_race > 29. then
     Alcotest.failf "collected reports reach %.1f words per race" per_race
 
+(* A shard spawn that fails is an [Error] and leaks no domain. OCaml 5.1
+   runs at most 128 domains at once, so 200 shards cannot start; the
+   workers spawned before the failure are joined, so a 2-shard engine
+   still starts afterwards and reports the sequential races. *)
+let failed_spawn_is_an_error () =
+  (match Analyzer.create ~jobs:200 ~spec_for:Stdspecs.spec_for () with
+  | Ok an ->
+      ignore (Analyzer.finish an);
+      Alcotest.fail "200 shards started"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "names the shard count (%s)" e)
+        true (Sessions.contains e "200 shards"));
+  let case = (7L, Synth.default ~events:5_000) in
+  let races jobs = Analyzer.rd2_races (stream_synth ~jobs ~collect:true case) in
+  let seq = races 1 in
+  Alcotest.(check bool) "races found" true (seq <> []);
+  Alcotest.(check bool) "jobs=2 == jobs=1" true (races 2 = seq)
+
 let suite =
   ( "analyzer",
     [
@@ -385,4 +404,6 @@ let suite =
       Alcotest.test_case "decoded calls die young" `Quick decoded_calls_die_young;
       Alcotest.test_case "collected reports share actions" `Quick
         collected_reports_share_actions;
+      Alcotest.test_case "failed shard spawn is an Error" `Quick
+        failed_spawn_is_an_error;
     ] )

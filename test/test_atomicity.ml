@@ -162,7 +162,7 @@ let analyzer_integration () =
         { Analyzer.rd2 = `Off; direct = false; fasttrack = false; djit = false; atomicity = true }
       ()
   in
-  Sched.run ~seed:3L ~sink:(Analyzer.sink an) (fun () ->
+  Sched.run ~seed:3L ~sink:(Analyzer.step an) (fun () ->
       let d = Monitored.Dict.create ~name:"dictionary:d" () in
       let bump () =
         Sched.atomic (fun () ->

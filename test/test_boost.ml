@@ -39,7 +39,7 @@ let serializable_traces () =
           { Analyzer.rd2 = `Off; direct = false; fasttrack = false; djit = false; atomicity = true }
         ()
     in
-    Sched.run ~seed:(Int64.of_int seed) ~sink:(Analyzer.sink an) (fun () ->
+    Sched.run ~seed:(Int64.of_int seed) ~sink:(Analyzer.step an) (fun () ->
         let mgr = Boost.create ~repr:dict_repr () in
         let d = Monitored.Dict.create ~name:"dictionary:d" () in
         for w = 0 to 5 do

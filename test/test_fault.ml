@@ -6,15 +6,10 @@ module F = Crd_fault
 
 (* Each test configures the global registry, so every test must leave
    it clean for the rest of the suite. *)
-let with_faults spec k =
-  match F.configure spec with
-  | Error e -> Alcotest.failf "configure %S: %s" spec e
-  | Ok () -> Fun.protect ~finally:F.reset k
-
 let fire_seq p n = List.init n (fun _ -> F.fire p)
 
 let policy_semantics () =
-  with_faults "a=once,b=nth:3,c=every:2,d=off" (fun () ->
+  Sessions.with_faults "a=once,b=nth:3,c=every:2,d=off" (fun () ->
       Alcotest.(check (list bool))
         "once fires exactly the first hit"
         [ true; false; false; false ]
@@ -43,7 +38,7 @@ let off_points_do_not_count () =
 
 let probability_deterministic () =
   let run () =
-    with_faults "seed=42,flaky=p:0.3" (fun () -> fire_seq (F.point "flaky") 64)
+    Sessions.with_faults "seed=42,flaky=p:0.3" (fun () -> fire_seq (F.point "flaky") 64)
   in
   let a = run () in
   let b = run () in
@@ -55,7 +50,7 @@ let probability_deterministic () =
     true
     (injected > 5 && injected < 40);
   let c =
-    with_faults "seed=43,flaky=p:0.3" (fun () -> fire_seq (F.point "flaky") 64)
+    Sessions.with_faults "seed=43,flaky=p:0.3" (fun () -> fire_seq (F.point "flaky") 64)
   in
   Alcotest.(check bool) "different seed, different sequence" true (a <> c)
 
@@ -64,10 +59,10 @@ let decisions_independent_of_interleaving () =
      *other* points interleave: fire "x" alone, then fire it again with
      "y" traffic mixed in — identical sequence. *)
   let solo =
-    with_faults "seed=7,x=p:0.5,y=p:0.5" (fun () -> fire_seq (F.point "x") 32)
+    Sessions.with_faults "seed=7,x=p:0.5,y=p:0.5" (fun () -> fire_seq (F.point "x") 32)
   in
   let mixed =
-    with_faults "seed=7,x=p:0.5,y=p:0.5" (fun () ->
+    Sessions.with_faults "seed=7,x=p:0.5,y=p:0.5" (fun () ->
         List.init 32 (fun _ ->
             ignore (F.fire (F.point "y"));
             let r = F.fire (F.point "x") in
@@ -106,7 +101,7 @@ let spec_parsing () =
         (F.policy (F.point "keep") = F.Once))
 
 let inject_raises () =
-  with_faults "boom=nth:2" (fun () ->
+  Sessions.with_faults "boom=nth:2" (fun () ->
       let p = F.point "boom" in
       F.inject p;
       (match F.inject p with
@@ -126,7 +121,7 @@ let metrics_move () =
     |> Option.value ~default:0
   in
   let before = total "fault_injected_total" in
-  with_faults "metered=every:1" (fun () ->
+  Sessions.with_faults "metered=every:1" (fun () ->
       ignore (fire_seq (F.point "metered") 5);
       Alcotest.(check int) "fault_injected_total moved" (before + 5)
         (total "fault_injected_total");
@@ -152,7 +147,7 @@ let configure_env () =
       | Error _ -> ())
 
 let summary_lists_points () =
-  with_faults "s1=once,s2=nth:2" (fun () ->
+  Sessions.with_faults "s1=once,s2=nth:2" (fun () ->
       ignore (fire_seq (F.point "s1") 3);
       match
         List.filter (fun (n, _, _, _) -> n = "s1" || n = "s2") (F.summary ())

@@ -4,20 +4,6 @@
 open Crd
 module Journal = Crd_server.Journal
 
-let counter = ref 0
-
-let fresh_dir () =
-  incr counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "crd-jtest-%d-%d" (Unix.getpid ()) !counter)
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  dir
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 (* What replay may read of a journal: its committed prefix and spec. *)
 let read_committed ~dir ~nonce =
   Journal.with_committed ~dir ~nonce (fun ~spec ~size fd ->
@@ -45,7 +31,7 @@ let replay ~dir ~nonce =
   | Ok (r, spec) -> Ok (r, spec, List.rev !events)
 
 let roundtrip () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let j = Journal.start ~dir ~nonce:"a1" ~spec:"std" in
   Journal.append j "hello ";
   Journal.append j "world";
@@ -68,7 +54,7 @@ let roundtrip () =
     (Journal.committed_unreported ~dir)
 
 let append_off_len () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let j = Journal.start ~dir ~nonce:"a2" ~spec:"std" in
   Journal.append j ~off:2 ~len:3 "xxabcyy";
   Journal.commit j;
@@ -80,7 +66,7 @@ let append_off_len () =
 (* Bytes written after the commit marker (a crash mid-append on a
    retried session) must not leak into recovery. *)
 let uncommitted_suffix_dropped () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let j = Journal.start ~dir ~nonce:"a3" ~spec:"custom" in
   Journal.append j "durable";
   Journal.commit j;
@@ -95,7 +81,7 @@ let uncommitted_suffix_dropped () =
 (* A retried session restarts its journal from byte 0 and clears any
    stale commit/report markers. *)
 let restart_truncates () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let j = Journal.start ~dir ~nonce:"a4" ~spec:"std" in
   Journal.append j "first attempt";
   Journal.commit j;
@@ -116,7 +102,7 @@ let restart_truncates () =
   | Ok (bytes, _) -> Alcotest.(check string) "retry bytes only" "retry" bytes
 
 let short_data_is_an_error () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let j = Journal.start ~dir ~nonce:"a5" ~spec:"std" in
   Journal.append j "12345678";
   Journal.commit j;
@@ -134,7 +120,7 @@ let short_data_is_an_error () =
         e
 
 let missing_data_is_an_error () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let j = Journal.start ~dir ~nonce:"a8" ~spec:"std" in
   Journal.append j "abc";
   Journal.commit j;
@@ -151,21 +137,21 @@ let missing_data_is_an_error () =
         e
 
 let commit_marker_format () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let j = Journal.start ~dir ~nonce:"a6" ~spec:"std" in
   Journal.append j "abc";
   Journal.commit j;
   Journal.close j;
   Alcotest.(check string)
     "marker is '<size> <spec>'" "3 std\n"
-    (read_file (Filename.concat dir "a6.commit"))
+    (Sessions.read_file (Filename.concat dir "a6.commit"))
 
 let fault_point () =
   (match Crd_fault.configure "journal_append=nth:2" with
   | Ok () -> ()
   | Error e -> Alcotest.failf "configure: %s" e);
   Fun.protect ~finally:Crd_fault.reset (fun () ->
-      let dir = fresh_dir () in
+      let dir = Sessions.fresh_dir "crd-jtest" in
       let j = Journal.start ~dir ~nonce:"a7" ~spec:"std" in
       Journal.append j "ok";
       (match Journal.append j "boom" with
@@ -183,7 +169,7 @@ let fault_point () =
           Alcotest.(check string) "faulted append skipped" "okfine" bytes)
 
 let append_bytes_off_len () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let j = Journal.start ~dir ~nonce:"b1" ~spec:"std" in
   Journal.append_bytes j ~off:2 ~len:3 (Bytes.of_string "xxabcyy");
   Journal.commit j;
@@ -197,7 +183,7 @@ let append_bytes_off_len () =
    past the marker, which would otherwise be trailing data after the end
    marker, is never reached, so the events equal the committed prefix. *)
 let replay_drops_torn_tail () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let t = Test_wire.sample_trace () in
   let j = Journal.start ~dir ~nonce:"b2" ~spec:"custom" in
   Journal.append j (Wire.encode_trace ~chunk_bytes:16 t);
@@ -216,7 +202,7 @@ let replay_drops_torn_tail () =
 (* A data file shorter than its marker fails before replay reads a
    byte, and the error names both sizes. *)
 let replay_short_data () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-jtest" in
   let bin = Wire.encode_trace ~chunk_bytes:16 (Test_wire.sample_trace ()) in
   let j = Journal.start ~dir ~nonce:"b4" ~spec:"std" in
   Journal.append j bin;

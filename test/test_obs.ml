@@ -6,11 +6,6 @@
 
 module Obs = Crd_obs
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let counter_arithmetic () =
   let r = Obs.Registry.create () in
   let c = Obs.Registry.counter r "c_total" in
@@ -40,7 +35,7 @@ let histogram_counts () =
     "sum" true
     (Float.abs (Obs.Histogram.sum h -. 6.05) < 1e-9);
   let dump = Obs.Registry.dump r in
-  let has s = contains dump s in
+  let has s = Sessions.contains dump s in
   Alcotest.(check bool) "le=0.1 bucket" true (has "h_seconds_bucket{le=\"0.1\"} 2");
   Alcotest.(check bool) "le=1 bucket" true (has "h_seconds_bucket{le=\"1\"} 4");
   Alcotest.(check bool) "+Inf bucket" true (has "h_seconds_bucket{le=\"+Inf\"} 5");

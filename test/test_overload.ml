@@ -3,125 +3,9 @@
    exhaustion, the stall watchdog, and the sync exchange deadline. *)
 
 open Crd
-module Server = Crd_server.Server
-module Client = Crd_server.Client
+open Sessions
 module Proto = Crd_server.Proto
-module Journal = Crd_server.Journal
 module Overload = Crd_server.Overload
-module W = Crd_workloads
-
-let sock_counter = ref 0
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let fresh_addr () =
-  incr sock_counter;
-  Server.Unix_sock
-    (Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "crd-ovl-%d-%d.sock" (Unix.getpid ()) !sock_counter))
-
-let fresh_dir tag =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s-%d-%d" tag (Unix.getpid ())
-         (incr sock_counter;
-          !sock_counter))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  dir
-
-let with_server ?(f_config = Fun.id) k =
-  let addr = fresh_addr () in
-  let config = f_config (Server.default_config ~addr) in
-  match Server.start config with
-  | Error e -> Alcotest.failf "server start: %s" e
-  | Ok server ->
-      Fun.protect
-        ~finally:(fun () -> ignore (Server.stop server))
-        (fun () -> k ~addr ~server)
-
-let with_faults spec k =
-  (match Crd_fault.configure spec with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "configure %S: %s" spec e);
-  Fun.protect ~finally:Crd_fault.reset k
-
-let poll ?(tries = 400) ?(interval = 0.025) msg cond =
-  let rec go n =
-    if cond () then ()
-    else if n = 0 then Alcotest.fail msg
-    else begin
-      Unix.sleepf interval;
-      go (n - 1)
-    end
-  in
-  go tries
-
-let snitch_trace () =
-  let trace = Trace.create () in
-  ignore (W.Snitch.run ~seed:1L ~sink:(Trace.append trace) ());
-  trace
-
-let offline_races trace =
-  let an =
-    Analyzer.with_stdspecs
-      ~config:
-        {
-          Analyzer.rd2 = `Constant;
-          direct = false;
-          fasttrack = false;
-          djit = false;
-          atomicity = false;
-        }
-      ()
-  in
-  Trace.iter_events trace ~f:(Analyzer.sink an);
-  Analyzer.rd2_races an
-
-let offline_race_lines trace =
-  List.map (fun r -> Fmt.str "%a" Report.pp r) (offline_races trace)
-
-let reply_race_lines reply =
-  String.split_on_char '\n' reply
-  |> List.filter (fun l ->
-         String.length l >= 4 && String.equal (String.sub l 0 4) "comm")
-
-let fingerprint_fold races =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let fp = Report.fingerprint r in
-      Hashtbl.replace tbl fp
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp)))
-    races;
-  List.sort compare (Hashtbl.fold (fun fp c acc -> (fp, c) :: acc) tbl [])
-
-let send_exn ~addr ?spec trace =
-  match Client.send_trace ~addr ?spec trace with
-  | Ok reply -> reply
-  | Error e -> Alcotest.failf "send: %s" e
-
-let encode_trace trace =
-  let buf = Buffer.create 4096 in
-  let enc = Wire.Encoder.create ~emit:(Buffer.add_string buf) () in
-  Trace.iter_events trace ~f:(Wire.Encoder.event enc);
-  Wire.Encoder.close enc;
-  Buffer.contents buf
-
-let metric_value dump name =
-  String.split_on_char '\n' dump
-  |> List.find_map (fun l ->
-         match String.index_opt l ' ' with
-         | Some i when String.sub l 0 i = name ->
-             int_of_string_opt (String.sub l (i + 1) (String.length l - i - 1))
-         | _ -> None)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Nothing charges [mem_queue_bytes] since sessions stopped queueing
    events; the spill test still checks it is back at its baseline. *)
@@ -196,12 +80,10 @@ let tier_ladder () =
 
 let health_probe () =
   with_server (fun ~addr ~server ->
-      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let fd = Server.connect addr in
       Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        ~finally:(fun () -> close_quietly fd)
         (fun () ->
-          Unix.connect fd (Unix.ADDR_UNIX path);
           Proto.write_all fd "HEALTH\n";
           let line = Proto.read_to_eof fd in
           List.iter
@@ -213,6 +95,12 @@ let health_probe () =
               "HEALTH tier=normal"; "mem_used="; "mem_budget=";
               "spill_backlog="; "stalls=";
             ]);
+      (* `rd2 health` is the same probe *)
+      let line = run_rd2 [ "health"; "unix:" ^ sock_path addr ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "rd2 health: normal tier, no spill backlog (%s)" line)
+        true
+        (contains line "HEALTH tier=normal" && contains line " spill_backlog=0 ");
       (* probes are not sessions and must not skew the stats *)
       Alcotest.(check int) "no session recorded" 0
         (Server.stats server).Server.sessions)
@@ -246,22 +134,14 @@ let spill_catchup_identity () =
         racedb = Some dbdir;
       })
     (fun ~addr ~server ->
-      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
-      let conn () =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-      in
+      let conn () = Server.connect addr in
       (* c1 pins the lone worker (blocked reading its preamble)... *)
       let c1 = conn () in
       poll "worker never picked up the pin" (fun () ->
-          match metric_value (Crd_obs.dump ()) "server_sessions_active" with
-          | Some v -> v >= 1
-          | None -> false);
+          metric "server_sessions_active" >= 1);
       (* ...c2 is admitted normal and waits (pending = 1)... *)
       let spill0 =
-        Option.value ~default:0
-          (metric_value (Crd_obs.dump ()) "overload_to_spill_total")
+        metric "overload_to_spill_total"
       in
       let c2 = conn () in
       (* ...so c3 — accepted after c2 by the single accept loop — is
@@ -272,9 +152,7 @@ let spill_catchup_identity () =
          even accepted. *)
       let c3 = conn () in
       poll "c3 never admitted on the spill tier" (fun () ->
-          match metric_value (Crd_obs.dump ()) "overload_to_spill_total" with
-          | Some v -> v > spill0
-          | None -> false);
+          metric "overload_to_spill_total" > spill0);
       (* Each descriptor is closed exactly once: a second close could hit
          a number the server has since reused (the catch-up drainer's
          journal mapping, in this same process). *)
@@ -295,7 +173,7 @@ let spill_catchup_identity () =
           (* release the worker; it burns through the two dead pins and
              then serves c3 on the spill path *)
           close [ c1; c2 ];
-          Proto.write_all c3 (encode_trace trace);
+          Proto.write_all c3 (Wire.encode_trace trace);
           (match Proto.read_handshake_reply c3 with
           | Ok Proto.Accepted -> ()
           | Ok _ | Error _ -> Alcotest.fail "spill handshake not accepted");
@@ -332,14 +210,8 @@ let spill_catchup_identity () =
     "catch-up races = offline races" expected_lines (reply_race_lines report);
   (* ...and the racedb fold matches too (published under the session
      nonce, so a restart replay would dedup against it) *)
-  let es = (Result.get_ok (Crd_racedb.Db.load dbdir)).Crd_racedb.Db.v_entries in
   Alcotest.(check (list (pair int64 int)))
-    "racedb fold = offline fold" expected_fold
-    (List.sort compare
-       (List.map
-          (fun (e : Crd_racedb.Entry.t) ->
-            (e.Crd_racedb.Entry.fingerprint, Crd_racedb.Entry.count e))
-          es));
+    "racedb fold = offline fold" expected_fold (db_fold dbdir);
   (* memory accounting returns to baseline once everything drained *)
   Alcotest.(check int) "mem_queue_bytes back to baseline" q0
     (Crd_obs.Gauge.get g_queue);
@@ -357,16 +229,14 @@ let shed_on_memory_budget () =
     ~f_config:(fun c ->
       { c with Server.memory_budget = budget; retry_after_ms = 321 })
     (fun ~addr ~server ->
-      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
       Fun.protect
         ~finally:(fun () -> Crd_obs.Gauge.add g_intern (-charge))
         (fun () ->
           Crd_obs.Gauge.add g_intern charge;
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          let fd = Server.connect addr in
           Fun.protect
-            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            ~finally:(fun () -> close_quietly fd)
             (fun () ->
-              Unix.connect fd (Unix.ADDR_UNIX path);
               match Proto.read_handshake_reply fd with
               | Ok (Proto.Busy ms) ->
                   Alcotest.(check int) "retry-after hint" 321 ms

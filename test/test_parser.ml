@@ -10,13 +10,6 @@ let parse_err src =
   | Ok _ -> Alcotest.failf "expected a parse error on:\n%s" src
   | Error e -> e
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.equal (String.sub haystack i nn) needle || go (i + 1))
-  in
-  go 0
-
 let builtins_parse () =
   List.iter
     (fun src ->
@@ -113,7 +106,7 @@ let error_cases () =
   List.iter
     (fun (src, expect) ->
       let e = parse_err src in
-      if not (contains e expect) then
+      if not (Sessions.contains e expect) then
         Alcotest.failf "error %S does not mention %S" e expect)
     cases
 
@@ -121,7 +114,7 @@ let error_positions () =
   let e =
     parse_err "object o {\n  method m(x);\n  commutes m(x1) <> m(x2) when ?;\n}"
   in
-  Alcotest.(check bool) "mentions line 3" true (contains e "3:")
+  Alcotest.(check bool) "mentions line 3" true (Sessions.contains e "3:")
 
 let default_clause () =
   let spec =

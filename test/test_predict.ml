@@ -500,14 +500,6 @@ let add_u32le b v =
     Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
   done
 
-let tmp_counter = ref 0
-
-let fresh_dir () =
-  incr tmp_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "crd-predict-%d-%d" (Unix.getpid ()) !tmp_counter)
-
 let mk_report key =
   let obj = Obj_id.make ~name:"dictionary:o" 0 in
   let action =
@@ -558,12 +550,9 @@ let v2_merge_frame entries =
   add_u32le b (crc32 payload);
   Buffer.contents b
 
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
 (* Mint real entries by running records through a scratch store. *)
 let entries_of_records records =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-predict" in
   let db = Result.get_ok (Db.open_db dir) in
   List.iter (Db.append db) records;
   let es = Db.entries db in
@@ -577,13 +566,12 @@ let v2_store_migrates () =
   let e_seg =
     List.hd (entries_of_records [ Record.make ~ts:200. ~spec:"std" (mk_report "b") ])
   in
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
-  write_file (Filename.concat dir "index.crdx")
+  let dir = Sessions.fresh_dir "crd-predict" in
+  Sessions.write_file (Filename.concat dir "index.crdx")
     (v2_index ~folded_up_to:1 [ e_idx ]);
   let seg = v2_merge_frame [ e_seg ] in
-  write_file (Filename.concat dir "seg-00000002.log") seg;
-  write_file
+  Sessions.write_file (Filename.concat dir "seg-00000002.log") seg;
+  Sessions.write_file
     (Filename.concat dir "seg-00000002.ok")
     (Printf.sprintf "%d\n" (String.length seg));
   (* read-only load: both entries come back witnessed *)
@@ -634,7 +622,7 @@ let witnessed_promotes_predicted () =
   let r = mk_report "p" in
   let predicted = Record.make ~ts:10. ~provenance:Provenance.Predicted ~spec:"std" r in
   let witnessed = Record.make ~ts:20. ~spec:"std" r in
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-predict" in
   let db = Result.get_ok (Db.open_db dir) in
   Db.append db predicted;
   Alcotest.(check int) "predicted first" 1 (Db.stats db).Db.predicted;

@@ -15,33 +15,6 @@ module Gen = QCheck2.Gen
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let tmp_counter = ref 0
-
-let fresh_dir () =
-  incr tmp_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "crd-racedb-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  if Sys.file_exists d then rm d;
-  d
-
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
 (* --- report / record generators ------------------------------------ *)
 
 let value_gen =
@@ -428,7 +401,7 @@ let index_memory_per_entry () =
   let records =
     List.map (Record.make ~ts:1.7e9 ~spec:"std") (Analyzer.rd2_races an)
   in
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db dir) in
   Alcotest.(check bool) "published" true (Db.publish db ~nonce:"s0" records);
   let distinct = (Db.stats db).Db.distinct in
@@ -440,7 +413,7 @@ let index_memory_per_entry () =
       distinct bound
 
 let append_reopen () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db dir) in
   Db.append db (mk_record ~key:"a" 10.);
   Db.append db (mk_record ~key:"a" 20.);
@@ -467,12 +440,12 @@ let append_reopen () =
   Db.close db
 
 let locking () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db dir) in
   (match Db.open_db dir with
   | Ok _ -> Alcotest.fail "second writer must be rejected"
   | Error e ->
-      Alcotest.(check bool) "error mentions the lock" true (contains e "locked"));
+      Alcotest.(check bool) "error mentions the lock" true (Sessions.contains e "locked"));
   Db.close db;
   let db = Result.get_ok (Db.open_db dir) in
   Db.close db
@@ -514,7 +487,7 @@ let shared_fp = Record.fingerprint (mk_record ~key:"shared" 0.)
    offset and every session must be either whole, with its nonce
    published, or absent without it. *)
 let torn_tail_published () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db ~auto_compact:0 dir) in
   let sessions = 3 in
   let ends =
@@ -531,8 +504,8 @@ let torn_tail_published () =
   Alcotest.(check int) "last session ends the file" (String.length bytes)
     (List.nth ends (sessions - 1));
   for cut = 0 to String.length bytes - 1 do
-    write_file seg (String.sub bytes 0 cut);
-    write_file marker "0\n";
+    Sessions.write_file seg (String.sub bytes 0 cut);
+    Sessions.write_file marker "0\n";
     let present = List.map (fun e -> e <= cut) ends in
     let whole = List.length (List.filter Fun.id present) in
     let where = Printf.sprintf "cut %d" cut in
@@ -563,7 +536,7 @@ let torn_tail_published () =
 (* Crash the tail at every byte offset of the last record: open must
    succeed, keep every earlier record, and account the torn bytes. *)
 let torn_tail_every_offset () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db dir) in
   Db.append db (mk_record ~key:"a" 1.);
   Db.append db (mk_record ~key:"b" 2.);
@@ -619,7 +592,7 @@ let torn_tail_every_offset () =
   torn_tail_published ()
 
 let compaction () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   (* tiny segments force rotations; auto_compact=0 keeps it manual *)
   let db = Result.get_ok (Db.open_db ~segment_bytes:4096 ~auto_compact:0 dir) in
   for i = 1 to 200 do
@@ -642,7 +615,7 @@ let compaction () =
   Alcotest.(check int) "rollups persisted" (Entry.count e) (Rollup.total e.Entry.minutes)
 
 let compaction_abort_is_harmless () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db ~auto_compact:0 dir) in
   for i = 1 to 50 do
     Db.append db (mk_record ~key:(string_of_int (i mod 3)) (float_of_int i))
@@ -653,7 +626,7 @@ let compaction_abort_is_harmless () =
       | Ok _ -> Alcotest.fail "compaction must abort under the fault"
       | Error e ->
           Alcotest.(check bool)
-            "abort is reported" true (contains e "fault injected"));
+            "abort is reported" true (Sessions.contains e "fault injected"));
       (* the handle is still fully usable *)
       Db.append db (mk_record ~key:"fresh" 99.);
       let st = Db.stats db in
@@ -669,14 +642,13 @@ let compaction_abort_is_harmless () =
 (* SIGKILL-shaped crash: copy the store mid-stream (no close, no final
    sync) and reopen the copy — every appended record must be there. *)
 let crash_copy_recovers_everything () =
-  let dir = fresh_dir () in
-  let crash = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
+  let crash = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db ~sync_every:1000 ~auto_compact:0 dir) in
   for i = 1 to 25 do
     Db.append db (mk_record ~key:(string_of_int i) (float_of_int i))
   done;
   (* simulate the kernel's view at SIGKILL: files as currently written *)
-  Unix.mkdir crash 0o755;
   Array.iter
     (fun f ->
       if f <> "lock" then
@@ -692,8 +664,8 @@ let crash_copy_recovers_everything () =
   Db.close db;
   (* the server's path: sessions published as counted chunks, one of
      them long enough to split into two chunks *)
-  let dir = fresh_dir () in
-  let crash = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
+  let crash = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db ~sync_every:100_000 ~auto_compact:0 dir) in
   let long =
     List.init 5000 (fun i -> mk_record ~key:(string_of_int (i mod 7)) 50.)
@@ -704,11 +676,10 @@ let crash_copy_recovers_everything () =
     sessions;
   ignore (Db.publish db ~nonce:"long" long);
   let live = Db.entries db in
-  Unix.mkdir crash 0o755;
   Array.iter
     (fun f ->
       if f <> "lock" then
-        write_file (Filename.concat crash f)
+        Sessions.write_file (Filename.concat crash f)
           (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
     (Sys.readdir dir);
   Db.close db;
@@ -726,7 +697,7 @@ let crash_copy_recovers_everything () =
   Db.close db
 
 let select_filters () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db dir) in
   Db.append db (mk_record ~key:"a" ~name:"dictionary:o" 10.);
   Db.append db (mk_record ~key:"a" ~name:"dictionary:o" 20.);
@@ -817,16 +788,15 @@ let v1_index ~folded_up_to entries =
   Buffer.contents b
 
 let v1_store_migrates () =
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let r_idx = mk_record ~key:"folded" 100. in
   let r_seg = mk_record ~key:"live" 200. in
   (* seg-1 was compacted into the index (count 3); seg-2 is still live *)
-  write_file (Filename.concat dir "index.crdx")
+  Sessions.write_file (Filename.concat dir "index.crdx")
     (v1_index ~folded_up_to:1 [ (3, r_idx) ]);
   let seg = v1_frame r_seg in
-  write_file (Filename.concat dir "seg-00000002.log") seg;
-  write_file (Filename.concat dir "seg-00000002.ok")
+  Sessions.write_file (Filename.concat dir "seg-00000002.log") seg;
+  Sessions.write_file (Filename.concat dir "seg-00000002.ok")
     (Printf.sprintf "%d\n" (String.length seg));
   (* read-only load migrates without touching anything *)
   let v = Result.get_ok (Db.load dir) in
@@ -897,14 +867,13 @@ let b_frames ~nonce records =
 (* A store directory whose node id is fixed, so two stores built from
    the same records compare entry for entry. *)
 let node_dir () =
-  let dir = fresh_dir () in
-  Unix.mkdir dir 0o755;
-  write_file (Filename.concat dir "node") "n1\n";
+  let dir = Sessions.fresh_dir "crd-racedb" in
+  Sessions.write_file (Filename.concat dir "node") "n1\n";
   dir
 
 let write_segment dir id bytes =
-  write_file (Filename.concat dir (Printf.sprintf "seg-%08d.log" id)) bytes;
-  write_file
+  Sessions.write_file (Filename.concat dir (Printf.sprintf "seg-%08d.log" id)) bytes;
+  Sessions.write_file
     (Filename.concat dir (Printf.sprintf "seg-%08d.ok" id))
     (Printf.sprintf "%d\n" (String.length bytes))
 
@@ -1044,7 +1013,7 @@ let big_records () =
       Record.make ~ts:(float_of_int i) ~spec:"std" r)
 
 let large_record_reopen () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db dir) in
   Alcotest.(check bool) "published" true (Db.publish db ~nonce:"big" (big_records ()));
   let live = Db.entries db in
@@ -1057,7 +1026,7 @@ let large_record_reopen () =
   Db.close db
 
 let large_record_compact_reopen () =
-  let dir = fresh_dir () in
+  let dir = Sessions.fresh_dir "crd-racedb" in
   let db = Result.get_ok (Db.open_db dir) in
   ignore (Db.publish db ~nonce:"big" (big_records ()));
   let live = Db.entries db in

@@ -255,7 +255,7 @@ let monitored_bag_semantics () =
 let bag_adds_commute_set_adds_race () =
   let run_with ~use_bag =
     let an = Analyzer.with_stdspecs () in
-    Sched.run ~seed:9L ~sink:(Analyzer.sink an) (fun () ->
+    Sched.run ~seed:9L ~sink:(Analyzer.step an) (fun () ->
         if use_bag then begin
           let b = Monitored.Bag.create ~name:"bag:b" () in
           for _ = 1 to 4 do

@@ -1,94 +1,13 @@
 (* End-to-end tests of the streaming ingestion service: a real server
-   on a Unix socket, real client connections, and the invariant that a
-   streamed session reports exactly the races of the offline analyzer
-   on the same trace. *)
+   on a Unix socket and real client connections, through rejection,
+   faults, crashes, journals and streamed replies. That every session
+   path reports the offline races is test_identity.ml's job; the tests
+   here compare races where a fault or a crash is what they exercise. *)
 
 open Crd
-module Server = Crd_server.Server
-module Client = Crd_server.Client
-module W = Crd_workloads
-
-let sock_counter = ref 0
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let fresh_addr () =
-  incr sock_counter;
-  Server.Unix_sock
-    (Filename.concat
-       (Filename.get_temp_dir_name ())
-       (Printf.sprintf "crd-test-%d-%d.sock" (Unix.getpid ()) !sock_counter))
-
-let with_server ?(f_config = Fun.id) k =
-  let addr = fresh_addr () in
-  let config = f_config (Server.default_config ~addr) in
-  match Server.start config with
-  | Error e -> Alcotest.failf "server start: %s" e
-  | Ok server ->
-      Fun.protect ~finally:(fun () -> ignore (Server.stop server)) (fun () ->
-          k ~addr ~server)
-
-let snitch_trace () =
-  let trace = Trace.create () in
-  ignore (W.Snitch.run ~seed:1L ~sink:(Trace.append trace) ());
-  trace
-
-(* The offline reference: same analyzer configuration as the server's
-   default, race lines rendered exactly as the server renders them. *)
-let offline_race_lines trace =
-  let an =
-    Analyzer.with_stdspecs
-      ~config:
-        {
-          Analyzer.rd2 = `Constant;
-          direct = false;
-          fasttrack = false;
-          djit = false;
-          atomicity = false;
-        }
-      ()
-  in
-  Trace.iter_events trace ~f:(Analyzer.sink an);
-  List.map (fun r -> Fmt.str "%a" Report.pp r) (Analyzer.rd2_races an)
-
-let reply_race_lines reply =
-  String.split_on_char '\n' reply
-  |> List.filter (fun l -> String.length l > 0 && not (String.equal l "OK"))
-  |> List.filter (fun l ->
-         (* drop the summary block, keep the per-race lines *)
-         String.length l >= 4 && String.equal (String.sub l 0 4) "comm")
-
-let send_exn ~addr ?spec trace =
-  match Client.send_trace ~addr ?spec trace with
-  | Ok reply -> reply
-  | Error e -> Alcotest.failf "send: %s" e
-
-let races_match_offline () =
-  let trace = snitch_trace () in
-  let expected = offline_race_lines trace in
-  with_server (fun ~addr ~server:_ ->
-      let reply = send_exn ~addr trace in
-      Alcotest.(check bool)
-        "server reply accepted" true
-        (String.length reply >= 2 && String.equal (String.sub reply 0 2) "OK");
-      Alcotest.(check (list string))
-        "server races = offline races" expected (reply_race_lines reply);
-      Alcotest.(check bool)
-        "reply carries a STATS line" true
-        (contains reply "\nSTATS events="))
-
-let races_match_offline_sharded () =
-  let trace = snitch_trace () in
-  let expected = offline_race_lines trace in
-  with_server
-    ~f_config:(fun c -> { c with Server.jobs = 2 })
-    (fun ~addr ~server:_ ->
-      let reply = send_exn ~addr trace in
-      Alcotest.(check (list string))
-        "jobs=2 server races = offline races" expected (reply_race_lines reply))
+open Sessions
+module Proto = Crd_server.Proto
+module Journal = Crd_server.Journal
 
 let concurrent_clients () =
   let trace = snitch_trace () in
@@ -126,6 +45,10 @@ let unknown_spec_rejected () =
       (* The rejected handshake must not poison the server; it counts as
          a completed (error) session. *)
       ignore (send_exn ~addr trace);
+      (* The client returns on the REJECT line; the server counts the
+         rejected session just after sending it. *)
+      poll "rejected session never counted" (fun () ->
+          (Server.stats server).Server.sessions >= 2);
       let st = Server.stats server in
       Alcotest.(check int) "two completed sessions" 2 st.Server.sessions;
       Alcotest.(check int) "one rejected session" 1 st.Server.errors)
@@ -159,24 +82,12 @@ let malformed_event_err jobs () =
       Alcotest.(check int) "two completed sessions" 2 st.Server.sessions;
       Alcotest.(check int) "one error session" 1 st.Server.errors)
 
-let metric_value dump name =
-  String.split_on_char '\n' dump
-  |> List.find_map (fun l ->
-         match String.index_opt l ' ' with
-         | Some i when String.sub l 0 i = name ->
-             int_of_string_opt
-               (String.sub l (i + 1) (String.length l - i - 1))
-         | _ -> None)
-
 (* Injected transient accept() failures (resource exhaustion) must be
    survived with backoff — the pending connection still gets served —
    and counted, both in stats and in the metrics registry. *)
 let survives_transient_accept_errors () =
   let trace = snitch_trace () in
-  let before =
-    Option.value ~default:0
-      (metric_value (Crd_obs.dump ()) "server_accept_errors_total")
-  in
+  let before = metric "server_accept_errors_total" in
   with_server (fun ~addr ~server ->
       Server.inject_accept_error server Unix.EMFILE;
       Server.inject_accept_error server Unix.ENFILE;
@@ -189,40 +100,24 @@ let survives_transient_accept_errors () =
       Alcotest.(check int) "accept errors counted" 3 st.Server.accept_errors;
       Alcotest.(check int) "no session errors" 0 st.Server.errors;
       Alcotest.(check int) "one session" 1 st.Server.sessions;
-      let after =
-        Option.value ~default:0
-          (metric_value (Crd_obs.dump ()) "server_accept_errors_total")
-      in
-      Alcotest.(check int) "server_accept_errors_total moved" (before + 3) after)
+      Alcotest.(check int) "server_accept_errors_total moved" (before + 3)
+        (metric "server_accept_errors_total"))
 
 (* End-to-end scrape of the --metrics listener: counters must be
    exposed in Prometheus text format and move when a session runs. *)
 let metrics_endpoint () =
   let trace = snitch_trace () in
   let maddr = fresh_addr () in
-  let mpath = match maddr with Server.Unix_sock p -> p | _ -> assert false in
   with_server
     ~f_config:(fun c -> { c with Server.metrics_addr = Some maddr })
     (fun ~addr ~server:_ ->
       let scrape () =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        let fd = Server.connect maddr in
         Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          ~finally:(fun () -> close_quietly fd)
           (fun () ->
-            Unix.connect fd (Unix.ADDR_UNIX mpath);
-            let req = "GET /metrics HTTP/1.0\r\n\r\n" in
-            ignore (Unix.write_substring fd req 0 (String.length req));
-            let buf = Buffer.create 4096 in
-            let bytes = Bytes.create 4096 in
-            let rec go () =
-              match Unix.read fd bytes 0 (Bytes.length bytes) with
-              | 0 -> ()
-              | n ->
-                  Buffer.add_subbytes buf bytes 0 n;
-                  go ()
-            in
-            go ();
-            Buffer.contents buf)
+            Proto.write_all fd "GET /metrics HTTP/1.0\r\n\r\n";
+            Proto.read_to_eof fd)
       in
       let before = scrape () in
       Alcotest.(check bool)
@@ -270,7 +165,7 @@ let live_socket_not_stolen () =
 
 let stale_socket_reclaimed () =
   let addr = fresh_addr () in
-  let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
+  let path = sock_path addr in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_UNIX path);
   Unix.listen fd 1;
@@ -331,63 +226,6 @@ let addr_of_string_table () =
 (* Robustness: shedding, supervision, retries, journals                *)
 (* ------------------------------------------------------------------ *)
 
-module Proto = Crd_server.Proto
-module Journal = Crd_server.Journal
-
-let poll ?(tries = 400) ?(interval = 0.025) msg cond =
-  let rec go n =
-    if cond () then ()
-    else if n = 0 then Alcotest.fail msg
-    else begin
-      Unix.sleepf interval;
-      go (n - 1)
-    end
-  in
-  go tries
-
-let with_faults spec k =
-  (match Crd_fault.configure spec with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "configure %S: %s" spec e);
-  Fun.protect ~finally:Crd_fault.reset k
-
-let encode_trace trace =
-  let buf = Buffer.create 4096 in
-  let enc = Wire.Encoder.create ~emit:(Buffer.add_string buf) () in
-  Trace.iter_events trace ~f:(Wire.Encoder.event enc);
-  Wire.Encoder.close enc;
-  Buffer.contents buf
-
-let fresh_dir tag =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s-%d-%d" tag (Unix.getpid ()) (incr sock_counter; !sock_counter))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  dir
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-(* Regression for the EINTR abort: a signal landing mid-[read]/[write]
-   used to kill the session (the raw fd loops treated [EINTR] as a hard
-   error). With the [io_eintr] fault interrupting every third raw
-   syscall on both sides of the connection — handshake, trace stream,
-   journal append, report — the retries must make the session
-   indistinguishable from a calm one. *)
-let eintr_storm () =
-  let trace = snitch_trace () in
-  let expected = offline_race_lines trace in
-  let dir = fresh_dir "crd-eintr" in
-  with_faults "io_eintr=every:3" (fun () ->
-      with_server
-        ~f_config:(fun c -> { c with Server.journal = Some dir })
-        (fun ~addr ~server:_ ->
-          let reply = send_exn ~addr trace in
-          Alcotest.(check (list string))
-            "races under EINTR storm = offline races" expected
-            (reply_race_lines reply)))
-
 (* With one busy worker and a full backlog, the next connection must be
    shed with a BUSY reply carrying the configured retry hint — before
    its handshake is even read. *)
@@ -396,24 +234,15 @@ let busy_shed () =
     ~f_config:(fun c ->
       { c with Server.workers = 1; shed_backlog = 1; retry_after_ms = 123 })
     (fun ~addr ~server ->
-      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
-      let conn () =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-      in
+      let conn () = Server.connect addr in
       let c1 = conn () in
       (* The lone worker owns c1 (blocked reading its handshake)... *)
       poll "worker never picked up the session" (fun () ->
-          match metric_value (Crd_obs.dump ()) "server_sessions_active" with
-          | Some v -> v >= 1
-          | None -> false);
+          metric "server_sessions_active" >= 1);
       (* ...c2 fills the backlog... *)
       let c2 = conn () in
       poll "second connection never queued" (fun () ->
-          match metric_value (Crd_obs.dump ()) "server_conn_queue_depth_hw" with
-          | Some v -> v >= 1
-          | None -> false);
+          metric "server_conn_queue_depth_hw" >= 1);
       (* ...so c3 must be shed. *)
       let c3 = conn () in
       (match Proto.read_handshake_reply c3 with
@@ -422,7 +251,7 @@ let busy_shed () =
       | Ok (Proto.Rejected m) -> Alcotest.failf "expected BUSY, got reject %s" m
       | Error e -> Alcotest.failf "shed reply: %s" e);
       List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        close_quietly
         [ c1; c2; c3 ];
       let st = Server.stats server in
       Alcotest.(check int) "one shed connection" 1 st.Server.busy)
@@ -496,7 +325,7 @@ let journal_replay_on_start () =
   let trace = snitch_trace () in
   let expected = offline_race_lines trace in
   let dir = fresh_dir "crd-journal" in
-  let bytes = encode_trace trace in
+  let bytes = Wire.encode_trace trace in
   let j = Journal.start ~dir ~nonce:"replay1" ~spec:"std" in
   Journal.append j bytes;
   Journal.commit j;
@@ -526,7 +355,7 @@ let journal_replay_streams_committed_prefix () =
   let trace = W.Synth.generate ~seed:7L (W.Synth.default ~events:20_000) in
   let expected = offline_race_lines trace in
   let dir = fresh_dir "crd-journal" in
-  let bytes = encode_trace trace in
+  let bytes = Wire.encode_trace trace in
   Alcotest.(check bool) "several read blocks" true (String.length bytes > 131072);
   let commit nonce =
     let j = Journal.start ~dir ~nonce ~spec:"std" in
@@ -560,81 +389,44 @@ let journal_replay_streams_committed_prefix () =
 (* Subprocess end-to-end: SIGKILL crash recovery, SIGTERM drain        *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolved against this test binary's own location so it works under
-   both `dune runtest` (cwd = _build/default/test) and `dune exec`
-   from the source root. *)
-let rd2_exe =
-  Filename.concat
-    (Filename.concat (Filename.dirname Sys.executable_name) "..")
-    (Filename.concat "bin" "rd2.exe")
-
 let spawn_server args =
   Unix.create_process rd2_exe
     (Array.of_list ("rd2" :: args))
     Unix.stdin Unix.stdout Unix.stderr
 
-let wait_listening path =
+let wait_listening addr =
   poll "server never came up" (fun () ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match Unix.connect fd (Unix.ADDR_UNIX path) with
-          | () -> true
-          | exception Unix.Unix_error _ -> false))
+      match Server.connect addr with
+      | fd ->
+          close_quietly fd;
+          true
+      | exception Unix.Unix_error _ -> false)
 
 let kill_quietly pid signal =
   try Unix.kill pid signal with Unix.Unix_error _ -> ()
 
-let reap pid =
-  try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
-
 (* The sharded server path: with --jobs 2 a session streams into two
-   shard workers from its first event. Its race lines equal offline
-   `rd2 check`, and a malformed call — met by a shard worker, not the
-   session's own domain — still comes back as a clean ERR. *)
+   shard workers from its first event, and a malformed call — met by a
+   shard worker, not the session's own domain — still comes back as a
+   clean ERR. (Its race lines are held to the offline ones in
+   test_identity.ml.) *)
 let sharded_session () =
   let trace = W.Synth.generate ~seed:7L (W.Synth.default ~events:4_000) in
-  let path = Filename.temp_file "crd-sharded" ".crdw" in
-  let out = path ^ ".out" in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ path; out ])
-    (fun () ->
-      (match Wire.to_file path trace with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-      let pid =
-        Unix.create_process rd2_exe
-          [| "rd2"; "check"; path; "--format"; "bin"; "-v" |]
-          Unix.stdin fd Unix.stderr
-      in
-      Unix.close fd;
-      (match reap pid with
-      | Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "rd2 check failed");
-      let expected =
-        reply_race_lines (In_channel.with_open_text out In_channel.input_all)
-      in
-      with_server
-        ~f_config:(fun c -> { c with Server.jobs = 2 })
-        (fun ~addr ~server:_ ->
-          let reply = send_exn ~addr trace in
-          Alcotest.(check bool) "sharded" true (contains reply "(2 shards)");
-          Alcotest.(check (list string))
-            "jobs=2 sharded races = offline rd2 check" expected
-            (reply_race_lines reply);
-          let bad = Trace.create () in
-          Trace.iter_events trace ~f:(Trace.append bad);
-          Trace.iter_events (malformed_trace ()) ~f:(Trace.append bad);
-          match Client.send_trace ~addr bad with
-          | Ok reply -> Alcotest.failf "malformed trace accepted: %s" reply
-          | Error msg ->
-              Alcotest.(check bool)
-                (Printf.sprintf "clean shard-worker ERR (%s)" msg)
-                true
-                (contains msg "ERR Repr.eta"
-                && not (contains msg "Invalid_argument"))))
+  with_server
+    ~f_config:(fun c -> { c with Server.jobs = 2 })
+    (fun ~addr ~server:_ ->
+      let reply = send_exn ~addr trace in
+      Alcotest.(check bool) "sharded" true (contains reply "(2 shards)");
+      let bad = Trace.create () in
+      Trace.iter_events trace ~f:(Trace.append bad);
+      Trace.iter_events (malformed_trace ()) ~f:(Trace.append bad);
+      match Client.send_trace ~addr bad with
+      | Ok reply -> Alcotest.failf "malformed trace accepted: %s" reply
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "clean shard-worker ERR (%s)" msg)
+            true
+            (contains msg "ERR Repr.eta" && not (contains msg "Invalid_argument")))
 
 (* The real thing: a server process is SIGKILLed inside the window
    where a session's journal is committed but its report unsent (held
@@ -646,7 +438,7 @@ let sigkill_crash_recovery () =
   let expected = offline_race_lines trace in
   let dir = fresh_dir "crd-crash" in
   let addr = fresh_addr () in
-  let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
+  let path = sock_path addr in
   let pid =
     spawn_server
       [
@@ -659,17 +451,16 @@ let sigkill_crash_recovery () =
       kill_quietly pid Sys.sigkill;
       ignore (reap pid))
     (fun () ->
-      wait_listening path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      wait_listening addr;
+      let fd = Server.connect addr in
       Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        ~finally:(fun () -> close_quietly fd)
         (fun () ->
-          Unix.connect fd (Unix.ADDR_UNIX path);
           Proto.send_handshake fd ~nonce:"crash1" ~spec:"std" ();
           (match Proto.read_handshake_reply fd with
           | Ok Proto.Accepted -> ()
           | Ok _ | Error _ -> Alcotest.fail "handshake not accepted");
-          Proto.write_all fd (encode_trace trace);
+          Proto.write_all fd (Wire.encode_trace trace);
           (* The commit marker is fsync'd by the reader thread; the
              reply is parked behind the report_send stall. *)
           poll "commit marker never appeared" (fun () ->
@@ -694,7 +485,7 @@ let sigterm_graceful_drain () =
   let trace = snitch_trace () in
   let expected = offline_race_lines trace in
   let addr = fresh_addr () in
-  let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
+  let path = sock_path addr in
   let pid =
     spawn_server
       [ "serve"; "-a"; "unix:" ^ path; "--jobs"; "2"; "--workers"; "2" ]
@@ -704,7 +495,7 @@ let sigterm_graceful_drain () =
       kill_quietly pid Sys.sigkill;
       ignore (reap pid))
     (fun () ->
-      wait_listening path;
+      wait_listening addr;
       let n = 2 in
       let results = Array.make n (Error "never ran") in
       let slow_send i =
@@ -739,7 +530,7 @@ let sigterm_graceful_drain () =
 
 let stop_releases_socket () =
   let addr = fresh_addr () in
-  let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
+  let path = sock_path addr in
   (match Server.start (Server.default_config ~addr) with
   | Error e -> Alcotest.failf "start: %s" e
   | Ok server ->
@@ -754,32 +545,6 @@ let stop_releases_socket () =
 (* ------------------------------------------------------------------ *)
 (* Race database publication                                           *)
 (* ------------------------------------------------------------------ *)
-
-let offline_races trace =
-  let an =
-    Analyzer.with_stdspecs
-      ~config:
-        {
-          Analyzer.rd2 = `Constant;
-          direct = false;
-          fasttrack = false;
-          djit = false;
-          atomicity = false;
-        }
-      ()
-  in
-  Trace.iter_events trace ~f:(Analyzer.sink an);
-  Analyzer.rd2_races an
-
-(* Per-fingerprint occurrence counts, the fold [rd2 query] serves. *)
-let fingerprint_fold races =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let fp = Report.fingerprint r in
-      Hashtbl.replace tbl fp (1 + Option.value ~default:0 (Hashtbl.find_opt tbl fp)))
-    races;
-  List.sort compare (Hashtbl.fold (fun fp c acc -> (fp, c) :: acc) tbl [])
 
 (* Every session's verdict lands in the race database; after [stop] the
    folded fingerprints (and counts) equal the offline analyzer's fold. *)
@@ -805,47 +570,13 @@ let racedb_publication () =
         (Some (Report.distinct races))
         distinct;
       ignore (send_exn ~addr trace));
-  let v = Result.get_ok (Crd_racedb.Db.load dir) in
-  let es = v.Crd_racedb.Db.v_entries and st = v.Crd_racedb.Db.v_stats in
+  let st = (Result.get_ok (Crd_racedb.Db.load dir)).Crd_racedb.Db.v_stats in
   Alcotest.(check int)
     "db total = 2 sessions of races" (2 * List.length races) st.Crd_racedb.Db.total;
-  let folded =
-    List.sort compare
-      (List.map
-         (fun (e : Crd_racedb.Entry.t) ->
-           (e.Crd_racedb.Entry.fingerprint, Crd_racedb.Entry.count e))
-         es)
-  in
   Alcotest.(check (list (pair int64 int)))
     "db fold = offline fold, doubled"
     (List.map (fun (fp, c) -> (fp, 2 * c)) expected)
-    folded
-
-(* Journal replay republishes into the race database: the race set of a
-   crashed-but-committed session is durable after recovery. *)
-let racedb_journal_replay () =
-  let trace = snitch_trace () in
-  let expected = fingerprint_fold (offline_races trace) in
-  let jdir = fresh_dir "crd-racedb-j" in
-  let dbdir = fresh_dir "crd-racedb-jdb" in
-  let j = Journal.start ~dir:jdir ~nonce:"replaydb" ~spec:"std" in
-  Journal.append j (encode_trace trace);
-  Journal.commit j;
-  Journal.close j;
-  with_server
-    ~f_config:(fun c ->
-      { c with Server.journal = Some jdir; racedb = Some dbdir })
-    (fun ~addr:_ ~server ->
-      Alcotest.(check int)
-        "one recovered session" 1 (Server.stats server).Server.recovered);
-  let es = (Result.get_ok (Crd_racedb.Db.load dbdir)).Crd_racedb.Db.v_entries in
-  Alcotest.(check (list (pair int64 int)))
-    "replayed fold = offline fold" expected
-    (List.sort compare
-       (List.map
-          (fun (e : Crd_racedb.Entry.t) ->
-            (e.Crd_racedb.Entry.fingerprint, Crd_racedb.Entry.count e))
-          es))
+    (db_fold dir)
 
 (* Regression: a SIGKILLed process that had already published its
    session must not publish it again when the committed journal is
@@ -858,7 +589,7 @@ let racedb_replay_no_double_count () =
   let jdir = fresh_dir "crd-racedb-dd-j" in
   let dbdir = fresh_dir "crd-racedb-dd-db" in
   let j = Journal.start ~dir:jdir ~nonce:"dedup1" ~spec:"std" in
-  Journal.append j (encode_trace trace);
+  Journal.append j (Wire.encode_trace trace);
   Journal.commit j;
   Journal.close j;
   (* what the dead process did before the kill: publish, but never
@@ -875,14 +606,8 @@ let racedb_replay_no_double_count () =
     (fun ~addr:_ ~server ->
       Alcotest.(check int)
         "journal replayed" 1 (Server.stats server).Server.recovered);
-  let es = (Result.get_ok (Crd_racedb.Db.load dbdir)).Crd_racedb.Db.v_entries in
   Alcotest.(check (list (pair int64 int)))
-    "replay did not inflate counts" expected
-    (List.sort compare
-       (List.map
-          (fun (e : Crd_racedb.Entry.t) ->
-            (e.Crd_racedb.Entry.fingerprint, Crd_racedb.Entry.count e))
-          es))
+    "replay did not inflate counts" expected (db_fold dbdir)
 
 (* The worker's ingest loop has two exits besides end-of-stream, on
    both tiers: a client that closes before the end-of-stream frame gets
@@ -893,12 +618,9 @@ let racedb_replay_no_double_count () =
 let ingest_exits () =
   let trace = snitch_trace () in
   let expected = offline_race_lines trace in
-  let bytes = encode_trace trace in
+  let bytes = Wire.encode_trace trace in
   let partial = String.sub bytes 0 (String.length bytes / 2) in
   let dir = fresh_dir "crd-exits" in
-  let counter name =
-    Option.value ~default:0 (metric_value (Crd_obs.dump ()) name)
-  in
   with_server
     ~f_config:(fun c ->
       {
@@ -909,12 +631,7 @@ let ingest_exits () =
         journal = Some dir;
       })
     (fun ~addr ~server ->
-      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
-      let conn () =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-      in
+      let conn () = Server.connect addr in
       (* Handshake and send [data]; [close_early] then half-closes, so
          the server sees EOF mid-stream while we still read the reply. *)
       let start ?(close_early = false) nonce data =
@@ -926,7 +643,7 @@ let ingest_exits () =
       in
       let reply_of fd =
         Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          ~finally:(fun () -> close_quietly fd)
           (fun () ->
             (match Proto.read_handshake_reply fd with
             | Ok Proto.Accepted -> ()
@@ -939,8 +656,8 @@ let ingest_exits () =
           true
           (String.starts_with ~prefix:"ERR " reply && contains reply needle)
       in
-      let decode0 = counter "server_errors_decode_total" in
-      let timeout0 = counter "server_errors_timeout_total" in
+      let decode0 = metric "server_errors_decode_total" in
+      let timeout0 = metric "server_errors_timeout_total" in
       (* Normal tier. *)
       expect_err "normal, closed early"
         (reply_of (start ~close_early:true "n-trunc" partial))
@@ -959,28 +676,28 @@ let ingest_exits () =
          watermark and the hysteresis holds the spill tier for the rest.
          Each failing spill session is followed by a good one, whose
          catch-up report must carry the offline races. *)
-      let spill0 = counter "overload_to_spill_total" in
-      let accepted0 = counter "server_accepted_total" in
+      let spill0 = metric "overload_to_spill_total" in
+      let accepted0 = metric "server_accepted_total" in
       (* The last session may still be closing: only once it is gone
          does an active session mean the worker holds c1. *)
       poll "previous sessions never finished" (fun () ->
-          counter "server_sessions_active" = 0);
+          metric "server_sessions_active" = 0);
       let c1 = conn () in
       poll "worker never picked up the pin" (fun () ->
-          counter "server_sessions_active" >= 1);
+          metric "server_sessions_active" >= 1);
       let c2 = conn () in
       let c3 = start ~close_early:true "s-trunc" partial in
       poll "c3 never admitted on the spill tier" (fun () ->
-          counter "overload_to_spill_total" > spill0);
+          metric "overload_to_spill_total" > spill0);
       let c4 = start "s-good1" bytes in
       let c5 = start "s-idle" partial in
       let c6 = start "s-good2" bytes in
       poll "not every connection admitted" (fun () ->
-          counter "server_accepted_total" >= accepted0 + 6);
+          metric "server_accepted_total" >= accepted0 + 6);
       Alcotest.(check int) "admission still on the spill tier" 1
-        (counter "overload_tier");
+        (metric "overload_tier");
       List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        close_quietly
         [ c1; c2 ];
       expect_err "spill, closed early" (reply_of c3) "truncated";
       let spilled what fd =
@@ -996,9 +713,9 @@ let ingest_exits () =
       poll "catch-up never drained both segments" (fun () ->
           (Server.stats server).Server.caught_up >= 2);
       Alcotest.(check int) "two decode ERRs" (decode0 + 2)
-        (counter "server_errors_decode_total");
+        (metric "server_errors_decode_total");
       Alcotest.(check int) "two idle timeouts" (timeout0 + 2)
-        (counter "server_errors_timeout_total");
+        (metric "server_errors_timeout_total");
       Alcotest.(check int)
         "two spilled sessions" 2 (Server.stats server).Server.spilled);
   List.iter
@@ -1043,13 +760,11 @@ let far_tid_refused () =
   check "text" Test_wire.far_tid_text;
   check "bin" Test_wire.far_tid_stream;
   with_server (fun ~addr ~server ->
-      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let fd = Server.connect addr in
       let reply =
         Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          ~finally:(fun () -> close_quietly fd)
           (fun () ->
-            Unix.connect fd (Unix.ADDR_UNIX path);
             Proto.send_handshake fd ~nonce:"far-tid" ~spec:"std" ();
             Proto.write_all fd Test_wire.far_tid_stream;
             (match Proto.read_handshake_reply fd with
@@ -1077,7 +792,7 @@ let zipf_trace events = W.Synth.generate ~seed:7L (W.Synth.default ~events)
 
 let analyze trace =
   let an = Analyzer.with_stdspecs () in
-  Trace.iter_events trace ~f:(Analyzer.sink an);
+  Trace.iter_events trace ~f:(Analyzer.step an);
   Analyzer.finish an
 
 (* The reply [Server.render_reply] streams, built whole in one buffer
@@ -1177,14 +892,12 @@ let multi_block_reply () =
         ".report = bytes delivered" reply
         (read_file (Filename.concat dir "whole.report"));
       Alcotest.(check bool) "no .report.tmp" false (file_exists dir "whole.report.tmp");
-      let path = match addr with Server.Unix_sock p -> p | _ -> assert false in
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
+      let fd = Server.connect addr in
       Proto.send_handshake fd ~nonce:"quitter" ~spec:"std" ();
       (match Proto.read_handshake_reply fd with
       | Ok Proto.Accepted -> ()
       | _ -> Alcotest.fail "handshake refused");
-      Proto.write_all fd (encode_trace trace);
+      Proto.write_all fd (Wire.encode_trace trace);
       (match Proto.read_exact fd Server.reply_block with
       | Some block ->
           Alcotest.(check string)
@@ -1247,9 +960,6 @@ let sock_write_loses_one_reply () =
 let suite =
   ( "server",
     [
-      Alcotest.test_case "races = offline check" `Quick races_match_offline;
-      Alcotest.test_case "races = offline (jobs=2)" `Quick
-        races_match_offline_sharded;
       Alcotest.test_case "concurrent clients" `Quick concurrent_clients;
       Alcotest.test_case "unknown spec rejected" `Quick unknown_spec_rejected;
       Alcotest.test_case "malformed event ERR (jobs=1)" `Quick
@@ -1264,7 +974,6 @@ let suite =
       Alcotest.test_case "addr_of_string table" `Quick addr_of_string_table;
       Alcotest.test_case "stop releases the socket" `Quick stop_releases_socket;
       Alcotest.test_case "overload shed replies BUSY" `Quick busy_shed;
-      Alcotest.test_case "session survives an EINTR storm" `Quick eintr_storm;
       Alcotest.test_case "worker crash respawn" `Quick worker_crash_respawn;
       Alcotest.test_case "retry recovers a lost reply" `Quick
         retry_on_lost_reply;
@@ -1276,7 +985,6 @@ let suite =
         journal_replay_on_start;
       Alcotest.test_case "racedb publication = offline fold" `Quick
         racedb_publication;
-      Alcotest.test_case "racedb journal replay" `Quick racedb_journal_replay;
       Alcotest.test_case "racedb replay never double-counts" `Quick
         racedb_replay_no_double_count;
       Alcotest.test_case "SIGKILL crash recovery" `Quick

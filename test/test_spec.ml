@@ -65,19 +65,11 @@ let arity_mismatch () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
-(* Substring containment, for loose error-message checks. *)
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.equal (String.sub haystack i nn) needle || go (i + 1))
-  in
-  go 0
-
 let make_rejects_undeclared () =
   let m = Signature.make ~meth:"m" ~args:[ "x" ] () in
   match Spec.make ~name:"s" ~methods:[ m ] [ ("m", "nope", Formula.True) ] with
   | Error e ->
-      Alcotest.(check bool) "mentions method" true (contains e "nope")
+      Alcotest.(check bool) "mentions method" true (Sessions.contains e "nope")
   | Ok _ -> Alcotest.fail "expected error"
 
 let make_rejects_out_of_range () =
@@ -94,7 +86,7 @@ let make_rejects_asymmetric () =
   match Spec.make ~name:"s" ~methods:[ m ] [ ("m", "m", phi) ] with
   | Error e ->
       Alcotest.(check bool) "mentions symmetry" true
-        (contains e "symmetric")
+        (Sessions.contains e "symmetric")
   | Ok _ -> Alcotest.fail "expected symmetry error"
 
 let make_rejects_duplicates () =

@@ -21,25 +21,6 @@ let () =
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-let tmp_counter = ref 0
-
-let fresh_dir () =
-  incr tmp_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "crd-sync-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  if Sys.file_exists d then rm d;
-  d
-
 (* --- generators ----------------------------------------------------- *)
 
 let mk_report ?(key = "k") ?(meth = "put") ?(name = "dictionary:o") () =
@@ -162,15 +143,19 @@ let entry_laws =
 
 (* --- replica helpers ------------------------------------------------ *)
 
-let canon db =
-  List.sort
-    (fun (a : Entry.t) (b : Entry.t) ->
+let by_fingerprint =
+  List.sort (fun (a : Entry.t) (b : Entry.t) ->
       compare a.Entry.fingerprint b.Entry.fingerprint)
-    (Db.entries db)
 
-let same_state a b =
-  let ea = canon a and eb = canon b in
+let canon db = by_fingerprint (Db.entries db)
+
+(* A store's entries as [rd2 query] reads them, live or not. *)
+let loaded dir = by_fingerprint (Result.get_ok (Db.load dir)).Db.v_entries
+
+let same_entries ea eb =
   List.length ea = List.length eb && List.for_all2 Entry.equal ea eb
+
+let same_state a b = same_entries (canon a) (canon b)
 
 (* one push-pull gossip step, straight through the storage API *)
 let gossip a b =
@@ -185,7 +170,7 @@ let report_pool =
 let convergence n () =
   let rng = Random.State.make [| 4242; n |] in
   let dbs =
-    Array.init n (fun _ -> Result.get_ok (Db.open_db (fresh_dir ())))
+    Array.init n (fun _ -> Result.get_ok (Db.open_db (Sessions.fresh_dir "crd-sync")))
   in
   let expected = Hashtbl.create 32 in
   let nonce_ctr = ref 0 in
@@ -252,7 +237,7 @@ let convergence n () =
 
 (* re-merging a full snapshot is a no-op, and survives reopen *)
 let merge_idempotent_on_store () =
-  let da = fresh_dir () and db_dir = fresh_dir () in
+  let da = Sessions.fresh_dir "crd-sync" and db_dir = Sessions.fresh_dir "crd-sync" in
   let a = Result.get_ok (Db.open_db da) in
   let b = Result.get_ok (Db.open_db db_dir) in
   ignore
@@ -302,8 +287,8 @@ let exchange server_db client_db =
   (client_res, !server_res)
 
 let wire_exchange_converges () =
-  let a = Result.get_ok (Db.open_db (fresh_dir ())) in
-  let b = Result.get_ok (Db.open_db (fresh_dir ())) in
+  let a = Result.get_ok (Db.open_db (Sessions.fresh_dir "crd-sync")) in
+  let b = Result.get_ok (Db.open_db (Sessions.fresh_dir "crd-sync")) in
   ignore
     (Db.publish a ~nonce:"wa"
        [
@@ -341,7 +326,7 @@ let wire_exchange_converges () =
   Db.close b
 
 let refused_without_racedb () =
-  let b = Result.get_ok (Db.open_db (fresh_dir ())) in
+  let b = Result.get_ok (Db.open_db (Sessions.fresh_dir "crd-sync")) in
   let sa, sb = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let th =
     Thread.create
@@ -359,12 +344,7 @@ let refused_without_racedb () =
   | Error e ->
       Alcotest.(check bool)
         "refusal message surfaced" true
-        (let needle = "without --racedb" in
-         let nh = String.length e and nn = String.length needle in
-         let rec go i =
-           i + nn <= nh && (String.sub e i nn = needle || go (i + 1))
-         in
-         go 0));
+        (Sessions.contains e "without --racedb"));
   (try Unix.close sb with Unix.Unix_error _ -> ());
   Thread.join th;
   Db.close b
@@ -372,8 +352,8 @@ let refused_without_racedb () =
 (* --- fault-injected exchanges never corrupt or inflate -------------- *)
 
 let faulted_exchanges_still_converge () =
-  let a = Result.get_ok (Db.open_db (fresh_dir ())) in
-  let b = Result.get_ok (Db.open_db (fresh_dir ())) in
+  let a = Result.get_ok (Db.open_db (Sessions.fresh_dir "crd-sync")) in
+  let b = Result.get_ok (Db.open_db (Sessions.fresh_dir "crd-sync")) in
   let expected = Hashtbl.create 16 in
   let publish db nonce reports =
     let records = List.map (fun r -> Record.make ~ts:50. ~spec:"std" r) reports in
@@ -427,8 +407,8 @@ let faulted_exchanges_still_converge () =
    vector past entries never applied and the peer would skip them
    forever — and a clean retry must still converge. *)
 let torn_merge_applies_nothing () =
-  let a = Result.get_ok (Db.open_db (fresh_dir ())) in
-  let dir_b = fresh_dir () in
+  let a = Result.get_ok (Db.open_db (Sessions.fresh_dir "crd-sync")) in
+  let dir_b = Sessions.fresh_dir "crd-sync" in
   let b = Result.get_ok (Db.open_db dir_b) in
   ignore
     (Db.publish a ~nonce:"ta"
@@ -495,7 +475,7 @@ let framed payload =
 (* a hostile "server" that answers the hello and then streams delta
    frames forever, never sending the closing ACK *)
 let oversized_delta_stream_refused () =
-  let b = Result.get_ok (Db.open_db (fresh_dir ())) in
+  let b = Result.get_ok (Db.open_db (Sessions.fresh_dir "crd-sync")) in
   let sa, sb = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let hello =
     let buf = Buffer.create 32 in
@@ -562,6 +542,84 @@ let oversized_delta_stream_refused () =
   Alcotest.(check int) "nothing was merged" 0 (List.length (Db.entries b));
   Db.close b
 
+(* --- the server's anti-entropy loop (rd2 serve --peers) -------------- *)
+
+(* Two servers, each with its own race database, ingest disjoint traces
+   while B gossips with A ([peers]) through one-shot faults on the
+   connect, a frame read and a merge. Both databases converge to the
+   same entries, every fault fired, and a further `rd2 sync` of B's
+   store with A applies nothing. A predicted race only B's store held
+   before the start reaches A, and by `rd2 sync` from A a fresh third
+   store, where `rd2 query` still lists it as predicted. *)
+let peers_loop_converges () =
+  let module Server = Crd_server.Server in
+  let module Synth = Crd_workloads.Synth in
+  let t1 = Synth.generate ~seed:101L { (Synth.default ~events:2_000) with threads = 4 }
+  and t2 =
+    Synth.generate ~seed:202L
+      { (Synth.default ~events:2_000) with threads = 4; mix = [ ("set", 5); ("counter", 3) ] }
+  in
+  let dir_a = Sessions.fresh_dir "crd-sync-a" and dir_b = Sessions.fresh_dir "crd-sync-b" in
+  let predicted = mk_report ~key:"predicted-only" () in
+  let b = Result.get_ok (Db.open_db dir_b) in
+  Db.append b (Record.make ~ts:1. ~provenance:Provenance.Predicted ~spec:"std" predicted);
+  Db.close b;
+  let want =
+    List.sort_uniq compare
+      (Report.fingerprint predicted
+      :: List.map Report.fingerprint (Sessions.offline_races t1 @ Sessions.offline_races t2))
+  in
+  Sessions.with_server
+    ~f_config:(fun c -> { c with Server.racedb = Some dir_a })
+    (fun ~addr:addr_a ~server:_ ->
+      (* The faults are spaced so that exchanges succeed between them:
+         each success resets the loop's backoff. *)
+      let faults = [ Crd_sync.fp_connect; Crd_sync.fp_read; Crd_sync.fp_merge ] in
+      Sessions.with_faults "seed=42,sync_connect=nth:1,sync_read=nth:9,sync_merge=nth:7"
+        (fun () ->
+          Sessions.with_server
+            ~f_config:(fun c ->
+              { c with Server.racedb = Some dir_b; peers = [ addr_a ]; sync_interval = 0.01 })
+            (fun ~addr:addr_b ~server:_ ->
+              ignore (Sessions.send_exn ~addr:addr_a t1);
+              ignore (Sessions.send_exn ~addr:addr_b t2);
+              Sessions.poll ~tries:1200 "the faults never fired or the databases never converged"
+                (fun () ->
+                  List.for_all (fun p -> Crd_fault.injected_count p > 0) faults
+                  &&
+                  let ea = loaded dir_a in
+                  List.map (fun (e : Entry.t) -> e.Entry.fingerprint) ea = want
+                  && same_entries ea (loaded dir_b)));
+          List.iter
+            (fun p ->
+              Alcotest.(check int)
+                (Crd_fault.name p ^ " fired") 1 (Crd_fault.injected_count p))
+            faults);
+      Alcotest.(check bool) "converged after B stopped" true
+        (same_entries (loaded dir_a) (loaded dir_b));
+      (* `rd2 sync` of [dir] with A, as an operator runs it. *)
+      let sync dir =
+        Sessions.run_rd2 [ "sync"; "unix:" ^ Sessions.sock_path addr_a; "--racedb"; dir ]
+      in
+      let out = sync dir_b in
+      Alcotest.(check bool)
+        (Printf.sprintf "converged pair: nothing sent, received or applied (%s)" out)
+        true
+        (Sessions.contains out "sent 0, received 0, applied 0 (peer applied 0)");
+      let dir_c = Sessions.fresh_dir "crd-sync-c" in
+      ignore (sync dir_c);
+      Alcotest.(check bool) "still predicted two hops on" true
+        (List.mem (Report.fingerprint predicted)
+           (Sessions.json_fingerprints
+              (Sessions.run_rd2
+                 [ "query"; dir_c; "--provenance"; "predicted"; "--json" ]))));
+  (* Both servers drained: the stores render the same `rd2 query`. *)
+  let query dir = Sessions.run_rd2 [ "query"; dir; "--json" ] in
+  let qa = query dir_a in
+  Alcotest.(check int) "A's store lists every race" (List.length want)
+    (List.length (Sessions.json_fingerprints qa));
+  Alcotest.(check string) "rd2 query --json: A = B" qa (query dir_b)
+
 let suite =
   ( "sync",
     vv_laws @ rollup_laws @ entry_laws
@@ -581,4 +639,6 @@ let suite =
           torn_merge_applies_nothing;
         Alcotest.test_case "oversized delta stream refused" `Quick
           oversized_delta_stream_refused;
+        Alcotest.test_case "server --peers loop converges" `Quick
+          peers_loop_converges;
       ] )

@@ -233,15 +233,10 @@ let resync_keeps_fatal_errors () =
   | Error e -> Alcotest.failf "expected Corrupt, got %a" Wire.pp_error e
   | Ok _ -> Alcotest.fail "trailing data decoded under resync"
 
-let with_faults spec k =
-  match Crd_fault.configure spec with
-  | Error e -> Alcotest.failf "configure %S: %s" spec e
-  | Ok () -> Fun.protect ~finally:Crd_fault.reset k
-
 (* The fault tests decode the whole input once: a [once] fault would
    fire in the first of several feedings only. *)
 let decode_frame_fault_fatal () =
-  with_faults "decode_frame=once" (fun () ->
+  Sessions.with_faults "decode_frame=once" (fun () ->
       let bin = Wire.encode_trace (sample_trace ()) in
       match Bigwire.decode_string bin with
       | Error (Wire.Corrupt msg) ->
@@ -256,7 +251,7 @@ let decode_frame_fault_resync () =
   (* A resync decoder survives the injected corruption; with the same
      seed the outcome is bit-for-bit repeatable. *)
   let run () =
-    with_faults "seed=11,decode_frame=once" (fun () ->
+    Sessions.with_faults "seed=11,decode_frame=once" (fun () ->
         let bin = Wire.encode_trace ~chunk_bytes:16 (sample_trace ()) in
         Result.map Trace.to_list (Bigwire.decode_string ~resync:true bin))
   in

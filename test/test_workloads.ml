@@ -251,7 +251,7 @@ let h2_objects () =
   in
   ignore
     (W.Polepos.run W.Polepos.Insert_centric ~seed:1L ~scale:1
-       ~sink:(Analyzer.sink an) ());
+       ~sink:(Analyzer.step an) ());
   let names =
     List.sort_uniq String.compare
       (List.map (fun (r : Report.t) -> Obj_id.name r.obj) (Analyzer.rd2_races an))
@@ -271,7 +271,7 @@ let query_centric_race_free_many_seeds () =
     in
     ignore
       (W.Polepos.run W.Polepos.Query_centric ~seed:(Int64.of_int seed) ~scale:1
-         ~sink:(Analyzer.sink an) ());
+         ~sink:(Analyzer.step an) ());
     Alcotest.(check int)
       (Printf.sprintf "seed %d" seed)
       0
