@@ -2,7 +2,7 @@
     threads and domains: the analyzer's event chunks to its shard
     workers, and in the server accepted connections to workers,
     finished session batches to the racedb publisher, spilled segments
-    to the catch-up drainer, dead worker slots to the supervisor.
+    to the catch-up drainer.
 
     [push] blocks while the queue is at capacity, so a producer that
     outruns its consumer waits instead of growing memory. A consumer

@@ -84,7 +84,7 @@ let m_catchup_lag =
     "overload_catchup_lag_seconds"
 
 let m_stalls =
-  Crd_obs.counter ~help:"Workers recycled by the stall watchdog"
+  Crd_obs.counter ~help:"Sessions ended by the stall watchdog"
     "server_stalls_total"
 
 (* When fired inside a session body, the worker parks in a poll loop
@@ -200,11 +200,11 @@ let spill_bytes () = Crd_obs.Gauge.get m_spill_bytes
 
 module Heartbeat = struct
   (* One per worker slot. The worker stamps it as events drain; the
-     supervisor-side watchdog compares stamps against the stall
-     timeout. The session fd lives here so the watchdog can write a
-     retryable ERR to the wedged client and shutdown() the socket —
-     OCaml domains cannot be killed, so unwedging blocked I/O plus the
-     cooperative [cancelled] flag is how a stuck worker gets recycled.
+     watchdog thread compares stamps against the stall timeout. The
+     session fd lives here so the watchdog can write a retryable ERR to
+     the wedged client and shutdown() the socket — OCaml domains cannot
+     be killed, so unwedging blocked I/O plus the cooperative
+     [cancelled] flag is how a stuck worker is freed.
 
      Everything is guarded by [mu]: stalls are rare and the worker
      takes the lock a handful of times per batch, not per event. *)
@@ -282,9 +282,9 @@ end
 
 (* The poll loop behind the [worker_stall] fault point: park until the
    watchdog cancels this worker's heartbeat, then raise into the
-   worker's crash path so the existing supervisor respawn machinery
-   recycles the domain. The timeout cap keeps a misconfigured test
-   (fault armed, watchdog off) from parking a worker forever. *)
+   worker's crash handling, which ends the session and frees the
+   worker. The timeout cap keeps a misconfigured test (fault armed,
+   watchdog off) from parking a worker forever. *)
 let stall_until_cancelled hb =
   Crd_obs.Log.warn "worker_stall_injected" [];
   let deadline = Crd_obs.now_s () +. 60. in

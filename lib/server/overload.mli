@@ -39,8 +39,8 @@ type limits = {
       (** admitted-but-unclaimed sessions that trip the spill tier
           when every worker is busy; [0] = spilling disabled *)
   stall_timeout : float;
-      (** seconds without worker progress before the watchdog recycles
-          it; [0.] = watchdog disabled *)
+      (** seconds without worker progress before the watchdog ends its
+          session; [0.] = watchdog disabled *)
 }
 
 val no_limits : limits
@@ -80,7 +80,7 @@ val spill_backlog : unit -> int
 val spill_bytes : unit -> int
 
 val m_stalls : Crd_obs.Counter.t
-(** [server_stalls_total] — workers recycled by the watchdog. *)
+(** [server_stalls_total] — sessions ended by the watchdog. *)
 
 val fp_stall : Crd_fault.point
 (** The [worker_stall] injection point: a fired hit parks the session's
@@ -123,5 +123,4 @@ end
 val stall_until_cancelled : Heartbeat.t -> 'a
 (** The [worker_stall] fault body: park (bounded at 60 s) until the
     watchdog cancels the heartbeat, then raise into the worker's crash
-    path so the supervisor's existing respawn machinery recycles the
-    domain. *)
+    handling, which ends the session and frees the worker. *)

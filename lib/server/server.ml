@@ -163,7 +163,7 @@ let m_busy =
     "server_busy_total"
 
 let m_worker_crashes =
-  Crd_obs.counter ~help:"Worker domains that died and were respawned"
+  Crd_obs.counter ~help:"Sessions ended by an exception that escaped them"
     "server_worker_crashes_total"
 
 let m_recovered =
@@ -310,12 +310,13 @@ type t = {
   mutable catchup_th : Thread.t option;  (* spill catch-up drainer *)
   mutable watchdog_th : Thread.t option;
   stopping : bool Atomic.t;
+  (* Written once, when [stopping] is set, and never read: it stays
+     readable, so every loop that selects on it wakes at once. *)
+  stop_r : Unix.file_descr;
+  stop_w : Unix.file_descr;
   active : int Atomic.t;  (* sessions currently held by workers *)
   mutable accept_d : unit Domain.t option;
-  slots : unit Domain.t option array;  (* one per live worker *)
-  deaths : int Bqueue.t;  (* crashed worker slots, for the supervisor *)
-  mutable graveyard : unit Domain.t list;  (* dead workers awaiting join *)
-  mutable supervisor : Thread.t option;
+  mutable workers_d : unit Domain.t array;
   mutable syncer : Thread.t option;  (* anti-entropy loop over [cfg.peers] *)
   mutable metrics_d : unit Domain.t option;
   metrics_fd : Unix.file_descr option;
@@ -896,20 +897,44 @@ let pop_injected t =
   in
   pop ()
 
+(* Set [stopping] and wake every loop waiting on the stop pipe. *)
+let signal_stop t =
+  if not (Atomic.exchange t.stopping true) then
+    try ignore (Unix.write_substring t.stop_w "x" 0 1)
+    with Unix.Unix_error _ -> ()
+
+(* Wait up to [s] seconds, returning early once the server stops. *)
+let wait_stop t s =
+  let until = Unix.gettimeofday () +. s in
+  let rec go () =
+    let left = until -. Unix.gettimeofday () in
+    if left > 0. && not (Atomic.get t.stopping) then
+      match Unix.select [ t.stop_r ] [] [] left with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | _ -> ()
+  in
+  go ()
+
+(* Block until [fd] is readable ([true]), the server stops or a signal
+   interrupts the wait ([false]). *)
+let wait_readable t fd =
+  match Unix.select [ fd; t.stop_r ] [] [] (-1.) with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+  | ready, _, _ -> List.mem fd ready && not (List.mem t.stop_r ready)
+
 let accept_loop t =
   let backoff = ref 0.01 in
   let survive e =
     record_accept_error t;
     Crd_obs.Log.warn "accept_error"
       [ ("err", Unix.error_message e); ("backoff_s", Printf.sprintf "%.3f" !backoff) ];
-    Unix.sleepf !backoff;
+    wait_stop t !backoff;
     backoff := Float.min 0.5 (!backoff *. 2.)
   in
   while not (Atomic.get t.stopping) do
-    match Unix.select [ t.listen_fd ] [] [] 0.25 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
+    match wait_readable t t.listen_fd with
+    | false -> ()
+    | true -> (
         match pop_injected t with
         | Some e -> survive e
         | None -> (
@@ -923,7 +948,7 @@ let accept_loop t =
                 ()
             | exception Unix.Unix_error (e, _, _) when accept_fatal e ->
                 Crd_obs.Log.err "accept_fatal" [ ("err", Unix.error_message e) ];
-                Atomic.set t.stopping true
+                signal_stop t
             | exception Unix.Unix_error (e, _, _) -> survive e
             | conn, _ ->
                 backoff := 0.01;
@@ -959,11 +984,13 @@ let accept_loop t =
                   Crd_obs.Gauge.set_max m_conn_queue_hw (Bqueue.length t.conns)))
   done
 
-(* A worker runs sessions until the connection queue closes. Exceptions
-   escaping a session (a bug, or the worker_body fault) are a worker
-   crash: the client gets a clean ERR line, the connection closes, the
-   exception re-raises to kill this domain, and the supervisor respawns
-   a replacement into the same slot. *)
+(* A worker runs sessions until the connection queue closes. An
+   exception escaping a session (a bug, or the worker_body fault) is
+   answered with a clean ERR line, the connection closes and the crash
+   is counted; then the worker takes the next connection. A session
+   frees what it holds on its own way out (decoder, journal, analyzer
+   shards) and [Heartbeat.start_session] resets the slot, so the
+   worker carries nothing from one session to the next. *)
 let worker_loop t idx =
   let hb = t.heartbeats.(idx) in
   let continue = ref true in
@@ -984,33 +1011,8 @@ let worker_loop t idx =
              with Unix.Unix_error _ -> ());
             (try Unix.shutdown conn Unix.SHUTDOWN_ALL
              with Unix.Unix_error _ -> ());
-            (try Unix.close conn with Unix.Unix_error _ -> ());
-            raise e)
+            try Unix.close conn with Unix.Unix_error _ -> ())
   done
-
-(* Workers live in numbered slots; a crashed worker's wrapper reports
-   its slot on the deaths queue and the supervisor thread respawns it.
-   The supervisor never joins domains — it parks the dead one in the
-   graveyard for [stop], which joins the supervisor first and only then
-   snapshots slots + graveyard (no concurrent mutation, no double
-   join). *)
-let rec spawn_worker t idx =
-  t.slots.(idx) <-
-    Some
-      (Domain.spawn (fun () ->
-           try worker_loop t idx
-           with _ -> ignore (Bqueue.push t.deaths idx)))
-
-and supervisor_loop t =
-  match Bqueue.pop t.deaths with
-  | None -> ()
-  | Some idx ->
-      (match t.slots.(idx) with
-      | Some d -> t.graveyard <- d :: t.graveyard
-      | None -> ());
-      t.slots.(idx) <- None;
-      if not (Atomic.get t.stopping) then spawn_worker t idx;
-      supervisor_loop t
 
 (* ------------------------------------------------------------------ *)
 (* Spill catch-up and the stall watchdog                               *)
@@ -1107,15 +1109,15 @@ let catchup_loop t dir =
 (* The stall watchdog: scan every worker slot's heartbeat; one stuck
    past [--stall-timeout] gets the retryable ERR written and its socket
    shut down from here (unwedging any blocked I/O), while the
-   cooperative cancel flag raises the worker into the supervisor's
-   respawn path the next time it looks. The timeout should exceed the
+   cooperative cancel flag raises the session into the worker's crash
+   handling the next time it looks. The timeout should exceed the
    idle timeout: a worker legitimately blocked on a slow client is
    "waiting", not "stuck", and the socket timeouts already bound it. *)
 let watchdog_loop t =
   let timeout = t.cfg.stall_timeout in
   let interval = Float.max 0.01 (Float.min 1.0 (timeout /. 5.)) in
   while not (Atomic.get t.stopping) do
-    Unix.sleepf interval;
+    wait_stop t interval;
     let now = Crd_obs.now_s () in
     Array.iteri
       (fun idx hb ->
@@ -1158,10 +1160,9 @@ let metrics_response () =
 
 let metrics_loop t mfd =
   while not (Atomic.get t.stopping) do
-    match Unix.select [ mfd ] [] [] 0.25 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
+    match wait_readable t mfd with
+    | false -> ()
+    | true -> (
         match Unix.accept mfd with
         | exception Unix.Unix_error _ -> ()
         | conn, _ ->
@@ -1306,19 +1307,13 @@ let sync_loop t sink =
     Random.State.make
       [| Unix.getpid (); int_of_float (Unix.gettimeofday () *. 1e6) |]
   in
-  let sleep s =
-    let until = Unix.gettimeofday () +. s in
-    while (not (Atomic.get t.stopping)) && Unix.gettimeofday () < until do
-      Unix.sleepf 0.05
-    done
-  in
   let i = ref 0 in
   while not (Atomic.get t.stopping) do
     let k = !i mod n in
     incr i;
     let base = Float.max 0.05 (t.cfg.sync_interval /. float_of_int n) in
     let d = Float.min 60. (base *. (2. ** float_of_int (min 6 streak.(k)))) in
-    sleep (d *. (0.5 +. Random.State.float rng 1.));
+    wait_stop t (d *. (0.5 +. Random.State.float rng 1.));
     if not (Atomic.get t.stopping) then begin
       let peer = Fmt.str "%a" pp_addr peers.(k) in
       (* The exchange inherits the session idle timeout per read and a
@@ -1400,6 +1395,7 @@ let start cfg =
           | Ok racedb ->
           Unix.set_nonblock listen_fd;
           let workers = max 1 cfg.workers in
+          let stop_r, stop_w = Unix.pipe ~cloexec:true () in
           let t =
             {
               cfg = { cfg with workers };
@@ -1420,12 +1416,11 @@ let start cfg =
               catchup_th = None;
               watchdog_th = None;
               stopping = Atomic.make false;
+              stop_r;
+              stop_w;
               active = Atomic.make 0;
               accept_d = None;
-              slots = Array.make workers None;
-              deaths = Bqueue.create ~capacity:(max 16 workers) ();
-              graveyard = [];
-              supervisor = None;
+              workers_d = [||];
               syncer = None;
               metrics_d = None;
               metrics_fd = Option.map fst metrics;
@@ -1452,10 +1447,9 @@ let start cfg =
             }
           in
           recover_journals t;
-          for idx = 0 to workers - 1 do
-            spawn_worker t idx
-          done;
-          t.supervisor <- Some (Thread.create (fun () -> supervisor_loop t) ());
+          t.workers_d <-
+            Array.init workers (fun idx ->
+                Domain.spawn (fun () -> worker_loop t idx));
           (match t.cfg.journal with
           | Some dir when t.cfg.spill_watermark > 0 ->
               t.catchup_th <-
@@ -1481,26 +1475,13 @@ let start cfg =
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    Atomic.set t.stopping true;
+    signal_stop t;
     (match t.accept_d with Some d -> Domain.join d | None -> ());
     (match t.metrics_d with Some d -> Domain.join d | None -> ());
-    (* Retire the supervisor before joining workers: once [deaths] is
-       closed it stops respawning, so the slot array can't change under
-       the joins below. *)
-    Bqueue.close t.deaths;
-    (match t.supervisor with Some th -> Thread.join th | None -> ());
     (* Already-accepted connections stay in the queue and are drained:
        every in-flight session flushes its report before we return. *)
     Bqueue.close t.conns;
-    Array.iteri
-      (fun idx -> function
-        | Some d ->
-            Domain.join d;
-            t.slots.(idx) <- None
-        | None -> ())
-      t.slots;
-    List.iter Domain.join t.graveyard;
-    t.graveyard <- [];
+    Array.iter Domain.join t.workers_d;
     (* Workers are gone, so nothing can spill anymore: close the
        catch-up queue and let the drainer finish every committed
        segment — a spilled session's evidence is never abandoned at
@@ -1514,10 +1495,9 @@ let stop t =
     (* Workers are gone, so no session can publish anymore: drain the
        racedb queue, sync and release the store. *)
     (match t.racedb with Some sink -> sink_stop sink | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (match t.metrics_fd with
-    | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> ());
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (t.listen_fd :: t.stop_r :: t.stop_w :: Option.to_list t.metrics_fd);
     List.iter
       (fun path ->
         try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())

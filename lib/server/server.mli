@@ -38,9 +38,11 @@
     The pipeline is built to stay up under injected faults
     ({!Crd_fault}) and real crashes:
 
-    - {e supervision} — an exception escaping a session kills only its
-      worker domain; a supervisor thread respawns a replacement and the
-      client gets a clean [ERR] reply ([server_worker_crashes_total]).
+    - {e crash containment} — an exception escaping a session ends
+      only that session: the client gets a clean [ERR] reply, the crash
+      is counted ([server_worker_crashes_total]) and the worker takes
+      the next connection. A session frees what it holds on its own way
+      out, so the worker carries nothing over.
     - {e shedding} — with {!config.shed_backlog}[ > 0], connections
       arriving while every worker is busy and the backlog is full get
       an immediate [BUSY retry-after] reply instead of queueing without
@@ -60,8 +62,9 @@
       line on the session listener answers a one-line tier/backlog
       summary.
     - {e stall watchdog} — with {!config.stall_timeout}[ > 0.], a
-      supervisor-side watchdog recycles any worker that stops making
-      per-read progress, sending its client a retryable [ERR]. *)
+      watchdog thread frees any worker that stops making per-read
+      progress: its client gets a retryable [ERR], and the session ends
+      through the same crash handling. *)
 
 open Crd
 
@@ -134,9 +137,9 @@ type config = {
           {!field-journal}; [0] (the default) disables spilling. *)
   stall_timeout : float;
       (** seconds without a read by the session's worker before the watchdog
-          writes a retryable [ERR] to the wedged session, shuts its
-          socket down and recycles the worker through the respawn path
-          ([server_stalls_total]). Should exceed {!field-idle_timeout}.
+          writes a retryable [ERR] to the wedged session and shuts its
+          socket down, ending the session through the worker's crash
+          handling ([server_stalls_total]). Should exceed {!field-idle_timeout}.
           [0.] (the default) disables the watchdog. *)
 }
 
@@ -163,8 +166,9 @@ type stats = {
           counted in {!field-errors} *)
   busy : int;  (** connections shed with a [BUSY] reply — not sessions *)
   worker_crashes : int;
-      (** worker domains lost to an escaped exception and respawned;
-          each is also counted as an error session *)
+      (** sessions ended by an exception that escaped them (the worker
+          survives and takes the next connection); each is also counted
+          as an error session *)
   recovered : int;
       (** journal sessions replayed by {!start} after a crash; counted
           in {!field-sessions} (and {!field-errors} if the replayed
@@ -177,8 +181,8 @@ type stats = {
       (** spilled segments the catch-up drainer has finished (their
           race counts land in {!field-races} at that point) *)
   stalls : int;
-      (** workers recycled by the stall watchdog; each stalled session
-          is also counted as a worker crash and an error session *)
+      (** sessions the stall watchdog ended; each stalled session is
+          also counted as a worker crash and an error session *)
 }
 
 type t
@@ -192,7 +196,10 @@ val start : config -> (t, string) result
 
 val stop : t -> stats
 (** Graceful drain: stop accepting, finish in-flight sessions (flushing
-    their reports), join every domain, release the socket(s). Idempotent. *)
+    their reports), join every domain, release the socket(s). One byte
+    on a stop pipe wakes every waiting loop (accept, metrics, watchdog,
+    anti-entropy) at once, so an idle server stops in milliseconds.
+    Idempotent. *)
 
 val stats : t -> stats
 

@@ -351,12 +351,21 @@ let client ?(timeout = 30.) ?deadline fd db =
     (fun () ->
       let dl = deadline_of ~timeout ~deadline in
       set_timeouts fd timeout;
-      Crd_fault.inject fp_write;
-      write_all fd
-        (sync_magic ^ String.make 1 (Char.chr sync_version));
-      Crd_obs.Counter.add m_bytes_sent 5;
-      write_frame ~dl fd
-        (hello_payload ~node:(Db.node_id db) ~vv:(Db.version db));
+      (* A refusing peer (a server without a racedb) answers the
+         preamble and closes, so a later write can fail while its
+         refusal waits unread: read it, and report the reason rather
+         than the broken pipe. *)
+      (try
+         Crd_fault.inject fp_write;
+         write_all fd (sync_magic ^ String.make 1 (Char.chr sync_version));
+         Crd_obs.Counter.add m_bytes_sent 5;
+         write_frame ~dl fd
+           (hello_payload ~node:(Db.node_id db) ~vv:(Db.version db))
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) as e -> (
+         match parse_frame (read_frame ~dl fd) with
+         | Refused m -> failwith ("sync: peer refused: " ^ m)
+         | Hello _ | Delta _ | Ack _ -> raise e
+         | exception _ -> raise e));
       let peer, peer_vv = expect_hello ~dl fd in
       (* the peer streams its missing entries first, then we answer
          with ours computed against the vector it advertised *)

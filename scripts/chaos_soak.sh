@@ -3,8 +3,10 @@
 # retrying clients and check three invariants the robustness layer
 # promises (DESIGN.md section on Crd_fault):
 #
-#   1. the server process survives the whole soak (no crash — worker
-#      deaths are respawned, never fatal);
+#   1. the server process survives the whole soak (no crash — a
+#      crashed session ends alone, its worker takes the next
+#      connection), and its final stats count at least one such crash,
+#      so the worker_body fault is seen to exercise that path;
 #   2. every client that completes reports EXACTLY the races the
 #      offline `rd2 check` finds on the same trace (faults may delay
 #      sessions, never corrupt them);
@@ -148,8 +150,15 @@ if [ "$STATUS" -ne 0 ]; then
 fi
 
 echo "chaos_soak: server final stats: $(cat "$WORK/server.out")"
+# worker_body=p:0.03 must have crashed sessions, and the server must
+# have served on after each: a soak with no crash shows nothing.
+CRASHES=$(sed -n 's/.*worker_crashes \([0-9][0-9]*\).*/\1/p' "$WORK/server.out")
+if [ -z "$CRASHES" ] || [ "$CRASHES" -eq 0 ]; then
+  echo "chaos_soak: FAIL — no worker crash counted (worker_crashes ${CRASHES:-missing})" >&2
+  exit 1
+fi
 echo "chaos_soak: PASS — $OK sessions verified over $ROUND rounds," \
-     "0 mismatches, clean SIGTERM drain"
+     "$CRASHES crashed sessions survived, 0 mismatches, clean SIGTERM drain"
 
 # --- racedb phase: publish, SIGKILL, aborted compaction ---------------
 "$RD2" check "$WORK/trace.ctrace" --format bin --fingerprints \

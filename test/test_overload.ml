@@ -260,7 +260,7 @@ let shed_on_memory_budget () =
 
 (* A worker wedged by the [worker_stall] fault is recycled by the
    watchdog: its client gets a retryable ERR (and succeeds on retry
-   against the respawned worker), and the stall is counted. *)
+   against the same worker, now free), and the stall is counted. *)
 let watchdog_recycles_stall () =
   let trace = snitch_trace () in
   let expected = offline_race_lines trace in

@@ -223,7 +223,7 @@ let addr_of_string_table () =
   rejected "tcp:[::1]:0"
 
 (* ------------------------------------------------------------------ *)
-(* Robustness: shedding, supervision, retries, journals                *)
+(* Robustness: shedding, session crashes, retries, journals            *)
 (* ------------------------------------------------------------------ *)
 
 (* With one busy worker and a full backlog, the next connection must be
@@ -256,32 +256,65 @@ let busy_shed () =
       let st = Server.stats server in
       Alcotest.(check int) "one shed connection" 1 st.Server.busy)
 
-(* An exception escaping a session (worker_body fault) kills only that
-   worker: the client gets a clean ERR, a respawned worker serves the
-   next session, and the crash is counted. *)
-let worker_crash_respawn () =
+(* An exception escaping a session (worker_body fault) ends only that
+   session: the client gets a clean ERR, the crash is counted, and the
+   same worker (the only one) takes the next connection — a second
+   crashing session, then a clean one served identically. *)
+let worker_survives_session_crash () =
   let trace = snitch_trace () in
   let expected = offline_race_lines trace in
-  with_faults "seed=3,worker_body=once" (fun () ->
+  with_faults "seed=3,worker_body=every:1" (fun () ->
       with_server
         ~f_config:(fun c -> { c with Server.workers = 1 })
         (fun ~addr ~server ->
-          (match Client.send_trace ~addr trace with
-          | Ok reply -> Alcotest.failf "crashed worker replied OK: %s" reply
-          | Error msg ->
-              Alcotest.(check bool)
-                (Printf.sprintf "clean worker-crash ERR (%s)" msg)
-                true
-                (contains msg "internal: worker crashed"));
-          (* The respawned worker serves the next session identically. *)
+          for _ = 1 to 2 do
+            match Client.send_trace ~addr trace with
+            | Ok reply -> Alcotest.failf "crashed session replied OK: %s" reply
+            | Error msg ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "clean worker-crash ERR (%s)" msg)
+                  true
+                  (contains msg "internal: worker crashed")
+          done;
+          Crd_fault.set_policy (Crd_fault.point "worker_body") Crd_fault.Off;
+          (* The worker that survived both crashes serves the next
+             session identically. *)
           let reply = send_exn ~addr trace in
           Alcotest.(check (list string))
             "post-crash races = offline races" expected
             (reply_race_lines reply);
           let st = Server.stats server in
-          Alcotest.(check int) "one worker crash" 1 st.Server.worker_crashes;
-          Alcotest.(check int) "two sessions" 2 st.Server.sessions;
-          Alcotest.(check int) "one error session" 1 st.Server.errors))
+          Alcotest.(check int) "two worker crashes" 2 st.Server.worker_crashes;
+          Alcotest.(check int) "three sessions" 3 st.Server.sessions;
+          Alcotest.(check int) "two error sessions" 2 st.Server.errors))
+
+(* [stop] wakes every loop at once: an idle server with a metrics
+   listener, a stall watchdog, a racedb and an unreachable peer stops
+   without waiting out a select timeout, a watchdog interval or the
+   sync loop's delay. *)
+let stop_is_prompt () =
+  let maddr = fresh_addr () in
+  let peer = fresh_addr () in
+  let addr = fresh_addr () in
+  let config =
+    {
+      (Server.default_config ~addr) with
+      Server.metrics_addr = Some maddr;
+      stall_timeout = 5.;
+      racedb = Some (fresh_dir "crd-stop");
+      peers = [ peer ];
+    }
+  in
+  match Server.start config with
+  | Error e -> Alcotest.failf "server start: %s" e
+  | Ok server ->
+      Unix.sleepf 0.05;
+      let t0 = Unix.gettimeofday () in
+      ignore (Server.stop server);
+      let ms = 1000. *. (Unix.gettimeofday () -. t0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "stop took %.1f ms, under 100 ms" ms)
+        true (ms < 100.)
 
 (* A lost reply (sock_write fault) is invisible to the analysis: the
    client retries under the same nonce and gets the full report. *)
@@ -973,8 +1006,10 @@ let suite =
       Alcotest.test_case "stale socket reclaimed" `Quick stale_socket_reclaimed;
       Alcotest.test_case "addr_of_string table" `Quick addr_of_string_table;
       Alcotest.test_case "stop releases the socket" `Quick stop_releases_socket;
+      Alcotest.test_case "stop is prompt" `Quick stop_is_prompt;
       Alcotest.test_case "overload shed replies BUSY" `Quick busy_shed;
-      Alcotest.test_case "worker crash respawn" `Quick worker_crash_respawn;
+      Alcotest.test_case "worker survives a session crash" `Quick
+        worker_survives_session_crash;
       Alcotest.test_case "retry recovers a lost reply" `Quick
         retry_on_lost_reply;
       Alcotest.test_case "lost reply without retries fails" `Quick

@@ -349,6 +349,24 @@ let refused_without_racedb () =
   Thread.join th;
   Db.close b
 
+(* The peer refused and closed before the client wrote anything: the
+   client's first write fails with EPIPE while the refusal frame waits
+   in its socket, and the refusal is what it reports. *)
+let refusal_read_after_failed_write () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let b = Result.get_ok (Db.open_db (Sessions.fresh_dir "crd-sync")) in
+  let sa, sb = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Crd_sync.refuse sb "server runs without --racedb";
+  Unix.close sb;
+  (match Crd_sync.client ~timeout:5. sa b with
+  | Ok _ -> Alcotest.fail "exchange must fail against a refusing peer"
+  | Error e ->
+      Alcotest.(check string)
+        "refusal, not the broken pipe"
+        "sync: peer refused: server runs without --racedb" e);
+  Unix.close sa;
+  Db.close b
+
 (* --- fault-injected exchanges never corrupt or inflate -------------- *)
 
 let faulted_exchanges_still_converge () =
@@ -633,6 +651,8 @@ let suite =
           wire_exchange_converges;
         Alcotest.test_case "refused without racedb" `Quick
           refused_without_racedb;
+        Alcotest.test_case "refusal read after a failed write" `Quick
+          refusal_read_after_failed_write;
         Alcotest.test_case "faulted exchanges still converge" `Quick
           faulted_exchanges_still_converge;
         Alcotest.test_case "torn merge frame applies nothing" `Quick
