@@ -52,46 +52,6 @@ let h_compact =
 let fp_append = Crd_fault.point "racedb_append"
 let fp_compact = Crd_fault.point "racedb_compact"
 
-(* --- small file helpers (journal.ml idiom) ------------------------- *)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd
-  | exception Unix.Unix_error _ -> ()
-
-let write_sub fd b off len =
-  let fin = off + len in
-  let rec go off = if off < fin then go (off + Unix.write fd b off (fin - off)) in
-  go off
-
-let write_all fd s = write_sub fd (Bytes.unsafe_of_string s) 0 (String.length s)
-
-let write_file_atomic ~dir path content =
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      write_all fd content;
-      Unix.fsync fd);
-  Unix.rename tmp path;
-  fsync_dir dir
-
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> Some s
-  | exception Sys_error _ -> None
-
-let unlink_quiet path = try Unix.unlink path with Unix.Unix_error _ -> ()
-
 (* --- crc32 (IEEE, as in zip/png) ----------------------------------- *)
 
 (* Slicing-by-8: table k advances a byte through k further zero bytes,
@@ -162,6 +122,10 @@ let index_path dir = Filename.concat dir "index.crdx"
 let lock_path dir = Filename.concat dir "lock"
 let node_path dir = Filename.concat dir "node"
 
+let drop_segment dir id =
+  Crd_io.unlink_quiet (seg_path dir id);
+  Crd_io.unlink_quiet (marker_path dir id)
+
 let segment_ids dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
@@ -186,7 +150,7 @@ let gen_node_id () =
           let rec go off =
             if off >= 8 then true
             else
-              match Unix.read fd b off (8 - off) with
+              match Crd_io.read_retry fd b off (8 - off) with
               | 0 -> false
               | n -> go (off + n)
           in
@@ -206,7 +170,7 @@ let gen_node_id () =
       (Atomic.fetch_and_add node_counter 1 land 0xffff)
 
 let read_node dir =
-  match read_file (node_path dir) with
+  match Crd_io.read_file (node_path dir) with
   | None -> None
   | Some s ->
       let s = String.trim s in
@@ -340,26 +304,17 @@ let sort_entries es =
 (* Frame payloads are tagged:
      'R' record            one locally-observed record ([append])
      'C' counted chunk     nonce + one chunk of a published session as
-                           groups of equal records, atomic — what
-                           [publish] writes today
-     'B' session batch     nonce + every record of one chunk, atomic
-                           (read-only legacy)
-     'M' merged entry      post-merge snapshot of a replicated entry (v2,
-                           read-only legacy)
-     'G' merge batch       all v2 entries changed by one [merge] (read-only
-                           legacy, pre-provenance)
-     'H' merge batch       all v3 (provenance-aware) entries changed by one
-                           [merge], atomic — what [merge] writes today
-   A batch ('C', 'B', 'G' or 'H') is a single checksummed frame so
-   session publication and replica merges are all-or-nothing: a torn
-   tail can never leave half a session behind the published-nonce
-   marker it carries, nor a prefix of a merge behind a version vector
-   that claims the whole delta. Inside a payload every length and count
-   is bounded by the payload alone, so whatever a writer fits in a frame
-   reads back; writers refuse frames over [max_frame_bytes], and
-   [publish] session nonces over 64 bytes, which leaves [max_nonce_bytes]
-   room for the "#i" chunk suffix. Untagged frames are pre-replication (v1)
-   segments: a bare record payload, accepted for upgrade. *)
+                           groups of equal records, atomic ([publish])
+     'H' merge batch       every entry changed by one [merge], atomic
+   A batch ('C' or 'H') is a single checksummed frame so session
+   publication and replica merges are all-or-nothing: a torn tail can
+   never leave half a session behind the published-nonce marker it
+   carries, nor a prefix of a merge behind a version vector that claims
+   the whole delta. Inside a payload every length and count is bounded
+   by the payload alone, so whatever a writer fits in a frame reads
+   back; writers refuse frames over [max_frame_bytes], and [publish]
+   session nonces over 64 bytes, which leaves [max_nonce_bytes] room
+   for the "#i" chunk suffix. *)
 
 let max_frame_bytes = 1 lsl 28
 let batch_chunk_records = 4096
@@ -384,8 +339,6 @@ let frame_record r =
   Record.add_to_buffer b r;
   frame_of_buffer b
 
-(* 'M' single-entry and 'G' batch frames are only ever read these days
-   (segments written before provenance); see [scan_segment]. *)
 let frame_merge_batch es =
   let b = Buffer.create 4096 in
   Buffer.add_char b 'H';
@@ -467,7 +420,7 @@ let decode_counted payload =
   in
   go [] 0 pos
 
-let decode_merge_batch ~entry_decode payload =
+let decode_merge_batch payload =
   (* the tag at payload.[0] was already consumed by the dispatcher *)
   let n, pos = Varint.get payload 1 in
   (* an entry takes more than 8 bytes: the payload bounds the count *)
@@ -476,105 +429,61 @@ let decode_merge_batch ~entry_decode payload =
   let rec go acc n pos =
     if n = 0 then List.rev acc
     else
-      let e, pos = entry_decode payload pos in
+      let e, pos = Entry.decode payload pos in
       go (e :: acc) (n - 1) pos
   in
   go [] n pos
 
-let decode_batch payload =
-  (* payload.[0] = 'B' already consumed by the dispatcher *)
-  let nonce, pos = get_nonce payload 1 in
-  let k, pos = Varint.get payload pos in
-  if k < 0 || k > String.length payload then failwith "batch: bad record count";
-  let rec go acc k pos =
-    if k = 0 then (nonce, List.rev acc)
-    else
-      let n, pos = Varint.get payload pos in
-      if n <= 0 || pos + n > String.length payload then
-        failwith "batch: bad record";
-      match Record.decode_at payload pos with
-      | r, fin when fin = pos + n -> go (r :: acc) (k - 1) fin
-      | _ -> failwith "batch: bad record"
-  in
-  go [] k pos
+(* Decode one checksummed payload into the fold that replays it.
+   @raise Failure when it does not decode. *)
+let decode_frame ~record ~counted ~entry payload =
+  let n = String.length payload in
+  match payload.[0] with
+  | 'R' -> (
+      match Record.decode_at payload 1 with
+      | r, fin when fin = n -> fun () -> record r; 1
+      | _ -> failwith "record: trailing bytes")
+  | 'C' ->
+      let nonce, k, gs = decode_counted payload in
+      fun () -> counted ~nonce ~n:k gs; k
+  | 'H' ->
+      let es = decode_merge_batch payload in
+      fun () -> List.iter entry es; List.length es
+  | c -> failwith (Printf.sprintf "frame tag %C is not one this build writes" c)
 
-(* Scan a segment image: deliver every complete, checksummed, decodable
-   frame; stop at the first damage. Returns the clean prefix length and
-   how many delivered records lay beyond [committed]. *)
-let scan_segment ~committed bytes ~record ~batch ~counted ~entry =
+(* Scan a segment image and replay every complete, checksummed frame;
+   a frame that fails its length or checksum is a torn tail and ends
+   the scan. A checksummed frame that does not decode is no torn tail
+   but a frame this build cannot read: [Failure] naming [path] and the
+   frame's offset, before anything is replayed past it. Returns the
+   clean prefix length and how many replayed records lay beyond
+   [committed]. *)
+let scan_segment ~path ~committed bytes ~record ~counted ~entry =
   let len = String.length bytes in
-  let pos = ref 0 in
-  let valid_end = ref 0 in
-  let salvaged = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !pos < len do
-    match Varint.get bytes !pos with
-    | exception Failure _ -> stop := true
+  let rec go pos salvaged =
+    match Varint.get bytes pos with
+    | exception Failure _ -> (pos, salvaged)
+    | n, data_pos when n <= 0 || n > max_frame_bytes || data_pos + n + 4 > len ->
+        (pos, salvaged)
+    | n, data_pos when get_u32le bytes (data_pos + n) <> crc32 bytes data_pos n ->
+        (pos, salvaged)
     | n, data_pos ->
-        if n <= 0 || n > max_frame_bytes || data_pos + n + 4 > len then
-          stop := true
-        else
-          let payload = String.sub bytes data_pos n in
-          if get_u32le bytes (data_pos + n) <> crc32 payload 0 n then
-            stop := true
-          else begin
-            let fin = data_pos + n + 4 in
-            let deliver =
-              match payload.[0] with
-              | 'R' -> (
-                  match Record.decode (String.sub payload 1 (n - 1)) with
-                  | Error _ -> None
-                  | Ok r -> Some (fun () -> record r; 1))
-              | 'C' -> (
-                  match decode_counted payload with
-                  | exception Failure _ -> None
-                  | nonce, k, gs ->
-                      Some (fun () -> batch ~nonce (fun () -> counted ~n:k gs); k))
-              | 'B' -> (
-                  match decode_batch payload with
-                  | exception Failure _ -> None
-                  | nonce, rs ->
-                      Some
-                        (fun () ->
-                          batch ~nonce (fun () -> List.iter record rs);
-                          List.length rs))
-              | 'M' -> (
-                  match Entry.decode_v2 payload 1 with
-                  | exception Failure _ -> None
-                  | e, _ -> Some (fun () -> entry e; 1))
-              | 'G' -> (
-                  match decode_merge_batch ~entry_decode:Entry.decode_v2 payload with
-                  | exception Failure _ -> None
-                  | es -> Some (fun () -> List.iter entry es; List.length es))
-              | 'H' -> (
-                  match decode_merge_batch ~entry_decode:Entry.decode payload with
-                  | exception Failure _ -> None
-                  | es -> Some (fun () -> List.iter entry es; List.length es))
-              | _ -> None
-            in
-            (* no tag matched (or its decode failed): try the whole
-               payload as a bare pre-replication (v1) record frame *)
-            let deliver =
-              match deliver with
-              | Some _ -> deliver
-              | None -> (
-                  match Record.decode payload with
-                  | Error _ -> None
-                  | Ok r -> Some (fun () -> record r; 1))
-            in
-            match deliver with
-            | None -> stop := true
-            | Some f ->
-                let delivered = f () in
-                if fin > committed then salvaged := !salvaged + delivered;
-                valid_end := fin;
-                pos := fin
-          end
-  done;
-  (!valid_end, !salvaged)
+        let replay =
+          match
+            decode_frame ~record ~counted ~entry (String.sub bytes data_pos n)
+          with
+          | f -> f
+          | exception Failure m ->
+              failwith (Printf.sprintf "%s: byte %d: %s" path pos m)
+        in
+        let fin = data_pos + n + 4 in
+        let k = replay () in
+        go fin (if fin > committed then salvaged + k else salvaged)
+  in
+  go 0 0
 
 let read_marker dir id =
-  match read_file (marker_path dir id) with
+  match Crd_io.read_file (marker_path dir id) with
   | None -> 0
   | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 0)
 
@@ -582,24 +491,6 @@ let read_marker dir id =
 
 let index_magic = "CRDX"
 let index_version = 3
-
-(* v1 (pre-replication) index body: watermark, then plain-count entries
-   with no published-nonce set and no vectors. Migrate every entry onto
-   [node] via {!Entry.decode_v1}, numbering vers in stored (fingerprint)
-   order — each open of an unmigrated store reassigns identical vectors,
-   and the first compaction rewrites the file as v2. *)
-let decode_index_v1 ~node s =
-  let node = if node = "" then "legacy" else node in
-  let folded_up_to, pos = Varint.get s 5 in
-  let n, pos = Varint.get s pos in
-  if n < 0 || n > 1 lsl 24 then failwith "index: bad entry count";
-  let rec go acc seq n pos =
-    if n = 0 then List.rev acc
-    else
-      let e, pos = Entry.decode_v1 ~node ~seq s pos in
-      go (e :: acc) (seq + 1) (n - 1) pos
-  in
-  (folded_up_to, [], go [] 1 n pos)
 
 (* Write the index to [fd] through [b] and one [index_block]-byte block:
    the body is encoded into [b] piece by piece, and whenever [b] holds a
@@ -618,7 +509,7 @@ let write_index fd b ~folded_up_to ~published tbl =
         let k = min index_block (n - off) in
         Buffer.blit b off block 0 k;
         crc := crc32_update !crc (Bytes.unsafe_to_string block) 0 k;
-        write_sub fd block 0 k;
+        Crd_io.write_sub fd block 0 k;
         go (off + k)
       end
     in
@@ -626,7 +517,7 @@ let write_index fd b ~folded_up_to ~published tbl =
     Buffer.clear b
   in
   let drain_full () = if Buffer.length b >= index_block then drain () in
-  write_all fd (index_magic ^ String.make 1 (Char.chr index_version));
+  Crd_io.write_all fd (index_magic ^ String.make 1 (Char.chr index_version));
   Buffer.clear b;
   Varint.add b folded_up_to;
   Varint.add b (List.length published);
@@ -649,28 +540,27 @@ let write_index fd b ~folded_up_to ~published tbl =
   drain ();
   let tail = Bytes.create 4 in
   Bytes.set_int32_le tail 0 (Int32.of_int (crc32_finish !crc));
-  write_sub fd tail 0 4;
+  Crd_io.write_sub fd tail 0 4;
   Array.length es
 
-let decode_index ~node s =
+(* Only the index version this build writes is read; an older one
+   (v1 before replication, v2 before provenance) is refused. *)
+let decode_index s =
   let len = String.length s in
   if len < 9 || String.sub s 0 4 <> index_magic then Error "index: bad magic"
   else
     let version = Char.code s.[4] in
-    if version < 1 || version > index_version then Error "index: bad version"
+    if version < index_version then
+      Error
+        (Printf.sprintf
+           "index: byte 4: version %d predates this build, which reads only \
+            version %d"
+           version index_version)
+    else if version > index_version then
+      Error (Printf.sprintf "index: byte 4: unknown version %d" version)
     else if get_u32le s (len - 4) <> crc32 s 5 (len - 9) then
       Error "index: checksum mismatch"
-    else if version = 1 then
-      match decode_index_v1 ~node s with
-      | exception Failure m -> Error m
-      | v -> Ok v
     else
-      (* v2 entries lack the provenance byte; everything a v2 store held
-         was witnessed, so the migration is Entry.decode_v2 and the next
-         compaction rewrites the file as v3. *)
-      let entry_decode =
-        if version = 2 then Entry.decode_v2 else Entry.decode
-      in
       match
         let folded_up_to, pos = Varint.get s 5 in
         let np, pos = Varint.get s pos in
@@ -689,7 +579,7 @@ let decode_index ~node s =
         let rec go acc n pos =
           if n = 0 then List.rev acc
           else
-            let e, pos = entry_decode s pos in
+            let e, pos = Entry.decode s pos in
             go (e :: acc) (n - 1) pos
         in
         (folded_up_to, published, go [] n pos)
@@ -731,9 +621,11 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* Shared by the writable open and the read-only [load].  [repair]
-   truncates torn tails and retires segments the index already covers;
-   the read-only path only observes. *)
+(* Shared by the writable open and the read-only [load]. The whole
+   store is read before anything is changed: [repair] then truncates
+   torn tails and retires segments the index already covers, while the
+   read-only path only observes. An index or frame this build cannot
+   read fails the scan with nothing changed. *)
 let scan_store ~repair ~node dir =
   let tbl = Hashtbl.create 64 in
   let vvtbl = Hashtbl.create 8 in
@@ -741,68 +633,61 @@ let scan_store ~repair ~node dir =
   let folded_up_to = ref 0 in
   let salvaged = ref 0 in
   let truncated = ref 0 in
-  (match read_file (index_path dir) with
+  (match Crd_io.read_file (index_path dir) with
   | None -> ()
   | Some s -> (
-      match decode_index ~node s with
+      match decode_index s with
       | Error e -> failwith (Printf.sprintf "%s: %s" (index_path dir) e)
       | Ok (f, nonces, es) ->
           folded_up_to := f;
           List.iter (fun n -> Hashtbl.replace published n ()) nonces;
           List.iter (fold_entry ~vvtbl tbl) es));
-  if repair then unlink_quiet (index_path dir ^ ".tmp");
   let record = fold_record ~node ~vvtbl tbl in
-  let batch ~nonce fold =
-    if nonce = "" then fold ()
-    else if not (Hashtbl.mem published nonce) then begin
-      fold ();
-      Hashtbl.replace published nonce ()
+  let counted ~nonce ~n groups =
+    if nonce = "" || not (Hashtbl.mem published nonce) then begin
+      fold_chunk ~node ~vvtbl tbl ~n groups;
+      if nonce <> "" then Hashtbl.replace published nonce ()
     end
   in
-  let counted = fold_chunk ~node ~vvtbl tbl in
   let entry = fold_entry ~vvtbl tbl in
   let live = ref [] in
+  let fixes = ref [ (fun () -> Crd_io.unlink_quiet (index_path dir ^ ".tmp")) ] in
+  let fix f = fixes := f :: !fixes in
   List.iter
     (fun id ->
-      if id <= !folded_up_to then begin
+      if id <= !folded_up_to then
         (* already in the index: leftover of a compaction that renamed
            but did not finish deleting before a crash *)
-        if repair then begin
-          unlink_quiet (seg_path dir id);
-          unlink_quiet (marker_path dir id)
-        end
-      end
+        fix (fun () -> drop_segment dir id)
       else
-        match read_file (seg_path dir id) with
+        let path = seg_path dir id in
+        match Crd_io.read_file path with
         | None -> ()
         | Some bytes ->
             let committed = min (read_marker dir id) (String.length bytes) in
             let valid_end, salv =
-              scan_segment ~committed bytes ~record ~batch ~counted ~entry
+              scan_segment ~path ~committed bytes ~record ~counted ~entry
             in
             salvaged := !salvaged + salv;
-            if valid_end < String.length bytes then begin
-              truncated := !truncated + (String.length bytes - valid_end);
-              if repair then begin
-                let fd = Unix.openfile (seg_path dir id) [ Unix.O_WRONLY ] 0o644 in
-                Fun.protect
-                  ~finally:(fun () -> Unix.close fd)
-                  (fun () ->
-                    Unix.ftruncate fd valid_end;
-                    Unix.fsync fd)
-              end
-            end;
-            if repair && valid_end = 0 then begin
-              unlink_quiet (seg_path dir id);
-              unlink_quiet (marker_path dir id)
-            end
+            truncated := !truncated + (String.length bytes - valid_end);
+            if repair && valid_end = 0 then fix (fun () -> drop_segment dir id)
             else begin
-              if repair && valid_end <> committed then
-                write_file_atomic ~dir (marker_path dir id)
-                  (Printf.sprintf "%d\n" valid_end);
+              if valid_end < String.length bytes then
+                fix (fun () ->
+                    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+                    Fun.protect
+                      ~finally:(fun () -> Unix.close fd)
+                      (fun () ->
+                        Unix.ftruncate fd valid_end;
+                        Unix.fsync fd));
+              if valid_end <> committed then
+                fix (fun () ->
+                    Crd_io.write_file_atomic ~dir (marker_path dir id)
+                      (Printf.sprintf "%d\n" valid_end));
               live := (id, valid_end) :: !live
             end)
     (segment_ids dir);
+  if repair then List.iter (fun f -> f ()) (List.rev !fixes);
   (tbl, vvtbl, published, !folded_up_to, List.rev !live, !salvaged, !truncated)
 
 (* [lockf] record locks never conflict within one process, so the
@@ -813,7 +698,7 @@ let local_locks_mu = Mutex.create ()
 
 let open_db ?(segment_bytes = 1 lsl 20) ?(sync_every = 64) ?(auto_compact = 8) dir =
   try
-    mkdir_p dir;
+    Crd_io.mkdir_p dir;
     let lock_fd =
       Unix.openfile (lock_path dir) [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
     in
@@ -841,20 +726,16 @@ let open_db ?(segment_bytes = 1 lsl 20) ?(sync_every = 64) ?(auto_compact = 8) d
         release_local ();
         Unix.close lock_fd;
         failwith (dir ^ ": race database locked by another process"));
-    let node =
-      match read_node dir with
-      | Some n -> n
-      | None ->
-          let n = gen_node_id () in
-          write_file_atomic ~dir (node_path dir) (n ^ "\n");
-          n
-    in
+    let stored_node = read_node dir in
+    let node = match stored_node with Some n -> n | None -> gen_node_id () in
     match scan_store ~repair:true ~node dir with
     | exception e ->
         release_local ();
         (try Unix.close lock_fd with Unix.Unix_error _ -> ());
         raise e
     | tbl, vvtbl, published, folded_up_to, live, salvaged, truncated ->
+        if stored_node = None then
+          Crd_io.write_file_atomic ~dir (node_path dir) (node ^ "\n");
         Crd_obs.Counter.add m_salvaged salvaged;
         Crd_obs.Counter.add m_truncated truncated;
         let max_id =
@@ -866,7 +747,7 @@ let open_db ?(segment_bytes = 1 lsl 20) ?(sync_every = 64) ?(auto_compact = 8) d
             [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
             0o644
         in
-        fsync_dir dir;
+        Crd_io.fsync_dir dir;
         Ok
           {
             dir;
@@ -900,7 +781,7 @@ let open_db ?(segment_bytes = 1 lsl 20) ?(sync_every = 64) ?(auto_compact = 8) d
 let sync_locked t =
   if t.dirty > 0 || t.committed < t.active_bytes then begin
     Unix.fsync t.fd;
-    write_file_atomic ~dir:t.dir
+    Crd_io.write_file_atomic ~dir:t.dir
       (marker_path t.dir t.active_id)
       (Printf.sprintf "%d\n" t.active_bytes);
     t.committed <- t.active_bytes;
@@ -912,17 +793,14 @@ let rotate_locked t =
   sync_locked t;
   (try Unix.close t.fd with Unix.Unix_error _ -> ());
   (* an empty sealed segment carries nothing: drop it *)
-  if t.active_bytes = 0 then begin
-    unlink_quiet (seg_path t.dir t.active_id);
-    unlink_quiet (marker_path t.dir t.active_id)
-  end
+  if t.active_bytes = 0 then drop_segment t.dir t.active_id
   else t.sealed <- t.sealed + 1;
   t.active_id <- t.active_id + 1;
   t.fd <-
     Unix.openfile (seg_path t.dir t.active_id)
       [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
       0o644;
-  fsync_dir t.dir;
+  Crd_io.fsync_dir t.dir;
   t.active_bytes <- 0;
   t.committed <- 0;
   Crd_obs.Counter.incr m_rotations
@@ -949,17 +827,13 @@ let compact_locked t =
      published — a crash (or injected abort) here must lose nothing *)
   Crd_fault.inject fp_compact;
   Unix.rename tmp path;
-  fsync_dir t.dir;
+  Crd_io.fsync_dir t.dir;
   t.folded_up_to <- folded_up_to;
   t.sealed <- 0;
   List.iter
-    (fun id ->
-      if id <= folded_up_to then begin
-        unlink_quiet (seg_path t.dir id);
-        unlink_quiet (marker_path t.dir id)
-      end)
+    (fun id -> if id <= folded_up_to then drop_segment t.dir id)
     (segment_ids t.dir);
-  fsync_dir t.dir;
+  Crd_io.fsync_dir t.dir;
   Crd_obs.Counter.incr m_compactions;
   distinct
 
@@ -974,7 +848,7 @@ let compact_result t =
       Error (Printf.sprintf "%s: %s(%s)" (Unix.error_message e) fn arg)
 
 let append_frame_locked t frame ~records =
-  write_all t.fd frame;
+  Crd_io.write_all t.fd frame;
   t.active_bytes <- t.active_bytes + String.length frame;
   t.dirty <- t.dirty + max 1 records;
   Crd_obs.Counter.add m_appends records;
@@ -1062,7 +936,7 @@ let publish t ~nonce records =
 let published t nonce = locked t @@ fun () -> Hashtbl.mem t.published nonce
 
 (* The apply is all-or-nothing: every change is staged off to the side,
-   then written as ONE checksummed 'G' frame, because the version
+   then written as ONE checksummed 'H' frame, because the version
    vector is the pointwise max over stored entry [ver]s — durably
    applying a prefix of the batch would advance it past entries never
    applied, and the peer's next [delta ~since] would skip them forever
@@ -1178,10 +1052,7 @@ let close t =
     t.closed <- true;
     sync_locked t;
     (try Unix.close t.fd with Unix.Unix_error _ -> ());
-    if t.active_bytes = 0 then begin
-      unlink_quiet (seg_path t.dir t.active_id);
-      unlink_quiet (marker_path t.dir t.active_id)
-    end;
+    if t.active_bytes = 0 then drop_segment t.dir t.active_id;
     Mutex.protect local_locks_mu (fun () ->
         Hashtbl.remove local_locks t.lock_key);
     try Unix.close t.lock_fd with Unix.Unix_error _ -> ()

@@ -14,11 +14,9 @@
     frame   ::= varint(len) payload{len} crc32_le(payload)
     payload ::= 'R' record                      one local record
               | 'C' nonce n group*              one session chunk, atomic
-              | 'B' nonce record*               one session chunk (legacy)
-              | 'M' entry_v2                    merged replicated entry (legacy)
-              | 'G' entry_v2*                   one whole merge, atomic (legacy)
               | 'H' entry*                      one whole merge, atomic
     group   ::= varint(count) varint(last) record
+    index   ::= "CRDX" 0x03 body crc32_le(body)
     v}
 
     A ['C'] chunk of [n] records stores each distinct (fingerprint, ts,
@@ -26,17 +24,14 @@
     offset of the last of them; replay folds it exactly as it would the
     [n] records. Lengths inside a payload are bounded only by the
     payload, and writers refuse frames over 256 MiB, so every frame
-    written reads back. An older binary does not know ['C'] and would
-    truncate a segment at the first one: the format upgrade is one way.
+    written reads back.
 
-    Older stores are read transparently: a v1 [index.crdx] (plain
-    counts, no vectors) is migrated onto this node's G-counter and
-    version components at open — deterministically, so every open
-    before the first compaction rewrites it agrees — a v2 index and
-    'M'/'G' frames decode as provenance-free entries (everything stored
-    before prediction was {!Provenance.Witnessed}), and bare untagged
-    record frames in pre-replication segments still replay. The first
-    compaction rewrites the index as v3.
+    A store reads exactly what this build writes. A checksummed frame
+    that does not decode (an unknown tag, or a frame kind an older
+    build wrote: untagged records, ['B'] session batches, ['M']/['G']
+    merges) and an index of another version (v1 or v2 predate this
+    build) are errors, never torn tails: {!open_db} and {!load} return
+    [Error] naming the file and the byte offset and change nothing.
 
     Appends go to the active (highest-numbered) segment and are folded
     into an in-memory index keyed by {!Report.fingerprint}; [sync]
@@ -48,9 +43,10 @@
     or the new index with leftovers that the watermark retires at the
     next open, never a double count.
 
-    Opening scans every surviving segment: complete, checksummed frames
-    beyond a commit marker are {e salvaged} (counted in [stats]), the
-    torn tail after the last valid frame is truncated. A fresh active
+    Opening scans every surviving segment before it changes anything:
+    complete, checksummed frames beyond a commit marker are {e salvaged}
+    (counted in [stats]), and the torn tail after the last frame that
+    passes its length and checksum is truncated. A fresh active
     segment is started on every open, so recovery never appends to a
     file another process version half-wrote.
 
@@ -86,7 +82,9 @@ val open_db :
   (t, string) result
 (** [open_db dir] recovers and opens the database for writing, taking
     the writer lock ([Error] if another process holds it) and minting
-    [DIR/node] on first open. [segment_bytes] (default 1 MiB) is the
+    [DIR/node] on first open. [Error] also when the store holds an index
+    or frame this build does not read (see above); nothing is then
+    changed but the lock file. [segment_bytes] (default 1 MiB) is the
     rotation threshold, [sync_every] (default 64) the appends between
     automatic [sync]s, [auto_compact] (default 8) the sealed-segment
     count that triggers an inline compaction (0 disables). *)
@@ -170,7 +168,8 @@ type view = {
 
 val load : string -> (view, string) result
 (** Read-only view of [dir]: index plus every live segment, salvaging
-    torn tails without modifying anything. Safe against a concurrent
+    torn tails without modifying anything. [Error] on an index or frame
+    this build does not read, as {!open_db}. Safe against a concurrent
     writer except that a compaction racing the scan can momentarily
     hide the records it is folding; query a quiesced store (or the
     same process' {!entries}) for exact counts. *)

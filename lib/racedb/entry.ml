@@ -81,11 +81,8 @@ let get_i64le s pos =
   done;
   !v
 
-(* The v3 (provenance-aware) entry is the v2 layout plus one trailing
-   provenance byte. The container versions the format — index header
-   byte, segment frame tag ('H' vs 'G'/'M'), sync hello version — so
-   both decoders stay exact (entries are self-delimiting and cannot
-   sniff their own tail). *)
+(* The entry layout of index v3, 'H' frames and sync v2: the rings,
+   the length-prefixed sample, then one provenance byte. *)
 let encode b (e : t) =
   add_i64le b e.fingerprint;
   Vv.encode b e.counts;
@@ -109,11 +106,11 @@ let get_sample s pos =
   let n, pos = Varint.get s pos in
   if n < 0 || pos + n > String.length s then failwith "entry: bad sample";
   match Record.decode_at s pos with
-  | r, fin when fin = pos + n -> (r, n, pos)
+  | r, fin when fin = pos + n -> (r, fin)
   | _ -> failwith "entry: bad sample"
   | exception Failure e -> failwith ("entry: " ^ e)
 
-let decode_body s pos =
+let decode s pos =
   let fingerprint = get_i64le s pos in
   let pos = pos + 8 in
   let counts, pos = Vv.decode s pos in
@@ -124,8 +121,16 @@ let decode_body s pos =
   let minutes, pos = Rollup.decode s pos in
   let hours, pos = Rollup.decode s pos in
   let days, pos = Rollup.decode s pos in
-  let sample, n, pos = get_sample s pos in
-  ( { fingerprint;
+  let sample, pos = get_sample s pos in
+  if pos >= String.length s then failwith "entry: missing provenance";
+  let provenance =
+    match s.[pos] with
+    | '\x00' -> Provenance.Witnessed
+    | '\x01' -> Provenance.Predicted
+    | _ -> failwith "entry: bad provenance"
+  in
+  ( {
+      fingerprint;
       counts;
       ver;
       first_seen;
@@ -134,54 +139,9 @@ let decode_body s pos =
       minutes;
       hours;
       days;
-      provenance = Provenance.Witnessed;
+      provenance;
     },
-    pos + n )
-
-let decode s pos =
-  let e, pos = decode_body s pos in
-  if pos >= String.length s then failwith "entry: missing provenance";
-  let provenance =
-    match s.[pos] with
-    | '\x00' -> Provenance.Witnessed
-    | '\x01' -> Provenance.Predicted
-    | _ -> failwith "entry: bad provenance"
-  in
-  ({ e with provenance }, pos + 1)
-
-(* Pre-prediction (index v2, 'M'/'G' frames, sync v1) entries carry no
-   provenance byte: everything stored then was witnessed. *)
-let decode_v2 = decode_body
-
-(* Pre-replication (index v1) entries carry a plain integer count and
-   no vectors; migrate both onto [node]'s components — the count as its
-   G-counter value, [seq] as its version — so an upgraded store gossips
-   its history as if this node had observed it all along. *)
-let decode_v1 ~node ~seq s pos =
-  let fingerprint = get_i64le s pos in
-  let pos = pos + 8 in
-  let count, pos = Varint.get s pos in
-  if count <= 0 then failwith "entry: bad v1 count";
-  let first_seen = Int64.float_of_bits (get_i64le s pos) in
-  let last_seen = Int64.float_of_bits (get_i64le s (pos + 8)) in
-  let pos = pos + 16 in
-  let minutes, pos = Rollup.decode s pos in
-  let hours, pos = Rollup.decode s pos in
-  let days, pos = Rollup.decode s pos in
-  let sample, n, pos = get_sample s pos in
-  ( {
-      fingerprint;
-      counts = Vv.set Vv.empty node count;
-      ver = Vv.set Vv.empty node seq;
-      first_seen;
-      last_seen;
-      sample;
-      minutes;
-      hours;
-      days;
-      provenance = Provenance.Witnessed;
-    },
-    pos + n )
+    pos + 1 )
 
 let pp ppf e =
   Fmt.pf ppf "%016Lx n=%d prov=%a counts=%a ver=%a" e.fingerprint (count e)

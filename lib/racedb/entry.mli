@@ -48,19 +48,4 @@ val decode : string -> int -> t * int
 (** Self-delimiting; returns the next offset.
     @raise Failure on malformed input. *)
 
-val decode_v2 : string -> int -> t * int
-(** Decode a pre-prediction (index v2 / legacy segment-frame / sync v1)
-    entry — same layout without the trailing provenance byte. Everything
-    stored before prediction existed was witnessed, so the migrated
-    entry carries {!Provenance.Witnessed}.
-    @raise Failure on malformed input. *)
-
-val decode_v1 : node:string -> seq:int -> string -> int -> t * int
-(** Decode a pre-replication (index v1) entry — plain integer count, no
-    vectors — migrating it onto [node]: the count becomes [node]'s
-    G-counter component and [seq] its [ver] component. Deterministic
-    given the same inputs, so re-migrating an unmodified v1 store
-    reassigns identical vectors.
-    @raise Failure on malformed input. *)
-
 val pp : t Fmt.t

@@ -13,35 +13,6 @@ let commit_path dir nonce = Filename.concat dir (nonce ^ ".commit")
 let report_path dir nonce = Filename.concat dir (nonce ^ ".report")
 let report_tmp_path dir nonce = report_path dir nonce ^ ".tmp"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* Directory fsync so a rename survives the crash it is there to
-   survive; best-effort on filesystems that refuse it. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Unix.close fd
-  | exception Unix.Unix_error _ -> ()
-
-let write_file_atomic ~dir path content =
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Proto.write_all fd content;
-      Unix.fsync fd);
-  Unix.rename tmp path;
-  fsync_dir dir
-
 let nonce_counter = Atomic.make 0
 
 let fresh_nonce () =
@@ -62,14 +33,13 @@ type t = {
 }
 
 let start ~dir ~nonce ~spec =
-  mkdir_p dir;
+  Crd_io.mkdir_p dir;
   (* A reconnect with the same nonce is a fresh run of the same logical
      session: drop any partial or stale state before the first byte.
      The data file is unlinked rather than O_TRUNC'd: a catch-up
      drainer may still be reading the previous segment, and the unlink
      keeps that inode whole until the drainer closes it. *)
-  List.iter
-    (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
+  List.iter Crd_io.unlink_quiet
     [
       commit_path dir nonce;
       report_path dir nonce;
@@ -89,7 +59,7 @@ let size t = t.size
 let append_bytes t ?(off = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - off in
   Crd_fault.inject fp_append;
-  Proto.write_sub t.fd b off len;
+  Crd_io.write_sub t.fd b off len;
   t.size <- t.size + len;
   Crd_obs.Counter.add m_bytes len
 
@@ -99,7 +69,7 @@ let append t ?off ?len s = append_bytes t ?off ?len (Bytes.unsafe_of_string s)
    name — everything recovery needs to replay the session exactly. *)
 let commit t =
   Unix.fsync t.fd;
-  write_file_atomic ~dir:t.dir
+  Crd_io.write_file_atomic ~dir:t.dir
     (commit_path t.dir t.nonce)
     (Printf.sprintf "%d %s\n" t.size t.spec);
   Crd_obs.Counter.incr m_commits
@@ -129,7 +99,7 @@ module Report_file = struct
     in
     { dir; path = report_path dir nonce; tmp; fd; closed = false }
 
-  let add t b off len = Proto.write_sub t.fd b off len
+  let add t b off len = Crd_io.write_sub t.fd b off len
 
   let close t =
     if not t.closed then begin
@@ -141,11 +111,11 @@ module Report_file = struct
     Unix.fsync t.fd;
     close t;
     Unix.rename t.tmp t.path;
-    fsync_dir t.dir
+    Crd_io.fsync_dir t.dir
 
   let abort t =
     (try close t with Unix.Unix_error _ -> ());
-    try Unix.unlink t.tmp with Unix.Unix_error _ -> ()
+    Crd_io.unlink_quiet t.tmp
 
   let write ~dir ~nonce f =
     let t = start ~dir ~nonce in

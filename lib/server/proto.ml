@@ -18,46 +18,15 @@ let valid_nonce s =
 type handshake = { nonce : string; spec : string }
 type reply = Accepted | Rejected of string | Busy of int
 
-(* A signal landing mid-syscall fails [read]/[write] with [EINTR] — a
-   retry, not an error. Every raw fd loop in the tree funnels through
-   these two wrappers so no I/O path can abort on an interrupt. The
-   [io_eintr] fault point injects the interrupt just before the
-   syscall, letting chaos specs storm any path with signals. *)
-let fp_io_eintr = Crd_fault.point "io_eintr"
-
-let rec read_retry fd b off len =
-  match
-    if Crd_fault.fire fp_io_eintr then
-      raise (Unix.Unix_error (Unix.EINTR, "read", ""))
-    else Unix.read fd b off len
-  with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_retry fd b off len
-
-let rec write_retry fd b off len =
-  match
-    if Crd_fault.fire fp_io_eintr then
-      raise (Unix.Unix_error (Unix.EINTR, "write", ""))
-    else Unix.write fd b off len
-  with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_retry fd b off len
-
-(* Short counts from [write] are legal even without signals; loop. *)
-let write_sub fd b off len =
-  let sent = ref 0 in
-  while !sent < len do
-    sent := !sent + write_retry fd b (off + !sent) (len - !sent)
-  done
-
-let write_all fd s = write_sub fd (Bytes.unsafe_of_string s) 0 (String.length s)
+(* Re-exported for the protocol's clients. *)
+let write_all = Crd_io.write_all
 
 let read_exact fd n =
   let b = Bytes.create n in
   let off = ref 0 in
   let eof = ref false in
   while (not !eof) && !off < n do
-    let r = read_retry fd b !off (n - !off) in
+    let r = Crd_io.read_retry fd b !off (n - !off) in
     if r = 0 then eof := true else off := !off + r
   done;
   if !eof then None else Some (Bytes.to_string b)
@@ -183,7 +152,7 @@ let read_to_eof fd =
   let b = Bytes.create 4096 in
   let eof = ref false in
   while not !eof do
-    match read_retry fd b 0 (Bytes.length b) with
+    match Crd_io.read_retry fd b 0 (Bytes.length b) with
     | 0 -> eof := true
     | n -> Buffer.add_subbytes out b 0 n
     (* A peer that closes with our bytes still unread (a crashed worker

@@ -31,26 +31,9 @@ val valid_nonce : string -> bool
 type handshake = { nonce : string; spec : string }
 type reply = Accepted | Rejected of string | Busy of int  (** retry-after ms *)
 
-val fp_io_eintr : Crd_fault.point
-(** Fault point ["io_eintr"]: injects [Unix.EINTR] immediately before a
-    raw [read]/[write] syscall. The retry wrappers below absorb it, so
-    an armed point exercises the interrupt-handling path without a real
-    signal storm. {!Crd_sync} shares the point by name for its own fd
-    loops. *)
-
-val read_retry : Unix.file_descr -> Bytes.t -> int -> int -> int
-(** [Unix.read], retrying on [EINTR]. Returns 0 only at end-of-stream. *)
-
-val write_retry : Unix.file_descr -> Bytes.t -> int -> int -> int
-(** [Unix.write], retrying on [EINTR]. May still write short; see
-    {!write_sub}. *)
-
-val write_sub : Unix.file_descr -> Bytes.t -> int -> int -> unit
-(** [write_sub fd b off len] sends exactly [b[off..off+len)], looping
-    over short writes and retrying interrupts — no copy of [b]. *)
-
 val write_all : Unix.file_descr -> string -> unit
-(** Loop over [Unix.write] until the whole string is sent; EINTR-safe. *)
+(** {!Crd_io.write_all}: write the whole string, looping over short
+    writes and retrying interrupts. *)
 
 val read_exact : Unix.file_descr -> int -> string option
 (** [None] on end-of-stream before [n] bytes; EINTR-safe. *)

@@ -295,6 +295,34 @@ let sink_stop sink =
   (match sink.publisher with Some th -> Thread.join th | None -> ());
   Crd_racedb.Db.close sink.db
 
+(* A latch is set once. Setting it writes one byte to its pipe that
+   nobody reads, so the pipe stays readable and every loop that selects
+   on it wakes at once. *)
+type latch = { set : bool Atomic.t; r : Unix.file_descr; w : Unix.file_descr }
+
+let latch () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  { set = Atomic.make false; r; w }
+
+let is_set l = Atomic.get l.set
+
+let set l =
+  if not (Atomic.exchange l.set true) then
+    try ignore (Crd_io.write_retry l.w (Bytes.make 1 'x') 0 1)
+    with Unix.Unix_error _ -> ()
+
+(* Wait up to [s] seconds, returning early once [l] is set. *)
+let wait l s =
+  let until = Unix.gettimeofday () +. s in
+  let rec go () =
+    let left = until -. Unix.gettimeofday () in
+    if left > 0. && not (is_set l) then
+      match Unix.select [ l.r ] [] [] left with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | _ -> ()
+  in
+  go ()
+
 type t = {
   cfg : config;
   racedb : sink option;
@@ -309,11 +337,8 @@ type t = {
   catchup : (string * float * int) Bqueue.t;  (* nonce, committed_at, bytes *)
   mutable catchup_th : Thread.t option;  (* spill catch-up drainer *)
   mutable watchdog_th : Thread.t option;
-  stopping : bool Atomic.t;
-  (* Written once, when [stopping] is set, and never read: it stays
-     readable, so every loop that selects on it wakes at once. *)
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
+  stopping : latch;  (* set by [stop] and by a fatal accept error *)
+  drained : latch;  (* set by [stop] once every worker is joined *)
   active : int Atomic.t;  (* sessions currently held by workers *)
   mutable accept_d : unit Domain.t option;
   mutable workers_d : unit Domain.t array;
@@ -474,7 +499,7 @@ let ingest ?journal ~beat ~resync conn ~f =
           if Crd_fault.fire fp_sock_read then
             raise
               (Unix.Unix_error (Unix.EIO, "read", "injected fault: sock_read"));
-          Proto.read_retry conn buf 0 (Bytes.length buf)
+          Crd_io.read_retry conn buf 0 (Bytes.length buf)
         with
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
             fail Timeout "idle timeout: no client bytes"
@@ -652,7 +677,7 @@ let session t hb tier conn =
                     with Unix.Unix_error _ -> None))
             in
             let emit b off len =
-              Proto.write_sub conn b off len;
+              Crd_io.write_sub conn b off len;
               match !tee with
               | None -> ()
               | Some r -> (
@@ -897,30 +922,12 @@ let pop_injected t =
   in
   pop ()
 
-(* Set [stopping] and wake every loop waiting on the stop pipe. *)
-let signal_stop t =
-  if not (Atomic.exchange t.stopping true) then
-    try ignore (Unix.write_substring t.stop_w "x" 0 1)
-    with Unix.Unix_error _ -> ()
-
-(* Wait up to [s] seconds, returning early once the server stops. *)
-let wait_stop t s =
-  let until = Unix.gettimeofday () +. s in
-  let rec go () =
-    let left = until -. Unix.gettimeofday () in
-    if left > 0. && not (Atomic.get t.stopping) then
-      match Unix.select [ t.stop_r ] [] [] left with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | _ -> ()
-  in
-  go ()
-
 (* Block until [fd] is readable ([true]), the server stops or a signal
    interrupts the wait ([false]). *)
 let wait_readable t fd =
-  match Unix.select [ fd; t.stop_r ] [] [] (-1.) with
+  match Unix.select [ fd; t.stopping.r ] [] [] (-1.) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-  | ready, _, _ -> List.mem fd ready && not (List.mem t.stop_r ready)
+  | ready, _, _ -> List.mem fd ready && not (List.mem t.stopping.r ready)
 
 let accept_loop t =
   let backoff = ref 0.01 in
@@ -928,60 +935,63 @@ let accept_loop t =
     record_accept_error t;
     Crd_obs.Log.warn "accept_error"
       [ ("err", Unix.error_message e); ("backoff_s", Printf.sprintf "%.3f" !backoff) ];
-    wait_stop t !backoff;
+    wait t.stopping !backoff;
     backoff := Float.min 0.5 (!backoff *. 2.)
   in
-  while not (Atomic.get t.stopping) do
+  (* An injected error takes the path a real one would. *)
+  let accept fd =
+    match pop_injected t with
+    | Some e -> raise (Unix.Unix_error (e, "accept", "injected"))
+    | None -> Unix.accept fd
+  in
+  while not (is_set t.stopping) do
     match wait_readable t t.listen_fd with
     | false -> ()
     | true -> (
-        match pop_injected t with
-        | Some e -> survive e
-        | None -> (
-            match Unix.accept t.listen_fd with
-            | exception
-                Unix.Unix_error
-                  ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED),
-                    _,
-                    _ )
-              ->
-                ()
-            | exception Unix.Unix_error (e, _, _) when accept_fatal e ->
-                Crd_obs.Log.err "accept_fatal" [ ("err", Unix.error_message e) ];
-                signal_stop t
-            | exception Unix.Unix_error (e, _, _) -> survive e
-            | conn, _ ->
-                backoff := 0.01;
-                Crd_obs.Counter.incr m_accepted;
-                Unix.clear_nonblock conn;
-                let pending = Bqueue.length t.conns in
-                let active = Atomic.get t.active in
-                (* The degradation ladder decides this connection's tier
-                   once, here at admission; the tag rides with the fd so
-                   the worker's verdict is deterministic. *)
-                let tier =
-                  Overload.evaluate t.overload ~pending ~active
-                    ~workers:t.cfg.workers
-                in
-                if tier = Overload.Shed then begin
-                  record_busy t;
-                  Crd_obs.Log.warn "session_shed"
-                    [
-                      ("tier", Overload.tier_name tier);
-                      ("active", string_of_int active);
-                      ("pending", string_of_int pending);
-                      ("mem_used", string_of_int (Overload.mem_used ()));
-                    ];
-                  (try Proto.send_busy conn ~retry_ms:t.cfg.retry_after_ms
-                   with Unix.Unix_error _ -> ());
-                  (try Unix.shutdown conn Unix.SHUTDOWN_ALL
-                   with Unix.Unix_error _ -> ());
-                  try Unix.close conn with Unix.Unix_error _ -> ()
-                end
-                else if not (Bqueue.push t.conns (conn, tier)) then (
-                  try Unix.close conn with Unix.Unix_error _ -> ())
-                else
-                  Crd_obs.Gauge.set_max m_conn_queue_hw (Bqueue.length t.conns)))
+        match accept t.listen_fd with
+        | exception
+            Unix.Unix_error
+              ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED),
+                _,
+                _ )
+          ->
+            ()
+        | exception Unix.Unix_error (e, _, _) when accept_fatal e ->
+            Crd_obs.Log.err "accept_fatal" [ ("err", Unix.error_message e) ];
+            set t.stopping
+        | exception Unix.Unix_error (e, _, _) -> survive e
+        | conn, _ ->
+            backoff := 0.01;
+            Crd_obs.Counter.incr m_accepted;
+            Unix.clear_nonblock conn;
+            let pending = Bqueue.length t.conns in
+            let active = Atomic.get t.active in
+            (* The degradation ladder decides this connection's tier
+               once, here at admission; the tag rides with the fd so
+               the worker's verdict is deterministic. *)
+            let tier =
+              Overload.evaluate t.overload ~pending ~active
+                ~workers:t.cfg.workers
+            in
+            if tier = Overload.Shed then begin
+              record_busy t;
+              Crd_obs.Log.warn "session_shed"
+                [
+                  ("tier", Overload.tier_name tier);
+                  ("active", string_of_int active);
+                  ("pending", string_of_int pending);
+                  ("mem_used", string_of_int (Overload.mem_used ()));
+                ];
+              (try Proto.send_busy conn ~retry_ms:t.cfg.retry_after_ms
+               with Unix.Unix_error _ -> ());
+              (try Unix.shutdown conn Unix.SHUTDOWN_ALL
+               with Unix.Unix_error _ -> ());
+              try Unix.close conn with Unix.Unix_error _ -> ()
+            end
+            else if not (Bqueue.push t.conns (conn, tier)) then (
+              try Unix.close conn with Unix.Unix_error _ -> ())
+            else
+              Crd_obs.Gauge.set_max m_conn_queue_hw (Bqueue.length t.conns))
   done
 
 (* A worker runs sessions until the connection queue closes. An
@@ -1112,12 +1122,14 @@ let catchup_loop t dir =
    cooperative cancel flag raises the session into the worker's crash
    handling the next time it looks. The timeout should exceed the
    idle timeout: a worker legitimately blocked on a slow client is
-   "waiting", not "stuck", and the socket timeouts already bound it. *)
+   "waiting", not "stuck", and the socket timeouts already bound it.
+   It scans until [stop] has joined the workers, so a session that
+   wedges while the queue drains is ended too. *)
 let watchdog_loop t =
   let timeout = t.cfg.stall_timeout in
   let interval = Float.max 0.01 (Float.min 1.0 (timeout /. 5.)) in
-  while not (Atomic.get t.stopping) do
-    wait_stop t interval;
+  while not (is_set t.drained) do
+    wait t.drained interval;
     let now = Crd_obs.now_s () in
     Array.iteri
       (fun idx hb ->
@@ -1159,7 +1171,7 @@ let metrics_response () =
     (String.length body) body
 
 let metrics_loop t mfd =
-  while not (Atomic.get t.stopping) do
+  while not (is_set t.stopping) do
     match wait_readable t mfd with
     | false -> ()
     | true -> (
@@ -1169,7 +1181,7 @@ let metrics_loop t mfd =
             Unix.clear_nonblock conn;
             (try Unix.setsockopt_float conn Unix.SO_RCVTIMEO 0.5
              with Unix.Unix_error _ -> ());
-            (try ignore (Unix.read conn (Bytes.create 4096) 0 4096)
+            (try ignore (Crd_io.read_retry conn (Bytes.create 4096) 0 4096)
              with Unix.Unix_error _ -> ());
             (try Proto.write_all conn (metrics_response ())
              with Unix.Unix_error _ -> ());
@@ -1241,8 +1253,7 @@ let bind_listen addr =
                      "%s: a live server is already listening here (refusing \
                       to steal the address)"
                      path)
-            | `Stale ->
-                (try Unix.unlink path with Unix.Unix_error _ -> ())
+            | `Stale -> Crd_io.unlink_quiet path
             | `Gone -> ()
             | `Unknown msg ->
                 failwith
@@ -1308,13 +1319,13 @@ let sync_loop t sink =
       [| Unix.getpid (); int_of_float (Unix.gettimeofday () *. 1e6) |]
   in
   let i = ref 0 in
-  while not (Atomic.get t.stopping) do
+  while not (is_set t.stopping) do
     let k = !i mod n in
     incr i;
     let base = Float.max 0.05 (t.cfg.sync_interval /. float_of_int n) in
     let d = Float.min 60. (base *. (2. ** float_of_int (min 6 streak.(k)))) in
-    wait_stop t (d *. (0.5 +. Random.State.float rng 1.));
-    if not (Atomic.get t.stopping) then begin
+    wait t.stopping (d *. (0.5 +. Random.State.float rng 1.));
+    if not (is_set t.stopping) then begin
       let peer = Fmt.str "%a" pp_addr peers.(k) in
       (* The exchange inherits the session idle timeout per read and a
          10x whole-exchange deadline, so one black-hole peer can never
@@ -1368,9 +1379,7 @@ let start cfg =
       match metrics with
       | Error msg ->
           (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-          (match sock_path with
-          | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-          | None -> ());
+          Option.iter Crd_io.unlink_quiet sock_path;
           Error msg
       | Ok metrics -> (
           let close_listeners () =
@@ -1378,8 +1387,7 @@ let start cfg =
             (match metrics with
             | Some (fd, _) -> ( try Unix.close fd with Unix.Unix_error _ -> ())
             | None -> ());
-            List.iter
-              (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
+            List.iter Crd_io.unlink_quiet
               (List.filter_map Fun.id
                  [ sock_path; Option.bind metrics snd ])
           in
@@ -1395,7 +1403,6 @@ let start cfg =
           | Ok racedb ->
           Unix.set_nonblock listen_fd;
           let workers = max 1 cfg.workers in
-          let stop_r, stop_w = Unix.pipe ~cloexec:true () in
           let t =
             {
               cfg = { cfg with workers };
@@ -1415,9 +1422,8 @@ let start cfg =
               catchup = Bqueue.create ~capacity:4096 ();
               catchup_th = None;
               watchdog_th = None;
-              stopping = Atomic.make false;
-              stop_r;
-              stop_w;
+              stopping = latch ();
+              drained = latch ();
               active = Atomic.make 0;
               accept_d = None;
               workers_d = [||];
@@ -1475,13 +1481,16 @@ let start cfg =
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    signal_stop t;
+    set t.stopping;
     (match t.accept_d with Some d -> Domain.join d | None -> ());
     (match t.metrics_d with Some d -> Domain.join d | None -> ());
     (* Already-accepted connections stay in the queue and are drained:
        every in-flight session flushes its report before we return. *)
     Bqueue.close t.conns;
     Array.iter Domain.join t.workers_d;
+    (* The watchdog scans until here, so a worker that wedges while the
+       queue drains is still ended at [stall_timeout]. *)
+    set t.drained;
     (* Workers are gone, so nothing can spill anymore: close the
        catch-up queue and let the drainer finish every committed
        segment — a spilled session's evidence is never abandoned at
@@ -1497,10 +1506,9 @@ let stop t =
     (match t.racedb with Some sink -> sink_stop sink | None -> ());
     List.iter
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (t.listen_fd :: t.stop_r :: t.stop_w :: Option.to_list t.metrics_fd);
-    List.iter
-      (fun path ->
-        try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+      (t.listen_fd :: t.stopping.r :: t.stopping.w :: t.drained.r :: t.drained.w
+       :: Option.to_list t.metrics_fd);
+    List.iter Crd_io.unlink_quiet
       (List.filter_map Fun.id [ t.sock_path; t.metrics_path ]);
     Crd_obs.Log.info "server_stopped" []
   end;

@@ -197,8 +197,10 @@ val start : config -> (t, string) result
 val stop : t -> stats
 (** Graceful drain: stop accepting, finish in-flight sessions (flushing
     their reports), join every domain, release the socket(s). One byte
-    on a stop pipe wakes every waiting loop (accept, metrics, watchdog,
-    anti-entropy) at once, so an idle server stops in milliseconds.
+    on a stop pipe wakes every waiting loop (accept, metrics,
+    anti-entropy) at once, so an idle server stops in milliseconds. The
+    stall watchdog runs until the workers are joined, so a session
+    wedged during the drain is still ended at [stall_timeout].
     Idempotent. *)
 
 val stats : t -> stats

@@ -78,38 +78,6 @@ let set_timeouts fd timeout =
     with Unix.Unix_error _ | Invalid_argument _ -> ()
   end
 
-(* EINTR-retrying syscall wrappers. [crd_server] cannot be a dependency
-   here (it depends on us), so these mirror [Proto.read_retry] /
-   [Proto.write_retry] and share the same ["io_eintr"] fault point by
-   name — one chaos spec storms both layers. *)
-let fp_io_eintr = Crd_fault.point "io_eintr"
-
-let rec read_retry fd b off len =
-  match
-    if Crd_fault.fire fp_io_eintr then
-      raise (Unix.Unix_error (Unix.EINTR, "read", ""))
-    else Unix.read fd b off len
-  with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_retry fd b off len
-
-let rec write_retry fd b off len =
-  match
-    if Crd_fault.fire fp_io_eintr then
-      raise (Unix.Unix_error (Unix.EINTR, "write", ""))
-    else Unix.write fd b off len
-  with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_retry fd b off len
-
-let write_all fd s =
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go off =
-    if off < len then go (off + write_retry fd b off (len - off))
-  in
-  go 0
-
 (* The per-read socket timeout resets on every byte, so a peer dripping
    one byte per window could hold an exchange — and its buffered,
    capped-but-large delta stream — open indefinitely. [dl] is the
@@ -125,7 +93,7 @@ let read_exact ~dl fd n ~what =
   let rec go off =
     if off < n then begin
       check_deadline dl;
-      match read_retry fd b off (n - off) with
+      match Crd_io.read_retry fd b off (n - off) with
       | 0 -> failwith (Printf.sprintf "sync: eof reading %s" what)
       | k -> go (off + k)
     end
@@ -138,7 +106,7 @@ let read_varint_fd ~dl fd ~what =
   let rec go acc shift n =
     if shift > 56 then failwith "sync: varint overflow";
     check_deadline dl;
-    match read_retry fd b 0 1 with
+    match Crd_io.read_retry fd b 0 1 with
     | 0 -> failwith (Printf.sprintf "sync: eof reading %s" what)
     | _ ->
         let c = Char.code (Bytes.get b 0) in
@@ -154,7 +122,7 @@ let write_frame ~dl fd payload =
   Varint.add b (String.length payload);
   Buffer.add_string b payload;
   let s = Buffer.contents b in
-  write_all fd s;
+  Crd_io.write_all fd s;
   Crd_obs.Counter.add m_bytes_sent (String.length s)
 
 let read_frame ~dl fd =
@@ -357,7 +325,7 @@ let client ?(timeout = 30.) ?deadline fd db =
          than the broken pipe. *)
       (try
          Crd_fault.inject fp_write;
-         write_all fd (sync_magic ^ String.make 1 (Char.chr sync_version));
+         Crd_io.write_all fd (sync_magic ^ String.make 1 (Char.chr sync_version));
          Crd_obs.Counter.add m_bytes_sent 5;
          write_frame ~dl fd
            (hello_payload ~node:(Db.node_id db) ~vv:(Db.version db))

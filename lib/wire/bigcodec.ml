@@ -689,15 +689,14 @@ let decode_string ?resync s =
 let iter_fd ?resync ?(len = max_int) fd ~f =
   let dec = Decoder.create ?resync () in
   let buf = Bytes.create 65536 in
-  let rec read n =
-    try Unix.read fd buf 0 n
-    with Unix.Unix_error (Unix.EINTR, _, _) -> read n
-  in
   Fun.protect
     ~finally:(fun () -> Decoder.release dec)
     (fun () ->
       let rec go left =
-        match if left = 0 then 0 else read (min left (Bytes.length buf)) with
+        match
+          if left = 0 then 0
+          else Crd_io.read_retry fd buf 0 (min left (Bytes.length buf))
+        with
         | 0 -> Decoder.finish dec
         | n -> (
             match Decoder.feed_bytes_iter dec ~len:n buf ~f with

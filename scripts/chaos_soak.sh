@@ -12,10 +12,11 @@
 #      sessions, never corrupt them);
 #   3. SIGTERM at the end drains gracefully and the server exits 0.
 #
-# A second phase soaks the race database: a server publishing into
-# --racedb is SIGKILLed (no drain, no final sync), then a compaction is
-# aborted by fault injection in exactly the window a mid-compaction kill
-# would hit (tmp index written, rename pending). After every insult the
+# A second phase soaks the race database under an io_eintr storm: a
+# server publishing into --racedb is SIGKILLed (no drain, no final
+# sync), then a compaction is aborted by fault injection in exactly the
+# window a mid-compaction kill would hit (tmp index written, rename
+# pending). After every insult the
 # reopened database must fold to exactly the fingerprint set the offline
 # `rd2 check --fingerprints` reports.
 #
@@ -171,7 +172,11 @@ fi
 DBDIR="$WORK/racedb"
 SOCK2="$WORK/serve2.sock"
 RACEDB_SENDS=3
+# Every racedb write (frames, markers, index) and session read in this
+# phase runs under an interrupt storm: each second syscall gets EINTR.
+EINTR="io_eintr=every:2"
 "$RD2" serve -a "unix:$SOCK2" --workers 2 --racedb "$DBDIR" \
+  --faults "seed=$SEED,$EINTR" \
   > "$WORK/server2.out" 2> "$WORK/server2.err" &
 SERVER_PID=$!
 for _ in $(seq 1 100); do
@@ -222,7 +227,7 @@ check_fps "after SIGKILL"
 
 # Abort a compaction in the kill window (tmp index written, rename
 # pending): the command must fail loudly and the store must be intact.
-if CRD_FAULTS="seed=$SEED,racedb_compact=once" \
+if CRD_FAULTS="seed=$SEED,racedb_compact=once,$EINTR" \
      "$RD2" db compact "$DBDIR" > /dev/null 2>&1; then
   echo "chaos_soak: FAIL — injected compaction abort reported success" >&2
   exit 1
@@ -230,7 +235,7 @@ fi
 check_fps "after aborted compaction"
 
 # The clean retry folds everything into the index; still the same set.
-"$RD2" db compact "$DBDIR" > /dev/null
+CRD_FAULTS="seed=$SEED,$EINTR" "$RD2" db compact "$DBDIR" > /dev/null
 check_fps "after compaction"
 
 echo "chaos_soak: PASS — racedb fingerprint set stable across SIGKILL," \

@@ -224,6 +224,31 @@ let replay_short_data () =
         e;
       Alcotest.(check int) "no event delivered" 0 (List.length events)
 
+(* Replay's [iter_fd] reads go through the EINTR-retrying loop: under
+   an [io_eintr] storm, replaying a journal of several 64 KiB reads
+   still yields the source trace. *)
+let replay_under_eintr_storm () =
+  let dir = Sessions.fresh_dir "crd-jtest" in
+  let t =
+    Crd_workloads.Synth.generate ~seed:7L (Crd_workloads.Synth.default ~events:20_000)
+  in
+  let bin = Wire.encode_trace t in
+  Alcotest.(check bool) "journal spans several reads" true
+    (String.length bin > 3 * 65536);
+  let j = Journal.start ~dir ~nonce:"e1" ~spec:"std" in
+  Journal.append j bin;
+  Journal.commit j;
+  Journal.close j;
+  Sessions.with_faults "seed=9,io_eintr=every:2" (fun () ->
+      match replay ~dir ~nonce:"e1" with
+      | Error (e, _) -> Alcotest.failf "replay: %s" e
+      | Ok (r, _, events) ->
+          Alcotest.(check bool) "stream complete" true (r = Ok ());
+          Alcotest.(check bool) "events = the source trace" true
+            (events = Trace.to_list t);
+          Alcotest.(check bool) "io_eintr fired" true
+            (Crd_fault.injected_count Crd_io.fp_io_eintr > 0))
+
 let fresh_nonce_unique () =
   let a = Journal.fresh_nonce () and b = Journal.fresh_nonce () in
   Alcotest.(check bool) "distinct" true (not (String.equal a b));
@@ -253,6 +278,8 @@ let suite =
         replay_drops_torn_tail;
       Alcotest.test_case "map_committed short data is an error" `Quick
         replay_short_data;
+      Alcotest.test_case "replay under an io_eintr storm" `Quick
+        replay_under_eintr_storm;
       Alcotest.test_case "fresh nonces are valid and unique" `Quick
         fresh_nonce_unique;
     ] )

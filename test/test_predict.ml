@@ -478,27 +478,7 @@ let fault_point_fails_cleanly () =
   | Ok _ -> Alcotest.fail "expected the injected fault to surface");
   Crd_fault.reset ()
 
-(* --- racedb provenance: migration and merge laws -------------------- *)
-
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
-
-let crc32 s =
-  let c = ref 0xffffffff in
-  String.iter
-    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xffffffff
-
-let add_u32le b v =
-  for i = 0 to 3 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
+(* --- racedb provenance: merge laws ----------------------------------- *)
 
 let mk_report key =
   let obj = Obj_id.make ~name:"dictionary:o" 0 in
@@ -514,86 +494,6 @@ let mk_report key =
     conflicting = "k[\"" ^ key ^ "\"]";
     prior = None;
   }
-
-(* v2 entry bytes: today's encoding minus the trailing provenance byte
-   (everything a v2 store held was witnessed). *)
-let encode_entry_v2 e =
-  let b = Buffer.create 128 in
-  Entry.encode b e;
-  let s = Buffer.contents b in
-  assert (s.[String.length s - 1] = '\x00');
-  String.sub s 0 (String.length s - 1)
-
-let v2_index ~folded_up_to entries =
-  let body = Buffer.create 256 in
-  Varint.add body folded_up_to;
-  Varint.add body 0 (* published nonces *);
-  Varint.add body (List.length entries);
-  List.iter (fun e -> Buffer.add_string body (encode_entry_v2 e)) entries;
-  let body = Buffer.contents body in
-  let b = Buffer.create (String.length body + 16) in
-  Buffer.add_string b "CRDX";
-  Buffer.add_char b '\x02';
-  Buffer.add_string b body;
-  add_u32le b (crc32 body);
-  Buffer.contents b
-
-let v2_merge_frame entries =
-  let p = Buffer.create 256 in
-  Buffer.add_char p 'G';
-  Varint.add p (List.length entries);
-  List.iter (fun e -> Buffer.add_string p (encode_entry_v2 e)) entries;
-  let payload = Buffer.contents p in
-  let b = Buffer.create (String.length payload + 12) in
-  Varint.add b (String.length payload);
-  Buffer.add_string b payload;
-  add_u32le b (crc32 payload);
-  Buffer.contents b
-
-(* Mint real entries by running records through a scratch store. *)
-let entries_of_records records =
-  let dir = Sessions.fresh_dir "crd-predict" in
-  let db = Result.get_ok (Db.open_db dir) in
-  List.iter (Db.append db) records;
-  let es = Db.entries db in
-  Db.close db;
-  es
-
-let v2_store_migrates () =
-  let e_idx =
-    List.hd (entries_of_records [ Record.make ~ts:100. ~spec:"std" (mk_report "a") ])
-  in
-  let e_seg =
-    List.hd (entries_of_records [ Record.make ~ts:200. ~spec:"std" (mk_report "b") ])
-  in
-  let dir = Sessions.fresh_dir "crd-predict" in
-  Sessions.write_file (Filename.concat dir "index.crdx")
-    (v2_index ~folded_up_to:1 [ e_idx ]);
-  let seg = v2_merge_frame [ e_seg ] in
-  Sessions.write_file (Filename.concat dir "seg-00000002.log") seg;
-  Sessions.write_file
-    (Filename.concat dir "seg-00000002.ok")
-    (Printf.sprintf "%d\n" (String.length seg));
-  (* read-only load: both entries come back witnessed *)
-  let v = Result.get_ok (Db.load dir) in
-  Alcotest.(check int) "load: distinct" 2 v.Db.v_stats.Db.distinct;
-  Alcotest.(check int) "load: predicted" 0 v.Db.v_stats.Db.predicted;
-  List.iter
-    (fun (e : Entry.t) ->
-      Alcotest.(check bool) "witnessed" true
-        (Provenance.equal e.Entry.provenance Provenance.Witnessed))
-    v.Db.v_entries;
-  (* writable open, add a predicted record, compact to a v3 index *)
-  let db = Result.get_ok (Db.open_db dir) in
-  Db.append db
-    (Record.make ~ts:300. ~provenance:Provenance.Predicted ~spec:"std"
-       (mk_report "c"));
-  Alcotest.(check bool) "compacts" true (Result.is_ok (Db.compact db));
-  Db.close db;
-  let v = Result.get_ok (Db.load dir) in
-  Alcotest.(check int) "post-compaction distinct" 2 v.Db.v_stats.Db.distinct;
-  Alcotest.(check int) "post-compaction predicted" 1 v.Db.v_stats.Db.predicted;
-  Alcotest.(check int) "post-compaction total" 3 v.Db.v_stats.Db.total
 
 let provenance_join_laws () =
   let all = [ Provenance.Predicted; Provenance.Witnessed ] in
@@ -686,7 +586,6 @@ let suite =
         predict_superset_of_check;
       Alcotest.test_case "predict_pass fault fails cleanly" `Quick
         fault_point_fails_cleanly;
-      Alcotest.test_case "v2 store migrates to v3" `Quick v2_store_migrates;
       Alcotest.test_case "provenance join laws" `Quick provenance_join_laws;
       Alcotest.test_case "witnessed promotes predicted" `Quick
         witnessed_promotes_predicted;

@@ -716,12 +716,9 @@ let select_filters () =
     (List.length (Db.select ~spec:"custom" es));
   Db.close db
 
-(* --- v1 (pre-replication) store migration --------------------------- *)
+(* --- stores this build does not read ---------------------------------- *)
 
-(* Byte-for-byte what the pre-replication code wrote: a v1 index
-   (plain counts, no vectors, no nonce set) plus untagged record
-   frames. Upgraded binaries must open these, not refuse them. *)
-
+(* An independent CRC-32 for the hand-built frames and indexes below. *)
 let crc_table =
   Array.init 256 (fun n ->
       let c = ref n in
@@ -748,90 +745,56 @@ let add_i64le b v =
       (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
   done
 
-let v1_frame r =
-  let payload = Record.encode r in
-  let b = Buffer.create 64 in
+(* varint(len) payload crc32_le(payload): a frame whose checksum holds. *)
+let frame payload =
+  let b = Buffer.create (String.length payload + 8) in
   Varint.add b (String.length payload);
   Buffer.add_string b payload;
   add_u32le b (crc32 payload);
   Buffer.contents b
 
-let v1_entry b ~count (r : Record.t) =
-  add_i64le b (Record.fingerprint r);
-  Varint.add b count;
-  add_i64le b (Int64.bits_of_float r.Record.ts);
-  add_i64le b (Int64.bits_of_float r.Record.ts);
-  let minutes = Rollup.create ~res:60 ~slots:60 in
-  let hours = Rollup.create ~res:3600 ~slots:48 in
-  let days = Rollup.create ~res:86400 ~slots:30 in
-  Rollup.add ~count minutes r.Record.ts;
-  Rollup.add ~count hours r.Record.ts;
-  Rollup.add ~count days r.Record.ts;
-  Rollup.encode b minutes;
-  Rollup.encode b hours;
-  Rollup.encode b days;
-  let sample = Record.encode r in
-  Varint.add b (String.length sample);
-  Buffer.add_string b sample
-
-let v1_index ~folded_up_to entries =
-  let body = Buffer.create 256 in
-  Varint.add body folded_up_to;
-  Varint.add body (List.length entries);
-  List.iter (fun (count, r) -> v1_entry body ~count r) entries;
-  let body = Buffer.contents body in
+let index ~version body =
   let b = Buffer.create (String.length body + 16) in
   Buffer.add_string b "CRDX";
-  Buffer.add_char b '\x01';
+  Buffer.add_char b (Char.chr version);
   Buffer.add_string b body;
   add_u32le b (crc32 body);
   Buffer.contents b
 
-let v1_store_migrates () =
-  let dir = Sessions.fresh_dir "crd-racedb" in
-  let r_idx = mk_record ~key:"folded" 100. in
-  let r_seg = mk_record ~key:"live" 200. in
-  (* seg-1 was compacted into the index (count 3); seg-2 is still live *)
-  Sessions.write_file (Filename.concat dir "index.crdx")
-    (v1_index ~folded_up_to:1 [ (3, r_idx) ]);
-  let seg = v1_frame r_seg in
-  Sessions.write_file (Filename.concat dir "seg-00000002.log") seg;
-  Sessions.write_file (Filename.concat dir "seg-00000002.ok")
-    (Printf.sprintf "%d\n" (String.length seg));
-  (* read-only load migrates without touching anything *)
-  let v = Result.get_ok (Db.load dir) in
-  Alcotest.(check int) "load: distinct" 2 v.Db.v_stats.Db.distinct;
-  Alcotest.(check int) "load: total" 4 v.Db.v_stats.Db.total;
-  (* writable open attributes history to the freshly minted node id,
-     identically on every open until compaction rewrites the index *)
-  let count_of db fp = count_of (Db.entries db) fp in
-  let db = Result.get_ok (Db.open_db dir) in
-  let node = Db.node_id db in
-  Alcotest.(check bool) "node id minted" true (node <> "");
-  Alcotest.(check int) "folded count survives" 3
-    (count_of db (Record.fingerprint r_idx));
-  Alcotest.(check int) "live segment survives" 1
-    (count_of db (Record.fingerprint r_seg));
-  Alcotest.(check int) "version covers the migration" 2
-    (Crd_racedb.Vv.get (Db.version db) node);
-  Db.close db;
-  let db = Result.get_ok (Db.open_db dir) in
-  Alcotest.(check int) "re-migration is deterministic" 2
-    (Crd_racedb.Vv.get (Db.version db) node);
-  Db.append db (mk_record ~key:"folded" 300.);
-  Alcotest.(check bool) "compaction rewrites as v2" true
-    (Result.is_ok (Db.compact db));
-  Db.close db;
-  let v = Result.get_ok (Db.load dir) in
-  Alcotest.(check int) "post-compaction total" 5 v.Db.v_stats.Db.total;
-  Alcotest.(check string) "view sees the node" node v.Db.v_node
+(* The pre-replication (v1) index: plain counts, no vectors, no nonce
+   set. *)
+let v1_index (r : Record.t) =
+  let b = Buffer.create 256 in
+  Varint.add b 0 (* folded_up_to *);
+  Varint.add b 1;
+  add_i64le b (Record.fingerprint r);
+  Varint.add b 3;
+  add_i64le b (Int64.bits_of_float r.Record.ts);
+  add_i64le b (Int64.bits_of_float r.Record.ts);
+  List.iter
+    (fun (res, slots) -> Rollup.encode b (Rollup.create ~res ~slots))
+    [ (60, 60); (3600, 48); (86400, 30) ];
+  let sample = Record.encode r in
+  Varint.add b (String.length sample);
+  Buffer.add_string b sample;
+  index ~version:1 (Buffer.contents b)
 
+(* A pre-provenance (v2) entry: today's layout without the trailing
+   provenance byte. *)
+let entry_v2 e =
+  let b = Buffer.create 256 in
+  Entry.encode b e;
+  Buffer.sub b 0 (Buffer.length b - 1)
 
-(* --- counted chunks = the per-record fold ---------------------------- *)
+let v2_index es =
+  let b = Buffer.create 256 in
+  Varint.add b 0 (* folded_up_to *);
+  Varint.add b 0 (* published nonces *);
+  Varint.add b (List.length es);
+  List.iter (fun e -> Buffer.add_string b (entry_v2 e)) es;
+  index ~version:2 (Buffer.contents b)
 
-(* Byte-for-byte the legacy 'B' session-batch frames the previous
-   publisher wrote: one frame per 4,096-record chunk, holding the chunk
-   nonce and every record. *)
+(* A 'B' session batch: the chunk nonce and every record. *)
 let b_frame ~nonce records =
   let p = Buffer.create 256 in
   Buffer.add_char p 'B';
@@ -844,25 +807,81 @@ let b_frame ~nonce records =
       Varint.add p (String.length s);
       Buffer.add_string p s)
     records;
-  let payload = Buffer.contents p in
-  let b = Buffer.create (String.length payload + 8) in
-  Varint.add b (String.length payload);
-  Buffer.add_string b payload;
-  add_u32le b (crc32 payload);
-  Buffer.contents b
+  frame (Buffer.contents p)
 
-let b_frames ~nonce records =
-  let rec go i acc = function
-    | [] -> String.concat "" (List.rev acc)
-    | rs ->
-        let chunk = List.filteri (fun j _ -> j < 4096) rs in
-        let rest = List.filteri (fun j _ -> j >= 4096) rs in
-        let cn =
-          if nonce = "" || i = 0 then nonce else Printf.sprintf "%s#%d" nonce i
-        in
-        go (i + 1) (b_frame ~nonce:cn chunk :: acc) rest
+(* A 'G' merge batch of v2 entries. *)
+let g_frame es =
+  let p = Buffer.create 256 in
+  Buffer.add_char p 'G';
+  Varint.add p (List.length es);
+  List.iter (fun e -> Buffer.add_string p (entry_v2 e)) es;
+  frame (Buffer.contents p)
+
+(* Every file of [dir] with the digest of its bytes. *)
+let dir_image dir =
+  Sys.readdir dir |> Array.to_list |> List.sort String.compare
+  |> List.map (fun f ->
+         (f, Digest.to_hex (Digest.file (Filename.concat dir f))))
+
+(* A store this build wrote, then [mangle]d into one it must refuse:
+   [mangle] returns the file and the text the error must name. Both
+   opens fail, and not one byte of the directory changes. *)
+let refused_store mangle () =
+  let dir = Sessions.fresh_dir "crd-racedb" in
+  let db = Result.get_ok (Db.open_db dir) in
+  Db.append db (mk_record ~key:"a" 1.);
+  ignore (Db.publish db ~nonce:"s1" [ mk_record ~key:"b" 2.; mk_record ~key:"b" 2. ]);
+  let es = Db.entries db in
+  Db.close db;
+  let file, where = mangle dir es in
+  let before = dir_image dir in
+  let refused what = function
+    | Ok () -> Alcotest.failf "%s accepted the store" what
+    | Error e ->
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s error %S names %S" what e needle)
+              true (Sessions.contains e needle))
+          [ file; where ]
   in
-  go 0 [] records
+  refused "load" (Result.map ignore (Db.load dir));
+  refused "open_db" (Result.map Db.close (Db.open_db dir));
+  Alcotest.(check (list (pair string string)))
+    "directory unchanged" before (dir_image dir)
+
+let with_index bytes dir _ =
+  let path = Filename.concat dir "index.crdx" in
+  Sessions.write_file path bytes;
+  (path, "predates this build")
+
+(* The frame lands after the store's own frames, past its commit
+   marker, where a torn tail would be. *)
+let with_frame bytes dir _ =
+  let seg = only_segment dir in
+  let off = String.length (Sessions.read_file seg) in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 seg (fun oc ->
+      Out_channel.output_string oc bytes);
+  (seg, Printf.sprintf "byte %d" off)
+
+let refused_store_test (name, mangle) =
+  Alcotest.test_case ("db: refuses " ^ name) `Quick (refused_store mangle)
+
+let refused_v1_index =
+  refused_store_test
+    ("a v1 index", fun dir es -> with_index (v1_index (List.hd es).Entry.sample) dir es)
+
+let refused_store_tests =
+  List.map refused_store_test
+    [
+      ("a v2 index", fun dir es -> with_index (v2_index es) dir es);
+      ( "a 'B' frame",
+        fun dir es -> with_frame (b_frame ~nonce:"s2" [ mk_record ~key:"d" 3. ]) dir es );
+      ("a 'G' frame", fun dir es -> with_frame (g_frame es) dir es);
+      ("an unknown 'Z' frame", fun dir es -> with_frame (frame "Zzz") dir es);
+    ]
+
+(* --- counted chunks = the per-record fold ---------------------------- *)
 
 (* A store directory whose node id is fixed, so two stores built from
    the same records compare entry for entry. *)
@@ -871,19 +890,27 @@ let node_dir () =
   Sessions.write_file (Filename.concat dir "node") "n1\n";
   dir
 
-let write_segment dir id bytes =
-  Sessions.write_file (Filename.concat dir (Printf.sprintf "seg-%08d.log" id)) bytes;
-  Sessions.write_file
-    (Filename.concat dir (Printf.sprintf "seg-%08d.ok" id))
-    (Printf.sprintf "%d\n" (String.length bytes))
-
-(* The reference: every batch written as legacy 'B' frames and folded
-   record by record when the store opens. *)
-let legacy_store batches =
-  let dir = node_dir () in
-  write_segment dir 1
-    (String.concat "" (List.map (fun (nonce, rs) -> b_frames ~nonce rs) batches));
-  Result.get_ok (Db.open_db dir)
+(* The reference: every record appended on its own. A session splits
+   into 4,096-record chunks under the nonces nonce, nonce#1, ..., and a
+   chunk whose nonce was published before is skipped: the dedup
+   [publish] promises, written out. *)
+let append_store batches =
+  let db = Result.get_ok (Db.open_db (node_dir ())) in
+  let seen = Hashtbl.create 16 in
+  let rec chunks nonce i rs =
+    if rs <> [] then begin
+      let cn =
+        if nonce = "" || i = 0 then nonce else Printf.sprintf "%s#%d" nonce i
+      in
+      if cn = "" || not (Hashtbl.mem seen cn) then begin
+        Hashtbl.replace seen cn ();
+        List.iteri (fun j r -> if j < 4096 then Db.append db r) rs
+      end;
+      chunks nonce (i + 1) (List.filteri (fun j _ -> j >= 4096) rs)
+    end
+  in
+  List.iter (fun (nonce, rs) -> chunks nonce 0 rs) batches;
+  db
 
 let same_store what expect db =
   let a = Db.entries expect and b = Db.entries db in
@@ -936,9 +963,9 @@ let publish_all db batches =
 
 let counted_fold_tests =
   [
-    QCheck2.Test.make ~count:40 ~name:"publish = per-record 'B' fold"
+    QCheck2.Test.make ~count:40 ~name:"publish = per-record append fold"
       ~print:pp_batches batches_gen (fun batches ->
-        let expect = legacy_store batches in
+        let expect = append_store batches in
         (* all counted: live, after reopen, after compact + reopen *)
         let dir = node_dir () in
         let db = Result.get_ok (Db.open_db dir) in
@@ -952,24 +979,10 @@ let counted_fold_tests =
         let db = Result.get_ok (Db.open_db dir) in
         same_store "compacted" expect db;
         Db.close db;
-        (* mixed: the first batch as a legacy 'B' segment, the rest
-           published on top of it *)
-        let dir = node_dir () in
-        (match batches with
-        | [] -> ()
-        | (nonce, rs) :: rest ->
-            write_segment dir 1 (b_frames ~nonce rs);
-            let db = Result.get_ok (Db.open_db dir) in
-            publish_all db rest;
-            same_store "mixed live" expect db;
-            Db.close db;
-            let db = Result.get_ok (Db.open_db dir) in
-            same_store "mixed reopened" expect db;
-            Db.close db);
         Db.close expect;
         true)
     |> QCheck_alcotest.to_alcotest;
-    Alcotest.test_case "publish = per-record 'B' fold, multi-chunk" `Quick
+    Alcotest.test_case "publish = per-record append fold, multi-chunk" `Quick
       (fun () ->
         (* 9,000 records: three chunks with derived nonces, groups that
            span chunks, and a re-publish the dedup must drop *)
@@ -982,7 +995,7 @@ let counted_fold_tests =
                   Report.index = i })
         in
         let batches = [ ("big", rs); ("", List.filteri (fun i _ -> i < 10) rs); ("big", rs) ] in
-        let expect = legacy_store batches in
+        let expect = append_store batches in
         let dir = node_dir () in
         let db = Result.get_ok (Db.open_db dir) in
         Alcotest.(check bool) "first publish writes" true (Db.publish db ~nonce:"big" rs);
@@ -995,6 +1008,37 @@ let counted_fold_tests =
         List.iter
           (fun n -> Alcotest.(check bool) ("chunk nonce " ^ n) true (Db.published db n))
           [ "big"; "big#1"; "big#2" ];
+        Db.close db;
+        Db.close expect);
+    Alcotest.test_case "publish, compact, reopen under an io_eintr storm" `Quick
+      (fun () ->
+        (* every second write is interrupted; the store must come out
+           as the undisturbed one *)
+        let rs =
+          List.init 9000 (fun i ->
+              Record.make ~ts:(float_of_int (i mod 5)) ~spec:"std"
+                { (mk_report ~key:(string_of_int (i mod 13)) ()) with
+                  Report.index = i })
+        in
+        let build () =
+          let dir = node_dir () in
+          let db = Result.get_ok (Db.open_db dir) in
+          ignore (Db.publish db ~nonce:"storm" rs);
+          (match Db.compact db with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "compact: %s" e);
+          Db.close db;
+          Result.get_ok (Db.open_db dir)
+        in
+        let expect = build () in
+        let db =
+          Sessions.with_faults "seed=3,io_eintr=every:2" (fun () ->
+              let db = build () in
+              Alcotest.(check bool) "io_eintr fired" true
+                (Crd_fault.injected_count Crd_io.fp_io_eintr > 0);
+              db)
+        in
+        same_store "after the storm" expect db;
         Db.close db;
         Db.close expect);
   ]
@@ -1107,14 +1151,13 @@ let suite =
         Alcotest.test_case "db: SIGKILL-shaped crash image" `Quick
           crash_copy_recovers_everything;
         Alcotest.test_case "db: select filters" `Quick select_filters;
-        Alcotest.test_case "db: v1 store migrates on open" `Quick
-          v1_store_migrates;
+        refused_v1_index;
         Alcotest.test_case "db: record over 1 MiB survives reopen" `Quick
           large_record_reopen;
         Alcotest.test_case "db: record over 1 MiB survives compact+reopen"
           `Quick large_record_compact_reopen;
       ]
-    @ counted_fold_tests
+    @ refused_store_tests @ counted_fold_tests
     @ [
         Alcotest.test_case "record: thread id out of range" `Quick
           record_tid_out_of_range;

@@ -990,6 +990,51 @@ let sock_write_loses_one_reply () =
           Alcotest.(check bool) "no .report.tmp" false (file_exists dir "lost.report.tmp");
           delivered "third"))
 
+(* An injected fatal accept error takes the path a real one does: the
+   server stops accepting, counts no transient error, serves nothing,
+   and [stop] returns at once. *)
+let injected_fatal_accept_stops () =
+  with_server (fun ~addr ~server ->
+      Server.inject_accept_error server Unix.EBADF;
+      let fd = Server.connect addr in
+      Fun.protect
+        ~finally:(fun () -> close_quietly fd)
+        (fun () ->
+          Proto.send_handshake fd ~nonce:"ebadf" ~spec:"std" ();
+          Unix.sleepf 0.3);
+      let st = Server.stats server in
+      Alcotest.(check int) "no transient accept error" 0 st.Server.accept_errors;
+      Alcotest.(check int) "no session served" 0 st.Server.sessions;
+      let t0 = Unix.gettimeofday () in
+      ignore (Server.stop server);
+      let ms = 1000. *. (Unix.gettimeofday () -. t0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "stop took %.1f ms, under 1 s" ms)
+        true (ms < 1000.))
+
+(* The stall watchdog scans until [stop] has joined the workers: a
+   session wedged while the queue drains is ended at [stall_timeout],
+   not held until the worker_stall fault's 60 s cap. *)
+let watchdog_outlives_drain () =
+  let trace = snitch_trace () in
+  with_faults "seed=5,worker_stall=nth:1" (fun () ->
+      with_server
+        ~f_config:(fun c -> { c with Server.workers = 1; stall_timeout = 0.5 })
+        (fun ~addr ~server ->
+          let client =
+            Thread.create (fun () -> ignore (Client.send_trace ~addr trace)) ()
+          in
+          poll "session never parked" (fun () ->
+              Crd_fault.injected_count Crd_server.Overload.fp_stall >= 1);
+          let t0 = Unix.gettimeofday () in
+          let st = Server.stop server in
+          let s = Unix.gettimeofday () -. t0 in
+          Thread.join client;
+          Alcotest.(check bool)
+            (Printf.sprintf "stop took %.2f s, under 5 s" s)
+            true (s < 5.);
+          Alcotest.(check int) "one stall" 1 st.Server.stalls))
+
 let suite =
   ( "server",
     [
@@ -1037,4 +1082,8 @@ let suite =
         multi_block_reply;
       Alcotest.test_case "sock_write loses one whole reply" `Quick
         sock_write_loses_one_reply;
+      Alcotest.test_case "injected fatal accept error stops the server" `Quick
+        injected_fatal_accept_stops;
+      Alcotest.test_case "watchdog outlives the drain" `Quick
+        watchdog_outlives_drain;
     ] )
