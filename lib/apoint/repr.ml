@@ -4,6 +4,7 @@ open Crd_spec
 
 (* Kind index: 0 = Ds, 1 + i = argument/return slot i. *)
 let kind_index = function Translate.Ds -> 0 | Translate.Slot i -> 1 + i
+let kind_of_index = function 0 -> Translate.Ds | i -> Translate.Slot (i - 1)
 
 type t = {
   raw : Translate.t;
@@ -23,8 +24,6 @@ let spec t = t.raw.Translate.spec
 (* ------------------------------------------------------------------ *)
 (* Building: shared plumbing                                           *)
 (* ------------------------------------------------------------------ *)
-
-module KeyTbl = Hashtbl
 
 let name_slots (m : Signature.t) (a : Atom.t) =
   let slot_name i =
@@ -64,97 +63,116 @@ let desc_of_key (raw : Translate.t) (k : Translate.key) ~mask =
   else
     Printf.sprintf "%s{%s}:%s" m.Signature.meth (Buffer.contents conds) kind
 
-(* A projected key: raw key whose beta has been masked to the relevant
-   atoms of its (method, kind). *)
+(* The submasks of [mask], in increasing order. *)
+let submasks mask =
+  let rec go s acc =
+    if s = 0 then 0 :: acc else go ((s - 1) land mask) (s :: acc)
+  in
+  go mask []
+
+(* The keys of method [m] with a beta within [mask] and a kind in [kinds]. *)
+let keys m mask kinds =
+  List.concat_map
+    (fun beta -> List.map (fun kind -> { Translate.meth = m; beta; kind }) kinds)
+    (submasks mask)
+
+(* Pass 1, dropping: the atoms of [m] whose flip changes the conflicts of
+   a [kind] shape of [m]. A key of [m] meets a key of partner [j] only
+   through the atoms their pair reads, so it is enough to compare, over
+   those atoms of [m], the partner's keys over its atoms of the pair. *)
+let relevant (raw : Translate.t) m kind =
+  let natoms = Array.length raw.Translate.atoms.(m) in
+  let bits = List.init natoms (fun q -> 1 lsl q) in
+  Array.to_list raw.Translate.methods
+  |> List.mapi (fun j (sj : Signature.t) ->
+         let kinds = List.init (1 + Signature.arity sj) kind_of_index in
+         let partners = keys j (Translate.reads raw j m) kinds in
+         let meets = Hashtbl.create 16 in
+         List.iter
+           (fun beta ->
+             let k = { Translate.meth = m; beta; kind } in
+             Hashtbl.replace meets beta
+               (List.filter (Translate.conflict raw k) partners))
+           (submasks (Translate.reads raw m j));
+         Hashtbl.fold
+           (fun beta hits acc ->
+             List.fold_left
+               (fun acc bit ->
+                 match Hashtbl.find_opt meets (beta lor bit) with
+                 | Some hits' when beta land bit = 0 && hits <> hits' ->
+                     acc lor bit
+                 | Some _ | None -> acc)
+               acc bits)
+           meets 0)
+  |> List.fold_left ( lor ) 0
 
 let build ~optimize (raw : Translate.t) =
   let methods = raw.Translate.methods in
   let nmeth = Array.length methods in
-  (* --- Pass 1: dropping (compute per-(m, kind) relevance masks). ----- *)
   let natoms m = Array.length raw.Translate.atoms.(m) in
   let nkinds m = 1 + Signature.arity methods.(m) in
-  let kind_of_index = function 0 -> Translate.Ds | i -> Translate.Slot (i - 1) in
   let masks =
     Array.init nmeth (fun m ->
         Array.init (nkinds m) (fun ki ->
-            if not optimize then (1 lsl natoms m) - 1
-            else begin
-              let kind = kind_of_index ki in
-              let relevant = ref 0 in
-              for q = 0 to natoms m - 1 do
-                let bit = 1 lsl q in
-                let differs = ref false in
-                let nbeta = 1 lsl natoms m in
-                let beta = ref 0 in
-                while (not !differs) && !beta < nbeta do
-                  let k1 = { Translate.meth = m; beta = !beta; kind } in
-                  let k2 =
-                    { Translate.meth = m; beta = !beta lxor bit; kind }
-                  in
-                  if
-                    not
-                      (List.equal Translate.key_equal
-                         (Translate.conflict_set raw k1)
-                         (Translate.conflict_set raw k2))
-                  then differs := true;
-                  incr beta
-                done;
-                if !differs then relevant := !relevant lor bit
-              done;
-              !relevant
-            end))
+            if optimize then relevant raw m (kind_of_index ki)
+            else (1 lsl natoms m) - 1))
   in
-  let project (k : Translate.key) =
-    let mask = masks.(k.Translate.meth).(kind_index k.Translate.kind) in
-    { k with Translate.beta = k.Translate.beta land mask }
+  (* --- The projected shapes of each method, in key order. A projected
+         shape's conflicts are the projected shapes it conflicts with:
+         flipping an irrelevant bit keeps a shape's conflicts, so this is
+         its raw set, projected. A shape meets partner [j] only through
+         the bits their pair reads, so its hits on [j] are shared by every
+         shape that agrees on those bits. ------------------------------ *)
+  let of_meth =
+    Array.init nmeth (fun m ->
+        List.init (nkinds m) (fun ki ->
+            keys m masks.(m).(ki) [ kind_of_index ki ])
+        |> List.concat
+        |> List.sort Translate.key_compare)
   in
-  (* --- Collect projected shapes and their conflict sets. ------------- *)
-  let proj_conf : (Translate.key, Translate.key list) KeyTbl.t =
-    KeyTbl.create 64
+  let partners = List.init nmeth Fun.id in
+  let per_partner f =
+    let memo = Hashtbl.create 64 in
+    fun (k : Translate.key) j ->
+      let reads = Translate.reads raw k.Translate.meth j in
+      let k = { k with Translate.beta = k.Translate.beta land reads } in
+      match Hashtbl.find_opt memo (k, j) with
+      | Some v -> v
+      | None ->
+          let v = f k j in
+          Hashtbl.add memo (k, j) v;
+          v
   in
-  let proj_desc : (Translate.key, string) KeyTbl.t = KeyTbl.create 64 in
-  List.iter
-    (fun k ->
-      let pk = project k in
-      if not (KeyTbl.mem proj_conf pk) then begin
-        let conf =
-          Translate.conflict_set raw k
-          |> List.map project
-          |> List.sort_uniq Translate.key_compare
-        in
-        KeyTbl.replace proj_conf pk conf;
-        KeyTbl.replace proj_desc pk
-          (desc_of_key raw k
-             ~mask:(masks.(k.Translate.meth).(kind_index k.Translate.kind)))
-      end)
-    (Translate.universe raw);
+  let hits =
+    per_partner (fun k j -> List.filter (Translate.conflict raw k) of_meth.(j))
+  in
   (* --- Pass 2: cleanup (drop conflict-free shapes). ------------------ *)
-  let keep conf = (not optimize) || conf <> [] in
   let shapes =
-    KeyTbl.fold
-      (fun k conf acc -> if keep conf then k :: acc else acc)
-      proj_conf []
-    |> List.sort Translate.key_compare
+    List.concat (Array.to_list of_meth)
+    |> List.filter (fun k ->
+           (not optimize) || List.exists (fun j -> hits k j <> []) partners)
+    |> Array.of_list
   in
-  (* Assign provisional ids. *)
-  let id_of : (Translate.key, int) KeyTbl.t = KeyTbl.create 64 in
-  List.iteri (fun i k -> KeyTbl.replace id_of k i) shapes;
-  let shapes = Array.of_list shapes in
+  (* Assign provisional ids. A kept shape conflicts only with kept
+     shapes: a dropped one has no conflicts, and [Co] is symmetric. *)
+  let id_of = Hashtbl.create 64 in
+  Array.iteri (fun i k -> Hashtbl.replace id_of k i) shapes;
   let n = Array.length shapes in
-  let conf_ids =
-    Array.map
-      (fun k ->
-        KeyTbl.find proj_conf k
-        |> List.filter_map (fun k' -> KeyTbl.find_opt id_of k')
-        |> List.sort_uniq compare)
-      shapes
+  let hit_ids =
+    per_partner (fun k j -> List.map (Hashtbl.find id_of) (hits k j))
   in
-  let descs = Array.map (fun k -> KeyTbl.find proj_desc k) shapes in
-  let keyed =
+  let conf_ids =
+    Array.map (fun k -> List.concat_map (hit_ids k) partners) shapes
+  in
+  let descs =
     Array.map
       (fun (k : Translate.key) ->
-        match k.Translate.kind with Translate.Ds -> false | Translate.Slot _ -> true)
+        desc_of_key raw k
+          ~mask:masks.(k.Translate.meth).(kind_index k.Translate.kind))
       shapes
+  in
+  let keyed =
+    Array.map (fun (k : Translate.key) -> k.Translate.kind <> Translate.Ds) shapes
   in
   (* --- Pass 3: congruence replacement (merge shapes with identical
          conflict sets and the same point kind), to fixpoint. ---------- *)
@@ -204,29 +222,27 @@ let build ~optimize (raw : Translate.t) =
   let final_of i = final.(repr.(i)) in
   let conflict_ids = Array.make nfinal [||] in
   let is_keyed = Array.make nfinal false in
-  let final_descs = Array.make nfinal "" in
-  for i = 0 to n - 1 do
+  let members = Array.make nfinal [] in
+  for i = n - 1 downto 0 do
     let f = final_of i in
+    members.(f) <- descs.(i) :: members.(f);
     if repr.(i) = i then begin
       conflict_ids.(f) <-
         Array.of_list (List.sort_uniq compare (List.map final_of conf.(i)));
-      is_keyed.(f) <- keyed.(i);
-      final_descs.(f) <- descs.(i)
+      is_keyed.(f) <- keyed.(i)
     end
-    else
-      (* Record merged constituents in the description. *)
-      final_descs.(f) <- final_descs.(f) ^ " ~ " ^ descs.(i)
   done;
+  (* Record merged constituents in the description. *)
+  let final_descs = Array.map (String.concat " ~ ") members in
   (* --- Dispatch tables. ---------------------------------------------- *)
   let dispatch =
     Array.init nmeth (fun m ->
         Array.init (nkinds m) (fun ki ->
             let nbeta = 1 lsl natoms m in
             Array.init nbeta (fun beta ->
-                let k =
-                  project { Translate.meth = m; beta; kind = kind_of_index ki }
-                in
-                match KeyTbl.find_opt id_of k with
+                let beta = beta land masks.(m).(ki) in
+                let k = { Translate.meth = m; beta; kind = kind_of_index ki } in
+                match Hashtbl.find_opt id_of k with
                 | Some i -> final_of i
                 | None -> -1)))
   in

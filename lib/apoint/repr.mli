@@ -3,7 +3,7 @@
     (Section 6.2) and, optionally, the simplification passes of
     Appendix A.3.
 
-    The representation is {e symbolic}: the infinite point universe is
+    The representation is {e symbolic}: the infinite point set [Xo] is
     generated by finitely many shapes, so [conflicts] returns a finite
     list whose length is bounded by a static constant — the property
     behind the detector's O(1) per-invocation cost (Theorem 6.6,
@@ -19,7 +19,17 @@ val of_spec : ?optimize:bool -> Spec.t -> (t, string) result
 (** Translate a specification. [optimize] (default [true]) runs the
     dropping, cleanup and congruence-replacement passes; with
     [~optimize:false] the raw translation of Section 6.2 is kept
-    verbatim. Fails on non-ECL specifications. *)
+    verbatim. Fails on non-ECL specifications, and on a method with
+    more than {!Translate.max_atoms} relevant atoms.
+
+    Everything is derived from {!Translate}'s per-pair residual tables.
+    Dropping keeps an atom of a method's (ds or slot) shapes iff
+    flipping it changes a lookup against some partner key, searched
+    over the atoms the pair reads; the shapes are then enumerated
+    straight from those relevance masks, and a shape's conflicts are
+    the shapes it hits by lookup. The cost follows the pair tables and
+    the projected shapes, not [2^|atoms|] per method pair; the
+    dispatch table is [2^|atoms|] ints per method and point kind. *)
 
 val memo : unit -> Spec.t -> (t, string) result
 (** A translation cache: [memo ()] translates each distinct

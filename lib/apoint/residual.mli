@@ -13,7 +13,6 @@ type t =
   | Rfalse
   | Rconj of (int * int) list  (** [Rconj \[\]] is [true] *)
 
-val rtrue : t
 val equal : t -> t -> bool
 val pp : t Fmt.t
 

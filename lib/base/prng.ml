@@ -33,11 +33,6 @@ let choose t arr =
   if Array.length arr = 0 then invalid_arg "Prng.choose: empty array";
   arr.(int t (Array.length arr))
 
-let choose_list t l =
-  match l with
-  | [] -> invalid_arg "Prng.choose_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

@@ -25,6 +25,5 @@ val float : t -> float -> float
 val choose : t -> 'a array -> 'a
 (** @raise Invalid_argument on an empty array. *)
 
-val choose_list : t -> 'a list -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

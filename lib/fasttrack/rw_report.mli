@@ -7,7 +7,6 @@ type kind = Write_write | Write_read | Read_write
 
 type t = { index : int; loc : Mem_loc.t; tid : Tid.t; kind : kind }
 
-val kind_name : kind -> string
 val pp : t Fmt.t
 
 type locations

@@ -7,13 +7,6 @@ type policy =
   | Nth of int
   | Every of int
 
-let policy_to_string = function
-  | Off -> "off"
-  | Prob p -> Printf.sprintf "p:%g" p
-  | Once -> "once"
-  | Nth n -> Printf.sprintf "nth:%d" n
-  | Every n -> Printf.sprintf "every:%d" n
-
 (* ------------------------------------------------------------------ *)
 (* Stateless SplitMix64 decision streams                               *)
 (* ------------------------------------------------------------------ *)

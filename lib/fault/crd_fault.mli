@@ -49,8 +49,6 @@ type policy =
   | Nth of int  (** inject exactly the [n]th hit (1-based) *)
   | Every of int  (** inject every [n]th hit *)
 
-val policy_to_string : policy -> string
-
 type point
 
 val point : string -> point

@@ -15,10 +15,18 @@ let rec read_retry fd b off len =
   | n -> n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_retry fd b off len
 
+(* [io_enospc] fails a write the way a full disk does: part of the
+   buffer lands, then [ENOSPC]. *)
+let fp_io_enospc = Crd_fault.point "io_enospc"
+
 let rec write_retry fd b off len =
   match
     if Crd_fault.fire fp_io_eintr then
       raise (Unix.Unix_error (Unix.EINTR, "write", ""))
+    else if Crd_fault.fire fp_io_enospc then begin
+      ignore (Unix.write fd b off (len / 2) : int);
+      raise (Unix.Unix_error (Unix.ENOSPC, "write", ""))
+    end
     else Unix.write fd b off len
   with
   | n -> n

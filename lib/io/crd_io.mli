@@ -9,6 +9,11 @@ val fp_io_eintr : Crd_fault.point
     path of every caller (session sockets, sync exchanges, the racedb,
     journals and their replay) without a real signal storm. *)
 
+val fp_io_enospc : Crd_fault.point
+(** Fault point ["io_enospc"], consulted once per raw [write] syscall
+    as {!fp_io_eintr} is: writes the first half of the buffer, then
+    raises [Unix.ENOSPC], which reaches the caller. *)
+
 val read_retry : Unix.file_descr -> Bytes.t -> int -> int -> int
 (** [Unix.read], retrying on [EINTR]. Returns 0 only at end-of-stream. *)
 

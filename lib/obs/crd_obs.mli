@@ -61,9 +61,6 @@ module Histogram : sig
   val name : t -> string
 end
 
-val default_buckets : float array
-(** Upper bounds in seconds, 1 µs to 30 s. *)
-
 module Registry : sig
   type t
 
@@ -77,8 +74,8 @@ module Registry : sig
   val gauge : ?help:string -> t -> string -> Gauge.t
 
   val histogram : ?help:string -> ?buckets:float array -> t -> string -> Histogram.t
-  (** [buckets] must be strictly increasing (default
-      {!default_buckets}); a final [+Inf] bucket is implicit.
+  (** [buckets] must be strictly increasing (default: upper
+      bounds in seconds, 1 µs to 30 s); a final [+Inf] bucket is implicit.
       @raise Invalid_argument on unsorted buckets or a kind clash. *)
 
   val dump : t -> string

@@ -610,6 +610,7 @@ type t = {
   mutable salvaged : int;
   mutable truncated_bytes : int;
   mutable closed : bool;
+  mutable failed : string option;  (* a write could not be undone *)
   lock_fd : Unix.file_descr;
   lock_key : int * int;
 }
@@ -770,6 +771,7 @@ let open_db ?(segment_bytes = 1 lsl 20) ?(sync_every = 64) ?(auto_compact = 8) d
             salvaged;
             truncated_bytes = truncated;
             closed = false;
+            failed = None;
             lock_fd;
             lock_key;
           }
@@ -847,9 +849,36 @@ let compact_result t =
       Crd_obs.Counter.incr m_compact_failures;
       Error (Printf.sprintf "%s: %s(%s)" (Unix.error_message e) fn arg)
 
-let append_frame_locked t frame ~records =
-  Crd_io.write_all t.fd frame;
-  t.active_bytes <- t.active_bytes + String.length frame;
+(* The mutating calls refuse a closed handle, and a failed one: a write
+   whose torn bytes could not be cut off would put every later frame
+   behind them, where the next open truncates it away. *)
+let writable t what =
+  if t.closed then invalid_arg ("Crd_racedb.Db." ^ what ^ ": closed");
+  Option.iter
+    (fun e -> failwith (Printf.sprintf "racedb %s: handle failed: %s" what e))
+    t.failed
+
+(* Durable before visible: a frame is written first, and only then
+   folded into memory (and its nonce marked published) by the caller,
+   which then calls [appended_locked]. A write that fails is undone —
+   the segment is cut back to its length before the write, so the next
+   frame lands right after the last whole one — and fails the call. *)
+let write_frame_locked t frame =
+  match Crd_io.write_all t.fd frame with
+  | () -> t.active_bytes <- t.active_bytes + String.length frame
+  | exception (Unix.Unix_error (e, _, _) as exn) ->
+      (try
+         Unix.ftruncate t.fd t.active_bytes;
+         ignore (Unix.lseek t.fd t.active_bytes Unix.SEEK_SET : int)
+       with Unix.Unix_error (e', fn, _) ->
+         t.failed <-
+           Some
+             (Printf.sprintf "%s, then %s failed: %s" (Unix.error_message e)
+                fn (Unix.error_message e')));
+      raise exn
+
+(* Sync, rotate and compact as the frame just written and folded asks. *)
+let appended_locked t frame ~records =
   t.dirty <- t.dirty + max 1 records;
   Crd_obs.Counter.add m_appends records;
   Crd_obs.Counter.add m_bytes (String.length frame);
@@ -865,13 +894,14 @@ let append_frame_locked t frame ~records =
 let append t r =
   Crd_obs.time h_append @@ fun () ->
   locked t @@ fun () ->
-  if t.closed then invalid_arg "Crd_racedb.Db.append: closed";
+  writable t "append";
   Crd_fault.inject fp_append;
   let frame = frame_record r in
   if String.length frame > max_frame_bytes then
     failwith "racedb append: record exceeds the frame limit";
+  write_frame_locked t frame;
   fold_record ~node:t.node ~vvtbl:t.vvtbl t.tbl r;
-  append_frame_locked t frame ~records:1
+  appended_locked t frame ~records:1
 
 (* Chunk nonces are derived deterministically from the record order, so
    a crash replay re-publishing the same session computes the same
@@ -906,7 +936,7 @@ let publish t ~nonce records =
   else
     Crd_obs.time h_append @@ fun () ->
     locked t @@ fun () ->
-    if t.closed then invalid_arg "Crd_racedb.Db.publish: closed";
+    writable t "publish";
     Crd_fault.inject fp_append;
     let fresh = ref false in
     List.iter
@@ -926,9 +956,10 @@ let publish t ~nonce records =
                 [ ("nonce", cn); ("records", string_of_int n) ]
           | () ->
               let frame = frame_of_buffer t.frame in
+              write_frame_locked t frame;
               fold_chunk ~node:t.node ~vvtbl:t.vvtbl t.tbl ~n groups;
               if cn <> "" then Hashtbl.replace t.published cn ();
-              append_frame_locked t frame ~records:n
+              appended_locked t frame ~records:n
         end)
       (chunk_nonces nonce records);
     !fresh
@@ -942,12 +973,13 @@ let published t nonce = locked t @@ fun () -> Hashtbl.mem t.published nonce
    applied, and the peer's next [delta ~since] would skip them forever
    (the invariant crd_sync.mli's failure model leans on). A crash mid-
    write leaves a torn frame the next open discards whole; the fault
-   point fires before anything is staged or written. Memory is mutated
-   before the write so a compaction triggered by the append folds an
-   index consistent with the segment it retires. *)
+   point fires before anything is staged or written. Memory takes the
+   batch only once the frame is written, and before the sync, rotation
+   and compaction the append may trigger, so a compaction folds an index
+   consistent with the segment it retires. *)
 let merge t es =
   locked t @@ fun () ->
-  if t.closed then invalid_arg "Crd_racedb.Db.merge: closed";
+  writable t "merge";
   Crd_fault.inject fp_append;
   let staged = Hashtbl.create 16 in
   List.iter
@@ -976,13 +1008,14 @@ let merge t es =
       let frame = frame_merge_batch changed in
       if String.length frame > max_frame_bytes then
         failwith "racedb merge: batch exceeds the frame limit";
+      write_frame_locked t frame;
       List.iter
         (fun (m : Entry.t) ->
           vv_absorb t.vvtbl m.Entry.ver;
           Hashtbl.replace t.tbl m.Entry.fingerprint (ref m))
         changed;
       let n = List.length changed in
-      append_frame_locked t frame ~records:n;
+      appended_locked t frame ~records:n;
       Crd_obs.Counter.add m_merges n;
       sync_locked t;
       n
@@ -998,8 +1031,16 @@ let delta t ~since =
     t.tbl []
   |> List.sort (fun a b -> Int64.compare a.Entry.fingerprint b.Entry.fingerprint)
 
-let sync t = locked t @@ fun () -> sync_locked t
-let compact t = locked t @@ fun () -> compact_result t
+let sync t =
+  locked t @@ fun () ->
+  writable t "sync";
+  sync_locked t
+
+let compact t =
+  locked t @@ fun () ->
+  match t.failed with
+  | Some e -> Error ("handle failed: " ^ e)
+  | None -> compact_result t
 
 let entries t =
   locked t @@ fun () ->

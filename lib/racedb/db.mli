@@ -101,7 +101,12 @@ val append : t -> Record.t -> unit
     is written).
     @raise Crd_fault.Injected when the [racedb_append] point fires
     (nothing is written).
-    @raise Unix.Unix_error on I/O failure. *)
+    @raise Unix.Unix_error on I/O failure. A failed write changes
+    nothing: the record is folded only once its frame is written, and
+    the segment is cut back to its length before the write. If that
+    cut fails too, the handle is failed: every later [append],
+    [publish], [merge] and [sync] raises [Failure] and [compact]
+    returns [Error]. *)
 
 val publish : t -> nonce:string -> Record.t list -> bool
 (** Publish one session's records as atomic batch frames keyed by the
@@ -145,13 +150,15 @@ val delta : t -> since:Vv.t -> Entry.t list
     seen, sorted by fingerprint. [delta ~since:(version t)] is []. *)
 
 val sync : t -> unit
-(** Fsync the active segment and publish its commit marker. *)
+(** Fsync the active segment and publish its commit marker.
+    @raise Failure on a failed handle (see {!append}). *)
 
 val compact : t -> (int, string) result
 (** Seal the active segment, persist the index, delete folded segments.
     Returns the number of distinct entries in the new index. [Error]
     (with the store intact and still usable) if the [racedb_compact]
-    fault point fires or the index cannot be written. *)
+    fault point fires or the index cannot be written, or on a failed
+    handle (see {!append}). *)
 
 val entries : t -> Entry.t list
 (** Snapshot of the index, most frequent first (ties by fingerprint). *)
@@ -184,8 +191,5 @@ val select :
   Entry.t list
 (** Filter ([last_seen >= since], exact object / spec name, exact
     provenance) and keep the first [top] entries. *)
-
-val sort_entries : Entry.t list -> Entry.t list
-(** Most frequent first, ties by fingerprint — the [entries] order. *)
 
 val pp_stats : stats Fmt.t

@@ -17,17 +17,6 @@ let state_equal a b =
   | Seq a, Seq b -> List.equal Value.equal a b
   | (Map _ | Num _ | Reg _ | Seq _), _ -> false
 
-let pp_state ppf = function
-  | Map kvs ->
-      Fmt.pf ppf "{%a}"
-        Fmt.(
-          list ~sep:(any ", ") (fun ppf (k, v) ->
-              pf ppf "%a->%a" Value.pp k Value.pp v))
-        kvs
-  | Num n -> Fmt.int ppf n
-  | Reg v -> Fmt.pf ppf "reg %a" Value.pp v
-  | Seq vs -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any "; ") Value.pp) vs
-
 type shape = { meth : string; args : Value.t list; rets : Value.t list }
 
 let pp_shape ppf s =

@@ -21,7 +21,6 @@ type state =
   | Seq of Value.t list  (** front of the queue first *)
 
 val state_equal : state -> state -> bool
-val pp_state : state Fmt.t
 
 (** An action shape: method, arguments, returns — an action without an
     object identity. *)

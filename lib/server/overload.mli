@@ -25,8 +25,6 @@
 type tier = Normal | Spill | Shed
 
 val tier_name : tier -> string
-val tier_rank : tier -> int
-(** 0, 1, 2 — the [overload_tier] gauge encoding. *)
 
 type limits = {
   memory_budget : int;
@@ -106,10 +104,6 @@ module Heartbeat : sig
   (** [beat t n]: [n] more events drained; refreshes the stamp. *)
 
   val end_session : t -> unit
-
-  val cancelled : t -> bool
-  (** Cooperative cancellation flag — set by the watchdog; polled by
-      {!stall_until_cancelled} (domains cannot be killed). *)
 
   val events : t -> int
   (** Events drained in the current session. *)

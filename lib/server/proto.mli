@@ -20,9 +20,6 @@
 val magic : string
 val version : int
 
-val max_nonce : int
-(** Nonce length cap (64 bytes). *)
-
 val valid_nonce : string -> bool
 (** Nonces become journal filenames, so only [A-Za-z0-9_-] is let
     through ([""] is valid: the server then journals under a private
@@ -37,8 +34,6 @@ val write_all : Unix.file_descr -> string -> unit
 
 val read_exact : Unix.file_descr -> int -> string option
 (** [None] on end-of-stream before [n] bytes; EINTR-safe. *)
-
-val read_varint : Unix.file_descr -> (int, string) result
 
 val send_handshake : Unix.file_descr -> ?nonce:string -> spec:string -> unit -> unit
 val send_accept : Unix.file_descr -> unit

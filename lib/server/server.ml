@@ -616,6 +616,25 @@ let health_line t =
     (Overload.mem_used ()) t.cfg.memory_budget st.stalls st.sessions st.spilled
     st.caught_up st.events st.races
 
+(* Before a connection's first byte: wait until it is readable ([true]),
+   or, with nothing to read, until the server stops or [idle_timeout]
+   passes ([false]). A client that has sent nothing holds nothing, so
+   it must not hold the drain for its idle timeout either. A descriptor
+   [select] cannot take is left to the socket's own receive timeout. *)
+let await_client t conn =
+  let timeout = t.cfg.idle_timeout in
+  let until = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    let left = if timeout > 0. then until -. Unix.gettimeofday () else -1. in
+    if timeout > 0. && left <= 0. then false
+    else
+      match Unix.select [ conn; t.stopping.r ] [] [] left with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception Unix.Unix_error (Unix.EINVAL, _, _) -> true
+      | ready, _, _ -> List.mem conn ready
+  in
+  go ()
+
 (* [tier] is the admission-time verdict from the accept loop; [hb] is
    this worker slot's heartbeat, stamped on every read so the watchdog
    can tell "slow" from "stuck". *)
@@ -748,7 +767,12 @@ let session t hb tier conn =
             Error "idle timeout during handshake"
         | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
       in
-      match wrap_io (fun () -> Proto.read_preamble conn) with
+      let preamble () =
+        if await_client t conn then Proto.read_preamble conn
+        else if is_set t.stopping then Error "server stopping"
+        else Error "idle timeout during handshake"
+      in
+      match wrap_io preamble with
       | Error msg ->
           Crd_obs.Span.finish hs;
           reject Handshake msg

@@ -19,17 +19,11 @@ end
 
 type var = { side : Side.t; slot : int; name : string }
 
-val var_equal : var -> var -> bool
-(** Ignores the cosmetic [name]. *)
-
 type term = Var of var | Const of Value.t
-
-val term_equal : term -> term -> bool
 
 type pred = Eq | Ne | Lt | Le | Gt | Ge
 
 val pred_holds : pred -> Value.t -> Value.t -> bool
-val pred_symbol : pred -> string
 
 type t = { pred : pred; lhs : term; rhs : term }
 

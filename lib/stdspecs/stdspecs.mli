@@ -41,12 +41,10 @@ val fifo_src : string
 
 val fifo : unit -> Spec.t
 
-val bag_src : string
+val bag : unit -> Spec.t
 (** Multiset: [add(x)], [remove(x)/ok], [count(x)/n], [size()/r].
     Insertions commute unconditionally (they return nothing), in contrast
     to the set where [add]'s membership-reporting return orders them. *)
-
-val bag : unit -> Spec.t
 
 val all : unit -> Spec.t list
 val find : string -> Spec.t option

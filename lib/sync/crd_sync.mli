@@ -16,7 +16,7 @@
     v}
 
     Frames ride the CRDW varint framing ({!sync_magic}, kind bytes
-    {!sync_hello}/{!sync_delta}/{!sync_ack}/{!sync_error}).
+    {!sync_hello}/{!sync_delta}, then an ack or an error frame).
     Because {!Crd_racedb.Entry.merge} is a lattice join, the exchange
     is idempotent — re-syncing a converged pair transfers two empty
     deltas and changes nothing — and any gossip schedule that keeps
@@ -48,28 +48,21 @@
 
 (** {1 Wire constants}
 
-    A connection opens with [sync_magic] and a [sync_version] byte, then
-    exchanges [varint(len) payload] frames whose payloads begin with one
-    of the kind bytes below. *)
+    A connection opens with [sync_magic] and a version byte (2: delta
+    entries carry the provenance byte), then exchanges
+    [varint(len) payload] frames whose payloads begin with a kind byte:
+    one of the two below, an ack (version vector + merged count) that
+    ends a delta stream, or an error (a human-readable refusal; the
+    connection closes after). *)
 
 val sync_magic : string
 (** ["CRDY"]. *)
-
-val sync_version : int
-(** Sync protocol version (currently 2: delta entries carry the
-    provenance byte). *)
 
 val sync_hello : int
 (** Frame kind: node id + version vector, opens both directions. *)
 
 val sync_delta : int
 (** Frame kind: a batch of replicated racedb entries. *)
-
-val sync_ack : int
-(** Frame kind: end of a delta stream — version vector + merged count. *)
-
-val sync_error : int
-(** Frame kind: human-readable refusal, connection closes after. *)
 
 (** {1 Exchanges} *)
 
@@ -119,5 +112,4 @@ val fp_connect : Crd_fault.point
 (** [sync_connect] — fired by connection-establishing callers. *)
 
 val fp_read : Crd_fault.point
-val fp_write : Crd_fault.point
 val fp_merge : Crd_fault.point

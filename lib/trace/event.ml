@@ -23,11 +23,6 @@ let release tid l = { tid; op = Release l }
 let begin_ tid = { tid; op = Begin }
 let end_ tid = { tid; op = End }
 
-let is_sync t =
-  match t.op with
-  | Fork _ | Join _ | Acquire _ | Release _ -> true
-  | Call _ | Read _ | Write _ | Begin | End -> false
-
 let op_equal a b =
   match (a, b) with
   | Call x, Call y -> Action.equal x y

@@ -30,9 +30,5 @@ val release : Tid.t -> Lock_id.t -> t
 val begin_ : Tid.t -> t
 val end_ : Tid.t -> t
 
-val is_sync : t -> bool
-(** True for fork/join/acquire/release (not for transaction markers,
-    which carry no happens-before meaning). *)
-
 val equal : t -> t -> bool
 val pp : t Fmt.t

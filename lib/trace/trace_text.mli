@@ -29,8 +29,6 @@ val iter_channel : in_channel -> f:(Event.t -> unit) -> (unit, string) result
     memory stays O(longest line + intern tables) regardless of input
     size. Stops at the first malformed line. *)
 
-val of_channel : in_channel -> (Trace.t, string) result
-
 val parse_file : string -> (Trace.t, string) result
-(** [of_channel] on the opened file: large traces are never loaded into
-    a single string. *)
+(** Parses the file line by line: large traces are never loaded into a
+    single string. *)

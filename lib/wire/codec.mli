@@ -34,9 +34,6 @@ val magic : string
 val version : int
 (** Wire format version written by this encoder (currently 1). *)
 
-val default_chunk_bytes : int
-(** The encoder's default flush threshold (32768). *)
-
 val max_frame_bytes : int
 (** A decoder rejects a frame longer than this (16 MiB) as corrupt
     rather than buffering it. *)

@@ -53,8 +53,6 @@ type stmt =
   | Update of { table : string; col : string; value : Value.t; where : cond list }
   | Delete of { table : string; where : cond list }
 
-val agg_name : agg -> string
-
 val parse : string -> (stmt, string) result
 val pp_stmt : stmt Fmt.t
 val cond_holds : cond -> (string -> Value.t option) -> bool

@@ -1010,6 +1010,42 @@ let counted_fold_tests =
           [ "big"; "big#1"; "big#2" ];
         Db.close db;
         Db.close expect);
+    Alcotest.test_case "a write torn by ENOSPC is undone, not folded" `Quick
+      (fun () ->
+        (* B's frame is cut off halfway by a full disk: B must be neither
+           folded nor marked published, and C must land right after A,
+           not behind B's torn bytes where the next open cuts it away *)
+        let batch key =
+          ( String.uppercase_ascii key,
+            List.init 5 (fun i ->
+                Record.make ~ts:1. ~spec:"std"
+                  { (mk_report ~key ()) with Report.index = i }) )
+        in
+        let a = batch "a" and b = batch "b" and c = batch "c" in
+        let dir = node_dir () in
+        let db = Result.get_ok (Db.open_db dir) in
+        publish_all db [ a ];
+        Sessions.with_faults "io_enospc=once" (fun () ->
+            (match Db.publish db ~nonce:"B" (snd b) with
+            | _ -> Alcotest.fail "publish B went through ENOSPC"
+            | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> ());
+            Alcotest.(check int) "io_enospc fired" 1
+              (Crd_fault.injected_count Crd_io.fp_io_enospc));
+        publish_all db [ c ];
+        let expect = append_store [ a; c ] in
+        same_store "live" expect db;
+        Alcotest.(check bool) "B unpublished, live" false (Db.published db "B");
+        Db.close db;
+        let db = Result.get_ok (Db.open_db dir) in
+        same_store "reopened" expect db;
+        Alcotest.(check bool) "B unpublished" false (Db.published db "B");
+        Alcotest.(check bool) "a re-publish of B lands" true
+          (Db.publish db ~nonce:"B" (snd b));
+        Db.close expect;
+        let expect = append_store [ a; c; b ] in
+        same_store "B re-published" expect db;
+        Db.close db;
+        Db.close expect);
     Alcotest.test_case "publish, compact, reopen under an io_eintr storm" `Quick
       (fun () ->
         (* every second write is interrupted; the store must come out

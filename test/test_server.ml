@@ -316,6 +316,52 @@ let stop_is_prompt () =
         (Printf.sprintf "stop took %.1f ms, under 100 ms" ms)
         true (ms < 100.)
 
+(* Clients that connect and never speak do not hold the drain for their
+   idle timeout: with one worker and four silent connections, [stop]
+   closes each at once, while a fifth client whose handshake is already
+   buffered is still served. *)
+let silent_clients_do_not_hold_stop () =
+  let trace = snitch_trace () in
+  let expected = offline_race_lines trace in
+  let addr = fresh_addr () in
+  let config =
+    { (Server.default_config ~addr) with Server.workers = 1; idle_timeout = 5. }
+  in
+  match Server.start config with
+  | Error e -> Alcotest.failf "server start: %s" e
+  | Ok server ->
+      let accepted = metric "server_accepted_total" in
+      let silent = List.init 4 (fun _ -> Server.connect addr) in
+      let fd = Server.connect addr in
+      Proto.send_handshake fd ~spec:"std" ();
+      Proto.write_all fd (Wire.encode_trace trace);
+      let reply = ref (Error "never ran") in
+      let client =
+        Thread.create
+          (fun () ->
+            reply :=
+              match Proto.read_handshake_reply fd with
+              | Ok Proto.Accepted -> Ok (Proto.read_to_eof fd)
+              | Ok _ | Error _ -> Error "handshake refused")
+          ()
+      in
+      poll "five connections never queued" (fun () ->
+          metric "server_accepted_total" >= accepted + 5);
+      let t0 = Unix.gettimeofday () in
+      ignore (Server.stop server);
+      let s = Unix.gettimeofday () -. t0 in
+      Thread.join client;
+      List.iter close_quietly (fd :: silent);
+      Alcotest.(check bool)
+        (Printf.sprintf "stop took %.2f s, under 1 s" s)
+        true (s < 1.);
+      match !reply with
+      | Error e -> Alcotest.failf "buffered client: %s" e
+      | Ok reply ->
+          Alcotest.(check (list string))
+            "buffered client served in the drain" expected
+            (reply_race_lines reply)
+
 (* A lost reply (sock_write fault) is invisible to the analysis: the
    client retries under the same nonce and gets the full report. *)
 let retry_on_lost_reply () =
@@ -1052,6 +1098,8 @@ let suite =
       Alcotest.test_case "addr_of_string table" `Quick addr_of_string_table;
       Alcotest.test_case "stop releases the socket" `Quick stop_releases_socket;
       Alcotest.test_case "stop is prompt" `Quick stop_is_prompt;
+      Alcotest.test_case "silent clients do not hold stop" `Quick
+        silent_clients_do_not_hold_stop;
       Alcotest.test_case "overload shed replies BUSY" `Quick busy_shed;
       Alcotest.test_case "worker survives a session crash" `Quick
         worker_survives_session_crash;
